@@ -2,9 +2,12 @@
 
 File format (line-delimited text, decimal at full round-trip precision):
     # zetalab-checkpoint v1
+    # fingerprint: <numeric fingerprint of the writing environment>
     k,T,cumulative_value,cumulative_err,config_digest
 Rows are boundary-aligned: every stored T lies on the deterministic panel
-mesh, so any prefix reproduces bit-for-bit when the config digest matches.
+mesh, so any prefix reproduces bit-for-bit when the config digest and the
+numeric fingerprint (quadrature.numeric_fingerprint) match.  Files without
+the fingerprint line still load.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from dataclasses import dataclass
 
 from .config import QuadConfig
 from .errors import CheckpointMismatch, DataParseError, DataValidationError
-from .quadrature import MomentAccumulator, get_accumulator
+from .quadrature import MomentAccumulator, get_accumulator, numeric_fingerprint
 
 HEADER = "# zetalab-checkpoint v1"
+FINGERPRINT_PREFIX = "# fingerprint: "
 
 
 @dataclass
@@ -24,6 +28,7 @@ class MomentCheckpoint:
     k: int
     grid: list  # [(T, cumulative_value, cumulative_err), ...] strictly increasing T
     config_digest: str
+    fingerprint: str | None = None  # None for files written before it was recorded
 
     def validate(self):
         prev_t = -1.0
@@ -50,13 +55,15 @@ def read_checkpoint(path: str, k: int) -> MomentCheckpoint | None:
     if not os.path.exists(path):
         return None
     grid = []
-    digest = None
+    digest = fingerprint = None
     with open(path) as fh:
         first = fh.readline().rstrip("\n")
         if first != HEADER:
             raise DataParseError("bad checkpoint header %r" % first, line=1)
         for lineno, raw in enumerate(fh, 2):
             line = raw.strip()
+            if line.startswith(FINGERPRINT_PREFIX):
+                fingerprint = line[len(FINGERPRINT_PREFIX):]
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
@@ -79,7 +86,7 @@ def read_checkpoint(path: str, k: int) -> MomentCheckpoint | None:
             grid.append((t, v, e))
     if not grid:
         return None
-    cp = MomentCheckpoint(k=k, grid=grid, config_digest=digest)
+    cp = MomentCheckpoint(k=k, grid=grid, config_digest=digest, fingerprint=fingerprint)
     cp.validate()
     return cp
 
@@ -88,7 +95,7 @@ def _append_rows(path: str, k: int, rows, digest: str):
     new_file = not os.path.exists(path)
     with open(path, "a") as fh:
         if new_file:
-            fh.write(HEADER + "\n")
+            fh.write(HEADER + "\n" + FINGERPRINT_PREFIX + numeric_fingerprint() + "\n")
         for t, v, e in rows:
             fh.write("%d,%r,%r,%r,%s\n" % (k, t, v, e, digest))
 
@@ -139,10 +146,12 @@ def extend_checkpoint(path: str, k: int, t_target: float, cfg: QuadConfig, resum
         # Bit-for-bit reproduction of the stored prefix at its last row.
         i = acc.n_panels_to(last_t)
         if acc.bounds[i] != last_t or float(pv[i]) != existing.grid[-1][1]:
-            raise CheckpointMismatch(
-                "stored prefix at T=%r does not reproduce under digest %s"
-                % (last_t, digest)
-            )
+            msg = "stored prefix at T=%r does not reproduce under digest %s" % (last_t, digest)
+            here = numeric_fingerprint()
+            if existing.fingerprint != here:
+                msg += "; written under numeric fingerprint %s, running under %s" % (
+                    existing.fingerprint or "(not recorded)", here)
+            raise CheckpointMismatch(msg)
     new_rows = [r for r in rows if r[0] > last_t]
     if new_rows:
         _append_rows(path, k, new_rows, digest)

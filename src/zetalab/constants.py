@@ -57,11 +57,6 @@ def fourth_moment_a3(ctx: PrecisionContext) -> mpf:
         return 2 * inner / c.pi**2
 
 
-def laplace_fourth_A(ctx: PrecisionContext) -> mpf:
-    """Leading coefficient of the fourth-moment Laplace main term: 1/(2 pi^2)."""
-    return fourth_moment_a4(ctx)
-
-
 def laplace_fourth_B(ctx: PrecisionContext) -> mpf:
     """Second coefficient: (2 log 2pi - 6 gamma + 24 zeta'(2)/pi^2)/pi^2."""
     c = constants_for(ctx)

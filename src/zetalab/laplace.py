@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import QuadConfig
-from .constants import constants_for, laplace_fourth_A, laplace_fourth_B
+from .constants import constants_for, fourth_moment_a4, laplace_fourth_B
 from .errors import DomainError, IllConditionedFit
 from .precision import DEFAULT_CTX, PrecisionContext
 from .quadrature import IntegralResult, gl_nodes, panel_width
@@ -185,7 +185,7 @@ def atkinson_ab(ctx: PrecisionContext = DEFAULT_CTX, b_variant: str = "printed")
     correspondence and confirmed numerically (see decisions ledger).
     Downstream outputs label the variant used.
     """
-    a = float(laplace_fourth_A(ctx))
+    a = float(fourth_moment_a4(ctx))
     b = float(laplace_fourth_B(ctx))
     if b_variant == "printed":
         return a, b

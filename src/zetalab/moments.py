@@ -421,7 +421,7 @@ def calibrate_p4(
         raise IllConditionedFit("grid must span at least one decade")
     if integral_values is None:
         acc = get_accumulator(2, cfg)
-        integral_values = np.array([acc.cumulative_to(t)[0] for t in grid])
+        integral_values = acc.cumulative_at(grid)[0]
     else:
         integral_values = np.asarray(integral_values, dtype=float)
         if len(integral_values) != len(grid):
@@ -461,10 +461,7 @@ def calibrate_p4(
 
 def twelfth_moment_table(t_list, ctx: PrecisionContext = DEFAULT_CTX, cfg: QuadConfig = QuadConfig()):
     """Exploratory rows (T, int_0^T |Z|^12, ratio to T^2 log^17 T)."""
-    acc = get_accumulator(6, cfg)
-    rows = []
-    for t in sorted(t_list):
-        v, _, e, _ = acc.cumulative_to(float(t))
-        ratio = v / (t * t * math.log(t) ** 17)
-        rows.append((float(t), v, ratio, e))
-    return rows
+    ts = sorted(float(t) for t in t_list)
+    v, _, e, _ = get_accumulator(6, cfg).cumulative_at(ts)
+    return [(t, x, x / (t * t * math.log(t) ** 17), err)
+            for t, x, err in zip(ts, v.tolist(), e.tolist())]

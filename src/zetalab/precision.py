@@ -12,12 +12,9 @@ import typing
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from mpmath import mp, mpc, mpf, workprec
+from mpmath import mpc, workprec
 
 from .errors import DomainError
-
-# Complex values are represented by mpmath.mpc at context precision.
-ComplexValue = mpc
 
 GUARD_BITS = 12
 
@@ -71,11 +68,6 @@ def to_mpc(z, ctx: PrecisionContext) -> mpc:
     """Coerce a Python/complex/mpf/mpc value to mpc at context precision."""
     with ctx.workprec():
         return mpc(z)
-
-
-def to_mpf(x, ctx: PrecisionContext) -> mpf:
-    with ctx.workprec():
-        return mpf(x)
 
 
 def mag(z) -> float:

@@ -164,6 +164,7 @@ class MomentAccumulator:
         self._err = []
         self._err_u = []
         self._prefix = None
+        self._bounds_arr = None  # bounds as an array, rebuilt with the prefix sums
         self._batch = PanelBatch(self._integrand, cfg)
 
     def _integrand(self, ts):
@@ -192,6 +193,7 @@ class MomentAccumulator:
 
     def prefix(self):
         if self._prefix is None:
+            self._bounds_arr = np.array(self.bounds)
             self._prefix = (
                 np.concatenate([[0.0], np.cumsum(self._val)]),
                 np.concatenate([[0.0], np.cumsum(self._val_u)]),
@@ -205,20 +207,32 @@ class MomentAccumulator:
 
     def cumulative_to(self, t: float):
         """(int_0^t f, int_0^t u f, err, err_u); t may fall inside a panel."""
-        if t < 0:
+        v, vu, e, eu = self.cumulative_at([t])
+        return float(v[0]), float(vu[0]), float(e[0]), float(eu[0])
+
+    def cumulative_at(self, ts):
+        """cumulative_to at every t of ts, as four arrays (v, vu, err, err_u).
+
+        Each t takes the prefix sums at its panel's left boundary plus the
+        integral over the partial panel [left, t]; all partial panels go
+        through one PanelBatch.run.  A panel's result does not depend on
+        the other panels of its batch, so every entry is bit-identical to
+        the scalar query at that t.
+        """
+        ts = np.asarray(ts, dtype=float)
+        if ts.size and ts.min() < 0:
             raise DomainError("integration limit must be >= 0")
-        if t == 0:
-            return 0.0, 0.0, 0.0, 0.0
-        self.ensure(t)
-        i = self.n_panels_to(t)
+        if ts.size:
+            self.ensure(float(ts.max()))
         pv, pu, pe, peu = self.prefix()
+        i = np.searchsorted(self._bounds_arr, ts, side="right") - 1
         v, vu, e, eu = pv[i], pu[i], pe[i], peu[i]
-        left = self.bounds[i]
-        if t > left:
-            dv, dvu, de, deu = self._batch.run([left], [t])
-            v, vu = v + dv[0], vu + dvu[0]
-            e, eu = e + de[0], eu + deu[0]
-        return float(v), float(vu), float(e), float(eu)
+        left = self._bounds_arr[i]
+        part = np.nonzero(ts > left)[0]
+        if part.size:
+            for total, piece in zip((v, vu, e, eu), self._batch.run(left[part], ts[part])):
+                total[part] += piece
+        return v, vu, e, eu
 
     def between(self, a: float, b: float):
         """(int_a^b f, err) from the panels inside [a, b] and the partial ones.

@@ -1,14 +1,18 @@
 """Sign-change and exceedance scans for E1, E2 and the integral of E2.
 
 Values are sampled on the panel-boundary grid (spacing about half the local
-zero gap); zero crossings between adjacent samples are refined by bisection
-with local re-integration, never by interpolating the error term itself.
+zero gap).  Each sign change between adjacent samples is refined on the
+function itself, re-integrated at every probe, never interpolated: all of
+a scan's brackets are refined together by Anderson-Bjorck regula falsi with
+bisection as the fallback, one batched cumulative query per round.  A
+crossing is the midpoint of a sign-change bracket of width at most
+1e-10 max(1, t), or an exact zero.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +30,9 @@ from .quadrature import get_accumulator
 
 TARGETS = ("e1", "e2", "intE2")
 
+# Rounds a bracket may spend beyond the halvings bisection alone would need.
+SLACK_ROUNDS = 6
+
 
 @dataclass(frozen=True)
 class SignChangeReport:
@@ -42,59 +49,89 @@ class SignChangeReport:
 
 
 def _target_values(target: str, cfg: QuadConfig, ctx, t0, t1, poly):
-    """(grid, values, point_evaluator) for the named error-term function."""
-    if target == "e1":
-        acc = get_accumulator(1, cfg)
-        poly = poly or p1_exact(ctx)
-        bs, cv, _, _ = acc.boundary_grid(t0, t1)
-        logs = np.log(np.maximum(bs, 1e-300))
-        vals = cv - bs * np.polyval(np.array(poly.coeffs), logs)
+    """(grid, values, points) for the named error-term function.
 
-        def point(t):
-            v = acc.cumulative_to(t)[0]
-            return v - main_term(1, t, poly)
-
-        return bs, vals, point
-    if target == "e2":
-        acc = get_accumulator(2, cfg)
-        poly = poly or default_p4(ctx)
-        bs, cv, _, _ = acc.boundary_grid(t0, t1)
-        logs = np.log(np.maximum(bs, 1e-300))
-        vals = cv - bs * np.polyval(np.array(poly.coeffs), logs)
-
-        def point(t):
-            v = acc.cumulative_to(t)[0]
-            return v - main_term(2, t, poly)
-
-        return bs, vals, point
+    points maps an array of t to the function's values there, through one
+    cumulative query; each value is the one error_term (e1, e2) or
+    integral_of_e2 (intE2) returns at that t.
+    """
+    k = 1 if target == "e1" else 2
+    acc = get_accumulator(k, cfg)
+    poly = poly or (p1_exact(ctx) if k == 1 else default_p4(ctx))
+    bs, cv, cu, _ = acc.boundary_grid(t0, t1)
     if target == "intE2":
-        acc = get_accumulator(2, cfg)
-        poly = poly or default_p4(ctx)
-        bs, cv, cu, _ = acc.boundary_grid(t0, t1)
         closed = np.array([integral_of_t_poly(b, poly) for b in bs])
         vals = bs * cv - cu - closed
 
-        def point(t):
-            v, vu, _, _ = acc.cumulative_to(t)
-            return t * v - vu - integral_of_t_poly(t, poly)
+        def points(ts):
+            v, vu, _, _ = acc.cumulative_at(ts)
+            return np.array([t * x - xu - integral_of_t_poly(t, poly)
+                             for t, x, xu in zip(ts.tolist(), v.tolist(), vu.tolist())])
+    else:
+        logs = np.log(np.maximum(bs, 1e-300))
+        vals = cv - bs * np.polyval(np.array(poly.coeffs), logs)
 
-        return bs, vals, point
-    raise DomainError("unknown scan target %r" % (target,))
+        def points(ts):
+            v = acc.cumulative_at(ts)[0]
+            return np.array([x - main_term(k, t, poly)
+                             for t, x in zip(ts.tolist(), v.tolist())])
+
+    return bs, vals, points
 
 
-def _bisect_zero(point, a, b, fa, fb, rel_tol=1e-10, max_iter=80):
-    for _ in range(max_iter):
-        if b - a <= rel_tol * max(1.0, abs(a)):
+def _refine_zeros(points, a, b, fa, fb, rel_tol=1e-10, max_rounds=80):
+    """Brackets (lo, hi) of one zero in each sign-change bracket [a_i, b_i].
+
+    All brackets are refined together: every round evaluates points once,
+    at the probe of each bracket still open.  A probe is the regula-falsi
+    point of the bracket with the Anderson-Bjorck scaling of the retained
+    end's value (BIT 13, 1973), kept at least tol/2 inside the bracket.
+    The probe is the midpoint instead once the rounds spent plus the
+    halvings still needed reach a budget: the halvings the bracket needed
+    at the start plus SLACK_ROUNDS.  So no bracket takes more rounds than
+    that budget, however slowly regula falsi converges on it.  A bracket
+    closes when its width is at most tol = rel_tol max(1, lo), or at an
+    exact zero, where lo = hi; after max_rounds the open brackets are
+    returned as they are.
+    """
+    # (x1, f1) is the retained end, (x2, f2) the latest probe; f1 f2 < 0.
+    x1, x2 = np.array(a, dtype=float), np.array(b, dtype=float)
+    f1, f2 = np.array(fa, dtype=float), np.array(fb, dtype=float)
+    lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
+
+    def halvings(width, lo):
+        """Bisection rounds to a width <= tol; 0 for a closed bracket."""
+        tol = rel_tol * np.maximum(1.0, np.abs(lo))
+        return np.ceil(np.log2(np.maximum(width / tol, 1.0)))
+
+    budget = halvings(hi - lo, lo) + SLACK_ROUNDS
+    for done in range(max_rounds):
+        width = hi - lo
+        need = halvings(width, lo)
+        live = np.nonzero(need > 0)[0]
+        if not live.size:
             break
-        m = 0.5 * (a + b)
-        fm = point(m)
-        if fm == 0.0:
-            return m
-        if (fa < 0) != (fm < 0):
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+        l1, l2, g1, g2 = x1[live], x2[live], f1[live], f2[live]
+        half_tol = 0.5 * rel_tol * np.maximum(1.0, np.abs(lo[live]))
+        probe = l2 - g2 * (l2 - l1) / (g2 - g1)
+        probe = np.clip(probe, lo[live] + half_tol, hi[live] - half_tol)
+        bisect = done + need[live] >= budget[live]
+        probe[bisect] = 0.5 * (lo[live] + hi[live])[bisect]
+        fp = points(probe)
+
+        # A probe of the latest probe's sign keeps the retained end and
+        # scales its value; otherwise the latest probe becomes the retained end.
+        flip = np.sign(fp) != np.sign(g2)
+        scale = 1.0 - fp / g2
+        scale = np.where(scale > 0.0, scale, 0.5)
+        x1[live] = np.where(flip, l2, l1)
+        f1[live] = np.where(flip, g2, np.where(bisect, g1, g1 * scale))
+        x2[live], f2[live] = probe, fp
+        zero = fp == 0.0
+        x1[live[zero]] = probe[zero]
+        lo[live] = np.minimum(x1[live], probe)
+        hi[live] = np.maximum(x1[live], probe)
+    return lo, hi
 
 
 def sign_change_scan(
@@ -112,6 +149,14 @@ def sign_change_scan(
 ) -> SignChangeReport:
     """Scan [t0, t1] for +/- A t^e exceedances and sign changes.
 
+    Exceedances are read on the mesh-boundary grid.  With refine, each sign
+    change between adjacent grid points is reported as the midpoint of a
+    bracket [lo, hi] with width at most 1e-10 max(1, lo) whose ends have
+    opposite signs, or as an exact zero.  Each round is one batched
+    cumulative query over all brackets still open; a bracket takes at most
+    6 rounds more than bisection would, and the rounds stop at 80.  Without
+    refine, the secant point of the grid bracket is reported.
+
     fn, when given, replaces the error-term evaluation (test hook): it must
     map an ndarray of t to values; crossings are then not refined.
     """
@@ -122,9 +167,9 @@ def sign_change_scan(
     if fn is not None:
         bs = np.linspace(t0, t1, 4096)
         vals = fn(bs)
-        point = None
+        points = None
     else:
-        bs, vals, point = _target_values(target, cfg, ctx, t0, t1, poly)
+        bs, vals, points = _target_values(target, cfg, ctx, t0, t1, poly)
 
     thresh = amplitude * np.power(np.maximum(bs, 1e-300), threshold_exponent)
     plus_idx = np.nonzero(vals > thresh)[0]
@@ -141,16 +186,13 @@ def sign_change_scan(
 
     sign = np.sign(vals)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    crossings = []
-    for i in flips:
-        if refine and point is not None:
-            crossings.append(
-                _bisect_zero(point, float(bs[i]), float(bs[i + 1]), float(vals[i]), float(vals[i + 1]))
-            )
-        else:
-            a, b = float(bs[i]), float(bs[i + 1])
-            fa, fb = float(vals[i]), float(vals[i + 1])
-            crossings.append(a - fa * (b - a) / (fb - fa))
+    a, b = bs[flips], bs[flips + 1]
+    fa, fb = vals[flips], vals[flips + 1]
+    if refine and points is not None and flips.size:
+        lo, hi = _refine_zeros(points, a, b, fa, fb)
+        crossings = 0.5 * (lo + hi)
+    else:
+        crossings = a - fa * (b - a) / (fb - fa)
     return SignChangeReport(
         target=target,
         t_range=(t0, t1),
@@ -158,7 +200,7 @@ def sign_change_scan(
         amplitude=amplitude,
         exceed_plus=exceed_plus,
         exceed_minus=exceed_minus,
-        crossings=tuple(crossings),
+        crossings=tuple(crossings.tolist()),
         grid_points=len(bs),
     )
 

@@ -123,7 +123,9 @@ def z_rs_block(t: np.ndarray, n_corr: int = 4):
 
     a2 = t / _TWO_PI
     err = RS_REMAINDER_COEF[k] * a2 ** (-(2 * k + 3) / 4.0)
-    err = err + 1e-14 * (1.0 + np.sqrt(nmax)) * (1.0 + np.abs(z))
+    # Rounding of each point's own nmain-term main sum, so that a point's
+    # bound does not depend on the other points of the call.
+    err = err + 1e-14 * (1.0 + np.sqrt(nmain)) * (1.0 + np.abs(z))
     return z, err
 
 

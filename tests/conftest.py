@@ -1,8 +1,17 @@
+import mpmath
 import numpy as np
 import pytest
 
 from zetalab.config import QuadConfig
 from zetalab.precision import PrecisionContext
+
+
+@pytest.fixture(autouse=True)
+def _restore_mp_prec():
+    """Give every test the mpmath precision it started with, whatever it sets."""
+    prec = mpmath.mp.prec
+    yield
+    mpmath.mp.prec = prec
 
 
 @pytest.fixture(scope="session")

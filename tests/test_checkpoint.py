@@ -1,10 +1,14 @@
 """Checkpoint persistence, digests, resume determinism."""
 
+import math
+
 import pytest
 
-from zetalab.checkpoint import MomentCheckpoint, extend_checkpoint, read_checkpoint
+from zetalab.checkpoint import (
+    FINGERPRINT_PREFIX, MomentCheckpoint, extend_checkpoint, read_checkpoint)
 from zetalab.config import QuadConfig
 from zetalab.errors import CheckpointMismatch, DataParseError, DataValidationError
+from zetalab.quadrature import numeric_fingerprint
 
 
 class TestCheckpointFile:
@@ -25,6 +29,37 @@ class TestCheckpointFile:
         other = QuadConfig(nodes=8)
         with pytest.raises(CheckpointMismatch):
             extend_checkpoint(path, 1, 400.0, other, resume=True)
+
+    def test_fingerprint_recorded_after_header(self, tmp_path, cfg):
+        path = tmp_path / "cp.txt"
+        cp, _ = extend_checkpoint(str(path), 1, 200.0, cfg)
+        lines = path.read_text().splitlines()
+        assert lines[1] == FINGERPRINT_PREFIX + numeric_fingerprint()
+        assert cp.fingerprint == numeric_fingerprint()
+
+    def test_file_without_fingerprint_still_resumes(self, tmp_path, cfg):
+        path = tmp_path / "cp.txt"
+        extend_checkpoint(str(path), 1, 200.0, cfg)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:1] + lines[2:]) + "\n")
+        assert read_checkpoint(str(path), 1).fingerprint is None
+        cp, _ = extend_checkpoint(str(path), 1, 300.0, cfg, resume=True)
+        assert cp.grid[-1][0] > 200.0
+
+    def test_mismatch_names_both_fingerprints(self, tmp_path, cfg):
+        path = tmp_path / "cp.txt"
+        extend_checkpoint(str(path), 1, 200.0, cfg)
+        lines = path.read_text().splitlines()
+        # As if written on another host whose last bits differ.
+        lines[1] = FINGERPRINT_PREFIX + "forged host"
+        k, t, v, e, d = lines[-1].split(",")
+        lines[-1] = ",".join([k, t, repr(math.nextafter(float(v), math.inf)), e, d])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointMismatch) as ei:
+            extend_checkpoint(str(path), 1, 300.0, cfg, resume=True)
+        msg = str(ei.value)
+        assert "does not reproduce" in msg
+        assert "forged host" in msg and numeric_fingerprint() in msg
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -37,6 +37,13 @@ class TestKernelAccuracy:
         z_rs, e_rs = zkernel.z_rs_block(ts)
         assert np.all(np.abs(z_em - z_rs) <= e_em + e_rs)
 
+    def test_rs_point_independent_of_the_call(self):
+        ts = np.array([450.0, 2.0e3, 7.5e4])
+        z, err = zkernel.z_rs_block(ts)
+        for j, t in enumerate(ts):
+            zj, ej = zkernel.z_rs_block(ts[j : j + 1])
+            assert (zj[0], ej[0]) == (z[j], err[j]), t
+
     def test_moment_integrand_power_and_error(self):
         ts = np.linspace(10.0, 50.0, 64)
         z, zerr = zkernel.z_block(ts)
