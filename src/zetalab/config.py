@@ -25,7 +25,6 @@ _NUMERIC_FIELDS = (
     "panel_abs",
     "t_switch",
     "rs_terms",
-    "crossover_t",
     "window_w",
     "laplace_cmaj",
     "laplace_tail_abs",
@@ -47,7 +46,6 @@ class QuadConfig:
     panel_abs: float = 1e-9
     t_switch: float = 400.0      # kernel Euler-Maclaurin / Riemann-Siegel switch
     rs_terms: int = 4
-    crossover_t: float = 30.0    # hardy_z scalar-path crossover
     window_w: float = 6.0        # Gaussian truncation in units of delta
     laplace_cmaj: float = 10.0   # disclosed majorant constant for Laplace tails
     laplace_tail_abs: float = 1e-8

@@ -4,6 +4,9 @@ Covers: integrate_moment, main_term, error_term, the Gaussian-smoothed local
 fourth moment, the closed-form integral of t*P4(log t), the integrated and
 mean-squared E2, and least-squares calibration of the three fourth-moment
 polynomial coefficients the literature does not display here.
+
+The mean square of E2 takes E2 inside a panel from the spectral integral of
+the panel's |Z|^4 interpolant at the accumulator's own nodes, 48 per panel.
 """
 
 from __future__ import annotations
@@ -23,7 +26,14 @@ from .constants import (
 )
 from .errors import DomainError, IllConditionedFit
 from .precision import DEFAULT_CTX, PrecisionContext
-from .quadrature import IntegralResult, PanelBatch, get_accumulator, panel_width
+from .quadrature import (
+    IntegralResult,
+    PanelBatch,
+    get_accumulator,
+    gl_integration_matrix,
+    gl_nodes,
+    panel_width,
+)
 from .zkernel import moment_integrand
 
 PAPER_EXACT = "paper-exact"
@@ -275,11 +285,7 @@ def integral_of_e2(
     return IntegralResult(value, t_upper * e + eu, acc.n_panels_to(t_upper) + 1, (0.0, t_upper))
 
 
-def _e2_on_grid(bs, cum_v, poly):
-    logs = np.log(np.maximum(bs, 1e-300))
-    main = bs * np.polyval(np.array(poly.coeffs), logs)
-    main[bs == 0.0] = 0.0
-    return cum_v - main
+_MEANSQ_CHUNK = 256  # pieces per kernel call in mean_square_e2
 
 
 def mean_square_e2(
@@ -289,117 +295,78 @@ def mean_square_e2(
     poly: MomentPolynomial | None = None,
     snapshots=None,
 ):
-    """int_0^T E2(t)^2 dt with E2 re-integrated locally inside every panel.
+    """int_0^T E2(t)^2 dt on the k = 2 accumulator's mesh and node set.
+
+    Every piece [a, b] -- a mesh panel, or [left, s] for a snapshot s (or T)
+    inside a panel -- evaluates |Z|^4 once at the accumulator's own nodes,
+    cfg.nodes and 2 cfg.nodes Gauss-Legendre points (48 by default).  E2 at
+    each node of either rule is the cumulative value at a, plus the integral
+    from a to the node of the polynomial interpolating |Z|^4 at that rule's
+    nodes (gl_integration_matrix), less t P4(log t).  The value is the fine
+    rule applied to E2^2.  err_bound charges, per piece, |fine - coarse| of
+    E2^2, which covers both the outer rule and the coarser inner
+    interpolant, plus 2 int |E2| times the cumulative quadrature bound at T
+    for the error of the cumulative values.
 
     Returns (IntegralResult, ratio_table) where ratio_table has one row
     (T, integral, integral/T^2) per requested snapshot (always including T).
+    A snapshot's integral is the prefix sum of the panels before it plus its
+    own piece, bit-identical to mean_square_e2(snapshot).value.
     """
     poly = poly or default_p4(ctx)
     if t_upper <= 0:
         return IntegralResult(0.0, 0.0, 0, (0.0, 0.0)), []
-    snaps = sorted(set(list(snapshots or []) + [t_upper]))
-    if any(s <= 0 or s > t_upper for s in snaps):
+    snaps = np.array(sorted(set(list(snapshots or []) + [t_upper])), dtype=float)
+    if snaps[0] <= 0 or snaps[-1] > t_upper:
         raise DomainError("snapshots must lie in (0, T]")
-    acc = get_accumulator(2, cfg)
-    acc.ensure(t_upper)
-    pv, _, pe, _ = acc.prefix()
-    bounds = np.array(acc.bounds)
-    n_panels = acc.n_panels_to(t_upper)
-
-    from .quadrature import gl_nodes
-
-    x8, w8 = gl_nodes(8)
-    x16, w16 = gl_nodes(16)
-    # Unified ascending node set; E2 at each node via cumulative sub-integrals.
-    xu = np.concatenate([x8, x16])
-    order = np.argsort(xu, kind="stable")
-    xu_sorted = xu[order]
-    inv_order = np.argsort(order, kind="stable")
-
-    total = 0.0
-    total_err = 0.0
-    snap_vals = {}
-    snap_idx = 0
-    chunk = 256
-    cum_err_at_T = float(pe[n_panels]) if n_panels < len(pv) else float(pe[-1])
-
-    i = 0
-    while i < n_panels:
-        j = min(i + chunk, n_panels)
-        a = bounds[i:j]
-        b = bounds[i + 1 : j + 1]
-        half = 0.5 * (b - a)
-        nodes = a[:, None] + half[:, None] * (xu_sorted[None, :] + 1.0)
-        base = pv[i:j]
-
-        # Sub-segment increments between consecutive sorted nodes.
-        seg_l = np.concatenate([a[:, None], nodes[:, :-1]], axis=1)
-        seg_r = nodes
-        sh = 0.5 * (seg_r - seg_l)
-        sm = 0.5 * (seg_r + seg_l)
-        pts = sm[:, :, None] + sh[:, :, None] * x8[None, None, :]
-        f, df = moment_integrand(pts.ravel(), 2, cfg.t_switch, cfg.rs_terms)
-        f = f.reshape(pts.shape)
-        inc = sh * np.sum(w8 * f, axis=2)
-        cum_nodes = base[:, None] + np.cumsum(inc, axis=1)
-
-        e2_sorted = _e2_on_grid(nodes.ravel(), cum_nodes.ravel(), poly).reshape(nodes.shape)
-        e2sq = e2_sorted**2
-        e2sq_unsorted = e2sq[:, inv_order]
-        i8 = half * np.sum(w8 * e2sq_unsorted[:, : len(x8)], axis=1)
-        i16 = half * np.sum(w16 * e2sq_unsorted[:, len(x8) :], axis=1)
-        quad_err = np.abs(i16 - i8)
-        # Pointwise: d(E2^2) = 2|E2| * err(E2); err(E2) bounded by the
-        # cumulative quadrature bound at T.
-        pt_err = 2.0 * half * np.sum(w16 * np.abs(e2_sorted[:, inv_order][:, len(x8) :]), axis=1) * cum_err_at_T
-
-        panel_vals = i16
-        for pi in range(j - i):
-            while snap_idx < len(snaps) and snaps[snap_idx] <= b[pi]:
-                st = snaps[snap_idx]
-                part = (
-                    _partial_meansq(a[pi], st, base[pi], poly, cfg)
-                    if st < b[pi]
-                    else panel_vals[pi]
-                )
-                snap_vals[st] = total + part
-                snap_idx += 1
-            total += panel_vals[pi]
-            total_err += quad_err[pi] + pt_err[pi]
-        i = j
-
-    # Snapshots inside the trailing partial panel.
-    while snap_idx < len(snaps):
-        st = snaps[snap_idx]
-        left = bounds[n_panels]
-        part = _partial_meansq(left, st, float(pv[n_panels]), poly, cfg) if st > left else 0.0
-        snap_vals[st] = total + part
-        snap_idx += 1
-
-    result = IntegralResult(snap_vals[t_upper], total_err, n_panels, (0.0, t_upper))
-    table = [(s, snap_vals[s], snap_vals[s] / (s * s)) for s in snaps]
+    bs, pv, _, pe = get_accumulator(2, cfg).boundary_grid(0.0, t_upper)
+    n_panels = len(bs) - 1
+    at = np.searchsorted(bs, snaps, side="right") - 1
+    inside = np.nonzero(snaps > bs[at])[0]
+    val, err = _e2_squared(
+        np.concatenate([bs[:-1], bs[at[inside]]]),
+        np.concatenate([bs[1:], snaps[inside]]),
+        np.concatenate([pv[:-1], pv[at[inside]]]),
+        float(pe[-1]), poly, cfg,
+    )
+    snap_vals = np.concatenate([[0.0], np.cumsum(val[:n_panels])])[at]
+    snap_vals[inside] += val[n_panels:]
+    err_total = float(np.sum(err[:n_panels]))
+    if t_upper > bs[-1]:
+        err_total += float(err[-1])
+    result = IntegralResult(float(snap_vals[-1]), err_total, n_panels, (0.0, t_upper))
+    table = [(s, v, v / (s * s)) for s, v in zip(snaps.tolist(), snap_vals.tolist())]
     return result, table
 
 
-def _partial_meansq(a, t, base, poly, cfg):
-    """GL16 of E2^2 over [a, t], cumulative base value given at a."""
-    from .quadrature import gl_nodes
+def _e2_squared(lefts, rights, base, cum_err, poly, cfg):
+    """(value, err) of int E2^2 over each piece [lefts, rights], with the
+    cumulative |Z|^4 integral base at each left end (see mean_square_e2)."""
+    (x1, w1), (x2, w2) = gl_nodes(cfg.nodes), gl_nodes(2 * cfg.nodes)
+    s1, s2 = gl_integration_matrix(cfg.nodes), gl_integration_matrix(2 * cfg.nodes)
+    coeffs = np.array(poly.coeffs)
 
-    x16, w16 = gl_nodes(16)
-    half = 0.5 * (t - a)
-    nodes = a + half * (np.sort(x16) + 1.0)
-    seg_l = np.concatenate([[a], nodes[:-1]])
-    sh = 0.5 * (nodes - seg_l)
-    sm = 0.5 * (nodes + seg_l)
-    x8, w8 = gl_nodes(8)
-    pts = sm[:, None] + sh[:, None] * x8[None, :]
-    f, _ = moment_integrand(pts.ravel(), 2, cfg.t_switch, cfg.rs_terms)
-    inc = sh * np.sum(w8 * f.reshape(pts.shape), axis=1)
-    cum = base + np.cumsum(inc)
-    e2 = _e2_on_grid(nodes, cum, poly)
-    # weights follow the sorted node order
-    ws = w16[np.argsort(x16, kind="stable")]
-    return half * float(np.sum(ws * e2**2))
+    def e2_at(t, f, b, half, smat):
+        # a row-wise sum rather than a BLAS product: a piece's value must not
+        # depend on the other pieces of its chunk (snapshots are bit-identical)
+        inner = half * np.sum(f.reshape(t.shape)[:, None, :] * smat, axis=2)
+        return b + inner - t * np.polyval(coeffs, np.log(t))
+
+    val = np.empty(len(lefts))
+    err = np.empty(len(lefts))
+    for i in range(0, len(lefts), _MEANSQ_CHUNK):
+        part = slice(i, i + _MEANSQ_CHUNK)
+        a, b = lefts[part, None], rights[part, None]
+        half, mid = 0.5 * (b - a), 0.5 * (b + a)
+        t1, t2 = mid + half * x1, mid + half * x2
+        f, _ = moment_integrand(np.concatenate([t1.ravel(), t2.ravel()]), 2, cfg.t_switch, cfg.rs_terms)
+        e1 = e2_at(t1, f[: t1.size], base[part, None], half, s1)
+        e2 = e2_at(t2, f[t1.size :], base[part, None], half, s2)
+        fine = half[:, 0] * np.sum(w2 * e2 * e2, axis=1)
+        coarse = half[:, 0] * np.sum(w1 * e1 * e1, axis=1)
+        val[part] = fine
+        err[part] = np.abs(fine - coarse) + 2.0 * cum_err * half[:, 0] * np.sum(w2 * np.abs(e2), axis=1)
+    return val, err
 
 
 def calibrate_p4(

@@ -17,6 +17,7 @@ fixtures, the packaged calibrations) are compared bit for bit only under it.
 
 from __future__ import annotations
 
+import functools
 import math
 import platform
 from bisect import bisect_right
@@ -59,16 +60,27 @@ class IntegralResult:
     t_range: tuple
 
 
-_GL_CACHE: dict = {}
-
-
+@functools.cache
 def gl_nodes(n: int):
-    got = _GL_CACHE.get(n)
-    if got is None:
-        x, w = np.polynomial.legendre.leggauss(n)
-        got = (x, w)
-        _GL_CACHE[n] = got
-    return got
+    """(nodes, weights) of the n-point Gauss-Legendre rule on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(n)
+
+
+@functools.cache
+def gl_integration_matrix(n: int):
+    """S[i, j] = int_{-1}^{x_i} l_j for the n-point GL nodes x and their
+    Lagrange basis l_j = w_j sum_m (m + 1/2) P_m(x_j) P_m (Greengard 1991).
+
+    S @ f integrates the interpolant of f at the nodes from -1 to each node,
+    exactly for polynomials of degree < n.  Built from
+    int_{-1}^x P_m = (P_{m+1} - P_{m-1}) / (2m + 1), P_{-1} = -1.
+    """
+    x, w = gl_nodes(n)
+    p = np.polynomial.legendre.legvander(x, n)              # P_0 .. P_n at x
+    q = np.empty((n, n))
+    q[:, 0] = x + 1.0
+    q[:, 1:] = p[:, 2:] - p[:, : n - 1]                     # (2m + 1) int_{-1}^x P_m
+    return 0.5 * q @ (p[:, :n] * w[:, None]).T
 
 
 def panel_width(t: float, cfg: QuadConfig) -> float:

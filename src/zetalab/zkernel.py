@@ -23,6 +23,7 @@ from .zeta import RS_REMAINDER_COEF
 T_SWITCH = 400.0
 N_EM = 160
 M_EM = 18
+EM_BLOCK = 512  # points per block of zeta_half_em
 
 EM_ROUNDING_COEF = 8.0
 
@@ -55,8 +56,21 @@ def theta_fast(t: np.ndarray) -> np.ndarray:
 
 
 def zeta_half_em(t: np.ndarray) -> np.ndarray:
-    """zeta(1/2 + it) by fixed-truncation Euler-Maclaurin; t below ~T_SWITCH."""
+    """zeta(1/2 + it) by fixed-truncation Euler-Maclaurin; t below ~T_SWITCH.
+
+    Computed in blocks of EM_BLOCK points, which bounds the (points x N_EM)
+    temporaries.  It also keeps each point's value independent of the call:
+    numpy computes a product of complex temporaries over 256 KiB in place,
+    which can round differently from the out-of-place product.
+    """
     t = np.asarray(t, dtype=float)
+    out = np.empty(t.shape, dtype=complex)
+    for i in range(0, t.size, EM_BLOCK):
+        out[i : i + EM_BLOCK] = _zeta_half_em_block(t[i : i + EM_BLOCK])
+    return out
+
+
+def _zeta_half_em_block(t: np.ndarray) -> np.ndarray:
     s = 0.5 + 1j * t
     phases = np.multiply.outer(t, _LOG_NS)
     acc = (_INV_SQRT_NS * np.exp(-1j * phases)).sum(axis=1)

@@ -5,7 +5,7 @@ moment fixtures are tied to the default QuadConfig digest below, and
 all values are bit-identical only under the numeric fingerprint below.
 """
 
-QUAD_DIGEST = '871947b8ba146093'
+QUAD_DIGEST = 'b4d5fb7713ea0486'
 FINGERPRINT = 'python 3.11.7; numpy 2.4.6; scipy 1.17.1; mpmath 1.3.0; simd X86_V2,X86_V3,X86_V4,AVX512_ICL,AVX512_SPR; machine x86_64; libc glibc-2.36'
 
 # oracle: mpmath tanh-sinh quadrature of siegelz^2 (30 dps), piecewise
@@ -48,6 +48,6 @@ FE_FACTOR_S2_K9_5337 = (0.2831412118104746+0j)
 INT_E2_1000 = 564001.1729158312
 INT_E2_1000_ORACLE = 564001.1730074732
 
-# oracle: trapezoid of E2^2 over the panel-boundary grid
-MEANSQ_E2_1000 = 1240523728.3748548
-MEANSQ_E2_1000_ORACLE = 1240279423.1858518
+# oracle: composite 16-node Gauss-Legendre on 0.25-wide windows of pointwise E2^2
+MEANSQ_E2_1000 = 1240523728.3769727
+MEANSQ_E2_1000_ORACLE = 1240523728.377009

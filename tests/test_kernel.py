@@ -44,6 +44,14 @@ class TestKernelAccuracy:
             zj, ej = zkernel.z_rs_block(ts[j : j + 1])
             assert (zj[0], ej[0]) == (z[j], err[j]), t
 
+    def test_em_point_independent_of_the_call(self, rng):
+        ts = rng.uniform(0.0, 400.0, 2 * zkernel.EM_BLOCK + 37)   # three blocks
+        z, err = zkernel.z_em_block(ts)
+        zeta = zkernel.zeta_half_em(ts)
+        for j, t in enumerate(ts):
+            zj, ej = zkernel.z_em_block(ts[j : j + 1])
+            assert (zj[0], ej[0], zkernel.zeta_half_em(ts[j : j + 1])[0]) == (z[j], err[j], zeta[j]), t
+
     def test_moment_integrand_power_and_error(self):
         ts = np.linspace(10.0, 50.0, 64)
         z, zerr = zkernel.z_block(ts)

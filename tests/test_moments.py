@@ -209,11 +209,39 @@ class TestMeanSquareE2:
         r, table = mean_square_e2(1000.0, ctx, cfg, snapshots=[250.0, 500.0, 1000.0])
         assert r.value == F.MEANSQ_E2_1000, frozen_mismatch("MEANSQ_E2_1000")
         assert abs(r.value - F.MEANSQ_E2_1000_ORACLE) <= 0.02 * F.MEANSQ_E2_1000_ORACLE + 1.0
+        # the oracle's own error: it moves by 2.9e-4 from 1.0- to 0.25-wide windows
+        assert abs(r.value - F.MEANSQ_E2_1000_ORACLE) <= 3e-4
         assert [row[0] for row in table] == [250.0, 500.0, 1000.0]
         assert all(row[1] >= 0 for row in table)
         # snapshots are prefixes: non-decreasing
         assert table[0][1] <= table[1][1] <= table[2][1]
         assert table[2][2] == r.value / 1000.0**2
+
+    def test_snapshots_equal_direct_calls_bit_for_bit(self, ctx, cfg):
+        acc = get_accumulator(2, cfg)
+        acc.ensure(700.0)
+        on_mesh = acc.bounds[500]
+        inside = 0.5 * (acc.bounds[800] + acc.bounds[801])
+        _, table = mean_square_e2(700.0, ctx, cfg, snapshots=[on_mesh, inside])
+        assert [row[0] for row in table] == [on_mesh, inside, 700.0]
+        for s, v, _ in table:
+            assert v == mean_square_e2(s, ctx, cfg)[0].value, s
+
+    def test_evaluates_only_the_accumulator_node_set(self, ctx, cfg, monkeypatch):
+        import zetalab.moments as moments
+
+        get_accumulator(2, cfg).ensure(1000.0)
+        count = [0]
+        real = moments.moment_integrand
+
+        def counting(t, *args):
+            count[0] += np.size(t)
+            return real(t, *args)
+
+        monkeypatch.setattr(moments, "moment_integrand", counting)
+        snaps = [250.0, 500.0, 1000.0]
+        r, _ = mean_square_e2(1000.0, ctx, cfg, snapshots=snaps)
+        assert 0 < count[0] <= 3 * cfg.nodes * (r.panels + len(snaps))
 
 
 class TestCalibrateP4:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zetalab.errors import DomainError
-from zetalab.quadrature import PanelBatch, get_accumulator
+from zetalab.quadrature import PanelBatch, get_accumulator, gl_integration_matrix, gl_nodes
 from zetalab.zkernel import moment_integrand
 
 
@@ -50,3 +50,13 @@ class TestCumulativeAt:
         v = acc.cumulative_at([10.0, t])[0]
         assert acc.bounds[-1] >= t
         assert v[1] > v[0] > 0.0
+
+
+class TestIntegrationMatrix:
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_integrates_monomials_to_each_node(self, n):
+        x, _ = gl_nodes(n)
+        s = gl_integration_matrix(n)
+        for d in range(n):
+            exact = (x ** (d + 1) - (-1.0) ** (d + 1)) / (d + 1)
+            assert np.max(np.abs(s @ x**d - exact)) <= 1e-14, d
