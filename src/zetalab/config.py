@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 from .errors import DataParseError
 
 KERNEL_VERSION = "zk2"
+PANEL_RULE = "gauss-kronrod"  # the (2 nodes + 1)-point rule of quadrature.kronrod_rule
 
 # Fields whose value changes the numbers an integration produces.
 _NUMERIC_FIELDS = (
@@ -37,12 +38,12 @@ _NUMERIC_FIELDS = (
 class QuadConfig:
     """Quadrature and kernel policy shared by all moment operations."""
 
-    nodes: int = 16              # Gauss-Legendre nodes per panel (error check at 2x)
+    nodes: int = 16              # Gauss nodes per panel; with their Kronrod nodes 2n+1 points
     gap_fraction: float = 0.5    # panel width as a fraction of the local mean zero gap
     w_min: float = 0.05
     w_max: float = 2.0
     max_depth: int = 12
-    panel_rel: float = 1e-10     # refine when |I_n - I_2n| exceeds these
+    panel_rel: float = 1e-10     # refine when |G_n - K_2n+1| exceeds these
     panel_abs: float = 1e-9
     t_switch: float = 400.0      # kernel Euler-Maclaurin / Riemann-Siegel switch
     rs_terms: int = 4
@@ -53,7 +54,7 @@ class QuadConfig:
     checkpoint_step: float = 100.0
 
     def digest(self) -> str:
-        parts = ["kernel=%s" % KERNEL_VERSION]
+        parts = ["kernel=%s" % KERNEL_VERSION, "rule=%s" % PANEL_RULE]
         parts += ["%s=%r" % (name, getattr(self, name)) for name in _NUMERIC_FIELDS]
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
 

@@ -20,7 +20,7 @@ from .config import QuadConfig
 from .constants import constants_for, fourth_moment_a4, laplace_fourth_B
 from .errors import DomainError, IllConditionedFit
 from .precision import DEFAULT_CTX, PrecisionContext
-from .quadrature import IntegralResult, gl_nodes, panel_width
+from .quadrature import IntegralResult, kronrod_rule, kronrod_sums, panel_nodes, panel_width
 from .zkernel import moment_integrand
 
 CHUNK = 1024
@@ -77,51 +77,35 @@ def laplace_moment_grid(
         for x in x_needed
     ]
 
-    x1, w1 = gl_nodes(cfg.nodes)
-    x2, w2 = gl_nodes(2 * cfg.nodes)
+    n = cfg.nodes
+    wk = kronrod_rule(n)[1]
     m = len(ss)
-    i32 = [0.0 + 0.0j] * m
-    diff = [0.0] * m
-    pterr = [0.0] * m
+    total = [0.0 + 0.0j] * m
+    err = [0.0] * m
     n_max = max(n_use)
     for c0 in range(0, n_max, CHUNK):
         c1 = min(c0 + CHUNK, n_max)
-        a = bounds[c0:c1]
-        b = bounds[c0 + 1 : c1 + 1]
-        half = 0.5 * (b - a)[:, None]
-        mid = 0.5 * (b + a)[:, None]
-        t16 = mid + half * x1[None, :]
-        t32 = mid + half * x2[None, :]
-        ts = np.concatenate([t16.ravel(), t32.ravel()])
-        f, df = moment_integrand(ts, k, cfg.t_switch, cfg.rs_terms)
-        nn = t16.size
-        f16 = f[:nn].reshape(t16.shape)
-        f32 = f[nn:].reshape(t32.shape)
-        df32 = df[nn:].reshape(t32.shape)
+        t, half = panel_nodes(bounds[c0:c1], bounds[c0 + 1 : c1 + 1], n)
+        f, df = moment_integrand(t.ravel(), k, cfg.t_switch, cfg.rs_terms)
+        f, df = f.reshape(t.shape), df.reshape(t.shape)
         for i, s in enumerate(ss):
             hi = min(n_use[i], c1)
             if hi <= c0:
                 continue
             sl = slice(0, hi - c0)
-            if s.imag == 0.0:
-                e16 = np.exp(-s.real * t16[sl])
-                e32 = np.exp(-s.real * t32[sl])
-            else:
-                e16 = np.exp(-s * t16[sl])
-                e32 = np.exp(-s * t32[sl])
-            p16 = half[sl, 0] * np.sum(w1 * f16[sl] * e16, axis=1)
-            p32 = half[sl, 0] * np.sum(w2 * f32[sl] * e32, axis=1)
-            pt = half[sl, 0] * np.sum(w2 * df32[sl] * np.exp(-s.real * t32[sl]), axis=1)
-            i32[i] += complex(np.sum(p32))
-            diff[i] += float(np.sum(np.abs(p16 - p32)))
-            pterr[i] += float(np.sum(pt))
+            decay = np.exp(-s.real * t[sl])
+            weight = decay if s.imag == 0.0 else np.exp(-s * t[sl])
+            val, _, charge = kronrod_sums(half[sl], f[sl] * weight, n)
+            pt = half[sl] * np.sum(wk * df[sl] * decay, axis=1)
+            total[i] += complex(np.sum(val))
+            err[i] += float(np.sum(charge + pt))
 
     out = []
     for i, s in enumerate(ss):
         x_cut = float(bounds[n_use[i]])
-        err = diff[i] + pterr[i] + _tail_bound(k, s.real, x_cut, cfg)
-        value = i32[i].real if s.imag == 0.0 else i32[i]
-        out.append(IntegralResult(value, err, n_use[i], (0.0, x_cut)))
+        value = total[i].real if s.imag == 0.0 else total[i]
+        bound = err[i] + _tail_bound(k, s.real, x_cut, cfg)
+        out.append(IntegralResult(value, bound, n_use[i], (0.0, x_cut)))
     return out
 
 

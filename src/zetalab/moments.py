@@ -6,7 +6,7 @@ mean-squared E2, and least-squares calibration of the three fourth-moment
 polynomial coefficients the literature does not display here.
 
 The mean square of E2 takes E2 inside a panel from the spectral integral of
-the panel's |Z|^4 interpolant at the accumulator's own nodes, 48 per panel.
+the panel's |Z|^4 interpolant at the accumulator's own nodes, 33 per panel.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ from .quadrature import (
     IntegralResult,
     PanelBatch,
     get_accumulator,
-    gl_integration_matrix,
-    gl_nodes,
+    integration_matrix,
+    kronrod_rule,
+    panel_nodes,
     panel_width,
 )
 from .zkernel import moment_integrand
@@ -141,9 +142,10 @@ def integrate_moment(
     (the same numbers error_term reads).  Otherwise only the mesh panels
     inside [a, b] and the two partial panels at a and b are summed
     (MomentAccumulator.between).  err_bound covers, on those panels, the
-    |I_n - I_2n| disagreement of every accepted sub-panel and the integrated
-    pointwise kernel error model, plus one ulp of the result for the final
-    summation; no panel outside [a, b] is charged.
+    Gauss-Kronrod disagreement |G_n - K_2n+1| of every accepted sub-panel
+    above the rounding bound of its two sums, the rounding bound of K, and
+    the integrated pointwise kernel error model, plus one ulp of the result
+    for the final summation; no panel outside [a, b] is charged.
     """
     if k not in (1, 2, 6):
         raise DomainError("k must be in {1, 2, 6}")
@@ -299,14 +301,14 @@ def mean_square_e2(
 
     Every piece [a, b] -- a mesh panel, or [left, s] for a snapshot s (or T)
     inside a panel -- evaluates |Z|^4 once at the accumulator's own nodes,
-    cfg.nodes and 2 cfg.nodes Gauss-Legendre points (48 by default).  E2 at
-    each node of either rule is the cumulative value at a, plus the integral
-    from a to the node of the polynomial interpolating |Z|^4 at that rule's
-    nodes (gl_integration_matrix), less t P4(log t).  The value is the fine
-    rule applied to E2^2.  err_bound charges, per piece, |fine - coarse| of
-    E2^2, which covers both the outer rule and the coarser inner
-    interpolant, plus 2 int |E2| times the cumulative quadrature bound at T
-    for the error of the cumulative values.
+    the 2 cfg.nodes + 1 Gauss-Kronrod points (33 by default).  E2 at each
+    node, and separately at each Gauss node, is the cumulative value at a,
+    plus the integral from a to the node of the polynomial interpolating
+    |Z|^4 at all nodes (at the Gauss nodes; integration_matrix), less
+    t P4(log t).  The value is the Kronrod rule applied to E2^2.  err_bound
+    charges, per piece, |Kronrod - Gauss| of E2^2, which covers both the
+    outer rule and the coarser inner interpolant, plus 2 int |E2| times the
+    cumulative quadrature bound at T for the error of the cumulative values.
 
     Returns (IntegralResult, ratio_table) where ratio_table has one row
     (T, integral, integral/T^2) per requested snapshot (always including T).
@@ -342,30 +344,30 @@ def mean_square_e2(
 def _e2_squared(lefts, rights, base, cum_err, poly, cfg):
     """(value, err) of int E2^2 over each piece [lefts, rights], with the
     cumulative |Z|^4 integral base at each left end (see mean_square_e2)."""
-    (x1, w1), (x2, w2) = gl_nodes(cfg.nodes), gl_nodes(2 * cfg.nodes)
-    s1, s2 = gl_integration_matrix(cfg.nodes), gl_integration_matrix(2 * cfg.nodes)
+    n = cfg.nodes
+    x, wk, wg = kronrod_rule(n)
+    sk, sg = integration_matrix(x), integration_matrix(x[1::2])
     coeffs = np.array(poly.coeffs)
 
     def e2_at(t, f, b, half, smat):
         # a row-wise sum rather than a BLAS product: a piece's value must not
         # depend on the other pieces of its chunk (snapshots are bit-identical)
-        inner = half * np.sum(f.reshape(t.shape)[:, None, :] * smat, axis=2)
+        inner = half * np.sum(f[:, None, :] * smat, axis=2)
         return b + inner - t * np.polyval(coeffs, np.log(t))
 
     val = np.empty(len(lefts))
     err = np.empty(len(lefts))
     for i in range(0, len(lefts), _MEANSQ_CHUNK):
         part = slice(i, i + _MEANSQ_CHUNK)
-        a, b = lefts[part, None], rights[part, None]
-        half, mid = 0.5 * (b - a), 0.5 * (b + a)
-        t1, t2 = mid + half * x1, mid + half * x2
-        f, _ = moment_integrand(np.concatenate([t1.ravel(), t2.ravel()]), 2, cfg.t_switch, cfg.rs_terms)
-        e1 = e2_at(t1, f[: t1.size], base[part, None], half, s1)
-        e2 = e2_at(t2, f[t1.size :], base[part, None], half, s2)
-        fine = half[:, 0] * np.sum(w2 * e2 * e2, axis=1)
-        coarse = half[:, 0] * np.sum(w1 * e1 * e1, axis=1)
+        t, half = panel_nodes(lefts[part], rights[part], n)
+        f, _ = moment_integrand(t.ravel(), 2, cfg.t_switch, cfg.rs_terms)
+        f, b, h = f.reshape(t.shape), base[part, None], half[:, None]
+        e_k = e2_at(t, f, b, h, sk)
+        e_g = e2_at(t[:, 1::2], f[:, 1::2], b, h, sg)
+        fine = half * np.sum(wk * e_k * e_k, axis=1)
+        coarse = half * np.sum(wg * e_g * e_g, axis=1)
         val[part] = fine
-        err[part] = np.abs(fine - coarse) + 2.0 * cum_err * half[:, 0] * np.sum(w2 * np.abs(e2), axis=1)
+        err[part] = np.abs(fine - coarse) + 2.0 * cum_err * half * np.sum(wk * np.abs(e_k), axis=1)
     return val, err
 
 

@@ -2,10 +2,12 @@
 
 The panel mesh is generated deterministically from t=0 with width equal to a
 configured fraction of the local mean zero gap 2 pi / log(t/2pi).  Each panel
-is integrated with n and 2n Gauss-Legendre nodes; disagreement triggers
-bisection up to a depth cap, and the final disagreement plus the integrated
-pointwise kernel error model enters the reported error bound.  All reductions
-run in a fixed order so reruns and checkpoint resumes are bit-identical.
+is integrated with the n Gauss-Legendre nodes plus their n+1 Kronrod nodes
+(kronrod_rule, 2n+1 kernel points); Gauss-Kronrod disagreement triggers
+bisection up to a depth cap, and the final disagreement above the rounding
+floor (kronrod_sums) plus the integrated pointwise kernel error model enters
+the reported error bound.  All reductions run in a fixed order so reruns and
+checkpoint resumes are bit-identical.
 
 Bit-identity holds per numeric fingerprint (numeric_fingerprint): the same
 numpy, scipy, mpmath and Python versions, the same SIMD features numpy
@@ -67,20 +69,88 @@ def gl_nodes(n: int):
 
 
 @functools.cache
-def gl_integration_matrix(n: int):
-    """S[i, j] = int_{-1}^{x_i} l_j for the n-point GL nodes x and their
-    Lagrange basis l_j = w_j sum_m (m + 1/2) P_m(x_j) P_m (Greengard 1991).
+def kronrod_rule(n: int):
+    """(x, wk, wg) of the (2n+1)-point Gauss-Kronrod rule on [-1, 1].
+
+    x ascending with the Gauss nodes gl_nodes(n) at x[1::2], wk the Kronrod
+    weights (exact to degree 3n+1), wg the Gauss weights.  From the eigensystem
+    of Laurie's Jacobi-Kronrod matrix (Math. Comp. 66, 1997) for the Legendre
+    weight, whose diagonal vanishes by symmetry.
+    """
+    xg, wg = gl_nodes(n)
+    b = np.zeros(2 * n + 1)          # squared off-diagonal; b[0] = int_{-1}^1 1
+    k = np.arange(1.0, (3 * n + 1) // 2 + 1)
+    b[0], b[1 : k.size + 1] = 2.0, k * k / (4.0 * k * k - 1.0)
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = 0.0
+        for i in range((m + 1) // 2, -1, -1):
+            u += b[i + n + 1] * s[i] - b[m - i] * s[i + 1]
+            s[i + 1] = u
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        u = 0.0
+        for i in range(m + 1 - n, (m - 1) // 2 + 1):
+            j = n - 1 - (m - i)
+            u += b[m - i] * s[j + 2] - b[i + n + 1] * s[j + 1]
+            s[j + 1] = u
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    off = np.sqrt(b[1:])
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    x[1::2] = xg
+    return x, b[0] * v[0] ** 2, wg
+
+
+def integration_matrix(x):
+    """S[i, j] = int_{-1}^{x_i} l_j for nodes x in [-1, 1] and their Lagrange
+    basis l_j = sum_m c_mj P_m, with c the inverse of the Legendre Vandermonde
+    matrix at x (Greengard 1991).
 
     S @ f integrates the interpolant of f at the nodes from -1 to each node,
-    exactly for polynomials of degree < n.  Built from
+    exactly for polynomials of degree < len(x).  Built from
     int_{-1}^x P_m = (P_{m+1} - P_{m-1}) / (2m + 1), P_{-1} = -1.
     """
-    x, w = gl_nodes(n)
+    n = len(x)
     p = np.polynomial.legendre.legvander(x, n)              # P_0 .. P_n at x
     q = np.empty((n, n))
     q[:, 0] = x + 1.0
-    q[:, 1:] = p[:, 2:] - p[:, : n - 1]                     # (2m + 1) int_{-1}^x P_m
-    return 0.5 * q @ (p[:, :n] * w[:, None]).T
+    q[:, 1:] = (p[:, 2:] - p[:, : n - 1]) / (2.0 * np.arange(1, n) + 1.0)
+    return q @ np.linalg.solve(p[:, :n], np.eye(n))
+
+
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u) for the unit roundoff u (ASNA, 3.1)."""
+    u = 0.5 * np.finfo(float).eps
+    return m * u / (1.0 - m * u)
+
+
+def panel_nodes(a, b, n: int):
+    """(t, half): the 2n+1 Gauss-Kronrod nodes of each panel [a, b] as rows,
+    and the panels' half-widths (a, b arrays)."""
+    half = 0.5 * (b - a)
+    return 0.5 * (b + a)[:, None] + half[:, None] * kronrod_rule(n)[0], half
+
+
+def kronrod_sums(half, f, n: int):
+    """(K, G, charge) per panel for samples f at panel_nodes: the Kronrod
+    value, the Gauss value of f[:, 1::2], and the discretisation charge.
+
+    The charge is the part of |G - K| above the rounding bound rho =
+    gamma_{n+2} G(|f|) + gamma_{2n+3} K(|f|) of the two sums (at that floor
+    |G - K| is summation noise, growing with the panel count), plus K's own
+    share of rho.  The subscripts count the dot product's terms, the
+    half-width scaling and a factor t in f."""
+    _, wk, wg = kronrod_rule(n)
+    af = np.abs(f)
+    k = half * np.sum(wk * f, axis=1)
+    g = half * np.sum(wg * f[:, 1::2], axis=1)
+    rho_k = _gamma(2 * n + 3) * half * np.sum(wk * af, axis=1)
+    rho = _gamma(n + 2) * half * np.sum(wg * af[:, 1::2], axis=1) + rho_k
+    return k, g, np.maximum(np.abs(g - k) - rho, 0.0) + rho_k
 
 
 def panel_width(t: float, cfg: QuadConfig) -> float:
@@ -103,58 +173,42 @@ class PanelBatch:
     def run(self, lefts, rights):
         cfg = self.cfg
         m = len(lefts)
-        val = np.zeros(m)
-        val_u = np.zeros(m)
-        err = np.zeros(m)
-        err_u = np.zeros(m)
-        work = [(i, lefts[i], rights[i], 0) for i in range(m)]
-        while work:
-            idx = np.array([w[0] for w in work])
-            a = np.array([w[1] for w in work])
-            b = np.array([w[2] for w in work])
-            depth = np.array([w[3] for w in work])
-            i1, i1u, i2, i2u, pt, ptu = self._panel_pair(a, b)
-            diff = np.abs(i1 - i2)
-            diff_u = np.abs(i1u - i2u)
-            tol = np.maximum(cfg.panel_abs, cfg.panel_rel * np.abs(i2))
+        idx = np.arange(m)
+        a, b = np.asarray(lefts, dtype=float), np.asarray(rights, dtype=float)
+        totals = None
+        depth = 0
+        while idx.size:
+            k, ku, diff, e, eu = self._panel_pair(a, b)
+            if totals is None:
+                totals = [np.zeros(m, np.result_type(q)) for q in (k, ku, e, eu)]
+            tol = np.maximum(cfg.panel_abs, cfg.panel_rel * np.abs(k))
             accept = (diff <= tol) | (depth >= cfg.max_depth)
-            for j in np.nonzero(accept)[0]:
-                i = idx[j]
-                val[i] += i2[j]
-                val_u[i] += i2u[j]
-                err[i] += diff[j] + pt[j]
-                err_u[i] += diff_u[j] + ptu[j]
-            nxt = []
-            for j in np.nonzero(~accept)[0]:
-                mid = 0.5 * (a[j] + b[j])
-                nxt.append((idx[j], a[j], mid, depth[j] + 1))
-                nxt.append((idx[j], mid, b[j], depth[j] + 1))
-            work = nxt
-        return val, val_u, err, err_u
+            # np.add.at adds in array order, so the sub-panels of one panel
+            # accumulate left to right as a per-item loop would
+            for total, q in zip(totals, (k, ku, e, eu)):
+                np.add.at(total, idx[accept], q[accept])
+            rej = ~accept
+            mid = 0.5 * (a[rej] + b[rej])
+            idx = np.repeat(idx[rej], 2)
+            a = np.stack([a[rej], mid], axis=1).ravel()
+            b = np.stack([mid, b[rej]], axis=1).ravel()
+            depth += 1
+        return tuple(totals) if totals else (np.zeros(0),) * 4
 
     def _panel_pair(self, a, b):
-        """Coarse/fine GL values of f and u*f plus pointwise error integrals."""
-        cfg = self.cfg
-        n = cfg.nodes
-        x1, w1 = gl_nodes(n)
-        x2, w2 = gl_nodes(2 * n)
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        t1 = mid[:, None] + half[:, None] * x1[None, :]
-        t2 = mid[:, None] + half[:, None] * x2[None, :]
-        ts = np.concatenate([t1.ravel(), t2.ravel()])
-        f, df = self.integrand(ts)
-        n1 = t1.size
-        f1 = f[:n1].reshape(t1.shape)
-        f2 = f[n1:].reshape(t2.shape)
-        df2 = df[n1:].reshape(t2.shape)
-        i1 = half * np.sum(w1 * f1, axis=1)
-        i2 = half * np.sum(w2 * f2, axis=1)
-        i1u = half * np.sum(w1 * f1 * t1, axis=1)
-        i2u = half * np.sum(w2 * f2 * t2, axis=1)
-        pt = half * np.sum(w2 * df2, axis=1)
-        ptu = half * np.sum(w2 * df2 * t2, axis=1)
-        return i1, i1u, i2, i2u, pt, ptu
+        """Kronrod values of f and u*f on the panels [a, b], the raw |G - K|
+        of f that decides acceptance, and the error charges of f and u*f:
+        the kronrod_sums charge plus the integrated pointwise error model."""
+        n = self.cfg.nodes
+        t, half = panel_nodes(a, b, n)
+        f, df = self.integrand(t.ravel())
+        f, df = f.reshape(t.shape), df.reshape(t.shape)
+        k, g, charge = kronrod_sums(half, f, n)
+        ku, _, charge_u = kronrod_sums(half, f * t, n)
+        wk = kronrod_rule(n)[1]
+        pt = half * np.sum(wk * df, axis=1)
+        ptu = half * np.sum(wk * df * t, axis=1)
+        return k, ku, np.abs(g - k), charge + pt, charge_u + ptu
 
 
 class MomentAccumulator:
@@ -194,13 +248,9 @@ class MomentAccumulator:
             new_rights.append(t)
             self.bounds.append(t)
         for i in range(0, len(new_lefts), self.CHUNK):
-            v, vu, e, eu = self._batch.run(
-                new_lefts[i : i + self.CHUNK], new_rights[i : i + self.CHUNK]
-            )
-            self._val.extend(v.tolist())
-            self._val_u.extend(vu.tolist())
-            self._err.extend(e.tolist())
-            self._err_u.extend(eu.tolist())
+            part = self._batch.run(new_lefts[i : i + self.CHUNK], new_rights[i : i + self.CHUNK])
+            for store, q in zip((self._val, self._val_u, self._err, self._err_u), part):
+                store.extend(q.tolist())
         self._prefix = None
 
     def prefix(self):

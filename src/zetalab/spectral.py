@@ -528,16 +528,6 @@ def l2_spectral_expansion(
     )
 
 
-def l2_residual(s, ds, ctx=DEFAULT_CTX, cfg=QuadConfig(), gamma_variant="half_shift",
-                fitted_main=None):
-    """G_2(s) reported as laplace_moment(2, s) - main - spectral (never asserted)."""
-    from .laplace import laplace_moment
-
-    exp = l2_spectral_expansion(s, ds, fitted_main, gamma_variant, ctx)
-    l2 = laplace_moment(2, s, ctx, cfg).value
-    return complex(l2) - exp.main - exp.spectral
-
-
 # ---------------------------------------------------------------------------
 # Term-magnitude diagnostics
 

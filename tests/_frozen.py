@@ -5,37 +5,37 @@ moment fixtures are tied to the default QuadConfig digest below, and
 all values are bit-identical only under the numeric fingerprint below.
 """
 
-QUAD_DIGEST = 'b4d5fb7713ea0486'
+QUAD_DIGEST = '3a5ddcb906fa6a3b'
 FINGERPRINT = 'python 3.11.7; numpy 2.4.6; scipy 1.17.1; mpmath 1.3.0; simd X86_V2,X86_V3,X86_V4,AVX512_ICL,AVX512_SPR; machine x86_64; libc glibc-2.36'
 
 # oracle: mpmath tanh-sinh quadrature of siegelz^2 (30 dps), piecewise
-MOMENT1_0_100 = 295.63509905471943
+MOMENT1_0_100 = 295.6350990547195
 MOMENT1_0_100_ORACLE = 295.63509905471915
 
 # oracle: mpmath tanh-sinh quadrature of siegelz^4 (26 dps), piecewise
-MOMENT2_0_500 = 42393.152991258314
+MOMENT2_0_500 = 42393.152991257986
 MOMENT2_0_500_ORACLE = 42393.1529936112
 
 # oracle: cumulative grid of the k=1 accumulator (window-validated
 # against mpmath); ratio over the boundary grid on [10, 5000]
-E1_AT_1000 = -11.801779108724986
-E1_RATIO_MAX_10_5000 = 7.586553654812191
+E1_AT_1000 = -11.801779108710434
+E1_RATIO_MAX_10_5000 = 7.58655365480545
 
 # E2 uses the packaged calibrated P4 (data/p4_default.txt)
-E2_AT_2000 = -2359.2856283849687
-E2_RATIO_MAX_500_5000 = 69.29533246218777
+E2_AT_2000 = -2359.2856283852016
+E2_RATIO_MAX_500_5000 = 69.29533246218392
 
 # oracle: trapezoid on a 0.002-step grid over |t| <= 8 delta
-SMOOTHED_200_20 = 78.99697923833793
+SMOOTHED_200_20 = 78.99697923833808
 SMOOTHED_200_20_ORACLE = 78.99697923833718
 
 # oracle: doubled nodes and tightened tail tolerance
-LAPLACE2_01 = 40.875890244396125
-LAPLACE2_01_ORACLE = 40.87589024440928
+LAPLACE2_01 = 40.87589024439611
+LAPLACE2_01_ORACLE = 40.87589024440932
 
 # g(sigma) = L1(2 sigma) - kober_main(sigma) on sigma = 0.2/0.1/0.05/0.02
-KOBER_DIFFS = (2.827549452009366, 2.9945980529610425, 3.071324739303998, 3.114350317475356)
-KOBER_C0 = 3.114350317475356
+KOBER_DIFFS = (2.827549452009363, 2.994598052961038, 3.0713247393039946, 3.1143503174753633)
+KOBER_C0 = 3.1143503174753633
 
 # oracle: bisection on the direct Im log-gamma evaluation of theta
 THETA_POSITIVE_ZERO = 17.84559954041086
@@ -45,9 +45,9 @@ R_AT_9_5337 = (-0.33973396786380106-0.11825820314751734j)
 FE_FACTOR_S2_K9_5337 = (0.2831412118104746+0j)
 
 # oracle: composite 16-node Gauss-Legendre on unit windows of pointwise E2
-INT_E2_1000 = 564001.1729158312
-INT_E2_1000_ORACLE = 564001.1730074732
+INT_E2_1000 = 564001.1729155332
+INT_E2_1000_ORACLE = 564001.1730071127
 
 # oracle: composite 16-node Gauss-Legendre on 0.25-wide windows of pointwise E2^2
-MEANSQ_E2_1000 = 1240523728.3769727
-MEANSQ_E2_1000_ORACLE = 1240523728.377009
+MEANSQ_E2_1000 = 1240523728.3769631
+MEANSQ_E2_1000_ORACLE = 1240523728.3769586

@@ -30,6 +30,19 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointMismatch):
             extend_checkpoint(path, 1, 400.0, other, resume=True)
 
+    def test_file_under_the_gauss_legendre_pair_digest_refused(self, tmp_path, cfg):
+        # b4d5fb7713ea0486 is the default digest of the n/2n Gauss-Legendre
+        # panel pair, before the panel rule entered the digest
+        old = "b4d5fb7713ea0486"
+        path = tmp_path / "cp.txt"
+        extend_checkpoint(str(path), 1, 200.0, cfg)
+        path.write_text(path.read_text().replace(cfg.digest(), old))
+        with pytest.raises(CheckpointMismatch) as ei:
+            extend_checkpoint(str(path), 1, 300.0, cfg, resume=True)
+        msg = str(ei.value)
+        assert old in msg and cfg.digest() in msg
+        assert "does not reproduce" not in msg
+
     def test_fingerprint_recorded_after_header(self, tmp_path, cfg):
         path = tmp_path / "cp.txt"
         cp, _ = extend_checkpoint(str(path), 1, 200.0, cfg)

@@ -25,6 +25,8 @@ class TestLaplaceMoment:
     def test_exponential_hook(self, ctx, cfg):
         r = laplace_moment(1, 2.0, ctx, cfg, integrand_hook=lambda t: np.ones_like(t))
         assert abs(r.value - 0.5) < 1e-8
+        r = laplace_moment(1, 2.0 + 1.0j, ctx, cfg, integrand_hook=lambda t: np.ones_like(t))
+        assert abs(r.value - 1.0 / (2.0 + 1.0j)) < 1e-8
 
     def test_fixture_k2(self, ctx, cfg):
         r = laplace_moment(2, 0.1, ctx, cfg)

@@ -1,10 +1,13 @@
-"""Batched cumulative queries of the moment accumulator."""
+"""The panel rule, its integration matrices and the accumulator's queries."""
 
 import numpy as np
 import pytest
 
 from zetalab.errors import DomainError
-from zetalab.quadrature import PanelBatch, get_accumulator, gl_integration_matrix, gl_nodes
+import zetalab.quadrature as quadrature
+from zetalab.config import QuadConfig
+from zetalab.quadrature import (
+    MomentAccumulator, PanelBatch, get_accumulator, gl_nodes, integration_matrix, kronrod_rule)
 from zetalab.zkernel import moment_integrand
 
 
@@ -52,11 +55,98 @@ class TestCumulativeAt:
         assert v[1] > v[0] > 0.0
 
 
-class TestIntegrationMatrix:
+def loop_run(batch, lefts, rights):
+    """PanelBatch.run as a per-item loop: the reference for its array form."""
+    cfg = batch.cfg
+    out = [np.zeros(len(lefts)) for _ in range(4)]
+    work = [(i, lefts[i], rights[i], 0) for i in range(len(lefts))]
+    while work:
+        idx, a, b, depth = (np.array(c) for c in zip(*work))
+        k, ku, diff, e, eu = batch._panel_pair(a, b)
+        accept = (diff <= np.maximum(cfg.panel_abs, cfg.panel_rel * np.abs(k))) | (depth >= cfg.max_depth)
+        for j in np.nonzero(accept)[0]:
+            for total, q in zip(out, (k, ku, e, eu)):
+                total[idx[j]] += q[j]
+        work = []
+        for j in np.nonzero(~accept)[0]:
+            mid = 0.5 * (a[j] + b[j])
+            work += [(idx[j], a[j], mid, depth[j] + 1), (idx[j], mid, b[j], depth[j] + 1)]
+    return out
+
+
+class TestPanelBatch:
+    @pytest.mark.parametrize("cfg", [QuadConfig(), QuadConfig(panel_rel=1e-13, panel_abs=1e-12, max_depth=3)])
+    def test_run_equals_the_loop_reference_bit_for_bit(self, cfg, monkeypatch):
+        acc = MomentAccumulator(2, cfg)
+        acc.ensure(1200.0)
+        lefts, rights = acc.bounds[:-1], acc.bounds[1:]
+        pairs = [0]
+        real = PanelBatch._panel_pair
+
+        def counted(self, a, b):
+            pairs[0] += len(a)
+            return real(self, a, b)
+
+        monkeypatch.setattr(PanelBatch, "_panel_pair", counted)
+        batch = PanelBatch(acc._integrand, cfg)
+        got = batch.run(lefts, rights)
+        assert pairs[0] > len(lefts)   # some panels were split
+        want = loop_run(batch, lefts, rights)
+        for g, w in zip(got, want):
+            assert g.tolist() == w.tolist()
+
+
+class TestKronrodRule:
     @pytest.mark.parametrize("n", [8, 16, 32])
-    def test_integrates_monomials_to_each_node(self, n):
-        x, _ = gl_nodes(n)
-        s = gl_integration_matrix(n)
-        for d in range(n):
+    def test_gauss_subset_is_the_gauss_rule(self, n):
+        x, _, wg = kronrod_rule(n)
+        xg, wgg = gl_nodes(n)
+        assert x.size == 2 * n + 1
+        assert x[1::2].tolist() == xg.tolist() and wg.tolist() == wgg.tolist()
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_exact_to_degree_3n_plus_1(self, n):
+        # 2n+1 nodes containing the Gauss nodes, exact to degree 3n+1: this
+        # pins the Kronrod extension uniquely
+        x, wk, _ = kronrod_rule(n)
+        for d in range(3 * n + 2):
+            exact = (1.0 - (-1.0) ** (d + 1)) / (d + 1)
+            assert abs(np.sum(wk * x**d) - exact) <= 1e-14, d
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_positive_weights_increasing_nodes(self, n):
+        x, wk, wg = kronrod_rule(n)
+        assert np.all(wk > 0) and np.all(wg > 0)
+        assert np.all(np.diff(x) > 0) and -1.0 < x[0] and x[-1] < 1.0
+
+    def test_unrefined_panel_costs_2n_plus_1_points(self, monkeypatch):
+        count = [0]
+        real = quadrature.moment_integrand
+
+        def counting(t, *args):
+            count[0] += np.size(t)
+            return real(t, *args)
+
+        monkeypatch.setattr(quadrature, "moment_integrand", counting)
+        for cfg in (QuadConfig(panel_abs=1e300), QuadConfig(nodes=8, panel_abs=1e300)):
+            count[0] = 0
+            acc = MomentAccumulator(2, cfg)
+            acc.ensure(600.0)
+            assert count[0] == (2 * cfg.nodes + 1) * (len(acc.bounds) - 1)
+
+
+class TestIntegrationMatrix:
+    @staticmethod
+    def check(x):
+        s = integration_matrix(x)
+        for d in range(len(x)):
             exact = (x ** (d + 1) - (-1.0) ** (d + 1)) / (d + 1)
             assert np.max(np.abs(s @ x**d - exact)) <= 1e-14, d
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_integrates_monomials_to_each_node(self, n):
+        self.check(gl_nodes(n)[0])
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_integrates_monomials_to_each_kronrod_node(self, n):
+        self.check(kronrod_rule(n)[0])
