@@ -9,11 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
-
-import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config
@@ -131,12 +128,6 @@ def build_parser():
     p.add_argument("--from", dest="t0", type=float, default=500.0)
     p.add_argument("--to", dest="t1", type=float, default=3000.0)
     _add_common(p)
-
-    p = sub.add_parser("calibrate", help="fit the lower fourth-moment coefficients")
-    p.add_argument("--from", dest="t0", type=float, default=500.0)
-    p.add_argument("--to", dest="t1", type=float, default=5000.0)
-    p.add_argument("--points", type=int, default=40)
-    _add_common(p)
     return ap
 
 
@@ -251,20 +242,6 @@ def _dispatch(args) -> int:
 
     if args.command == "explore":
         return _cmd_explore(args, run_cfg, ctx, cfg)
-
-    if args.command == "calibrate":
-        from .moments import calibrate_p4
-
-        grid = np.exp(np.linspace(math.log(args.t0), math.log(args.t1), args.points))
-        poly = calibrate_p4(grid, ctx, cfg)
-        out, stream = _open_out(args, run_cfg, ["coefficient", "value", "provenance"])
-        out.comment("residual_norm=%r split_drift=%r"
-                    % (poly.fit.residual_norm, poly.fit.split_drift))
-        names = ["a4", "a3", "c2", "c1", "c0"]
-        for name, c, prov in zip(names, poly.coeffs, poly.provenance):
-            out.row([name, c, prov])
-        _close(stream)
-        return 0
 
     raise AssertionError("unhandled command %r" % (args.command,))
 

@@ -61,16 +61,13 @@ class QuadConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """CLI-level configuration: quadrature policy plus paths, variants, output."""
+    """CLI-level configuration: precision, quadrature policy, checkpoint path, output."""
 
     precision_bits: int = 128
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
     quad: QuadConfig = field(default_factory=QuadConfig)
     checkpoint_path: str = "zetalab-checkpoint.txt"
-    spectral_path: str = ""      # empty = use the bundled starter dataset
-    laplace_e2_variant: str = "oscillatory"   # or "printed"
-    l2_gamma_variant: str = "half_shift"      # or "printed"
     output_format: str = "csv"                # or "jsonl"
 
     def context(self):

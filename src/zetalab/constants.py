@@ -10,6 +10,12 @@ from mpmath import mp, mpf
 from .gammafn import zeta_prime_at_2
 from .precision import PrecisionContext
 
+# (a2, a1, a0) of the fourth-moment polynomial P4(y) = a4 y^4 + ... + a0 in
+# int_0^T |zeta(1/2+it)|^4 dt = T P4(log T) + E2(T): derived, not fitted, by
+# exact Taylor-coefficient extraction from the CFKRS residue formula
+# (tools/derive_p4.py prints them; tests check a fresh derivation).
+P4_LOWER = (-0.7720101924359035, 1.6786022638050193, -1.864829877837639)
+
 
 @dataclass(frozen=True)
 class Constants:
@@ -55,11 +61,3 @@ def fourth_moment_a3(ctx: PrecisionContext) -> mpf:
     with ctx.workprec():
         inner = 4 * c.euler_gamma - 1 - c.log_2pi - 12 * c.zeta_prime_2 / c.pi**2
         return 2 * inner / c.pi**2
-
-
-def laplace_fourth_B(ctx: PrecisionContext) -> mpf:
-    """Second coefficient: (2 log 2pi - 6 gamma + 24 zeta'(2)/pi^2)/pi^2."""
-    c = constants_for(ctx)
-    with ctx.workprec():
-        inner = 2 * c.log_2pi - 6 * c.euler_gamma + 24 * c.zeta_prime_2 / c.pi**2
-        return inner / c.pi**2

@@ -34,10 +34,6 @@ class DataParseError(ZetalabError):
         self.line = line
 
 
-class IllConditionedFit(ZetalabError):
-    """Calibration grid too small or too narrow to determine coefficients."""
-
-
 class CapacityExceeded(ZetalabError):
     """Requested table size exceeds the configured capacity limit."""
 

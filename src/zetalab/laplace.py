@@ -1,6 +1,6 @@
 """Laplace transforms L_k(s) of |zeta(1/2+ix)|^{2k} with the classical
 small-sigma expansions they are compared against (Kober for k=1, the
-quartic-log main term for k=2).
+quartic-log main term for k=2, the Laplace transform of d(T P4(log T))).
 
 Evaluation streams over the shared deterministic panel mesh in fixed-size
 chunks, so a whole sigma grid costs one kernel pass; per-sigma totals only
@@ -11,14 +11,16 @@ independent of how calls are batched.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
+from mpmath import mp, mpf
 
 from .config import QuadConfig
-from .constants import constants_for, fourth_moment_a4, laplace_fourth_B
-from .errors import DomainError, IllConditionedFit
+from .constants import constants_for
+from .errors import DomainError
+from .moments import default_p4
 from .precision import DEFAULT_CTX, PrecisionContext
 from .quadrature import IntegralResult, kronrod_rule, kronrod_sums, panel_nodes, panel_width
 from .zkernel import moment_integrand
@@ -155,111 +157,36 @@ def kober_main(sigma: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
         raise DomainError("kober_main requires 0 < sigma < 1")
     c = constants_for(ctx)
     with ctx.workprec():
-        from mpmath import mp
-
         return float((c.euler_gamma - mp.log(4 * c.pi * sigma)) / (2 * mp.sin(sigma)))
 
 
-def atkinson_ab(ctx: PrecisionContext = DEFAULT_CTX, b_variant: str = "printed"):
-    """(A, B) of the fourth-moment Laplace main term, from exact constants.
+@functools.cache
+def atkinson_coeffs(ctx: PrecisionContext = DEFAULT_CTX) -> tuple:
+    """(A, B, C, D, E) of the fourth-moment Laplace main term, exact.
 
-    b_variant "printed" returns B exactly as displayed in the source;
-    "consistent" returns its negative, which is the value forced by the
-    exact second moment-polynomial coefficient through the Laplace
-    correspondence and confirmed numerically (see decisions ledger).
-    Downstream outputs label the variant used.
+    The main term is the Laplace transform of d(T P4(log T)) = Q(log t) dt,
+    Q = P4 + P4' (P4 = moments.default_p4):
+    int_0^inf e^(-s t) log^j t dt = s^-1 sum_i C(j, i) Gamma^(i)(1) l^(j-i),
+    l = log(1/s), with Gamma^(n+1)(1) = sum_i C(n, i) psi^(i)(1) Gamma^(n-i)(1).
+    So A = a4 and B = a3 + 4 (1 - gamma) a4
+    = (6 gamma - 2 log 2pi - 24 zeta'(2)/pi^2)/pi^2, the negative of the
+    closed form printed in the source.
     """
-    a = float(fourth_moment_a4(ctx))
-    b = float(laplace_fourth_B(ctx))
-    if b_variant == "printed":
-        return a, b
-    if b_variant == "consistent":
-        return a, -b
-    raise DomainError("unknown B variant %r" % (b_variant,))
+    a = default_p4(ctx).coeffs[::-1]
+    with ctx.workprec():
+        q = [mpf(a[j]) + (j + 1) * mpf(a[j + 1]) for j in range(4)] + [mpf(a[4])]
+        gamma_d = [mpf(1)]
+        for n in range(4):
+            gamma_d.append(sum(math.comb(n, i) * mp.psi(i, 1) * gamma_d[n - i] for i in range(n + 1)))
+        return tuple(
+            float(sum(q[j] * math.comb(j, m) * gamma_d[j - m] for j in range(m, 5)))
+            for m in range(4, -1, -1)
+        )
 
 
-def atkinson_expansion(
-    sigma: float, fitted, ctx: PrecisionContext = DEFAULT_CTX, b_variant: str = "printed"
-) -> float:
+def atkinson_expansion(sigma: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """(A log^4(1/s) + B log^3(1/s) + C log^2(1/s) + D log(1/s) + E) / s
-    with A, B exact and (C, D, E) supplied."""
+    with the exact atkinson_coeffs."""
     if not (0 < sigma < 1):
         raise DomainError("atkinson_expansion requires 0 < sigma < 1")
-    a, b = atkinson_ab(ctx, b_variant)
-    c, d, e = (float(v) for v in fitted)
-    ell = math.log(1.0 / sigma)
-    return (a * ell**4 + b * ell**3 + c * ell**2 + d * ell + e) / sigma
-
-
-@dataclass(frozen=True)
-class AtkinsonCalibration:
-    cde: tuple
-    residual_norm: float
-    split_drift: tuple
-    sigma_grid: tuple
-    b_variant: str = "printed"
-
-
-def calibrate_atkinson_cde(
-    sigmas,
-    ctx: PrecisionContext = DEFAULT_CTX,
-    cfg: QuadConfig = QuadConfig(),
-    b_variant: str = "consistent",
-) -> AtkinsonCalibration:
-    """Fit C, D, E of the Laplace main term on a sigma grid (A, B held exact)."""
-    sigmas = sorted(float(s) for s in sigmas)
-    if len(sigmas) < 6:
-        raise IllConditionedFit("need at least 6 sigma points")
-    a, b = atkinson_ab(ctx, b_variant)
-    results = laplace_moment_grid(2, sigmas, ctx, cfg)
-    ells, ys = [], []
-    for s, r in zip(sigmas, results):
-        ell = math.log(1.0 / s)
-        ys.append(s * r.value - a * ell**4 - b * ell**3)
-        ells.append(ell)
-    ells = np.array(ells)
-    ys = np.array(ys)
-
-    def fit(ls, y):
-        cols = np.stack([ls**2, ls, np.ones_like(ls)], axis=1)
-        sol, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
-        if rank < 3:
-            raise IllConditionedFit("rank-deficient Atkinson fit")
-        return sol, math.sqrt(float(np.mean((y - cols @ sol) ** 2)))
-
-    sol, rms = fit(ells, ys)
-    half = len(sigmas) // 2
-    lo, _ = fit(ells[:half], ys[:half])
-    hi, _ = fit(ells[half:], ys[half:])
-    drift = tuple(float(abs(l - h) / max(abs(f), 1e-300)) for l, h, f in zip(lo, hi, sol))
-    return AtkinsonCalibration(
-        cde=tuple(float(v) for v in sol),
-        residual_norm=rms,
-        split_drift=drift,
-        sigma_grid=tuple(sigmas),
-        b_variant=b_variant,
-    )
-
-
-_DEFAULT_CDE_CACHE: dict = {}
-
-
-def default_atkinson_cde():
-    """Packaged calibrated (C, D, E) with the B variant they were fitted under."""
-    got = _DEFAULT_CDE_CACHE.get("cde")
-    if got is None:
-        from importlib import resources
-
-        text = resources.files("zetalab.data").joinpath("atkinson_default.txt").read_text()
-        vals = []
-        variant = "consistent"
-        for line in text.splitlines():
-            line = line.strip()
-            if line.startswith("# B variant:"):
-                variant = line.split(":")[1].split("(")[0].strip()
-            if not line or line.startswith("#"):
-                continue
-            vals.append(float(line.split(",")[1]))
-        got = (tuple(vals), variant)
-        _DEFAULT_CDE_CACHE["cde"] = got
-    return got
+    return float(np.polyval(atkinson_coeffs(ctx), math.log(1.0 / sigma))) / sigma

@@ -1,9 +1,9 @@
 """Moment integrals, the explicit polynomials and the error terms E1/E2.
 
 Covers: integrate_moment, main_term, error_term, the Gaussian-smoothed local
-fourth moment, the closed-form integral of t*P4(log t), the integrated and
-mean-squared E2, and least-squares calibration of the three fourth-moment
-polynomial coefficients the literature does not display here.
+fourth moment, the closed-form integral of t*P4(log t), and the integrated and
+mean-squared E2.  P4's two leading coefficients are the displayed closed forms;
+its lower three (constants.P4_LOWER) are derived from the CFKRS residue formula.
 
 The mean square of E2 takes E2 inside a panel from the spectral integral of
 the panel's |Z|^4 interpolant at the accumulator's own nodes, 33 per panel.
@@ -11,20 +11,15 @@ the panel's |Z|^4 interpolant at the accumulator's own nodes, 33 per panel.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from importlib import resources
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import QuadConfig
-from .constants import (
-    constants_for,
-    fourth_moment_a3,
-    fourth_moment_a4,
-    second_moment_constant,
-)
-from .errors import DomainError, IllConditionedFit
+from .constants import P4_LOWER, fourth_moment_a3, fourth_moment_a4, second_moment_constant
+from .errors import DomainError
 from .precision import DEFAULT_CTX, PrecisionContext
 from .quadrature import (
     IntegralResult,
@@ -38,7 +33,7 @@ from .quadrature import (
 from .zkernel import moment_integrand
 
 PAPER_EXACT = "paper-exact"
-CALIBRATED = "calibrated"
+DERIVED = "derived"
 USER = "user-supplied"
 
 
@@ -49,7 +44,6 @@ class MomentPolynomial:
     k: int
     coeffs: tuple
     provenance: tuple
-    fit: "FitDiagnostics | None" = None
 
     def __post_init__(self):
         if self.k not in (1, 2):
@@ -67,14 +61,6 @@ class MomentPolynomial:
         return all(p == PAPER_EXACT for p in self.provenance)
 
 
-@dataclass(frozen=True)
-class FitDiagnostics:
-    residual_norm: float
-    split_drift: tuple
-    grid_size: int
-    grid_span: float
-
-
 def p1_exact(ctx: PrecisionContext = DEFAULT_CTX) -> MomentPolynomial:
     """P1(y) = y + 2*gamma - 1 - log(2 pi), both coefficients exact."""
     return MomentPolynomial(
@@ -88,40 +74,21 @@ def p4_polynomial(
     lower=(0.0, 0.0, 0.0),
     lower_provenance=USER,
     ctx: PrecisionContext = DEFAULT_CTX,
-    fit: FitDiagnostics | None = None,
 ) -> MomentPolynomial:
-    """P4 with exact a4, a3 and supplied lower-order coefficients (c2, c1, c0)."""
+    """P4 with exact a4, a3 and supplied lower-order coefficients (a2, a1, a0)."""
     a4 = float(fourth_moment_a4(ctx))
     a3 = float(fourth_moment_a3(ctx))
-    c2, c1, c0 = (float(c) for c in lower)
     return MomentPolynomial(
         k=2,
-        coeffs=(a4, a3, c2, c1, c0),
+        coeffs=(a4, a3) + tuple(float(c) for c in lower),
         provenance=(PAPER_EXACT, PAPER_EXACT) + (lower_provenance,) * 3,
-        fit=fit,
     )
 
 
-_DEFAULT_P4_CACHE: dict = {}
-
-
+@functools.cache
 def default_p4(ctx: PrecisionContext = DEFAULT_CTX) -> MomentPolynomial:
-    """Packaged calibrated P4 (lower coefficients fitted once and persisted)."""
-    key = ctx.work_bits
-    poly = _DEFAULT_P4_CACHE.get(key)
-    if poly is None:
-        text = resources.files("zetalab.data").joinpath("p4_default.txt").read_text()
-        lower = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            lower.append(float(line.split(",")[1]))
-        if len(lower) != 3:
-            raise DomainError("p4_default.txt must carry exactly c2, c1, c0")
-        poly = p4_polynomial(tuple(lower), CALIBRATED, ctx)
-        _DEFAULT_P4_CACHE[key] = poly
-    return poly
+    """P4 with the closed-form a4, a3 and the derived P4_LOWER."""
+    return p4_polynomial(P4_LOWER, DERIVED, ctx)
 
 
 def main_term(k: int, t_upper: float, poly: MomentPolynomial) -> float:
@@ -369,63 +336,6 @@ def _e2_squared(lefts, rights, base, cum_err, poly, cfg):
         val[part] = fine
         err[part] = np.abs(fine - coarse) + 2.0 * cum_err * half * np.sum(wk * np.abs(e_k), axis=1)
     return val, err
-
-
-def calibrate_p4(
-    grid,
-    ctx: PrecisionContext = DEFAULT_CTX,
-    cfg: QuadConfig = QuadConfig(),
-    integral_values=None,
-) -> MomentPolynomial:
-    """Least-squares fit of the three lower P4 coefficients.
-
-    Fits int_0^T |Z|^4 - T(a4 log^4 T + a3 log^3 T) against
-    T(c2 log^2 T + c1 log T + c0) with a4, a3 held at their exact values.
-    integral_values bypasses the quadrature (synthetic-data hook).
-    """
-    grid = np.asarray(sorted(float(t) for t in grid))
-    if len(grid) < 20:
-        raise IllConditionedFit("need at least 20 grid points, got %d" % len(grid))
-    if grid[0] <= 0 or grid[-1] / grid[0] < 10.0:
-        raise IllConditionedFit("grid must span at least one decade")
-    if integral_values is None:
-        acc = get_accumulator(2, cfg)
-        integral_values = acc.cumulative_at(grid)[0]
-    else:
-        integral_values = np.asarray(integral_values, dtype=float)
-        if len(integral_values) != len(grid):
-            raise IllConditionedFit("integral_values length mismatch")
-
-    a4 = float(fourth_moment_a4(ctx))
-    a3 = float(fourth_moment_a3(ctx))
-    logs = np.log(grid)
-    target = integral_values - grid * (a4 * logs**4 + a3 * logs**3)
-
-    def fit(ts, logs_, y):
-        cols = np.stack([ts * logs_**2, ts * logs_, ts], axis=1)
-        scale = np.linalg.norm(cols, axis=0)
-        sol, _, rank, _ = np.linalg.lstsq(cols / scale, y, rcond=None)
-        if rank < 3:
-            raise IllConditionedFit("rank-deficient design matrix")
-        coeffs = sol / scale
-        resid = y - cols @ coeffs
-        return coeffs, math.sqrt(float(np.mean(resid**2)))
-
-    coeffs, rms = fit(grid, logs, target)
-    half = len(grid) // 2
-    c_lo, _ = fit(grid[:half], logs[:half], target[:half])
-    c_hi, _ = fit(grid[half:], logs[half:], target[half:])
-    drift = tuple(
-        float(abs(lo - hi) / max(abs(full), 1e-300))
-        for lo, hi, full in zip(c_lo, c_hi, coeffs)
-    )
-    diag = FitDiagnostics(
-        residual_norm=rms,
-        split_drift=drift,
-        grid_size=len(grid),
-        grid_span=float(grid[-1] / grid[0]),
-    )
-    return p4_polynomial(tuple(coeffs), CALIBRATED, ctx, fit=diag)
 
 
 def twelfth_moment_table(t_list, ctx: PrecisionContext = DEFAULT_CTX, cfg: QuadConfig = QuadConfig()):

@@ -14,7 +14,7 @@ numpy, scipy, mpmath and Python versions, the same SIMD features numpy
 dispatches to, and the same machine and C library.  numpy's vectorised
 exp/log/sin loops and the libraries' own routines may round the last bits
 differently under another fingerprint, so values frozen under one (the test
-fixtures, the packaged calibrations) are compared bit for bit only under it.
+fixtures) are compared bit for bit only under it.
 """
 
 from __future__ import annotations
@@ -231,10 +231,16 @@ class MomentAccumulator:
         self._err_u = []
         self._prefix = None
         self._bounds_arr = None  # bounds as an array, rebuilt with the prefix sums
-        self._batch = PanelBatch(self._integrand, cfg)
 
     def _integrand(self, ts):
         return moment_integrand(ts, self.k, self.cfg.t_switch, self.cfg.rs_terms)
+
+    @property
+    def _batch(self):
+        # Built per use: a batch kept on self would close a reference cycle
+        # (batch -> bound method -> self), so a cleared accumulator would wait
+        # for the cyclic garbage collector and could outlive it into the next.
+        return PanelBatch(self._integrand, self.cfg)
 
     def ensure(self, t_target: float):
         if t_target <= self.bounds[-1]:

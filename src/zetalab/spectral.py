@@ -30,6 +30,7 @@ from .errors import (
     UnknownKernel,
 )
 from .gammafn import complex_log_gamma
+from .laplace import atkinson_coeffs
 from .precision import DEFAULT_CTX, PrecisionContext, ValueWithError, mag
 
 HECKE_BOUND_SLACK = 1e-9
@@ -462,12 +463,12 @@ class L2Expansion:
 def l2_spectral_expansion(
     s,
     ds: SpectralDataset,
-    fitted_main=None,
     gamma_variant: str = "half_shift",
     ctx: PrecisionContext = DEFAULT_CTX,
 ) -> L2Expansion:
-    """Decomposition of L_2(s): five-log main term over s plus the spectral
-    series s^{-1/2} sum_j c_j (s^{-i kappa} R(kappa) G_+ + s^{i kappa} R(-kappa) G_-).
+    """Decomposition of L_2(s): the exact five-log main term over s
+    (laplace.atkinson_coeffs) plus the spectral series
+    s^{-1/2} sum_j c_j (s^{-i kappa} R(kappa) G_+ + s^{i kappa} R(-kappa) G_-).
 
     gamma_variant "printed" reads G_+- = Gamma(+-kappa) as displayed (the
     series then diverges super-exponentially and is reported term-by-term);
@@ -483,13 +484,7 @@ def l2_spectral_expansion(
     if gamma_variant not in ("printed", "half_shift"):
         raise DomainError("unknown gamma variant %r" % (gamma_variant,))
 
-    from .laplace import atkinson_ab, default_atkinson_cde
-
-    if fitted_main is None:
-        (c, d, e), b_variant = default_atkinson_cde()
-        a, b = atkinson_ab(ctx, b_variant)
-        fitted_main = (a, b, c, d, e)
-    a, b, c, d, e = (float(v) for v in fitted_main)
+    a, b, c, d, e = atkinson_coeffs(ctx)
 
     with ctx.workprec():
         sm = mpc(s)
@@ -561,10 +556,7 @@ def term_profile(ds: SpectralDataset, kernel: str, params: dict | None = None,
         res = integral_e2_spectral(params["T"], ds, ctx)
         terms = res.terms
     elif kernel == "l2_expansion":
-        exp = l2_spectral_expansion(
-            params["s"], ds, params.get("fitted_main"),
-            params.get("gamma_variant", "half_shift"), ctx
-        )
+        exp = l2_spectral_expansion(params["s"], ds, params.get("gamma_variant", "half_shift"), ctx)
         terms = [abs(t) for t in exp.terms]
     else:
         raise UnknownKernel("kernel %r not in %r" % (kernel, KERNELS))

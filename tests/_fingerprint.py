@@ -1,34 +1,23 @@
 """Bit-for-bit fixture checks, tied to the numeric fingerprint.
 
-Frozen values (tests/_frozen.py, the packaged calibrations) reproduce bit for
-bit only under the numeric fingerprint they were generated under
-(zetalab.quadrature.numeric_fingerprint).  The checks stay exact; on a
-mismatch the message names both fingerprints, so that a run in another
-numeric environment says so instead of showing a bare float mismatch.
+Frozen values (tests/_frozen.py) reproduce bit for bit only under the numeric
+fingerprint they were generated under (zetalab.quadrature.numeric_fingerprint).
+The checks stay exact; on a mismatch the message names both fingerprints, so
+that a run in another numeric environment says so instead of showing a bare
+float mismatch.
 """
-
-from importlib import resources
 
 import _frozen as F
 from zetalab.quadrature import numeric_fingerprint
 
 
-def data_fingerprint(name: str) -> str:
-    """The fingerprint recorded in the header of a packaged data file."""
-    text = resources.files("zetalab.data").joinpath(name).read_text()
-    for line in text.splitlines():
-        if line.startswith("# fingerprint: "):
-            return line[len("# fingerprint: "):]
-    return "not recorded"
-
-
-def frozen_mismatch(name: str, frozen_under: str = F.FINGERPRINT) -> str:
+def frozen_mismatch(name: str) -> str:
     """Assertion message for a frozen value that was not reproduced."""
-    here = numeric_fingerprint()
+    here, frozen_under = numeric_fingerprint(), F.FINGERPRINT
     if here == frozen_under:
         return "%s changed under the fingerprint it was frozen under (%s)" % (name, here)
     return (
         "%s was frozen under fingerprint [%s] but this run is under [%s]; values are "
-        "bit-identical only per fingerprint: regenerate with tools/calibrate_defaults.py, "
-        "then tools/make_fixtures.py" % (name, frozen_under, here)
+        "bit-identical only per fingerprint: regenerate with tools/make_fixtures.py"
+        % (name, frozen_under, here)
     )

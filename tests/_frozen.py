@@ -21,9 +21,9 @@ MOMENT2_0_500_ORACLE = 42393.1529936112
 E1_AT_1000 = -11.801779108710434
 E1_RATIO_MAX_10_5000 = 7.58655365480545
 
-# E2 uses the packaged calibrated P4 (data/p4_default.txt)
-E2_AT_2000 = -2359.2856283852016
-E2_RATIO_MAX_500_5000 = 69.29533246218392
+# E2 uses the package's P4: closed-form a4, a3, derived constants.P4_LOWER
+E2_AT_2000 = -1011.3358704562415
+E2_RATIO_MAX_500_5000 = 63.53162174026465
 
 # oracle: trapezoid on a 0.002-step grid over |t| <= 8 delta
 SMOOTHED_200_20 = 78.99697923833808
@@ -45,9 +45,9 @@ R_AT_9_5337 = (-0.33973396786380106-0.11825820314751734j)
 FE_FACTOR_S2_K9_5337 = (0.2831412118104746+0j)
 
 # oracle: composite 16-node Gauss-Legendre on unit windows of pointwise E2
-INT_E2_1000 = 564001.1729155332
-INT_E2_1000_ORACLE = 564001.1730071127
+INT_E2_1000 = 1107.0454246625304
+INT_E2_1000_ORACLE = 1107.0453919687727
 
 # oracle: composite 16-node Gauss-Legendre on 0.25-wide windows of pointwise E2^2
-MEANSQ_E2_1000 = 1240523728.3769631
-MEANSQ_E2_1000_ORACLE = 1240523728.3769586
+MEANSQ_E2_1000 = 709544311.8968256
+MEANSQ_E2_1000_ORACLE = 709544311.8968245

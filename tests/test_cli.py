@@ -2,6 +2,9 @@
 
 import csv
 import json
+import math
+
+import pytest
 
 import _frozen as F
 from zetalab import cli
@@ -35,6 +38,17 @@ class TestExplore:
         assert [(r["T"], r["int_E2_sq"], r["ratio_T2"]) for r in rows] == table
 
 
+class TestMoment:
+    def test_e2_at_20000_is_of_order_sqrt_t(self, tmp_path):
+        out = tmp_path / "moment.csv"
+        argv = ["moment", "--k", "2", "--T", "20000", "--checkpoint", str(tmp_path / "m.ckpt"),
+                "--format", "csv", "--out", str(out)]
+        assert cli.main(argv) == 0
+        (row,) = read_rows(out)
+        assert abs(float(row["E"])) / math.sqrt(20000.0) < 200.0
+        assert "P4 provenance: paper-exact,paper-exact,derived,derived,derived" in out.read_text()
+
+
 class TestConfig:
     def test_digest_matches_the_fixtures(self):
         assert QuadConfig().digest() == F.QUAD_DIGEST
@@ -45,3 +59,12 @@ class TestConfig:
         argv = ["explore", "--table", "meansq-e2", "--T-list", "250", "--config", str(conf)]
         assert cli.main(argv) == cli.EXIT_DATA
         assert "unknown config key 'quad.crossover_t'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["spectral_path=starter.txt", "laplace_e2_variant=printed",
+                                      "l2_gamma_variant=printed"])
+    def test_removed_run_keys_are_data_errors(self, tmp_path, capsys, line):
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        argv = ["explore", "--table", "meansq-e2", "--T-list", "250", "--config", str(conf)]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert "unknown config key %r" % line.partition("=")[0] in capsys.readouterr().err

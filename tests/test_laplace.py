@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from zetalab.config import QuadConfig
-from zetalab.errors import DomainError, IllConditionedFit
+from zetalab.errors import DomainError
 from zetalab.laplace import (
-    atkinson_ab,
+    atkinson_coeffs,
     atkinson_expansion,
-    calibrate_atkinson_cde,
-    default_atkinson_cde,
     kober_main,
     laplace_moment,
     laplace_moment_grid,
 )
+
+from zetalab.moments import default_p4
 
 import _frozen as F
 from _fingerprint import frozen_mismatch
@@ -90,17 +90,11 @@ class TestKober:
 
 class TestAtkinson:
     def test_a_value(self, ctx):
-        a, _ = atkinson_ab(ctx)
-        assert abs(a - 0.050660591821168885) < 1e-15
-
-    def test_b_variants_are_negatives(self, ctx):
-        _, bp = atkinson_ab(ctx, "printed")
-        _, bc = atkinson_ab(ctx, "consistent")
-        assert bp == -bc
-        assert abs(bp - (-0.20946977659413073)) < 1e-12
+        assert abs(atkinson_coeffs(ctx)[0] - 0.050660591821168885) < 1e-15
 
     def test_b_fixture_15_digits(self, ctx):
-        # oracle: independent constant computation from gamma, log 2pi, zeta'(2)
+        # oracle: the closed form printed in the source, from gamma, log 2pi,
+        # zeta'(2); the exact B, forced by the exact P4, is its negative
         import mpmath
 
         mpmath.mp.prec = 200
@@ -108,21 +102,26 @@ class TestAtkinson:
         zp2 = mpmath.mp.zeta(2, derivative=1)
         pi2 = mpmath.mp.pi**2
         ref = float((2 * mpmath.mp.log(2 * mpmath.mp.pi) - 6 * g + 24 * zp2 / pi2) / pi2)
-        _, b = atkinson_ab(ctx, "printed")
-        assert abs(b - ref) < 1e-15
+        assert abs(atkinson_coeffs(ctx)[1] - (-ref)) < 1e-15
+
+    def test_exact_coefficients(self, ctx):
+        expect = (0.0506606, 0.2094698, -0.3646244, 1.4309047, -1.6401638)
+        assert np.all(np.abs(np.array(atkinson_coeffs(ctx)) - expect) < 1e-6)
 
     def test_expansion_substitution(self, ctx):
-        v = atkinson_expansion(0.01, (0.5, -1.0, 2.0), ctx)
-        a, b = atkinson_ab(ctx)
+        v = atkinson_expansion(0.01, ctx)
+        a, b, c, d, e = atkinson_coeffs(ctx)
         ell = math.log(100.0)
-        expect = (a * ell**4 + b * ell**3 + 0.5 * ell**2 - ell + 2.0) / 0.01
+        expect = (a * ell**4 + b * ell**3 + c * ell**2 + d * ell + e) / 0.01
         assert abs(v - expect) < 1e-9 * abs(expect)
 
-    def test_calibration_requirements(self, ctx, cfg):
-        with pytest.raises(IllConditionedFit):
-            calibrate_atkinson_cde([0.01, 0.02], ctx, cfg)
+    def test_main_term_is_the_transform_of_the_p4_main_term(self, ctx):
+        # oracle: tanh-sinh quadrature of int_0^inf e^(-sigma t) d(t P4(log t))
+        import mpmath
 
-    def test_packaged_default_cde(self):
-        (c, d, e), variant = default_atkinson_cde()
-        assert variant == "consistent"
-        assert -1.0 < c < 0.0  # calibrated magnitude sanity
+        p4 = np.poly1d(default_p4(ctx).coeffs)
+        q = p4 + p4.deriv()
+        for sigma in (0.01, 0.1):
+            ref = mpmath.quad(lambda t: mpmath.exp(-sigma * t) * q(mpmath.log(t)),
+                              [0, 1, 10, 100, 1000, mpmath.inf])
+            assert abs(atkinson_expansion(sigma, ctx) - float(ref)) < 1e-12 * abs(float(ref))

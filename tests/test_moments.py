@@ -1,5 +1,6 @@
-"""Moment integrals, polynomials, error terms, smoothing, calibration."""
+"""Moment integrals, polynomials, error terms, smoothing, the derived P4."""
 
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -8,13 +9,12 @@ import numpy as np
 import pytest
 
 from zetalab.config import QuadConfig
-from zetalab.constants import fourth_moment_a3, fourth_moment_a4, second_moment_constant
-from zetalab.errors import DomainError, IllConditionedFit
+from zetalab.constants import P4_LOWER, fourth_moment_a3, fourth_moment_a4, second_moment_constant
+from zetalab.errors import DomainError
 from zetalab.moments import (
-    CALIBRATED,
+    DERIVED,
     PAPER_EXACT,
     MomentPolynomial,
-    calibrate_p4,
     default_p4,
     error_term,
     integral_of_e2,
@@ -29,9 +29,17 @@ from zetalab.moments import (
 from zetalab.quadrature import get_accumulator
 
 import _frozen as F
-from _fingerprint import data_fingerprint, frozen_mismatch
+from _fingerprint import frozen_mismatch
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def derive_p4_tool():
+    """tools/derive_p4.py as a module."""
+    spec = importlib.util.spec_from_file_location("derive_p4", ROOT / "tools" / "derive_p4.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 class TestMomentPolynomial:
@@ -46,7 +54,8 @@ class TestMomentPolynomial:
         assert p.provenance[:2] == (PAPER_EXACT, PAPER_EXACT)
         assert abs(p.coeffs[0] - float(fourth_moment_a4(ctx))) == 0
         assert abs(p.coeffs[1] - float(fourth_moment_a3(ctx))) == 0
-        assert all(prov == CALIBRATED for prov in p.provenance[2:])
+        assert p.provenance[2:] == (DERIVED,) * 3
+        assert p.coeffs[2:] == P4_LOWER
 
     def test_a4_value(self, ctx):
         assert abs(float(fourth_moment_a4(ctx)) - 1 / (2 * math.pi**2)) < 1e-16
@@ -142,18 +151,24 @@ class TestErrorTerm:
         assert r.poly.all_paper_exact()
 
     def test_e1_rejects_calibrated_poly(self, ctx, cfg):
-        bad = MomentPolynomial(k=1, coeffs=(1.0, -2.0), provenance=(PAPER_EXACT, CALIBRATED))
+        bad = MomentPolynomial(k=1, coeffs=(1.0, -2.0), provenance=(PAPER_EXACT, DERIVED))
         with pytest.raises(DomainError):
             error_term(1, 10.0, ctx, cfg, poly=bad)
 
     def test_e2_fixture_and_provenance_disclosure(self, ctx, cfg):
         r = error_term(2, 2000.0, ctx, cfg)
         assert r.value == F.E2_AT_2000, frozen_mismatch("E2_AT_2000")
-        assert CALIBRATED in r.poly.provenance
+        assert DERIVED in r.poly.provenance
 
     def test_e2_normalized_magnitude(self, ctx, cfg):
         r = error_term(2, 2000.0, ctx, cfg)
         assert abs(r.value) / 2000.0 ** (2 / 3) <= F.E2_RATIO_MAX_500_5000
+
+    @pytest.mark.parametrize("t_upper", [5000.0, 10000.0, 20000.0])
+    def test_e2_of_order_sqrt_t_beyond_2000(self, ctx, cfg, t_upper):
+        # E2(T) has size T^(1/2+eps); an error in P4 adds a term of size T log^2 T
+        r = error_term(2, t_upper, ctx, cfg)
+        assert abs(r.value) / math.sqrt(t_upper) < 200.0
 
 
 class TestSmoothedFourth:
@@ -243,31 +258,21 @@ class TestMeanSquareE2:
         assert 0 < count[0] <= (2 * cfg.nodes + 1) * (r.panels + len(snaps))
 
 
-class TestCalibrateP4:
-    def test_synthetic_recovery(self, ctx, cfg):
-        # noiseless data from a known cubic-in-log lower part: exact recovery
-        a4 = float(fourth_moment_a4(ctx))
-        a3 = float(fourth_moment_a3(ctx))
-        lower = (0.77, -3.1, 5.5)
-        grid = np.exp(np.linspace(math.log(200), math.log(4000), 30))
-        logs = np.log(grid)
-        vals = grid * (
-            a4 * logs**4 + a3 * logs**3 + lower[0] * logs**2 + lower[1] * logs + lower[2]
-        )
-        poly = calibrate_p4(grid, ctx, cfg, integral_values=vals)
-        assert np.allclose(poly.coeffs[2:], lower, atol=1e-8)
-        assert poly.fit.residual_norm < 1e-6
+class TestDeriveP4:
+    def test_derivation_recovers_the_closed_form_a4_a3(self, ctx):
+        a4, a3 = derive_p4_tool().derive_p4()[:2]
+        assert abs(float(a4) - float(fourth_moment_a4(ctx))) < 1e-15
+        assert abs(float(a3) - float(fourth_moment_a3(ctx))) < 1e-15
 
-    def test_grid_requirements(self, ctx, cfg):
-        with pytest.raises(IllConditionedFit):
-            calibrate_p4([], ctx, cfg)
-        with pytest.raises(IllConditionedFit):
-            calibrate_p4(np.linspace(500, 600, 25), ctx, cfg)  # span < decade
+    def test_fresh_derivation_matches_packaged_default(self, ctx):
+        lower = tuple(float(a) for a in derive_p4_tool().derive_p4()[2:])
+        assert lower == P4_LOWER
+        assert default_p4(ctx).coeffs[2:] == lower
 
-    def test_real_calibration_matches_packaged_default(self, ctx, cfg):
-        grid = np.exp(np.linspace(math.log(500.0), math.log(5000.0), 40))
-        poly = calibrate_p4(grid, ctx, cfg)
-        packaged = default_p4(ctx)
-        assert np.allclose(poly.coeffs, packaged.coeffs, rtol=0, atol=0), frozen_mismatch(
-            "p4_default.txt", data_fingerprint("p4_default.txt"))
-        assert poly.fit.grid_size == 40
+    def test_p4_plus_derivative_is_the_printed_cfkrs_p2(self, ctx):
+        # CFKRS (2005): int_0^T |zeta|^4 = int_0^T P2(log(t/2 pi)) dt + o(T), with
+        # P2(x) as printed there; d/dT [T P4(log T)] = (P4 + P4')(log T)
+        printed = (0.0506606, 0.6988699, 2.4259622, 3.2279080, 1.3124244)
+        p4 = np.poly1d(default_p4(ctx).coeffs)
+        shifted = (p4 + p4.deriv())(np.poly1d([1.0, math.log(2 * math.pi)]))
+        assert np.all(np.abs(shifted.coeffs - printed) <= 5e-8)

@@ -6,9 +6,9 @@ oracle stated next to it, and written to tests/_frozen.py.  Rerun after any
 change to the quadrature policy or kernel (the tests compare against the
 default QuadConfig digest recorded below), and when the numeric fingerprint
 changes: the values are bit-identical only under the fingerprint recorded
-with them (zetalab.quadrature.numeric_fingerprint).  The E2 fixtures read the
-packaged P4, so run tools/calibrate_defaults.py first.  Every oracle check
-is asserted before anything is written.
+with them (zetalab.quadrature.numeric_fingerprint).  The E2 fixtures use the
+package's P4 (closed-form a4, a3 and the derived constants.P4_LOWER).  Every
+oracle check is asserted before anything is written.
 
     PYTHONPATH=src python3 tools/make_fixtures.py
 """
@@ -110,14 +110,14 @@ def main():
     ]
     print("E1(1000) = %r, max|E1|/T^.3171 = %r" % (e1.value, ratio_max))
 
-    # --- E2(2000) with the packaged calibrated P4
+    # --- E2(2000) with the package's P4
     e2 = error_term(2, 2000.0, ctx, cfg)
     p4 = default_p4(ctx)
     bs2, cv2, _, _ = acc2.boundary_grid(500.0, 5000.0)
     e2_vals = cv2 - bs2 * np.polyval(np.array(p4.coeffs), np.log(bs2))
     e2_ratio_max = float(np.max(np.abs(e2_vals) / bs2 ** (2.0 / 3.0)))
     lines += [
-        "# E2 uses the packaged calibrated P4 (data/p4_default.txt)",
+        "# E2 uses the package's P4: closed-form a4, a3, derived constants.P4_LOWER",
         "E2_AT_2000 = %r" % e2.value,
         "E2_RATIO_MAX_500_5000 = %r" % e2_ratio_max,
         "",
