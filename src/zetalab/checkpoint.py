@@ -15,6 +15,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import QuadConfig
 from .errors import CheckpointMismatch, DataParseError, DataValidationError
 from .quadrature import MomentAccumulator, get_accumulator, numeric_fingerprint
@@ -100,22 +102,14 @@ def _append_rows(path: str, k: int, rows, digest: str):
             fh.write("%d,%r,%r,%r,%s\n" % (k, t, v, e, digest))
 
 
-def _row_boundaries(acc: MomentAccumulator, t_target: float, step: float):
-    """Mesh boundaries at (roughly) every `step`, plus the final one <= target."""
+def _row_indices(acc: MomentAccumulator, t_target: float, step: float):
+    """Indices into acc.bounds of the last boundary <= each multiple of step
+    below t_target and <= t_target itself, without repeats or T = 0."""
     acc.ensure(t_target)
-    targets = []
-    n = 1
-    while n * step < t_target:
-        targets.append(n * step)
-        n += 1
-    targets.append(t_target)
-    out = []
-    for tt in targets:
-        i = acc.n_panels_to(tt)
-        b = acc.bounds[i]
-        if b > 0 and (not out or b > out[-1]):
-            out.append(b)
-    return out
+    targets = step * np.arange(1, int(t_target // step) + 2)
+    targets = np.append(targets[targets < t_target], t_target)
+    i = np.unique(np.searchsorted(acc.bounds, targets, side="right") - 1)
+    return i[acc.bounds[i] > 0]
 
 
 def extend_checkpoint(path: str, k: int, t_target: float, cfg: QuadConfig, resume: bool = True):
@@ -133,13 +127,10 @@ def extend_checkpoint(path: str, k: int, t_target: float, cfg: QuadConfig, resum
             % (existing.config_digest, digest)
         )
     acc = get_accumulator(k, cfg)
-    bounds = _row_boundaries(acc, t_target, cfg.checkpoint_step)
+    i = _row_indices(acc, t_target, cfg.checkpoint_step)
     pv, _, pe, _ = acc.prefix()
-
-    rows = []
-    for b in bounds:
-        i = acc.n_panels_to(b)
-        rows.append((b, float(pv[i]), float(pe[i])))
+    # tolist: plain floats, so rows are written as repr(float) decimals
+    rows = list(zip(acc.bounds[i].tolist(), pv[i].tolist(), pe[i].tolist()))
 
     last_t = existing.grid[-1][0] if existing else -1.0
     if existing is not None:

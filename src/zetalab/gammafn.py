@@ -14,7 +14,7 @@ import math
 from mpmath import mp, mpc, mpf
 
 from .errors import PoleError, PrecisionFailure
-from .precision import PrecisionContext, ValueWithError, mag, to_mpc
+from .precision import PrecisionContext, ValueWithError, mag
 
 LOG_2PI_HALF_CACHE: dict[int, mpf] = {}
 

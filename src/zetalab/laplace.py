@@ -2,10 +2,11 @@
 small-sigma expansions they are compared against (Kober for k=1, the
 quartic-log main term for k=2, the Laplace transform of d(T P4(log T))).
 
-Evaluation streams over the shared deterministic panel mesh in fixed-size
-chunks, so a whole sigma grid costs one kernel pass; per-sigma totals only
-use panels inside that sigma's own truncation range, making each value
-independent of how calls are batched.
+Evaluation streams over the shared deterministic panel mesh
+(quadrature.mesh) in fixed-size chunks, so a whole sigma grid costs one
+kernel pass; per-sigma totals only use panels inside that sigma's own
+truncation range, making each value independent of how calls are batched.
+laplace_moment's integrand_hook replaces |zeta|^{2k} in that same pass.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .constants import constants_for
 from .errors import DomainError
 from .moments import default_p4
 from .precision import DEFAULT_CTX, PrecisionContext
-from .quadrature import IntegralResult, kronrod_rule, kronrod_sums, panel_nodes, panel_width
+from .quadrature import IntegralResult, kronrod_rule, kronrod_sums, mesh, panel_nodes
 from .zkernel import moment_integrand
 
 CHUNK = 1024
@@ -57,6 +58,12 @@ def laplace_moment_grid(
     Each value uses exactly the panels inside its own truncation range, so
     results equal the single-call ones regardless of grid composition.
     """
+    return _grid(k, s_values, ctx, cfg, None)
+
+
+def _grid(k, s_values, ctx, cfg, hook):
+    """laplace_moment_grid, with hook(t) in place of |zeta|^{2k} when given
+    (its error model is then zero)."""
     if k not in (1, 2, 6):
         raise DomainError("k must be in {1, 2, 6}")
     ss = [complex(s) for s in s_values]
@@ -68,12 +75,8 @@ def laplace_moment_grid(
     tol = max(cfg.laplace_tail_abs, ctx.abs_tol)
 
     # Deterministic mesh from 0; per-s panel counts, then global bound.
-    bounds = [0.0]
     x_needed = [_truncation_x(k, s.real, cfg, tol) for s in ss]
-    x_global = max(x_needed)
-    while bounds[-1] < x_global:
-        bounds.append(bounds[-1] + panel_width(bounds[-1], cfg))
-    bounds = np.array(bounds)
+    bounds = mesh(0.0, max(x_needed), cfg)
     n_use = [
         min(max(int(np.searchsorted(bounds, x, side="left")), 1), len(bounds) - 1)
         for x in x_needed
@@ -88,8 +91,11 @@ def laplace_moment_grid(
     for c0 in range(0, n_max, CHUNK):
         c1 = min(c0 + CHUNK, n_max)
         t, half = panel_nodes(bounds[c0:c1], bounds[c0 + 1 : c1 + 1], n)
-        f, df = moment_integrand(t.ravel(), k, cfg.t_switch, cfg.rs_terms)
-        f, df = f.reshape(t.shape), df.reshape(t.shape)
+        if hook is None:
+            f, df = moment_integrand(t.ravel(), k, cfg.t_switch, cfg.rs_terms)
+            f, df = f.reshape(t.shape), df.reshape(t.shape)
+        else:
+            f, df = hook(t), np.zeros_like(t)
         for i, s in enumerate(ss):
             hi = min(n_use[i], c1)
             if hi <= c0:
@@ -124,31 +130,7 @@ def laplace_moment(
     below tolerance; the tail bound enters err_bound.  The value is complex
     when s has nonzero imaginary part.
     """
-    if integrand_hook is not None:
-        s = complex(s)
-        if s.real <= 0:
-            raise DomainError("invalid-argument: Re s must be > 0")
-        tol = max(cfg.laplace_tail_abs, ctx.abs_tol)
-        return _laplace_hook(s, _truncation_x(k, s.real, cfg, tol), cfg, integrand_hook)
-    return laplace_moment_grid(k, [s], ctx, cfg)[0]
-
-
-def _laplace_hook(s, x_max, cfg, hook):
-    """Quadrature against a replaced integrand (test hook path)."""
-    from .quadrature import PanelBatch
-
-    def weighted(t):
-        f = hook(t)
-        e = np.exp(-s * t) if s.imag != 0 else np.exp(-s.real * t)
-        return f * e, np.zeros_like(t)
-
-    bounds = [0.0]
-    while bounds[-1] < x_max:
-        bounds.append(bounds[-1] + min(panel_width(bounds[-1], cfg), 0.25 / max(s.real, 0.05)))
-    val, _, err, _ = PanelBatch(weighted, cfg).run(bounds[:-1], bounds[1:])
-    value = np.sum(val)
-    value = float(value.real) if s.imag == 0 else complex(value)
-    return IntegralResult(value, float(np.sum(err)), len(bounds) - 1, (0.0, bounds[-1]))
+    return _grid(k, [s], ctx, cfg, integrand_hook)[0]
 
 
 def kober_main(sigma: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:

@@ -27,8 +27,8 @@ from .quadrature import (
     get_accumulator,
     integration_matrix,
     kronrod_rule,
+    mesh,
     panel_nodes,
-    panel_width,
 )
 from .zkernel import moment_integrand
 
@@ -125,8 +125,7 @@ def integrate_moment(
         value, _, err, _ = acc.cumulative_to(b)
     else:
         value, err = acc.between(a, b)
-    panels = acc.n_panels_to(b) - acc.n_panels_to(a) + 1
-    return IntegralResult(value, err, panels, (a, b))
+    return IntegralResult(value, err, acc.panels_meeting(a, b), (a, b))
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,9 @@ def smoothed_fourth(
 ) -> IntegralResult:
     """Gaussian-smoothed local fourth moment
     (1/(delta sqrt(pi))) int |zeta(1/2 + i(T+t))|^4 exp(-t^2/delta^2) dt,
-    truncated at |t| <= W delta with the tail folded into the error bound."""
+    truncated at |t| <= W delta with the tail folded into the error bound.
+    One panel run on quadrature.mesh over [max(T - W delta, 0), T + W delta];
+    a window part below 0 is folded onto [0, W delta - T] (|zeta| is even)."""
     if t_center <= 1.0 or math.log(t_center) <= 0:
         raise DomainError("invalid-delta: smoothing requires T > 1")
     if not (0 < delta <= t_center / math.log(t_center)):
@@ -178,50 +179,26 @@ def smoothed_fourth(
     w_win = cfg.window_w
     lo = t_center - w_win * delta
     hi = t_center + w_win * delta
-
-    if integrand_hook is None:
-        def f_df(u):
-            return moment_integrand(np.abs(u), 2, cfg.t_switch, cfg.rs_terms)
-    else:
-        def f_df(u):
-            return integrand_hook(u), np.zeros_like(u)
-
     inv = 1.0 / (delta * math.sqrt(math.pi))
 
     def weighted(u):
-        f, df = f_df(u)
+        if integrand_hook is None:
+            f, df = moment_integrand(u, 2, cfg.t_switch, cfg.rs_terms)
+        else:
+            f, df = integrand_hook(u), np.zeros_like(u)
         g = np.exp(-((u - t_center) / delta) ** 2)
+        if lo < 0.0:
+            # The window's part u < 0 folded onto [0, -lo]: |zeta(1/2+iu)| is even.
+            g = g + np.where(u <= -lo, np.exp(-((u + t_center) / delta) ** 2), 0.0)
         return f * g * inv, df * g * inv
 
-    batch = PanelBatch(weighted, cfg)
-    bounds = [max(lo, 0.0)]
-    while bounds[-1] < hi:
-        w = min(panel_width(bounds[-1], cfg), delta / 6.0)
-        bounds.append(bounds[-1] + w)
-    val, _, err, _ = batch.run(bounds[:-1], bounds[1:])
-    value = float(np.sum(val))
-    err_total = float(np.sum(err))
-
-    if lo < 0.0:
-        # Reflected contribution from u < 0 (|zeta(1/2+iu)| is even in u).
-        def weighted_neg(u):
-            f, df = f_df(u)
-            g = np.exp(-((u + t_center) / delta) ** 2)
-            return f * g * inv, df * g * inv
-
-        nbounds = [0.0]
-        while nbounds[-1] < -lo:
-            w = min(panel_width(nbounds[-1], cfg), delta / 6.0)
-            nbounds.append(nbounds[-1] + w)
-        nbatch = PanelBatch(weighted_neg, cfg)
-        nval, _, nerr, _ = nbatch.run(nbounds[:-1], nbounds[1:])
-        value += float(np.sum(nval))
-        err_total += float(np.sum(nerr))
+    bounds = mesh(max(lo, 0.0), hi, cfg, cap=delta / 6.0)
+    val, _, err, _ = PanelBatch(weighted, cfg).run(bounds[:-1], bounds[1:])
 
     # Truncation: |zeta|^4 majorized by cmaj (1 + log^4) near the window.
     majorant = cfg.laplace_cmaj * (1.0 + max(math.log(hi), 1.0) ** 4)
     tail = majorant * math.erfc(w_win)
-    return IntegralResult(value, err_total + tail, len(bounds) - 1, (lo, hi))
+    return IntegralResult(float(np.sum(val)), float(np.sum(err)) + tail, len(bounds) - 1, (lo, hi))
 
 
 def integral_of_t_poly(t_upper: float, poly: MomentPolynomial) -> float:
@@ -251,7 +228,7 @@ def integral_of_e2(
     acc = get_accumulator(2, cfg)
     v, vu, e, eu = acc.cumulative_to(t_upper)
     value = t_upper * v - vu - integral_of_t_poly(t_upper, poly)
-    return IntegralResult(value, t_upper * e + eu, acc.n_panels_to(t_upper) + 1, (0.0, t_upper))
+    return IntegralResult(value, t_upper * e + eu, acc.panels_meeting(0.0, t_upper), (0.0, t_upper))
 
 
 _MEANSQ_CHUNK = 256  # pieces per kernel call in mean_square_e2
@@ -303,7 +280,8 @@ def mean_square_e2(
     err_total = float(np.sum(err[:n_panels]))
     if t_upper > bs[-1]:
         err_total += float(err[-1])
-    result = IntegralResult(float(snap_vals[-1]), err_total, n_panels, (0.0, t_upper))
+    pieces = n_panels + int(t_upper > bs[-1])
+    result = IntegralResult(float(snap_vals[-1]), err_total, pieces, (0.0, t_upper))
     table = [(s, v, v / (s * s)) for s, v in zip(snaps.tolist(), snap_vals.tolist())]
     return result, table
 

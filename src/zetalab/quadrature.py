@@ -1,13 +1,14 @@
-"""Panel Gauss-Legendre quadrature tuned to the zero-gap scale of Z(t).
+"""Panel Gauss-Kronrod quadrature on one mesh tuned to the zero-gap scale of Z(t).
 
-The panel mesh is generated deterministically from t=0 with width equal to a
-configured fraction of the local mean zero gap 2 pi / log(t/2pi).  Each panel
-is integrated with the n Gauss-Legendre nodes plus their n+1 Kronrod nodes
-(kronrod_rule, 2n+1 kernel points); Gauss-Kronrod disagreement triggers
-bisection up to a depth cap, and the final disagreement above the rounding
-floor (kronrod_sums) plus the integrated pointwise kernel error model enters
-the reported error bound.  All reductions run in a fixed order so reruns and
-checkpoint resumes are bit-identical.
+mesh is the one panel mesh: boundaries from t0 with width a configured
+fraction of the local mean zero gap 2 pi / log(t/2pi), optionally capped;
+the accumulators, the Laplace grid and the smoothed moment all integrate on
+it.  Each panel is integrated with the n Gauss-Legendre nodes plus their n+1
+Kronrod nodes (kronrod_rule, 2n+1 kernel points); Gauss-Kronrod disagreement
+triggers bisection up to a depth cap, and the final disagreement above the
+rounding floor (kronrod_sums) plus the integrated pointwise kernel error
+model enters the reported error bound.  All reductions run in a fixed order
+so reruns and checkpoint resumes are bit-identical.
 
 Bit-identity holds per numeric fingerprint (numeric_fingerprint): the same
 numpy, scipy, mpmath and Python versions, the same SIMD features numpy
@@ -22,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 import platform
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,6 +158,17 @@ def panel_width(t: float, cfg: QuadConfig) -> float:
     return min(max(cfg.gap_fraction * gap, cfg.w_min), cfg.w_max)
 
 
+def mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf):
+    """Panel boundaries t0 = b_0 < ... < b_m, the first b_m >= t1, by the
+    scalar recurrence b_{i+1} = b_i + min(panel_width(b_i), cap)."""
+    out = [t0]
+    t = t0
+    while t < t1:
+        t += min(panel_width(t, cfg), cap)
+        out.append(t)
+    return np.array(out)
+
+
 class PanelBatch:
     """Adaptive integration of a list of panels against one integrand.
 
@@ -214,9 +225,11 @@ class PanelBatch:
 class MomentAccumulator:
     """Cumulative integrals of |Z(t)|^{2k} (and t |Z|^{2k}) over a shared mesh.
 
-    Per-panel values are stored once and prefix sums are a plain left fold, so
-    cumulative values at mesh boundaries are independent of how far previous
-    runs integrated -- the property checkpoint resume relies on.
+    The mesh boundaries and the per-panel values, errors and their
+    u-weighted twins are numpy arrays, grown once per ensure; prefix sums are
+    a plain left fold, so cumulative values at mesh boundaries are
+    independent of how far previous runs integrated -- the property
+    checkpoint resume relies on.
     """
 
     CHUNK = 512
@@ -224,13 +237,9 @@ class MomentAccumulator:
     def __init__(self, k: int, cfg: QuadConfig):
         self.k = k
         self.cfg = cfg
-        self.bounds = [0.0]
-        self._val = []
-        self._val_u = []
-        self._err = []
-        self._err_u = []
+        self.bounds = np.zeros(1)
+        self._val = self._val_u = self._err = self._err_u = np.zeros(0)
         self._prefix = None
-        self._bounds_arr = None  # bounds as an array, rebuilt with the prefix sums
 
     def _integrand(self, ts):
         return moment_integrand(ts, self.k, self.cfg.t_switch, self.cfg.rs_terms)
@@ -245,33 +254,28 @@ class MomentAccumulator:
     def ensure(self, t_target: float):
         if t_target <= self.bounds[-1]:
             return
-        new_lefts, new_rights = [], []
-        t = self.bounds[-1]
-        while t < t_target:
-            w = panel_width(t, self.cfg)
-            new_lefts.append(t)
-            t += w
-            new_rights.append(t)
-            self.bounds.append(t)
-        for i in range(0, len(new_lefts), self.CHUNK):
-            part = self._batch.run(new_lefts[i : i + self.CHUNK], new_rights[i : i + self.CHUNK])
-            for store, q in zip((self._val, self._val_u, self._err, self._err_u), part):
-                store.extend(q.tolist())
+        new = mesh(float(self.bounds[-1]), t_target, self.cfg)
+        lefts, rights = new[:-1], new[1:]
+        parts = [self._batch.run(lefts[i : i + self.CHUNK], rights[i : i + self.CHUNK])
+                 for i in range(0, len(lefts), self.CHUNK)]
+        self._val, self._val_u, self._err, self._err_u = (
+            np.concatenate([old] + [p[j] for p in parts])
+            for j, old in enumerate((self._val, self._val_u, self._err, self._err_u)))
+        self.bounds = np.concatenate([self.bounds, new[1:]])
         self._prefix = None
 
     def prefix(self):
         if self._prefix is None:
-            self._bounds_arr = np.array(self.bounds)
-            self._prefix = (
-                np.concatenate([[0.0], np.cumsum(self._val)]),
-                np.concatenate([[0.0], np.cumsum(self._val_u)]),
-                np.concatenate([[0.0], np.cumsum(self._err)]),
-                np.concatenate([[0.0], np.cumsum(self._err_u)]),
-            )
+            self._prefix = tuple(np.concatenate([[0.0], np.cumsum(q)])
+                                 for q in (self._val, self._val_u, self._err, self._err_u))
         return self._prefix
 
     def n_panels_to(self, t: float) -> int:
-        return bisect_right(self.bounds, t) - 1
+        return int(np.searchsorted(self.bounds, t, side="right")) - 1
+
+    def panels_meeting(self, a: float, b: float) -> int:
+        """Number of mesh panels meeting [a, b], a < b <= bounds[-1]."""
+        return int(np.searchsorted(self.bounds, b)) - self.n_panels_to(a)
 
     def cumulative_to(self, t: float):
         """(int_0^t f, int_0^t u f, err, err_u); t may fall inside a panel."""
@@ -293,9 +297,9 @@ class MomentAccumulator:
         if ts.size:
             self.ensure(float(ts.max()))
         pv, pu, pe, peu = self.prefix()
-        i = np.searchsorted(self._bounds_arr, ts, side="right") - 1
+        i = np.searchsorted(self.bounds, ts, side="right") - 1
         v, vu, e, eu = pv[i], pu[i], pe[i], peu[i]
-        left = self._bounds_arr[i]
+        left = self.bounds[i]
         part = np.nonzero(ts > left)[0]
         if part.size:
             for total, piece in zip((v, vu, e, eu), self._batch.run(left[part], ts[part])):
@@ -311,37 +315,21 @@ class MomentAccumulator:
         result for the summation.
         """
         self.ensure(b)
-        bs = self.bounds
-        i, j = self.n_panels_to(a), self.n_panels_to(b)
-        if i == j:
-            lefts, rights = [a], [b]
-            vals, errs = [], []
-        else:
-            lefts, rights = [], []
-            if a > bs[i]:
-                lefts.append(a)
-                rights.append(bs[i + 1])
-                i += 1
-            if b > bs[j]:
-                lefts.append(bs[j])
-                rights.append(b)
-            vals, errs = self._val[i:j], self._err[i:j]
-        if lefts:
-            v, _, e, _ = self._batch.run(lefts, rights)
-            vals, errs = vals + v.tolist(), errs + e.tolist()
+        i, j = self.n_panels_to(a), int(np.searchsorted(self.bounds, b))  # panels i..j-1
+        left, right = self.bounds[i:j], self.bounds[i + 1 : j + 1]
+        cut = (a > left) | (b < right)
+        v, _, e, _ = self._batch.run(np.maximum(left[cut], a), np.minimum(right[cut], b))
+        vals = np.concatenate([self._val[i:j][~cut], v])
+        errs = np.concatenate([self._err[i:j][~cut], e])
         value = math.fsum(vals)
         return value, math.fsum(errs) + math.ulp(value)
 
     def boundary_grid(self, t0: float, t1: float):
         """Mesh boundaries in [t0, t1] with cumulative values and error bounds."""
         self.ensure(t1)
-        lo = bisect_right(self.bounds, t0) - 1
-        if self.bounds[lo] < t0:
-            lo += 1
-        hi = bisect_right(self.bounds, t1) - 1
-        bs = np.array(self.bounds[lo : hi + 1])
+        lo, hi = int(np.searchsorted(self.bounds, t0)), self.n_panels_to(t1) + 1
         pv, pu, pe, _ = self.prefix()
-        return bs, pv[lo : hi + 1], pu[lo : hi + 1], pe[lo : hi + 1]
+        return self.bounds[lo:hi], pv[lo:hi], pu[lo:hi], pe[lo:hi]
 
 
 _ACCUMULATORS: dict = {}

@@ -144,21 +144,20 @@ def sign_change_scan(
     cfg: QuadConfig = QuadConfig(),
     poly: MomentPolynomial | None = None,
     fn=None,
-    refine: bool = True,
     max_points: int = 2000,
 ) -> SignChangeReport:
     """Scan [t0, t1] for +/- A t^e exceedances and sign changes.
 
-    Exceedances are read on the mesh-boundary grid.  With refine, each sign
-    change between adjacent grid points is reported as the midpoint of a
-    bracket [lo, hi] with width at most 1e-10 max(1, lo) whose ends have
-    opposite signs, or as an exact zero.  Each round is one batched
-    cumulative query over all brackets still open; a bracket takes at most
-    6 rounds more than bisection would, and the rounds stop at 80.  Without
-    refine, the secant point of the grid bracket is reported.
+    Exceedances are read on the mesh-boundary grid.  Each sign change
+    between adjacent grid points is reported as the midpoint of a bracket
+    [lo, hi] with width at most 1e-10 max(1, lo) whose ends have opposite
+    signs, or as an exact zero.  Each round is one batched cumulative query
+    over all brackets still open; a bracket takes at most 6 rounds more than
+    bisection would, and the rounds stop at 80.
 
     fn, when given, replaces the error-term evaluation (test hook): it must
-    map an ndarray of t to values; crossings are then not refined.
+    map an ndarray of t to values; crossings are then not refined but
+    reported as the secant point of the grid bracket.
     """
     if not (0 <= t0 < t1):
         raise DomainError("invalid scan range [%r, %r]" % (t0, t1))
@@ -188,7 +187,7 @@ def sign_change_scan(
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     a, b = bs[flips], bs[flips + 1]
     fa, fb = vals[flips], vals[flips + 1]
-    if refine and points is not None and flips.size:
+    if points is not None and flips.size:
         lo, hi = _refine_zeros(points, a, b, fa, fb)
         crossings = 0.5 * (lo + hi)
     else:

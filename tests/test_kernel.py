@@ -2,7 +2,6 @@
 
 import mpmath
 import numpy as np
-import pytest
 
 from zetalab import zkernel
 

@@ -26,7 +26,7 @@ from zetalab.moments import (
     p4_polynomial,
     smoothed_fourth,
 )
-from zetalab.quadrature import get_accumulator
+from zetalab.quadrature import PanelBatch, get_accumulator
 
 import _frozen as F
 from _fingerprint import frozen_mismatch
@@ -132,6 +132,21 @@ class TestIntegrateMoment:
         assert all(v >= 0 for v in vals)
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
+    def test_panel_count_is_the_panels_meeting_the_range(self, ctx, cfg):
+        acc = get_accumulator(2, cfg)
+        acc.ensure(20.0)
+        b2, b5 = float(acc.bounds[2]), float(acc.bounds[5])
+        inside = 0.5 * float(acc.bounds[5] + acc.bounds[6])
+        assert integrate_moment(2, 0.0, b5, ctx, cfg).panels == 5
+        assert integrate_moment(2, b2, b5, ctx, cfg).panels == 3
+        assert integrate_moment(2, b2, inside, ctx, cfg).panels == 4
+        assert integrate_moment(2, 0.5 * (b2 + b5), inside, ctx, cfg).panels == 3
+        assert integrate_moment(2, b5, inside, ctx, cfg).panels == 1
+        assert integral_of_e2(b5, ctx, cfg).panels == 5
+        assert integral_of_e2(inside, ctx, cfg).panels == 6
+        assert mean_square_e2(b5, ctx, cfg)[0].panels == 5
+        assert mean_square_e2(inside, ctx, cfg)[0].panels == 6
+
     def test_refinement_does_not_increase_err_bound(self, ctx):
         levels = [integrate_moment(2, 50.0, 80.0, ctx, QuadConfig(gap_fraction=g))
                   for g in (0.5, 0.25, 0.125)]
@@ -172,9 +187,36 @@ class TestErrorTerm:
 
 
 class TestSmoothedFourth:
+    # (50, 12) has T - W delta < 0: the window's part below 0 is folded onto [0, -lo]
+    WINDOWS = [(200.0, 20.0), (50.0, 12.0)]
+
     def test_gaussian_normalization_hook(self, ctx, cfg):
-        r = smoothed_fourth(200.0, 20.0, ctx, cfg, integrand_hook=lambda u: np.ones_like(u))
-        assert abs(r.value - math.erf(cfg.window_w)) < 1e-12
+        for t_center, delta in self.WINDOWS:
+            r = smoothed_fourth(t_center, delta, ctx, cfg, integrand_hook=lambda u: np.ones_like(u))
+            assert abs(r.value - math.erf(cfg.window_w)) < 1e-12, (t_center, delta)
+
+    @pytest.mark.parametrize("t_center, delta", WINDOWS + [(30.0, 8.0)])
+    def test_second_moment_hook(self, ctx, cfg, t_center, delta):
+        # int (T + delta x)^2 e^{-x^2} dx / sqrt(pi) over |x| <= W; wrong if
+        # the part u < 0 is dropped or folded without reflecting the Gaussian
+        w = cfg.window_w
+        want = t_center**2 * math.erf(w) + 0.5 * delta**2 * (
+            math.erf(w) - 2.0 * w * math.exp(-w * w) / math.sqrt(math.pi))
+        r = smoothed_fourth(t_center, delta, ctx, cfg, integrand_hook=lambda u: u * u)
+        assert abs(r.value - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("t_center, delta", WINDOWS)
+    def test_one_panel_run_per_call(self, ctx, cfg, monkeypatch, t_center, delta):
+        runs = []
+        real = PanelBatch.run
+
+        def counted(self, lefts, rights):
+            runs.append(len(lefts))
+            return real(self, lefts, rights)
+
+        monkeypatch.setattr(PanelBatch, "run", counted)
+        r = smoothed_fourth(t_center, delta, ctx, cfg)
+        assert runs == [r.panels]
 
     def test_fixture_and_fine_grid_oracle(self, ctx, cfg):
         r = smoothed_fourth(200.0, 20.0, ctx, cfg)

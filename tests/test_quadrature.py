@@ -55,6 +55,22 @@ class TestCumulativeAt:
         assert v[1] > v[0] > 0.0
 
 
+class TestMesh:
+    def test_scalar_recurrence_with_cap(self, cfg):
+        b = quadrature.mesh(3.0, 40.0, cfg, cap=0.7)
+        assert b[0] == 3.0 and b[-2] < 40.0 <= b[-1]
+        for x, y in zip(b[:-1].tolist(), b[1:].tolist()):
+            assert y == x + min(quadrature.panel_width(x, cfg), 0.7)
+        assert quadrature.mesh(5.0, 5.0, cfg).tolist() == [5.0]
+
+    def test_accumulator_bounds_are_one_mesh(self, cfg):
+        acc = MomentAccumulator(1, cfg)
+        acc.ensure(300.0)
+        acc.ensure(700.0)
+        assert acc.bounds.tolist() == quadrature.mesh(0.0, 700.0, cfg).tolist()
+        assert len(acc.bounds) == len(acc.prefix()[0])
+
+
 def loop_run(batch, lefts, rights):
     """PanelBatch.run as a per-item loop: the reference for its array form."""
     cfg = batch.cfg

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from zetalab.errors import DomainError
-from zetalab.moments import default_p4, error_term, integral_of_e2
+from zetalab.moments import error_term, integral_of_e2
 from zetalab.quadrature import PanelBatch, get_accumulator
 from zetalab.scans import SLACK_ROUNDS, _refine_zeros, e2_zero_gap_table, sign_change_scan
 

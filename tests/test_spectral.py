@@ -1,9 +1,7 @@
 """Spectral dataset handling, Hecke machinery, R factor, explicit-formula sums."""
 
 import math
-from fractions import Fraction
 
-import numpy as np
 import pytest
 from mpmath import mp, mpc
 
@@ -16,7 +14,6 @@ from zetalab.errors import (
     PoleError,
     UnknownKernel,
 )
-from zetalab.precision import PrecisionContext
 from zetalab.spectral import (
     MaassFormRecord,
     SpectralDataset,

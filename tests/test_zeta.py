@@ -1,11 +1,9 @@
 """zeta_em, chi, rs_theta and hardy_z (both evaluation routes)."""
 
-import math
-
 import mpmath
 import numpy as np
 import pytest
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpc
 
 from zetalab.errors import DomainError, PoleError, PrecisionFailure
 from zetalab.precision import PrecisionContext
