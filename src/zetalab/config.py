@@ -1,8 +1,9 @@
-"""Run configuration: quadrature policy, kernel switches, file paths.
+"""Run configuration: quadrature policy, precision, file paths.
 
 The numerically relevant subset of the configuration is hashed into a digest
 that binds checkpoints to the settings that produced them; resuming under a
-different digest is refused.
+different digest is refused.  The kernel's branch policy is not configurable:
+it enters the digest as KERNEL_VERSION.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ _NUMERIC_FIELDS = (
     "max_depth",
     "panel_rel",
     "panel_abs",
-    "t_switch",
-    "rs_terms",
     "window_w",
     "laplace_cmaj",
     "laplace_tail_abs",
@@ -36,7 +35,12 @@ _NUMERIC_FIELDS = (
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Quadrature and kernel policy shared by all moment operations."""
+    """Quadrature policy shared by all moment operations.
+
+    Every field enters the digest.  The float64 kernel (zetalab.zkernel) has
+    no fields here: its branch switch, RS corrections and error model are
+    constants of KERNEL_VERSION.
+    """
 
     nodes: int = 16              # Gauss nodes per panel; with their Kronrod nodes 2n+1 points
     gap_fraction: float = 0.5    # panel width as a fraction of the local mean zero gap
@@ -45,8 +49,6 @@ class QuadConfig:
     max_depth: int = 12
     panel_rel: float = 1e-10     # refine when |G_n - K_2n+1| exceeds these
     panel_abs: float = 1e-9
-    t_switch: float = 400.0      # kernel Euler-Maclaurin / Riemann-Siegel switch
-    rs_terms: int = 4
     window_w: float = 6.0        # Gaussian truncation in units of delta
     laplace_cmaj: float = 10.0   # disclosed majorant constant for Laplace tails
     laplace_tail_abs: float = 1e-8

@@ -1,4 +1,4 @@
-"""Log-gamma, unit-circle exponentials and helpers built on mpmath arithmetic.
+"""Log-gamma, log sin and zeta'(2), built on mpmath arithmetic.
 
 complex_log_gamma uses a Stirling asymptotic series after raising the argument
 by the recurrence log Gamma(z) = log Gamma(z+n) - sum log(z+j); the number of
@@ -10,22 +10,18 @@ arithmetic-rounding allowance.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 from mpmath import mp, mpc, mpf
 
 from .errors import PoleError, PrecisionFailure
 from .precision import PrecisionContext, ValueWithError, mag
 
-LOG_2PI_HALF_CACHE: dict[int, mpf] = {}
 
-
-def _half_log_2pi():
-    key = mp.prec
-    v = LOG_2PI_HALF_CACHE.get(key)
-    if v is None:
-        v = mp.log(2 * mp.pi) / 2
-        LOG_2PI_HALF_CACHE[key] = v
-    return v
+@cache
+def _half_log_2pi(prec: int):
+    """log(2 pi)/2 at mpmath precision prec (the caller's current mp.prec)."""
+    return mp.log(2 * mp.pi) / 2
 
 
 def _is_nonpositive_int(z: mpc) -> bool:
@@ -57,7 +53,7 @@ def complex_log_gamma(z, ctx: PrecisionContext) -> ValueWithError:
 
         # Stirling series at the raised argument.
         lw = mp.log(w)
-        result = (w - mp.mpf(1) / 2) * lw - w + _half_log_2pi()
+        result = (w - mp.mpf(1) / 2) * lw - w + _half_log_2pi(prec)
         w2 = w * w
         wpow = w
         target = mpf(2) ** (-(prec - 2))
@@ -100,24 +96,6 @@ def _stirling_remainder(w: mpc, m: int) -> mpf:
     theta = abs(mp.arg(w))
     sec = 1 / mp.cos(theta / 2)
     return abs(mp.bernoulli(2 * m)) / ((2 * m) * (2 * m - 1) * abs(w) ** (2 * m - 1)) * sec ** (2 * m)
-
-
-def e_of(x, ctx: PrecisionContext = None) -> ValueWithError:
-    """exp(2 pi i x) for real x, reduced mod 1 before evaluation."""
-    from .precision import DEFAULT_CTX
-
-    ctx = ctx or DEFAULT_CTX
-    extra = 8
-    try:
-        extra += max(0, int(abs(float(x)))).bit_length()
-    except (OverflowError, ValueError):
-        pass
-    from mpmath import workprec
-
-    with workprec(ctx.work_bits + extra):
-        y = mp.frac(mpf(x))
-        value = mp.expjpi(2 * y)
-        return ValueWithError(+mpc(value), 8.0 * ctx.eps)
 
 
 def log_sin(w: mpc):

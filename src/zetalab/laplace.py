@@ -92,7 +92,7 @@ def _grid(k, s_values, ctx, cfg, hook):
         c1 = min(c0 + CHUNK, n_max)
         t, half = panel_nodes(bounds[c0:c1], bounds[c0 + 1 : c1 + 1], n)
         if hook is None:
-            f, df = moment_integrand(t.ravel(), k, cfg.t_switch, cfg.rs_terms)
+            f, df = moment_integrand(t.ravel(), k)
             f, df = f.reshape(t.shape), df.reshape(t.shape)
         else:
             f, df = hook(t), np.zeros_like(t)

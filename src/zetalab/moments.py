@@ -183,7 +183,7 @@ def smoothed_fourth(
 
     def weighted(u):
         if integrand_hook is None:
-            f, df = moment_integrand(u, 2, cfg.t_switch, cfg.rs_terms)
+            f, df = moment_integrand(u, 2)
         else:
             f, df = integrand_hook(u), np.zeros_like(u)
         g = np.exp(-((u - t_center) / delta) ** 2)
@@ -305,7 +305,7 @@ def _e2_squared(lefts, rights, base, cum_err, poly, cfg):
     for i in range(0, len(lefts), _MEANSQ_CHUNK):
         part = slice(i, i + _MEANSQ_CHUNK)
         t, half = panel_nodes(lefts[part], rights[part], n)
-        f, _ = moment_integrand(t.ravel(), 2, cfg.t_switch, cfg.rs_terms)
+        f, _ = moment_integrand(t.ravel(), 2)
         f, b, h = f.reshape(t.shape), base[part, None], half[:, None]
         e_k = e2_at(t, f, b, h, sk)
         e_g = e2_at(t[:, 1::2], f[:, 1::2], b, h, sg)

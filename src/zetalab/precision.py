@@ -12,7 +12,7 @@ import typing
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from mpmath import mpc, workprec
+from mpmath import workprec
 
 from .errors import DomainError
 
@@ -62,12 +62,6 @@ class PrecisionContext:
 
 
 DEFAULT_CTX = PrecisionContext()
-
-
-def to_mpc(z, ctx: PrecisionContext) -> mpc:
-    """Coerce a Python/complex/mpf/mpc value to mpc at context precision."""
-    with ctx.workprec():
-        return mpc(z)
 
 
 def mag(z) -> float:

@@ -242,7 +242,7 @@ class MomentAccumulator:
         self._prefix = None
 
     def _integrand(self, ts):
-        return moment_integrand(ts, self.k, self.cfg.t_switch, self.cfg.rs_terms)
+        return moment_integrand(ts, self.k)
 
     @property
     def _batch(self):

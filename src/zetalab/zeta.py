@@ -1,34 +1,27 @@
-"""zeta(s), the chi factor, the theta phase and the Hardy Z-function.
+"""zeta(s), the chi factor, the theta phase and Hardy's Z at mp precision.
 
-Two independent evaluation routes are kept:
-  * Euler-Maclaurin summation (zeta_em), valid at any s != 1, reaching the
-    context precision; used directly for Re s > -0.5 and through the
-    functional equation otherwise.
-  * The Riemann-Siegel main sum with Chebyshev-tabulated correction terms
-    (hardy_z method="rs"), an asymptotic route whose error estimate scales
-    like (t/2pi)^(-(2K+3)/4) for K correction terms.
-hardy_z(method="auto") picks Riemann-Siegel only when its remainder estimate
-meets the requested tolerance and falls back to Euler-Maclaurin otherwise.
+One route per function, each with an error estimate within the context
+tolerances:
+  * zeta_em: Euler-Maclaurin summation with its remainder bound, valid at any
+    s != 1; used directly for Re s > -0.5 and through the functional equation
+    otherwise;
+  * rs_theta: the direct log-gamma evaluation, with the rigorous Stirling
+    remainder bound of complex_log_gamma;
+  * hardy_z: exp(i theta) zeta_em(1/2+it), whose cost grows like t (seconds at
+    t = 1e5).
+Bulk float64 evaluation for the quadrature is zetalab.zkernel; these routines
+serve the CLI's zeta command, the fixture tool and the tests.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
-from . import _rs_cheb
 from .errors import DomainError, PoleError, PrecisionFailure
 from .gammafn import complex_log_gamma, log_sin
 from .precision import PrecisionContext, ValueWithError, mag
-
-# Conservative multipliers for the Riemann-Siegel remainder model
-# |R_K| <= RS_REMAINDER_COEF[K] * (t/2pi)^(-(2K+3)/4); validated against the
-# Euler-Maclaurin route in the test suite.
-RS_REMAINDER_COEF = (0.6, 0.3, 0.2, 0.2, 0.2)
-
-DEFAULT_CROSSOVER_T = 30.0
 
 
 @dataclass(frozen=True)
@@ -117,120 +110,26 @@ def chi(s, ctx: PrecisionContext) -> ValueWithError:
         return ValueWithError(value, mag(value) * log_err)
 
 
-def _theta_series_coeffs(nmax: int):
-    """c_n = (1 - 2^(1-2n)) |B_2n| / (4n(2n-1)); theta ~ ... + sum c_n t^(1-2n)."""
-    return [
-        (1 - mpf(2) ** (1 - 2 * n)) * abs(mp.bernoulli(2 * n)) / (4 * n * (2 * n - 1))
-        for n in range(1, nmax + 1)
-    ]
-
-
-THETA_SERIES_TERMS = 20
-
-
-def rs_theta(t, ctx: PrecisionContext, method: str = "auto") -> ValueWithError:
+def rs_theta(t, ctx: PrecisionContext) -> ValueWithError:
     """Riemann-Siegel theta: Im log Gamma(1/4 + it/2) - (t/2) log pi.
 
-    method "direct" evaluates the log-gamma; "asymptotic" (t >= 2) sums
-
-        t/2 log(t/2pi) - t/2 - pi/8 + 1/2 arctan(e^(-pi t)) + sum c_n t^(1-2n).
-
-    The arctan term is exact: the reflection formula (DLMF 5.5.3) gives
-    arg Gamma(1/4+ix) - arg Gamma(3/4+ix) = -pi/4 + arctan(e^(-2 pi x)), and
-    the duplication formula turns the sum of the two args into the Stirling
-    series of arg Gamma(1/2+2ix), whose coefficients are the c_n.  Without
-    it the series is off by 7.5e-8 at t = 5.
-
-    Truncation bound: with a1 the first omitted term and a2 the second, the
-    omitted terms are charged as a geometric tail a1 / (1 - a2/a1), times 2
-    because the ratio of successive terms grows with n.  All c_n are
-    positive, and the remainder exceeds a1 (by up to 2.5x at t = 5), so a
-    bound on a1 alone is not enough.  The sum stops where this bound is
-    smallest, or small enough, and never past the smallest term (a2 >= a1).
-    No rigorous remainder constant is known here for this shifted series;
-    the bound is checked against method "direct" over t in [2, 1000] in the
-    test suite.  "auto" falls back to "direct" when the bound misses the
-    tolerance; "asymptotic" raises PrecisionFailure then.
+    Evaluated through complex_log_gamma, whose Stirling remainder bound is
+    rigorous; the error is that bound plus a rounding allowance.
     """
     tf = float(t)
     if tf <= 0:
         raise DomainError("rs_theta requires t > 0")
     with ctx.workprec():
-        t = mpf(t)
-        if method in ("auto", "asymptotic") and tf >= 2:
-            tinv2 = 1 / (t * t)
-            terms, tpow = [], t
-            for c in _theta_series_coeffs(THETA_SERIES_TERMS):
-                tpow *= tinv2
-                terms.append(c * tpow)
-            n_sum, bound = 0, mp.inf
-            for n in range(len(terms) - 1):
-                ratio = terms[n + 1] / terms[n]
-                if ratio >= 1:
-                    break
-                b = 2 * terms[n] / (1 - ratio)
-                if b < bound:
-                    n_sum, bound = n, b
-                if bound <= ctx.abs_tol * 0.01:
-                    break
-            value = t / 2 * mp.log(t / (2 * mp.pi)) - t / 2 - mp.pi / 8
-            value += mp.atan(mp.exp(-mp.pi * t)) / 2 + mp.fsum(terms[:n_sum])
-            err = float(bound) + 4 * ctx.eps * mag(value)
-            if err <= ctx.tolerance_for(mag(value)):
-                return ValueWithError(value, err)
-            if method == "asymptotic":
-                raise PrecisionFailure(
-                    "theta asymptotic series cannot reach tolerance at t=%g" % tf
-                )
-        # Fallback: direct log-gamma evaluation.
         lg, lg_err = complex_log_gamma(mpc(0.25, tf / 2), ctx)
-        value = lg.imag - t / 2 * mp.log(mp.pi)
+        value = lg.imag - mpf(t) / 2 * mp.log(mp.pi)
         return ValueWithError(value, lg_err + 4 * ctx.eps * mag(value))
 
 
-def rs_remainder_estimate(t: float, n_corr: int) -> float:
-    """Error-model bound for the Riemann-Siegel tail after n_corr corrections."""
-    k = min(n_corr, len(RS_REMAINDER_COEF) - 1)
-    a2 = t / (2 * math.pi)
-    return RS_REMAINDER_COEF[k] * a2 ** (-(2 * k + 3) / 4.0)
-
-
-def hardy_z(
-    t,
-    ctx: PrecisionContext,
-    method: str = "auto",
-    rs_terms: int = 4,
-    crossover: float = DEFAULT_CROSSOVER_T,
-) -> ValueWithError:
-    """Hardy's Z(t): real, with |Z(t)| = |zeta(1/2+it)|.
-
-    method "em" rotates the Euler-Maclaurin value of zeta(1/2+it) by
-    exp(i theta); "rs" uses the Riemann-Siegel expansion; "auto" uses "em"
-    below the crossover or whenever the "rs" remainder estimate exceeds the
-    context tolerance.
-    """
+def hardy_z(t, ctx: PrecisionContext) -> ValueWithError:
+    """Hardy's Z(t) = Re(exp(i theta) zeta_em(1/2+it)): real, |Z(t)| = |zeta(1/2+it)|."""
     tf = float(t)
     if tf < 0:
         raise DomainError("hardy_z requires t >= 0")
-    if method not in ("auto", "em", "rs"):
-        raise DomainError("unknown hardy_z method %r" % (method,))
-
-    if method == "auto":
-        if tf >= crossover and tf > 2 * math.pi * 1.01:
-            rs_err = rs_remainder_estimate(tf, rs_terms)
-            if rs_err <= ctx.abs_tol:
-                method = "rs"
-            else:
-                method = "em"
-        else:
-            method = "em"
-
-    if method == "rs":
-        return _hardy_z_rs(tf, ctx, rs_terms)
-    return _hardy_z_em(tf, ctx)
-
-
-def _hardy_z_em(tf: float, ctx: PrecisionContext) -> ValueWithError:
     with ctx.workprec():
         z, z_err = zeta_em(mpc(0.5, tf), ctx)
         if tf == 0:
@@ -240,36 +139,6 @@ def _hardy_z_em(tf: float, ctx: PrecisionContext) -> ValueWithError:
         err = z_err + th_err * mag(z) + 4 * ctx.eps * mag(w)
         # Z is real: the residual imaginary part is itself an error witness.
         return ValueWithError(w.real, err + abs(float(w.imag)))
-
-
-def _hardy_z_rs(tf: float, ctx: PrecisionContext, rs_terms: int) -> ValueWithError:
-    if tf <= 2 * math.pi:
-        raise PrecisionFailure("Riemann-Siegel main sum empty for t <= 2 pi")
-    with ctx.workprec():
-        t = mpf(tf)
-        a = mp.sqrt(t / (2 * mp.pi))
-        n_main = int(mp.floor(a))
-        p = a - n_main
-        th, th_err = rs_theta(tf, ctx)
-        acc = mp.mpf(0)
-        for n in range(1, n_main + 1):
-            acc += mp.cos(th - t * mp.log(n)) / mp.sqrt(n)
-        main = 2 * acc
-        corr = mp.mpf(0)
-        apow = mp.mpf(1)
-        n_corr = min(rs_terms, _rs_cheb.N_CORRECTIONS - 1)
-        for k in range(0, n_corr + 1):
-            corr += mpf(_rs_cheb.eval_correction(k, float(p))) / apow
-            apow *= a
-        sign = 1 if n_main % 2 == 1 else -1
-        value = main + sign * corr / mp.sqrt(a)
-        err = (
-            rs_remainder_estimate(tf, n_corr)
-            + th_err * mag(main)
-            + ctx.eps * (4 + 2 * n_main) * (1 + mag(value))
-            + 1e-14  # Chebyshev tables are float64
-        )
-        return ValueWithError(value, err)
 
 
 def zeta_sample(t, ctx: PrecisionContext) -> ZetaSample:

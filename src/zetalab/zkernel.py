@@ -3,22 +3,24 @@
 Two regimes, split at T_SWITCH:
   * t < T_SWITCH: Euler-Maclaurin with a fixed truncation (N_EM terms plus
     M_EM tail corrections), accurate to ~1e-12 absolute over that range;
-  * t >= T_SWITCH: Riemann-Siegel main sum plus the Chebyshev-tabulated
-    corrections C0..C4.
-Both return honest pointwise error-model arrays, smooth in t, that the
-quadrature layer folds into its bounds.  The theta phase uses scipy's
-complex log-gamma.
+  * t >= T_SWITCH: Riemann-Siegel main sum plus all the Chebyshev-tabulated
+    corrections C0..C4 of _rs_cheb.
+Both return pointwise error-model arrays, smooth in t, that the quadrature
+layer folds into its bounds.  The theta phase uses scipy's complex log-gamma.
+The branch policy (T_SWITCH, the corrections, RS_REMAINDER_COEF,
+EM_ROUNDING_COEF) is fixed, not configured; changing it means a new
+config.KERNEL_VERSION.  The oracle of both branches is mpmath.siegelz.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 from scipy.special import loggamma
 
 from . import _rs_cheb
-from .zeta import RS_REMAINDER_COEF
 
 T_SWITCH = 400.0
 N_EM = 160
@@ -26,6 +28,11 @@ M_EM = 18
 EM_BLOCK = 512  # points per block of zeta_half_em
 
 EM_ROUNDING_COEF = 8.0
+# Riemann-Siegel remainder after C4: |R| <= RS_REMAINDER_COEF (t/2pi)^(-11/4).
+# Validated against mpmath.siegelz by test_rs_branch_vs_mpmath (t <= 6000);
+# above t ~ 2e4 the bound under-reports, because the float64 phase rounding
+# is not charged (ROADMAP item 2).
+RS_REMAINDER_COEF = 0.2
 
 _EPS = float(np.finfo(float).eps)
 _LOG_PI = math.log(math.pi)
@@ -35,18 +42,14 @@ _TWO_PI = 2.0 * math.pi
 _NS = np.arange(1, N_EM, dtype=float)
 _LOG_NS = np.log(_NS)
 _INV_SQRT_NS = _NS ** (-0.5)
-_BERN_FACT = None  # B_{2k}/(2k)! for k = 1..M_EM, filled lazily
 
 
+@cache
 def _bern_over_fact():
-    global _BERN_FACT
-    if _BERN_FACT is None:
-        from mpmath import mp
+    """B_{2k}/(2k)! for k = 1..M_EM."""
+    from mpmath import mp
 
-        _BERN_FACT = np.array(
-            [float(mp.bernoulli(2 * k) / mp.factorial(2 * k)) for k in range(1, M_EM + 1)]
-        )
-    return _BERN_FACT
+    return np.array([float(mp.bernoulli(2 * k) / mp.factorial(2 * k)) for k in range(1, M_EM + 1)])
 
 
 def theta_fast(t: np.ndarray) -> np.ndarray:
@@ -107,7 +110,7 @@ def z_em_block(t: np.ndarray):
     return zv, err
 
 
-def z_rs_block(t: np.ndarray, n_corr: int = 4):
+def z_rs_block(t: np.ndarray):
     """(Z, err) on the Riemann-Siegel branch; requires t > 2 pi elementwise."""
     t = np.asarray(t, dtype=float)
     a = np.sqrt(t / _TWO_PI)
@@ -126,40 +129,39 @@ def z_rs_block(t: np.ndarray, n_corr: int = 4):
             out += np.cos(th - t * math.log(n)) / math.sqrt(n)
     out *= 2.0
 
-    k = min(n_corr, _rs_cheb.N_CORRECTIONS - 1)
     corr = _rs_cheb.eval_correction(0, p)
     apow = np.ones_like(a)
-    for j in range(1, k + 1):
+    for j in range(1, _rs_cheb.N_CORRECTIONS):
         apow *= a
         corr = corr + _rs_cheb.eval_correction(j, p) / apow
     sign = np.where(nmain % 2 == 1, 1.0, -1.0)
     z = out + sign * corr / np.sqrt(a)
 
     a2 = t / _TWO_PI
-    err = RS_REMAINDER_COEF[k] * a2 ** (-(2 * k + 3) / 4.0)
+    err = RS_REMAINDER_COEF * a2 ** (-11 / 4.0)
     # Rounding of each point's own nmain-term main sum, so that a point's
     # bound does not depend on the other points of the call.
     err = err + 1e-14 * (1.0 + np.sqrt(nmain)) * (1.0 + np.abs(z))
     return z, err
 
 
-def z_block(t: np.ndarray, t_switch: float = T_SWITCH, n_corr: int = 4):
+def z_block(t: np.ndarray):
     """(Z, err) over any t >= 0, dispatching between the two branches."""
     t = np.asarray(t, dtype=float)
     z = np.empty_like(t)
     err = np.empty_like(t)
-    lo = t < t_switch
+    lo = t < T_SWITCH
     if lo.any():
         z[lo], err[lo] = z_em_block(t[lo])
     hi = ~lo
     if hi.any():
-        z[hi], err[hi] = z_rs_block(t[hi], n_corr)
+        z[hi], err[hi] = z_rs_block(t[hi])
     return z, err
 
 
-def moment_integrand(t: np.ndarray, k: int, t_switch: float = T_SWITCH, n_corr: int = 4):
+def moment_integrand(t: np.ndarray, k: int):
     """(|Z|^{2k}, pointwise error) arrays for the 2k-th moment integrand."""
-    z, zerr = z_block(t, t_switch, n_corr)
+    z, zerr = z_block(t)
     z2 = z * z
     f = z2**k
     # d(Z^{2k}) = 2k |Z|^{2k-1} dZ

@@ -5,7 +5,7 @@ moment fixtures are tied to the default QuadConfig digest below, and
 all values are bit-identical only under the numeric fingerprint below.
 """
 
-QUAD_DIGEST = '3a5ddcb906fa6a3b'
+QUAD_DIGEST = '1ec07b3dd89ac4cf'
 FINGERPRINT = 'python 3.11.7; numpy 2.4.6; scipy 1.17.1; mpmath 1.3.0; simd X86_V2,X86_V3,X86_V4,AVX512_ICL,AVX512_SPR; machine x86_64; libc glibc-2.36'
 
 # oracle: mpmath tanh-sinh quadrature of siegelz^2 (30 dps), piecewise

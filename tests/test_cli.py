@@ -60,6 +60,15 @@ class TestConfig:
         assert cli.main(argv) == cli.EXIT_DATA
         assert "unknown config key 'quad.crossover_t'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["quad.t_switch", "quad.rs_terms"])
+    def test_removed_kernel_keys_are_data_errors(self, tmp_path, capsys, key):
+        # the kernel's branch policy is fixed by KERNEL_VERSION, not configured
+        conf = tmp_path / "run.conf"
+        conf.write_text(key + "=400.0\n")
+        argv = ["explore", "--table", "meansq-e2", "--T-list", "250", "--config", str(conf)]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert "unknown config key %r" % key in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["spectral_path=starter.txt", "laplace_e2_variant=printed",
                                       "l2_gamma_variant=printed"])
     def test_removed_run_keys_are_data_errors(self, tmp_path, capsys, line):

@@ -1,7 +1,8 @@
-"""No module of src/, tests/ or tools/ imports a name it never uses.
+"""No module of src/, tests/ or tools/ imports a name it never uses, and no
+top-level name of src/ goes unreferenced.
 
 __future__ imports and package __init__ files (whose imports are
-re-exports) are exempt.
+re-exports) are exempt from the first scan, dunder names from the second.
 """
 
 import ast
@@ -39,3 +40,55 @@ def test_scanner_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _identifiers(node):
+    """Every name, attribute, imported name and string constant under node."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name.split(".")[-1]
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield n.value
+
+
+def _defined(stmt):
+    """Top-level names a module statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def unreferenced_names(modules, others):
+    """(module, name) of each top-level name of modules that no statement
+    but its own definition mentions, in modules or others (path -> source)."""
+    uses, defs = {}, []
+    for path, source in {**modules, **others}.items():
+        for i, stmt in enumerate(ast.parse(source).body):
+            where = (path, i)
+            for name in _identifiers(stmt):
+                uses.setdefault(name, set()).add(where)
+            if path in modules:
+                defs += [(path, name, where) for name in _defined(stmt)]
+    return sorted(
+        (path, name) for path, name, where in defs
+        if not (name.startswith("__") and name.endswith("__")) and not uses.get(name, set()) - {where}
+    )
+
+
+def test_scanner_finds_an_unreferenced_name():
+    mod = "def used():\n    pass\n\ndef dead():\n    return dead()\n\nX = 1\n__all__ = []\n"
+    assert unreferenced_names({"m": mod}, {"t": "used()\ngetattr(m, 'X')\n"}) == [("m", "dead")]
+
+
+def test_every_top_level_src_name_is_referenced():
+    src = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
+    others = {
+        str(p.relative_to(ROOT)): p.read_text()
+        for d in ("tests", "tools", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))
+    }
+    assert unreferenced_names(src, others) == []

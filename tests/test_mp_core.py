@@ -1,4 +1,4 @@
-"""Precision contexts, log-gamma, unit exponentials, zeta'(2)."""
+"""Precision contexts, log-gamma, zeta'(2)."""
 
 import math
 
@@ -9,7 +9,7 @@ from mpmath import mp, mpc, mpf
 
 from zetalab.constants import constants_for
 from zetalab.errors import DomainError, PoleError
-from zetalab.gammafn import complex_log_gamma, e_of, zeta_prime_at_2
+from zetalab.gammafn import complex_log_gamma, zeta_prime_at_2
 from zetalab.precision import PrecisionContext
 
 
@@ -79,24 +79,6 @@ class TestComplexLogGamma:
             v, err = complex_log_gamma(z, ctx)
             ref = mpmath.loggamma(z)
             assert abs(v - ref) <= max(err, 1e-30)
-
-
-class TestEOf:
-    @pytest.mark.parametrize(
-        "x,expect",
-        [(0.0, 1 + 0j), (0.5, -1 + 0j), (2.0 / 3.0, complex(-0.5, -math.sqrt(3) / 2))],
-    )
-    def test_unit_circle_values(self, ctx, x, expect):
-        v, err = e_of(mpf(2) / 3 if x == 2.0 / 3.0 else x, ctx)
-        assert abs(complex(v) - expect) < 1e-15
-
-    def test_modulus_and_periodicity(self, ctx, rng):
-        for _ in range(50):
-            x = mpf(rng.uniform(-50, 50))
-            v, _ = e_of(x, ctx)
-            w, _ = e_of(x + 1, ctx)
-            assert abs(abs(v) - 1) <= 1e-25
-            assert abs(v - w) <= 1e-25
 
 
 class TestZetaPrimeAtTwo:

@@ -17,7 +17,7 @@ def scalar_query(acc, t, cfg):
     out = [float(p[i]) for p in acc.prefix()]
     left = acc.bounds[i]
     if t > left:
-        batch = PanelBatch(lambda u: moment_integrand(u, acc.k, cfg.t_switch, cfg.rs_terms), cfg)
+        batch = PanelBatch(lambda u: moment_integrand(u, acc.k), cfg)
         out = [o + float(d[0]) for o, d in zip(out, batch.run([left], [t]))]
     return tuple(out)
 
