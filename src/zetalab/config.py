@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .errors import DataParseError
 
-KERNEL_VERSION = "zk2"
+KERNEL_VERSION = "zk3"
 PANEL_RULE = "gauss-kronrod"  # the (2 nodes + 1)-point rule of quadrature.kronrod_rule
 
 # Fields whose value changes the numbers an integration produces.

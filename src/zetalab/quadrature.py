@@ -7,7 +7,9 @@ it.  Each panel is integrated with the n Gauss-Legendre nodes plus their n+1
 Kronrod nodes (kronrod_rule, 2n+1 kernel points); Gauss-Kronrod disagreement
 triggers bisection up to a depth cap, and the final disagreement above the
 rounding floor (kronrod_sums) plus the integrated pointwise kernel error
-model enters the reported error bound.  All reductions run in a fixed order
+model (kernel_model) enters the reported error bound.  On panels of the
+kernel's Euler-Maclaurin branch, whose model is certified, the floor also
+takes in the model's integral, so the bound does not grow under refinement.  All reductions run in a fixed order
 so reruns and checkpoint resumes are bit-identical.
 
 Bit-identity holds per numeric fingerprint (numeric_fingerprint): the same
@@ -29,7 +31,7 @@ import numpy as np
 
 from .config import QuadConfig
 from .errors import DomainError
-from .zkernel import moment_integrand
+from .zkernel import T_SWITCH, moment_integrand
 
 _TWO_PI = 2.0 * math.pi
 
@@ -135,22 +137,35 @@ def panel_nodes(a, b, n: int):
     return 0.5 * (b + a)[:, None] + half[:, None] * kronrod_rule(n)[0], half
 
 
-def kronrod_sums(half, f, n: int):
+def kronrod_sums(half, f, n: int, floor=0.0):
     """(K, G, charge) per panel for samples f at panel_nodes: the Kronrod
     value, the Gauss value of f[:, 1::2], and the discretisation charge.
 
     The charge is the part of |G - K| above the rounding bound rho =
-    gamma_{n+2} G(|f|) + gamma_{2n+3} K(|f|) of the two sums (at that floor
-    |G - K| is summation noise, growing with the panel count), plus K's own
-    share of rho.  The subscripts count the dot product's terms, the
-    half-width scaling and a factor t in f."""
+    gamma_{n+2} G(|f|) + gamma_{2n+3} K(|f|) of the two sums and the given
+    floor (at that level |G - K| is summation and kernel noise, growing with
+    the panel count), plus K's own share of rho.  The subscripts count the
+    dot product's terms, the half-width scaling and a factor t in f."""
     _, wk, wg = kronrod_rule(n)
     af = np.abs(f)
     k = half * np.sum(wk * f, axis=1)
     g = half * np.sum(wg * f[:, 1::2], axis=1)
     rho_k = _gamma(2 * n + 3) * half * np.sum(wk * af, axis=1)
     rho = _gamma(n + 2) * half * np.sum(wg * af[:, 1::2], axis=1) + rho_k
-    return k, g, np.maximum(np.abs(g - k) - rho, 0.0) + rho_k
+    return k, g, np.maximum(np.abs(g - k) - rho - floor, 0.0) + rho_k
+
+
+def kernel_model(half, df, n: int, certified):
+    """(charge, floor) per panel for the pointwise kernel error model df at
+    panel_nodes: its Kronrod integral K(df), and 0 for kronrod_sums' floor.
+
+    On certified panels (where the model is proven, so |G - K| of f up to
+    G(df) + K(df) is kernel noise) the floor is G(df) + K(df), and the
+    charge adds the model integral's own |G(df) - K(df)|."""
+    _, wk, wg = kronrod_rule(n)
+    pk = half * np.sum(wk * df, axis=1)
+    pg = half * np.sum(wg * df[:, 1::2], axis=1)
+    return np.where(certified, pk + np.abs(pg - pk), pk), np.where(certified, pg + pk, 0.0)
 
 
 def panel_width(t: float, cfg: QuadConfig) -> float:
@@ -209,16 +224,18 @@ class PanelBatch:
     def _panel_pair(self, a, b):
         """Kronrod values of f and u*f on the panels [a, b], the raw |G - K|
         of f that decides acceptance, and the error charges of f and u*f:
-        the kronrod_sums charge plus the integrated pointwise error model."""
+        the kronrod_sums charge plus the integrated pointwise error model.
+        Panels wholly at or below T_SWITCH lie on the kernel's Euler-Maclaurin
+        branch, whose model is certified (kernel_model)."""
         n = self.cfg.nodes
         t, half = panel_nodes(a, b, n)
         f, df = self.integrand(t.ravel())
         f, df = f.reshape(t.shape), df.reshape(t.shape)
-        k, g, charge = kronrod_sums(half, f, n)
-        ku, _, charge_u = kronrod_sums(half, f * t, n)
-        wk = kronrod_rule(n)[1]
-        pt = half * np.sum(wk * df, axis=1)
-        ptu = half * np.sum(wk * df * t, axis=1)
+        em = b <= T_SWITCH
+        pt, floor = kernel_model(half, df, n, em)
+        ptu, floor_u = kernel_model(half, df * t, n, em)
+        k, g, charge = kronrod_sums(half, f, n, floor)
+        ku, _, charge_u = kronrod_sums(half, f * t, n, floor_u)
         return k, ku, np.abs(g - k), charge + pt, charge_u + ptu
 
 

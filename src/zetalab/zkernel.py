@@ -1,13 +1,14 @@
 """Vectorized float64 evaluation of Hardy's Z(t) for bulk quadrature.
 
 Two regimes, split at T_SWITCH:
-  * t < T_SWITCH: Euler-Maclaurin with a fixed truncation (N_EM terms plus
-    M_EM tail corrections), accurate to ~1e-12 absolute over that range;
+  * t < T_SWITCH: Euler-Maclaurin with M_EM tail corrections and a number of
+    terms chosen per 25-wide band of t (EM_TERMS) under Backlund's remainder
+    bound, so the truncation is at most 1e-14 over that range;
   * t >= T_SWITCH: Riemann-Siegel main sum plus all the Chebyshev-tabulated
     corrections C0..C4 of _rs_cheb.
 Both return pointwise error-model arrays, smooth in t, that the quadrature
 layer folds into its bounds.  The theta phase uses scipy's complex log-gamma.
-The branch policy (T_SWITCH, the corrections, RS_REMAINDER_COEF,
+The branch policy (T_SWITCH, EM_TERMS, the corrections, RS_REMAINDER_COEF,
 EM_ROUNDING_COEF) is fixed, not configured; changing it means a new
 config.KERNEL_VERSION.  The oracle of both branches is mpmath.siegelz.
 """
@@ -23,8 +24,15 @@ from scipy.special import loggamma
 from . import _rs_cheb
 
 T_SWITCH = 400.0
-N_EM = 160
-M_EM = 18
+M_EM = 30
+EM_BAND = 25.0
+# Euler-Maclaurin terms N for t in [EM_BAND j, EM_BAND (j+1)), j = 0..15: the
+# least N at which Backlund's bound on the remainder after M_EM corrections,
+#   |R| <= |s+2M+1| / (sigma+2M+1) |B_{2M+2}/(2M+2)! (s)_{2M+1} N^(-s-2M-1)|,
+# is at most EM_TRUNCATION at the band's top t (the bound grows with t).
+# Re-derived at 30 digits by test_em_terms_from_backlund_bound.
+EM_TERMS = (11, 16, 22, 28, 34, 41, 47, 54, 60, 67, 73, 80, 86, 93, 100, 106)
+EM_TRUNCATION = 1e-14
 EM_BLOCK = 512  # points per block of zeta_half_em
 
 EM_ROUNDING_COEF = 8.0
@@ -38,10 +46,9 @@ _EPS = float(np.finfo(float).eps)
 _LOG_PI = math.log(math.pi)
 _TWO_PI = 2.0 * math.pi
 
-# Precomputed Euler-Maclaurin ingredients.
-_NS = np.arange(1, N_EM, dtype=float)
-_LOG_NS = np.log(_NS)
-_INV_SQRT_NS = _NS ** (-0.5)
+# log n and n^(-1/2) for n = 1 .. max(EM_TERMS) - 1; each band reads a prefix.
+_LOG_N = np.log(np.arange(1.0, EM_TERMS[-1]))
+_INV_SQRT_N = 1.0 / np.sqrt(np.arange(1.0, EM_TERMS[-1]))
 
 
 @cache
@@ -59,38 +66,43 @@ def theta_fast(t: np.ndarray) -> np.ndarray:
 
 
 def zeta_half_em(t: np.ndarray) -> np.ndarray:
-    """zeta(1/2 + it) by fixed-truncation Euler-Maclaurin; t below ~T_SWITCH.
+    """zeta(1/2 + it) by Euler-Maclaurin with EM_TERMS[band of t] terms; t
+    below T_SWITCH (t above it is summed with the last band's terms, whose
+    remainder bound is certified only to T_SWITCH).
 
-    Computed in blocks of EM_BLOCK points, which bounds the (points x N_EM)
-    temporaries.  It also keeps each point's value independent of the call:
-    numpy computes a product of complex temporaries over 256 KiB in place,
-    which can round differently from the out-of-place product.
+    Points are grouped by band, then computed in blocks of EM_BLOCK points.
+    The blocks bound the (points x N) temporaries and keep each point's value
+    independent of the call: numpy computes a product of complex temporaries
+    over 256 KiB in place, which can round differently from the out-of-place
+    product.
     """
     t = np.asarray(t, dtype=float)
     out = np.empty(t.shape, dtype=complex)
-    for i in range(0, t.size, EM_BLOCK):
-        out[i : i + EM_BLOCK] = _zeta_half_em_block(t[i : i + EM_BLOCK])
+    band = np.clip(t // EM_BAND, 0, len(EM_TERMS) - 1).astype(np.intp)
+    for j in np.unique(band):
+        idx = np.flatnonzero(band == j)
+        for i in range(0, idx.size, EM_BLOCK):
+            sel = idx[i : i + EM_BLOCK]
+            out[sel] = _zeta_half_em_block(t[sel], EM_TERMS[j])
     return out
 
 
-def _zeta_half_em_block(t: np.ndarray) -> np.ndarray:
+def _zeta_half_em_block(t: np.ndarray, n_terms: int) -> np.ndarray:
+    # sum_{n < N} n^(-1/2 - it) as two real sums
+    phases = np.multiply.outer(t, _LOG_N[: n_terms - 1])
+    w = _INV_SQRT_N[: n_terms - 1]
+    acc = (np.cos(phases) * w).sum(axis=1) - 1j * (np.sin(phases) * w).sum(axis=1)
+
     s = 0.5 + 1j * t
-    phases = np.multiply.outer(t, _LOG_NS)
-    acc = (_INV_SQRT_NS * np.exp(-1j * phases)).sum(axis=1)
-
-    n = float(N_EM)
+    n = float(n_terms)
     npow_s = np.exp(-s * math.log(n))          # N^{-s}
-    acc += npow_s * n / (s - 1) + 0.5 * npow_s
-
-    bf = _bern_over_fact()
-    poch = s.copy()
-    npow = npow_s / n                          # N^{-s-1}
-    ninv2 = 1.0 / (n * n)
-    for k in range(1, M_EM + 1):
-        acc += bf[k - 1] * poch * npow
-        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
-        npow = npow * ninv2
-    return acc
+    # sum_k B_2k/(2k)! (s)_{2k-1} N^{-s-2k+1} = N^{-s-1} s sum_k c_k prod_{j<k} q_j
+    # with c_k = B_2k/(2k)! N^{-2k+2} and q_j = (s+2j-1)(s+2j), by Horner
+    c = _bern_over_fact() * n ** (-2.0 * np.arange(M_EM))
+    corr = c[-1]
+    for k in range(M_EM - 1, 0, -1):
+        corr = c[k - 1] + corr * ((s + (2 * k - 1)) * (s + 2 * k))
+    return acc + npow_s * (n / (s - 1) + 0.5 + s * corr / n)
 
 
 def z_em_block(t: np.ndarray):
@@ -99,9 +111,10 @@ def z_em_block(t: np.ndarray):
     z = zeta_half_em(t)
     w = np.exp(1j * theta_fast(t)) * z
     zv = w.real
-    # Truncation is < 1e-13 for t <= 450 (checked against mpmath).  The
-    # float64 phases theta(t) and t log n carry absolute errors of order
-    # eps t, which rotate the sum: charged as EM_ROUNDING_COEF eps t (1 + |Z|).
+    # Truncation is at most EM_TRUNCATION below T_SWITCH (Backlund's bound,
+    # see EM_TERMS).  The float64 phases theta(t) and t log n carry absolute
+    # errors of order eps t, which rotate the sum: charged as
+    # EM_ROUNDING_COEF eps t (1 + |Z|).
     # This dominates the residual imaginary part |Im w| (a direct witness of
     # that rounding, at most 5.6 eps t (1 + |Z|) on a 0.002 grid over
     # [10, 400], below 1.4e-14 under t = 10), and unlike the witness it is

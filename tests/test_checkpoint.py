@@ -34,8 +34,9 @@ class TestCheckpointFile:
         # b4d5fb7713ea0486 is the default digest of the n/2n Gauss-Legendre
         # panel pair, before the panel rule entered the digest; 3a5ddcb906fa6a3b
         # that of the Gauss-Kronrod rule while QuadConfig still carried the
-        # kernel's t_switch and rs_terms
-        for old in ("b4d5fb7713ea0486", "3a5ddcb906fa6a3b"):
+        # kernel's t_switch and rs_terms; 1ec07b3dd89ac4cf that of kernel zk2,
+        # whose Euler-Maclaurin branch summed a fixed 160 terms
+        for old in ("b4d5fb7713ea0486", "3a5ddcb906fa6a3b", "1ec07b3dd89ac4cf"):
             path = tmp_path / ("cp-%s.txt" % old)
             extend_checkpoint(str(path), 1, 200.0, cfg)
             path.write_text(path.read_text().replace(cfg.digest(), old))

@@ -15,6 +15,32 @@ class TestKernelAccuracy:
             ref = float(mpmath.siegelz(t))
             assert abs(zi - ref) <= ei
 
+    def test_em_branch_vs_mpmath_at_band_edges(self):
+        # each band's lowest t and its highest, where its truncation is tightest
+        edges = zkernel.EM_BAND * np.arange(len(zkernel.EM_TERMS) + 1)
+        ts = np.concatenate([edges[:-1], np.nextafter(edges[1:], 0.0)])
+        z, err = zkernel.z_em_block(ts)
+        with mpmath.workprec(80):
+            for t, zi, ei in zip(ts, z, err):
+                assert abs(zi - float(mpmath.siegelz(t))) <= ei, t
+
+    def test_em_terms_from_backlund_bound(self):
+        # Backlund (1918): after M corrections the Euler-Maclaurin remainder is
+        # at most |s+2M+1|/(sigma+2M+1) times the first omitted term's modulus
+        m = zkernel.M_EM
+
+        def bound(t, n):
+            s = mpmath.mpc(0.5, t)
+            term = (mpmath.bernoulli(2 * m + 2) / mpmath.factorial(2 * m + 2)
+                    * mpmath.rf(s, 2 * m + 1) * mpmath.mpf(n) ** (-s - 2 * m - 1))
+            return abs(s + 2 * m + 1) / (s.real + 2 * m + 1) * abs(term)
+
+        assert zkernel.EM_BAND * len(zkernel.EM_TERMS) == zkernel.T_SWITCH
+        with mpmath.workdps(30):
+            for j, n in enumerate(zkernel.EM_TERMS):
+                top = zkernel.EM_BAND * (j + 1)
+                assert bound(top, n) <= zkernel.EM_TRUNCATION < bound(top, n - 1), (top, n)
+
     def test_rs_branch_vs_mpmath(self, rng):
         mpmath.mp.prec = 80
         ts = np.sort(rng.uniform(401.0, 6000.0, 30))
@@ -44,7 +70,11 @@ class TestKernelAccuracy:
             assert (zj[0], ej[0]) == (z[j], err[j]), t
 
     def test_em_point_independent_of_the_call(self, rng):
-        ts = rng.uniform(0.0, 400.0, 2 * zkernel.EM_BLOCK + 37)   # three blocks
+        # two blocks in each of the bands [75, 100) and [100, 125), t in every
+        # band, and t on both sides of a band edge
+        ts = np.concatenate([rng.uniform(75.0, 125.0, 2 * zkernel.EM_BLOCK + 37),
+                             rng.uniform(0.0, 400.0, 64), np.nextafter(100.0, [0.0, 200.0])])
+        rng.shuffle(ts)
         z, err = zkernel.z_em_block(ts)
         zeta = zkernel.zeta_half_em(ts)
         for j, t in enumerate(ts):

@@ -148,11 +148,15 @@ class TestIntegrateMoment:
         assert mean_square_e2(inside, ctx, cfg)[0].panels == 6
 
     def test_refinement_does_not_increase_err_bound(self, ctx):
-        levels = [integrate_moment(2, 50.0, 80.0, ctx, QuadConfig(gap_fraction=g))
-                  for g in (0.5, 0.25, 0.125)]
-        for rc, rf in zip(levels, levels[1:]):
-            assert rf.err_bound <= rc.err_bound * (1 + 1e-9)
-            assert abs(rf.value - rc.value) <= rf.err_bound + rc.err_bound
+        # windows on the kernel's Euler-Maclaurin branch, whose error model is
+        # certified; above T_SWITCH the bound still rises (ROADMAP item 2)
+        for a, b in ((10.0, 30.0), (30.0, 45.0), (50.0, 80.0),
+                     (100.0, 140.0), (200.0, 260.0), (360.0, 399.0)):
+            levels = [integrate_moment(2, a, b, ctx, QuadConfig(gap_fraction=g))
+                      for g in (0.5, 0.25, 0.125)]
+            for rc, rf in zip(levels, levels[1:]):
+                assert rf.err_bound <= rc.err_bound * (1 + 1e-9), (a, b)
+                assert abs(rf.value - rc.value) <= rf.err_bound + rc.err_bound, (a, b)
 
 
 class TestErrorTerm:

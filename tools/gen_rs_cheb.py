@@ -4,8 +4,11 @@
 C_k(p) are combinations of derivatives of
     Psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p)
 on p in [0, 1].  Derivatives are taken symbolically with sympy and evaluated
-with mpmath at 60 digits on a Chebyshev grid; the resulting coefficients are
-written to src/zetalab/_rs_cheb.py.  Run from the repository root:
+with mpmath at 60 digits on a Chebyshev grid in u = 2p - 1.  C_k has parity
+(-1)^k in u, so every other coefficient is zero; the series is rewritten in
+v = 2u^2 - 1 (times u for odd k), which halves its length, and the resulting
+coefficients are written to src/zetalab/_rs_cheb.py.  Run from the repository
+root:
 
     python3 tools/gen_rs_cheb.py
 """
@@ -54,24 +57,45 @@ def cheb_coeffs(fn, m, degree):
     return coeffs
 
 
+def v_series(c, k):
+    """The Chebyshev series c in u of C_k as one in v = 2u^2 - 1.
+
+    Even k: T_2j(u) = T_j(v), so the c_2j are kept.  Odd k: the sum of
+    c_{2j+1} T_{2j+1}(u) is u sum_i d_i T_i(v), since T_{2j+1}(u) = u q_j(v)
+    with q_0 = T_0 and q_j = 2 T_j - q_{j-1} (from the three-term recurrence
+    and 2u^2 = 1 + v).
+    """
+    if k % 2 == 0:
+        return c[0::2]
+    odd = c[1::2]
+    d = [mp.mpf(0)] * len(odd)
+    q = []
+    for j, cj in enumerate(odd):
+        q = [-x for x in q] + [mp.mpf(2) if j else mp.mpf(1)]
+        for i, qi in enumerate(q):
+            d[i] += cj * qi
+    return d
+
+
 def main():
     mp.dps = 60
     tables = []
     for k, expr in enumerate(C_EXPRS):
         fn = sp.lambdify(P, expr, modules="mpmath")
-        coeffs = cheb_coeffs(fn, M_NODES, DEGREE)
+        coeffs = v_series(cheb_coeffs(fn, M_NODES, DEGREE), k)
         # Trim trailing coefficients below float64 noise.
         cut = len(coeffs)
-        while cut > 8 and abs(coeffs[cut - 1]) < mpmath.mpf("1e-19"):
+        while cut > 4 and abs(coeffs[cut - 1]) < mpmath.mpf("1e-19"):
             cut -= 1
         tables.append([float(c) for c in coeffs[:cut]])
         print("C%d: %d coefficients, tail %.2e" % (k, cut, abs(coeffs[cut - 1])))
 
     out = pathlib.Path(__file__).resolve().parents[1] / "src" / "zetalab" / "_rs_cheb.py"
     with open(out, "w") as f:
-        f.write('"""Chebyshev coefficients (on p in [0,1]) for the Riemann-Siegel\n')
-        f.write("correction terms C0..C4.  Generated by tools/gen_rs_cheb.py; do not\n")
-        f.write('edit by hand."""\n\n')
+        f.write('"""Chebyshev coefficients for the Riemann-Siegel correction terms\n')
+        f.write("C0..C4 on p in [0, 1], in v = 2u^2 - 1 with u = 2p - 1: C_k is the\n")
+        f.write("series in v for even k and u times it for odd k.  Generated by\n")
+        f.write('tools/gen_rs_cheb.py; do not edit by hand."""\n\n')
         f.write("import numpy as np\n")
         f.write("from numpy.polynomial import chebyshev as _cheb\n\n")
         f.write("N_CORRECTIONS = %d\n\n" % len(tables))
@@ -85,7 +109,9 @@ def main():
         f.write("def eval_correction(k, p):\n")
         f.write('    """C_k at p (scalar or ndarray), p in [0, 1]."""\n')
         f.write("    u = 2.0 * np.asarray(p, dtype=float) - 1.0\n")
-        f.write("    out = _cheb.chebval(u, COEFFS[k])\n")
+        f.write("    out = _cheb.chebval(2.0 * u * u - 1.0, COEFFS[k])\n")
+        f.write("    if k % 2:\n")
+        f.write("        out = u * out\n")
         f.write("    return out if out.ndim else float(out)\n")
     print("wrote", out)
 
