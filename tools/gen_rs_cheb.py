@@ -108,10 +108,14 @@ def main():
         f.write(")\n\n\n")
         f.write("def eval_correction(k, p):\n")
         f.write('    """C_k at p (scalar or ndarray), p in [0, 1]."""\n')
-        f.write("    u = 2.0 * np.asarray(p, dtype=float) - 1.0\n")
-        f.write("    out = _cheb.chebval(2.0 * u * u - 1.0, COEFFS[k])\n")
+        f.write("    p = np.asarray(p, dtype=float)\n")
+        f.write("    v = 2.0 * p - 1.0\n")
+        f.write("    v *= v\n")
+        f.write("    v *= 2.0\n")
+        f.write("    v -= 1.0\n")
+        f.write("    out = _cheb.chebval(v, COEFFS[k])\n")
         f.write("    if k % 2:\n")
-        f.write("        out = u * out\n")
+        f.write("        out *= 2.0 * p - 1.0\n")
         f.write("    return out if out.ndim else float(out)\n")
     print("wrote", out)
 
