@@ -9,8 +9,9 @@ triggers bisection up to a depth cap, and the final disagreement above the
 rounding floor (kronrod_sums) plus the integrated pointwise kernel error
 model (kernel_model) enters the reported error bound.  On panels of the
 kernel's Euler-Maclaurin branch, whose model is certified, the floor also
-takes in the model's integral, so the bound does not grow under refinement.  All reductions run in a fixed order
-so reruns and checkpoint resumes are bit-identical.
+takes in the model's integral, so the bound does not grow under refinement.
+All reductions run in a fixed order so reruns and checkpoint resumes are
+bit-identical.
 
 Bit-identity holds per numeric fingerprint (numeric_fingerprint): the same
 numpy, scipy, mpmath and Python versions, the same SIMD features numpy
