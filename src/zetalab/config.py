@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, fields, replace
 from .errors import DataParseError
 
 KERNEL_VERSION = "zk3"
-PANEL_RULE = "gauss-kronrod"  # the (2 nodes + 1)-point rule of quadrature.kronrod_rule
+# the (2 nodes + 1)-point rule of quadrature.kronrod_rule on panels two mesh cells wide
+PANEL_RULE = "gauss-kronrod/2-cell"
 
 # Fields whose value changes the numbers an integration produces.
 _NUMERIC_FIELDS = (
@@ -43,7 +44,8 @@ class QuadConfig:
     """
 
     nodes: int = 16              # Gauss nodes per panel; with their Kronrod nodes 2n+1 points
-    gap_fraction: float = 0.5    # panel width as a fraction of the local mean zero gap
+    gap_fraction: float = 0.5    # cell width as a fraction of the local mean zero gap;
+                                 # a quadrature panel spans two cells
     w_min: float = 0.05
     w_max: float = 2.0
     max_depth: int = 12

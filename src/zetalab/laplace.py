@@ -3,7 +3,7 @@ small-sigma expansions they are compared against (Kober for k=1, the
 quartic-log main term for k=2, the Laplace transform of d(T P4(log T))).
 
 Evaluation streams over the shared deterministic panel mesh
-(quadrature.mesh) in fixed-size chunks, so a whole sigma grid costs one
+(quadrature.panel_mesh) in fixed-size chunks, so a whole sigma grid costs one
 kernel pass; per-sigma totals only use panels inside that sigma's own
 truncation range, making each value independent of how calls are batched.
 laplace_moment's integrand_hook replaces |zeta|^{2k} in that same pass.
@@ -23,7 +23,7 @@ from .constants import constants_for
 from .errors import DomainError
 from .moments import default_p4
 from .precision import DEFAULT_CTX, PrecisionContext
-from .quadrature import IntegralResult, kronrod_rule, kronrod_sums, mesh, panel_nodes
+from .quadrature import IntegralResult, kronrod_rule, kronrod_sums, panel_mesh, panel_nodes
 from .zkernel import moment_integrand
 
 CHUNK = 1024
@@ -74,9 +74,9 @@ def _grid(k, s_values, ctx, cfg, hook):
             raise DomainError("invalid-argument: |arg s| must be < pi/2")
     tol = max(cfg.laplace_tail_abs, ctx.abs_tol)
 
-    # Deterministic mesh from 0; per-s panel counts, then global bound.
+    # Deterministic panels from 0; per-s panel counts, then global bound.
     x_needed = [_truncation_x(k, s.real, cfg, tol) for s in ss]
-    bounds = mesh(0.0, max(x_needed), cfg)
+    bounds = panel_mesh(0.0, max(x_needed), cfg)
     n_use = [
         min(max(int(np.searchsorted(bounds, x, side="left")), 1), len(bounds) - 1)
         for x in x_needed

@@ -27,7 +27,7 @@ from .quadrature import (
     get_accumulator,
     integration_matrix,
     kronrod_rule,
-    mesh,
+    panel_mesh,
     panel_nodes,
 )
 from .zkernel import moment_integrand
@@ -168,7 +168,7 @@ def smoothed_fourth(
     """Gaussian-smoothed local fourth moment
     (1/(delta sqrt(pi))) int |zeta(1/2 + i(T+t))|^4 exp(-t^2/delta^2) dt,
     truncated at |t| <= W delta with the tail folded into the error bound.
-    One panel run on quadrature.mesh over [max(T - W delta, 0), T + W delta];
+    One panel run on quadrature.panel_mesh over [max(T - W delta, 0), T + W delta];
     a window part below 0 is folded onto [0, W delta - T] (|zeta| is even)."""
     if t_center <= 1.0 or math.log(t_center) <= 0:
         raise DomainError("invalid-delta: smoothing requires T > 1")
@@ -192,7 +192,7 @@ def smoothed_fourth(
             g = g + np.where(u <= -lo, np.exp(-((u + t_center) / delta) ** 2), 0.0)
         return f * g * inv, df * g * inv
 
-    bounds = mesh(max(lo, 0.0), hi, cfg, cap=delta / 6.0)
+    bounds = panel_mesh(max(lo, 0.0), hi, cfg, cap=delta / 6.0)
     val, _, err, _ = PanelBatch(weighted, cfg).run(bounds[:-1], bounds[1:])
 
     # Truncation: |zeta|^4 majorized by cmaj (1 + log^4) near the window.
@@ -265,8 +265,11 @@ def mean_square_e2(
     snaps = np.array(sorted(set(list(snapshots or []) + [t_upper])), dtype=float)
     if snaps[0] <= 0 or snaps[-1] > t_upper:
         raise DomainError("snapshots must lie in (0, T]")
-    bs, pv, _, pe = get_accumulator(2, cfg).boundary_grid(0.0, t_upper)
-    n_panels = len(bs) - 1
+    acc = get_accumulator(2, cfg)
+    acc.ensure(t_upper)
+    n_panels = acc.n_panels_to(t_upper)
+    bs = acc.bounds[: n_panels + 1]
+    pv, _, pe, _ = (q[: n_panels + 1] for q in acc.prefix())
     at = np.searchsorted(bs, snaps, side="right") - 1
     inside = np.nonzero(snaps > bs[at])[0]
     val, err = _e2_squared(

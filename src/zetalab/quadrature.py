@@ -1,11 +1,13 @@
 """Panel Gauss-Kronrod quadrature on one mesh tuned to the zero-gap scale of Z(t).
 
-mesh is the one panel mesh: boundaries from t0 with width a configured
-fraction of the local mean zero gap 2 pi / log(t/2pi), optionally capped;
-the accumulators, the Laplace grid and the smoothed moment all integrate on
-it.  Each panel is integrated with the n Gauss-Legendre nodes plus their n+1
-Kronrod nodes (kronrod_rule, 2n+1 kernel points); Gauss-Kronrod disagreement
-triggers bisection up to a depth cap, and the final disagreement above the
+mesh is the one cell mesh: boundaries from t0 with width a configured
+fraction of the local mean zero gap 2 pi / log(t/2pi), optionally capped.
+A quadrature panel spans two consecutive cells (panel_mesh): the
+accumulators, the Laplace grid and the smoothed moment all integrate on
+such panels, and the scans sample every cell boundary.  Each panel is
+integrated with the n Gauss-Legendre nodes plus their n+1 Kronrod nodes
+(kronrod_rule, 2n+1 kernel points); Gauss-Kronrod disagreement triggers
+bisection up to a depth cap, and the final disagreement above the
 rounding floor (kronrod_sums) plus the integrated pointwise kernel error
 model (kernel_model) enters the reported error bound.  On panels of the
 kernel's Euler-Maclaurin branch, whose model is certified, the floor also
@@ -175,14 +177,30 @@ def panel_width(t: float, cfg: QuadConfig) -> float:
 
 
 def mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf):
-    """Panel boundaries t0 = b_0 < ... < b_m, the first b_m >= t1, by the
-    scalar recurrence b_{i+1} = b_i + min(panel_width(b_i), cap)."""
+    """Cell boundaries t0 = b_0 < ... < b_m, the first b_m >= t1, by the
+    scalar recurrence b_{i+1} = b_i + min(panel_width(b_i), cap).
+
+    A cell is cfg.gap_fraction of the local mean zero gap wide; the scans
+    sample every cell boundary, and a quadrature panel spans two cells
+    (panel_mesh)."""
     out = [t0]
     t = t0
     while t < t1:
         t += min(panel_width(t, cfg), cap)
         out.append(t)
     return np.array(out)
+
+
+def panel_mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf):
+    """Panel boundaries: every other boundary of mesh(t0, t1, cfg, cap),
+    with one more cell (the same recurrence step) when the cell count is
+    odd.  So the last boundary is >= t1, and panels laid from a panel
+    boundary continue the same two-cell grid."""
+    cells = mesh(t0, t1, cfg, cap)
+    if len(cells) % 2 == 0:
+        t = float(cells[-1])
+        cells = np.append(cells, t + min(panel_width(t, cfg), cap))
+    return cells[::2]
 
 
 class PanelBatch:
@@ -243,11 +261,12 @@ class PanelBatch:
 class MomentAccumulator:
     """Cumulative integrals of |Z(t)|^{2k} (and t |Z|^{2k}) over a shared mesh.
 
-    The mesh boundaries and the per-panel values, errors and their
-    u-weighted twins are numpy arrays, grown once per ensure; prefix sums are
-    a plain left fold, so cumulative values at mesh boundaries are
-    independent of how far previous runs integrated -- the property
-    checkpoint resume relies on.
+    The panel boundaries (bounds, every other cell boundary of mesh from 0,
+    see panel_mesh) and the per-panel values, errors and their u-weighted
+    twins are numpy arrays, grown once per ensure; prefix sums are a plain
+    left fold, so cumulative values at panel boundaries are independent of
+    how far previous runs integrated -- the property checkpoint resume
+    relies on.
     """
 
     CHUNK = 512
@@ -272,7 +291,7 @@ class MomentAccumulator:
     def ensure(self, t_target: float):
         if t_target <= self.bounds[-1]:
             return
-        new = mesh(float(self.bounds[-1]), t_target, self.cfg)
+        new = panel_mesh(float(self.bounds[-1]), t_target, self.cfg)
         lefts, rights = new[:-1], new[1:]
         parts = [self._batch.run(lefts[i : i + self.CHUNK], rights[i : i + self.CHUNK])
                  for i in range(0, len(lefts), self.CHUNK)]
@@ -343,11 +362,23 @@ class MomentAccumulator:
         return value, math.fsum(errs) + math.ulp(value)
 
     def boundary_grid(self, t0: float, t1: float):
-        """Mesh boundaries in [t0, t1] with cumulative values and error bounds."""
+        """Cell boundaries in [t0, t1] with cumulative values and error bounds.
+
+        Panel boundaries read the prefix sums; the cell boundary inside each
+        panel is read through cumulative_at, CHUNK panels at a time, so every
+        value is the one cumulative_to returns at that t.
+        """
         self.ensure(t1)
-        lo, hi = int(np.searchsorted(self.bounds, t0)), self.n_panels_to(t1) + 1
+        i, j = self.n_panels_to(t0), int(np.searchsorted(self.bounds, t1))
+        cells = mesh(float(self.bounds[i]), float(self.bounds[j]), self.cfg)
         pv, pu, pe, _ = self.prefix()
-        return self.bounds[lo:hi], pv[lo:hi], pu[lo:hi], pe[lo:hi]
+        v, vu, e = (np.empty(len(cells)) for _ in range(3))
+        v[::2], vu[::2], e[::2] = pv[i : j + 1], pu[i : j + 1], pe[i : j + 1]
+        for c in range(1, len(cells), 2 * self.CHUNK):
+            part = slice(c, c + 2 * self.CHUNK, 2)
+            v[part], vu[part], e[part], _ = self.cumulative_at(cells[part])
+        keep = (cells >= t0) & (cells <= t1)
+        return cells[keep], v[keep], vu[keep], e[keep]
 
 
 _ACCUMULATORS: dict = {}

@@ -1,12 +1,13 @@
 """Sign-change and exceedance scans for E1, E2 and the integral of E2.
 
-Values are sampled on the panel-boundary grid (spacing about half the local
-zero gap).  Each sign change between adjacent samples is refined on the
-function itself, re-integrated at every probe, never interpolated: all of
-a scan's brackets are refined together by Anderson-Bjorck regula falsi with
-bisection as the fallback, one batched cumulative query per round.  A
-crossing is the midpoint of a sign-change bracket of width at most
-1e-10 max(1, t), or an exact zero.
+Values are sampled on the cell boundaries of quadrature.mesh (spacing about
+half the local zero gap; a quadrature panel spans two cells, and the cell
+boundary inside it is read as a partial-panel integral).  Each sign change
+between adjacent samples is refined on the function itself, re-integrated
+at every probe, never interpolated: all of a scan's brackets are refined
+together by Anderson-Bjorck regula falsi with bisection as the fallback,
+one batched cumulative query per round.  A crossing is the midpoint of a
+sign-change bracket of width at most 1e-10 max(1, t), or an exact zero.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def sign_change_scan(
 ) -> SignChangeReport:
     """Scan [t0, t1] for +/- A t^e exceedances and sign changes.
 
-    Exceedances are read on the mesh-boundary grid.  Each sign change
+    Exceedances are read on the cell-boundary grid.  Each sign change
     between adjacent grid points is reported as the midpoint of a bracket
     [lo, hi] with width at most 1e-10 max(1, lo) whose ends have opposite
     signs, or as an exact zero.  Each round is one batched cumulative query

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import loggamma
 
 from . import _rs_cheb
+from .errors import DomainError
 
 T_SWITCH = 400.0
 M_EM = 30
@@ -49,14 +50,19 @@ _TWO_PI = 2.0 * math.pi
 # log n and n^(-1/2) for n = 1 .. max(EM_TERMS) - 1; each band reads a prefix.
 _LOG_N = np.log(np.arange(1.0, EM_TERMS[-1]))
 _INV_SQRT_N = 1.0 / np.sqrt(np.arange(1.0, EM_TERMS[-1]))
+# N and log N (math.log) per band, for the Euler-Maclaurin tail.
+_EM_N = np.array(EM_TERMS, dtype=float)
+_EM_LOG_N = np.array([math.log(n) for n in EM_TERMS])
 
 
 @cache
-def _bern_over_fact():
-    """B_{2k}/(2k)! for k = 1..M_EM."""
+def _em_coeffs():
+    """c_k = B_2k/(2k)! N^(-2k+2) for k = 1..M_EM (rows) and each band's N (columns)."""
     from mpmath import mp
 
-    return np.array([float(mp.bernoulli(2 * k) / mp.factorial(2 * k)) for k in range(1, M_EM + 1)])
+    b = np.array([float(mp.bernoulli(2 * k) / mp.factorial(2 * k)) for k in range(1, M_EM + 1)])
+    c = np.array([b * float(n) ** (-2.0 * np.arange(M_EM)) for n in EM_TERMS])
+    return np.ascontiguousarray(c.T)
 
 
 def theta_fast(t: np.ndarray) -> np.ndarray:
@@ -66,47 +72,59 @@ def theta_fast(t: np.ndarray) -> np.ndarray:
 
 
 def zeta_half_em(t: np.ndarray) -> np.ndarray:
-    """zeta(1/2 + it) by Euler-Maclaurin with EM_TERMS[band of t] terms; t
-    below T_SWITCH (t above it is summed with the last band's terms, whose
-    remainder bound is certified only to T_SWITCH).
+    """zeta(1/2 + it) by Euler-Maclaurin with EM_TERMS[band of t] terms, for
+    t < T_SWITCH (t below 0 takes the first band's terms).
 
-    Points are grouped by band, then computed in blocks of EM_BLOCK points.
-    The blocks bound the (points x N) temporaries and keep each point's value
-    independent of the call: numpy computes a product of complex temporaries
-    over 256 KiB in place, which can round differently from the out-of-place
-    product.
+    The Dirichlet sums run per band, in blocks of EM_BLOCK points; the
+    Bernoulli tail runs once per EM_BLOCK points of the call, each point
+    with its own band's N and coefficients.  The blocks bound the temporaries
+    and keep each point's value independent of the call: numpy computes a
+    product of temporaries over 256 KiB in place, which can round
+    differently from the out-of-place product.
     """
     t = np.asarray(t, dtype=float)
+    if t.size and not t.max() < T_SWITCH:
+        raise DomainError(
+            "the Euler-Maclaurin branch is certified only for t < T_SWITCH = %g: above it"
+            " Backlund's bound for N = %d outgrows the error model's 1e-12 floor"
+            " (1.1e-11 at t = 450)" % (T_SWITCH, EM_TERMS[-1]))
     out = np.empty(t.shape, dtype=complex)
-    band = np.clip(t // EM_BAND, 0, len(EM_TERMS) - 1).astype(np.intp)
+    band = np.maximum(t // EM_BAND, 0).astype(np.intp)
     for j in np.unique(band):
         idx = np.flatnonzero(band == j)
         for i in range(0, idx.size, EM_BLOCK):
             sel = idx[i : i + EM_BLOCK]
-            out[sel] = _zeta_half_em_block(t[sel], EM_TERMS[j])
+            out[sel] = _dirichlet_block(t[sel], EM_TERMS[j])
+    for i in range(0, t.size, EM_BLOCK):
+        sel = slice(i, i + EM_BLOCK)
+        out[sel] += _em_tail(t[sel], band[sel])
     return out
 
 
-def _zeta_half_em_block(t: np.ndarray, n_terms: int) -> np.ndarray:
-    # sum_{n < N} n^(-1/2 - it) as two real sums
+def _dirichlet_block(t: np.ndarray, n_terms: int) -> np.ndarray:
+    """sum_{n < N} n^(-1/2 - it) as two real sums."""
     phases = np.multiply.outer(t, _LOG_N[: n_terms - 1])
     w = _INV_SQRT_N[: n_terms - 1]
-    acc = (np.cos(phases) * w).sum(axis=1) - 1j * (np.sin(phases) * w).sum(axis=1)
+    return (np.cos(phases) * w).sum(axis=1) - 1j * (np.sin(phases) * w).sum(axis=1)
 
+
+def _em_tail(t: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """N^{1-s}/(s-1) + N^{-s}/2 + the M_EM Bernoulli corrections, with N
+    the EM_TERMS entry of each point's band."""
     s = 0.5 + 1j * t
-    n = float(n_terms)
-    npow_s = np.exp(-s * math.log(n))          # N^{-s}
+    n = _EM_N[band]
+    npow_s = np.exp(-s * _EM_LOG_N[band])    # N^{-s}
     # sum_k B_2k/(2k)! (s)_{2k-1} N^{-s-2k+1} = N^{-s-1} s sum_k c_k prod_{j<k} q_j
     # with c_k = B_2k/(2k)! N^{-2k+2} and q_j = (s+2j-1)(s+2j), by Horner
-    c = _bern_over_fact() * n ** (-2.0 * np.arange(M_EM))
+    c = _em_coeffs()[:, band]
     corr = c[-1]
     for k in range(M_EM - 1, 0, -1):
         corr = c[k - 1] + corr * ((s + (2 * k - 1)) * (s + 2 * k))
-    return acc + npow_s * (n / (s - 1) + 0.5 + s * corr / n)
+    return npow_s * (n / (s - 1) + 0.5 + s * corr / n)
 
 
 def z_em_block(t: np.ndarray):
-    """(Z, err) on the Euler-Maclaurin branch."""
+    """(Z, err) on the Euler-Maclaurin branch; DomainError for t >= T_SWITCH."""
     t = np.asarray(t, dtype=float)
     z = zeta_half_em(t)
     w = np.exp(1j * theta_fast(t)) * z

@@ -5,37 +5,37 @@ moment fixtures are tied to the default QuadConfig digest below, and
 all values are bit-identical only under the numeric fingerprint below.
 """
 
-QUAD_DIGEST = 'ddd102d5a58bab53'
+QUAD_DIGEST = 'd530efdc928fae25'
 FINGERPRINT = 'python 3.11.7; numpy 2.4.6; scipy 1.17.1; mpmath 1.3.0; simd X86_V2,X86_V3,X86_V4,AVX512_ICL,AVX512_SPR; machine x86_64; libc glibc-2.36'
 
 # oracle: mpmath tanh-sinh quadrature of siegelz^2 (30 dps), piecewise
-MOMENT1_0_100 = 295.63509905471926
+MOMENT1_0_100 = 295.6350990547195
 MOMENT1_0_100_ORACLE = 295.63509905471915
 
 # oracle: mpmath tanh-sinh quadrature of siegelz^4 (26 dps), piecewise
-MOMENT2_0_500 = 42393.15299125798
+MOMENT2_0_500 = 42393.15299125816
 MOMENT2_0_500_ORACLE = 42393.1529936112
 
 # oracle: cumulative grid of the k=1 accumulator (window-validated
 # against mpmath); ratio over the boundary grid on [10, 5000]
-E1_AT_1000 = -11.801779108710434
-E1_RATIO_MAX_10_5000 = 7.58655365480545
+E1_AT_1000 = -11.801779108742267
+E1_RATIO_MAX_10_5000 = 7.586553654812956
 
 # E2 uses the package's P4: closed-form a4, a3, derived constants.P4_LOWER
-E2_AT_2000 = -1011.335870456358
-E2_RATIO_MAX_500_5000 = 63.53162174026401
+E2_AT_2000 = -1011.3358704550774
+E2_RATIO_MAX_500_5000 = 63.53162174032873
 
 # oracle: trapezoid on a 0.002-step grid over |t| <= 8 delta
-SMOOTHED_200_20 = 78.99697923833774
+SMOOTHED_200_20 = 78.9969792383367
 SMOOTHED_200_20_ORACLE = 78.99697923833702
 
 # oracle: doubled nodes and tightened tail tolerance
-LAPLACE2_01 = 40.8758902443961
-LAPLACE2_01_ORACLE = 40.87589024440929
+LAPLACE2_01 = 40.87589024439752
+LAPLACE2_01_ORACLE = 40.875890244409305
 
 # g(sigma) = L1(2 sigma) - kober_main(sigma) on sigma = 0.2/0.1/0.05/0.02
-KOBER_DIFFS = (2.827549452009363, 2.994598052961039, 3.0713247393039964, 3.1143503174753704)
-KOBER_C0 = 3.1143503174753704
+KOBER_DIFFS = (2.827549452259154, 2.9945980529611154, 3.07132473930408, 3.1143503174761804)
+KOBER_C0 = 3.1143503174761804
 
 # oracle: bisection on the direct Im log-gamma evaluation of theta
 THETA_POSITIVE_ZERO = 17.84559954041086
@@ -45,9 +45,9 @@ R_AT_9_5337 = (-0.33973396786380106-0.11825820314751734j)
 FE_FACTOR_S2_K9_5337 = (0.2831412118104746+0j)
 
 # oracle: composite 16-node Gauss-Legendre on unit windows of pointwise E2
-INT_E2_1000 = 1107.0454246476293
-INT_E2_1000_ORACLE = 1107.0453919630318
+INT_E2_1000 = 1107.0454241856933
+INT_E2_1000_ORACLE = 1107.0453914278041
 
 # oracle: composite 16-node Gauss-Legendre on 0.25-wide windows of pointwise E2^2
-MEANSQ_E2_1000 = 709544311.8968256
-MEANSQ_E2_1000_ORACLE = 709544311.8968244
+MEANSQ_E2_1000 = 709544311.8968014
+MEANSQ_E2_1000_ORACLE = 709544311.8967997

@@ -35,8 +35,9 @@ class TestCheckpointFile:
         # panel pair, before the panel rule entered the digest; 3a5ddcb906fa6a3b
         # that of the Gauss-Kronrod rule while QuadConfig still carried the
         # kernel's t_switch and rs_terms; 1ec07b3dd89ac4cf that of kernel zk2,
-        # whose Euler-Maclaurin branch summed a fixed 160 terms
-        for old in ("b4d5fb7713ea0486", "3a5ddcb906fa6a3b", "1ec07b3dd89ac4cf"):
+        # whose Euler-Maclaurin branch summed a fixed 160 terms; ddd102d5a58bab53
+        # that of panels one mesh cell wide
+        for old in ("b4d5fb7713ea0486", "3a5ddcb906fa6a3b", "1ec07b3dd89ac4cf", "ddd102d5a58bab53"):
             path = tmp_path / ("cp-%s.txt" % old)
             extend_checkpoint(str(path), 1, 200.0, cfg)
             path.write_text(path.read_text().replace(cfg.digest(), old))

@@ -2,8 +2,10 @@
 
 import mpmath
 import numpy as np
+import pytest
 
 from zetalab import zkernel
+from zetalab.errors import DomainError
 
 
 class TestKernelAccuracy:
@@ -57,10 +59,19 @@ class TestKernelAccuracy:
         assert np.all(np.abs(w.imag) <= err)
 
     def test_branch_agreement_at_switch(self):
-        ts = np.linspace(390.0, 410.0, 41)
+        # below T_SWITCH, where both branches are certified
+        ts = np.linspace(380.0, 400.0, 40, endpoint=False)
         z_em, e_em = zkernel.z_em_block(ts)
         z_rs, e_rs = zkernel.z_rs_block(ts)
         assert np.all(np.abs(z_em - z_rs) <= e_em + e_rs)
+
+    @pytest.mark.parametrize("t", [400.0, 430.0])
+    def test_em_branch_refuses_t_from_the_switch(self, t):
+        # Backlund's bound for the last band's N exceeds the model's floor there
+        with pytest.raises(DomainError, match="Backlund"):
+            zkernel.z_em_block(np.array([100.0, t]))
+        z, err = zkernel.z_block(np.array([t]))
+        assert [z.tolist(), err.tolist()] == [q.tolist() for q in zkernel.z_rs_block(np.array([t]))]
 
     def test_rs_point_independent_of_the_call(self):
         ts = np.array([450.0, 2.0e3, 7.5e4])

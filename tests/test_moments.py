@@ -280,8 +280,9 @@ class TestMeanSquareE2:
     def test_snapshots_equal_direct_calls_bit_for_bit(self, ctx, cfg):
         acc = get_accumulator(2, cfg)
         acc.ensure(700.0)
-        on_mesh = acc.bounds[500]
-        inside = 0.5 * (acc.bounds[800] + acc.bounds[801])
+        n = acc.n_panels_to(700.0)   # the accumulator may reach beyond 700
+        on_mesh = acc.bounds[n // 3]
+        inside = 0.5 * (acc.bounds[n // 2] + acc.bounds[n // 2 + 1])
         _, table = mean_square_e2(700.0, ctx, cfg, snapshots=[on_mesh, inside])
         assert [row[0] for row in table] == [on_mesh, inside, 700.0]
         for s, v, _ in table:

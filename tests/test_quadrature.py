@@ -6,6 +6,7 @@ import pytest
 from zetalab.errors import DomainError
 import zetalab.quadrature as quadrature
 from zetalab.config import QuadConfig
+from zetalab.moments import error_term, main_term, p1_exact
 from zetalab.quadrature import (
     MomentAccumulator, PanelBatch, get_accumulator, gl_nodes, integration_matrix, kronrod_rule)
 from zetalab.zkernel import moment_integrand
@@ -63,12 +64,61 @@ class TestMesh:
             assert y == x + min(quadrature.panel_width(x, cfg), 0.7)
         assert quadrature.mesh(5.0, 5.0, cfg).tolist() == [5.0]
 
+    def test_panel_mesh_takes_every_other_cell(self, cfg):
+        for t1 in (40.0, 41.0, 42.0, 43.0):
+            cells = quadrature.mesh(3.0, t1, cfg, cap=0.7)
+            b = quadrature.panel_mesh(3.0, t1, cfg, cap=0.7)
+            assert b[-2] < t1 <= b[-1]
+            # an odd cell count gets one more cell, by the same recurrence
+            assert b.tolist() == quadrature.mesh(3.0, b[-1], cfg, cap=0.7)[::2].tolist()
+            assert b.tolist() == cells[::2].tolist() or len(cells) % 2 == 0
+        assert quadrature.panel_mesh(5.0, 5.0, cfg).tolist() == [5.0]
+
     def test_accumulator_bounds_are_one_mesh(self, cfg):
+        # panels two cells wide, independent of how far earlier calls integrated
         acc = MomentAccumulator(1, cfg)
-        acc.ensure(300.0)
         acc.ensure(700.0)
-        assert acc.bounds.tolist() == quadrature.mesh(0.0, 700.0, cfg).tolist()
+        acc.ensure(2100.0)
+        whole = MomentAccumulator(1, cfg)
+        whole.ensure(2100.0)
+        assert acc.bounds.tolist() == whole.bounds.tolist()
+        assert acc.bounds.tolist() == quadrature.mesh(0.0, acc.bounds[-1], cfg)[::2].tolist()
+        for p, q in zip(acc.prefix(), whole.prefix()):
+            assert p.tolist() == q.tolist()
         assert len(acc.bounds) == len(acc.prefix()[0])
+
+
+class TestBoundaryGrid:
+    @pytest.mark.parametrize("t0, t1", [(0.0, 150.0), (123.4, 567.8)])
+    def test_every_cell_boundary_with_the_error_term_there(self, t0, t1, ctx, cfg):
+        acc = get_accumulator(1, cfg)
+        bs, cv, cu, ce = acc.boundary_grid(t0, t1)
+        cells = quadrature.mesh(0.0, t1, cfg)
+        assert bs.tolist() == cells[(cells >= t0) & (cells <= t1)].tolist()
+        poly = p1_exact(ctx)
+        for t, v, vu, e in zip(bs.tolist(), cv.tolist(), cu.tolist(), ce.tolist()):
+            res = error_term(1, t, ctx, cfg)
+            assert (v - main_term(1, t, poly), e) == (res.value, res.err_bound), t
+            assert vu == acc.cumulative_to(t)[1], t
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_two_cell_panels_need_no_refinement(self, k, cfg, monkeypatch):
+        # above the first panel [0, 2 w_max], whose cells are capped at w_max
+        # and which is split, every panel takes exactly one rule
+        rules = [0]
+        real = PanelBatch._panel_pair
+
+        def counted(self, a, b):
+            rules[0] += int(np.count_nonzero(a >= 2.0 * cfg.w_max))
+            return real(self, a, b)
+
+        monkeypatch.setattr(PanelBatch, "_panel_pair", counted)
+        acc = MomentAccumulator(k, cfg)
+        acc.ensure(2.0e4)
+        assert acc.bounds[1] == 2.0 * cfg.w_max
+        assert rules[0] == len(acc.bounds) - 2
 
 
 def loop_run(batch, lefts, rights):

@@ -8,7 +8,8 @@ default QuadConfig digest recorded below), and when the numeric fingerprint
 changes: the values are bit-identical only under the fingerprint recorded
 with them (zetalab.quadrature.numeric_fingerprint).  The E2 fixtures use the
 package's P4 (closed-form a4, a3 and the derived constants.P4_LOWER).  Every
-oracle check is asserted before anything is written.
+oracle check is asserted before anything is written, and every value that
+moved from the existing tests/_frozen.py is printed as NAME old → new.
 
 The two tanh-sinh oracles of siegelz (MOMENT1_0_100_ORACLE and
 MOMENT2_0_500_ORACLE) depend on neither the quadrature nor P4: they are read
@@ -257,7 +258,14 @@ def main():
     ]
     print("meansqE2(1000) = %r vs %r (oracle spread %.2g)" % (ms.value, oracle_ms, spread))
 
-    OUT.write_text("\n".join(lines))
+    text = "\n".join(lines)
+    old = runpy.run_path(str(OUT)) if OUT.exists() else {}
+    new = {}
+    exec(text, new)
+    for name, value in new.items():
+        if name.isupper() and old.get(name) != value:
+            print("%s %r → %r" % (name, old.get(name), value))
+    OUT.write_text(text)
     print("wrote %s in %.0f s total" % (OUT, time.time() - t_start))
 
 
