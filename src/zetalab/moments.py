@@ -192,6 +192,7 @@ def smoothed_fourth(
             g = g + np.where(u <= -lo, np.exp(-((u + t_center) / delta) ** 2), 0.0)
         return f * g * inv, df * g * inv
 
+    # cap bounds the cells, so a panel is up to delta/3 wide
     bounds = panel_mesh(max(lo, 0.0), hi, cfg, cap=delta / 6.0)
     val, _, err, _ = PanelBatch(weighted, cfg).run(bounds[:-1], bounds[1:])
 

@@ -364,21 +364,19 @@ class MomentAccumulator:
     def boundary_grid(self, t0: float, t1: float):
         """Cell boundaries in [t0, t1] with cumulative values and error bounds.
 
-        Panel boundaries read the prefix sums; the cell boundary inside each
-        panel is read through cumulative_at, CHUNK panels at a time, so every
-        value is the one cumulative_to returns at that t.
+        Every value is read through cumulative_at, 2 CHUNK cells (CHUNK
+        partial panels) at a time, so it is the one cumulative_to returns at
+        that t; at a panel boundary that is the prefix sums alone.
         """
         self.ensure(t1)
         i, j = self.n_panels_to(t0), int(np.searchsorted(self.bounds, t1))
         cells = mesh(float(self.bounds[i]), float(self.bounds[j]), self.cfg)
-        pv, pu, pe, _ = self.prefix()
+        cells = cells[(cells >= t0) & (cells <= t1)]
         v, vu, e = (np.empty(len(cells)) for _ in range(3))
-        v[::2], vu[::2], e[::2] = pv[i : j + 1], pu[i : j + 1], pe[i : j + 1]
-        for c in range(1, len(cells), 2 * self.CHUNK):
-            part = slice(c, c + 2 * self.CHUNK, 2)
+        for c in range(0, len(cells), 2 * self.CHUNK):
+            part = slice(c, c + 2 * self.CHUNK)
             v[part], vu[part], e[part], _ = self.cumulative_at(cells[part])
-        keep = (cells >= t0) & (cells <= t1)
-        return cells[keep], v[keep], vu[keep], e[keep]
+        return cells, v, vu, e
 
 
 _ACCUMULATORS: dict = {}

@@ -40,9 +40,8 @@ def mp_quad_moment(k, a, b, dps=30, step=2.0):
     return mpmath.quad(lambda t: mpmath.siegelz(t) ** (2 * k), pieces)
 
 
-def stored_or(name, compute):
-    """The value of name in the existing fixture file, else compute()."""
-    stored = runpy.run_path(str(OUT)) if OUT.exists() else {}
+def stored_or(stored, name, compute):
+    """The value of name in the existing fixtures, else compute()."""
     return stored[name] if name in stored else float(compute())
 
 
@@ -65,6 +64,13 @@ def main():
     t_start = time.time()
     ctx = PrecisionContext()
     cfg = QuadConfig()
+    stored = runpy.run_path(str(OUT)) if OUT.exists() else {}
+    values = {}
+
+    def put(name, value):
+        values[name] = value
+        return "%s = %r" % (name, value)
+
     lines = [
         '"""Frozen fixtures; generated by tools/make_fixtures.py.',
         "",
@@ -73,20 +79,20 @@ def main():
         "all values are bit-identical only under the numeric fingerprint below.",
         '"""',
         "",
-        "QUAD_DIGEST = %r" % cfg.digest(),
-        "FINGERPRINT = %r" % numeric_fingerprint(),
+        put("QUAD_DIGEST", cfg.digest()),
+        put("FINGERPRINT", numeric_fingerprint()),
         "",
     ]
 
     # --- second moment over [0, 100]: oracle = independent mpmath tanh-sinh
     acc1 = get_accumulator(1, cfg)
     v, _, e, _ = acc1.cumulative_to(100.0)
-    oracle = stored_or("MOMENT1_0_100_ORACLE", lambda: mp_quad_moment(1, 0.0, 100.0))
+    oracle = stored_or(stored, "MOMENT1_0_100_ORACLE", lambda: mp_quad_moment(1, 0.0, 100.0))
     assert abs(v - oracle) <= max(e, 1e-8), (v, oracle, e)
     lines += [
         "# oracle: mpmath tanh-sinh quadrature of siegelz^2 (30 dps), piecewise",
-        "MOMENT1_0_100 = %r" % v,
-        "MOMENT1_0_100_ORACLE = %r" % oracle,
+        put("MOMENT1_0_100", v),
+        put("MOMENT1_0_100_ORACLE", oracle),
         "",
     ]
     print("moment1[0,100] = %r vs oracle %r  (%.0f s)" % (v, oracle, time.time() - t_start))
@@ -94,12 +100,12 @@ def main():
     # --- fourth moment over [0, 500]: same oracle
     acc2 = get_accumulator(2, cfg)
     v4, _, e4, _ = acc2.cumulative_to(500.0)
-    oracle4 = stored_or("MOMENT2_0_500_ORACLE", lambda: mp_quad_moment(2, 0.0, 500.0, dps=26))
+    oracle4 = stored_or(stored, "MOMENT2_0_500_ORACLE", lambda: mp_quad_moment(2, 0.0, 500.0, dps=26))
     assert abs(v4 - oracle4) <= max(e4, 1e-6), (v4, oracle4, e4)
     lines += [
         "# oracle: mpmath tanh-sinh quadrature of siegelz^4 (26 dps), piecewise",
-        "MOMENT2_0_500 = %r" % v4,
-        "MOMENT2_0_500_ORACLE = %r" % oracle4,
+        put("MOMENT2_0_500", v4),
+        put("MOMENT2_0_500_ORACLE", oracle4),
         "",
     ]
     print("moment2[0,500] = %r vs oracle %r  (%.0f s)" % (v4, oracle4, time.time() - t_start))
@@ -116,8 +122,8 @@ def main():
     lines += [
         "# oracle: cumulative grid of the k=1 accumulator (window-validated",
         "# against mpmath); ratio over the boundary grid on [10, 5000]",
-        "E1_AT_1000 = %r" % e1.value,
-        "E1_RATIO_MAX_10_5000 = %r" % ratio_max,
+        put("E1_AT_1000", e1.value),
+        put("E1_RATIO_MAX_10_5000", ratio_max),
         "",
     ]
     print("E1(1000) = %r, max|E1|/T^.3171 = %r" % (e1.value, ratio_max))
@@ -130,8 +136,8 @@ def main():
     e2_ratio_max = float(np.max(np.abs(e2_vals) / bs2 ** (2.0 / 3.0)))
     lines += [
         "# E2 uses the package's P4: closed-form a4, a3, derived constants.P4_LOWER",
-        "E2_AT_2000 = %r" % e2.value,
-        "E2_RATIO_MAX_500_5000 = %r" % e2_ratio_max,
+        put("E2_AT_2000", e2.value),
+        put("E2_RATIO_MAX_500_5000", e2_ratio_max),
         "",
     ]
     print("E2(2000) = %r, max|E2|/T^(2/3) = %r" % (e2.value, e2_ratio_max))
@@ -146,8 +152,8 @@ def main():
     assert abs(sm.value - oracle_sm) < 1e-5, (sm.value, oracle_sm)
     lines += [
         "# oracle: trapezoid on a 0.002-step grid over |t| <= 8 delta",
-        "SMOOTHED_200_20 = %r" % sm.value,
-        "SMOOTHED_200_20_ORACLE = %r" % oracle_sm,
+        put("SMOOTHED_200_20", sm.value),
+        put("SMOOTHED_200_20_ORACLE", oracle_sm),
         "",
     ]
     print("smoothed(200,20) = %r vs %r" % (sm.value, oracle_sm))
@@ -159,8 +165,8 @@ def main():
     assert abs(l2_01.value - l2_01_hi.value) <= l2_01.err_bound + l2_01_hi.err_bound
     lines += [
         "# oracle: doubled nodes and tightened tail tolerance",
-        "LAPLACE2_01 = %r" % l2_01.value,
-        "LAPLACE2_01_ORACLE = %r" % l2_01_hi.value,
+        put("LAPLACE2_01", l2_01.value),
+        put("LAPLACE2_01_ORACLE", l2_01_hi.value),
         "",
     ]
     print("L2(0.1) = %r vs %r" % (l2_01.value, l2_01_hi.value))
@@ -172,8 +178,8 @@ def main():
     diffs = [r.value - kober_main(s, ctx) for s, r in zip(sig, res)]
     lines += [
         "# g(sigma) = L1(2 sigma) - kober_main(sigma) on sigma = 0.2/0.1/0.05/0.02",
-        "KOBER_DIFFS = %r" % (tuple(diffs),),
-        "KOBER_C0 = %r" % diffs[-1],
+        put("KOBER_DIFFS", tuple(diffs)),
+        put("KOBER_C0", diffs[-1]),
         "",
     ]
     print("kober diffs:", diffs)
@@ -188,7 +194,7 @@ def main():
             hi = mid
     lines += [
         "# oracle: bisection on the direct Im log-gamma evaluation of theta",
-        "THETA_POSITIVE_ZERO = %r" % (0.5 * (lo + hi)),
+        put("THETA_POSITIVE_ZERO", 0.5 * (lo + hi)),
         "",
     ]
     print("theta zero = %r" % (0.5 * (lo + hi),))
@@ -203,8 +209,8 @@ def main():
     assert abs(complex(fe_lo.value) - complex(fe_hi.value)) < 1e-18 * abs(complex(fe_hi.value))
     lines += [
         "# oracle: recomputation at 256 bits",
-        "R_AT_9_5337 = %r" % (complex(r_hi.value),),
-        "FE_FACTOR_S2_K9_5337 = %r" % (complex(fe_hi.value),),
+        put("R_AT_9_5337", complex(r_hi.value)),
+        put("FE_FACTOR_S2_K9_5337", complex(fe_hi.value)),
         "",
     ]
     print("R(9.5337) = %r" % (complex(r_hi.value),))
@@ -228,8 +234,8 @@ def main():
     assert abs(ie2.value - total) < 0.5 + ie2.err_bound, (ie2.value, total)
     lines += [
         "# oracle: composite 16-node Gauss-Legendre on unit windows of pointwise E2",
-        "INT_E2_1000 = %r" % ie2.value,
-        "INT_E2_1000_ORACLE = %r" % total,
+        put("INT_E2_1000", ie2.value),
+        put("INT_E2_1000_ORACLE", total),
         "",
     ]
     print("intE2(1000) = %r vs %r" % (ie2.value, total))
@@ -252,20 +258,16 @@ def main():
     assert abs(ms.value - oracle_ms) <= 3e-4 and spread <= 3e-4, (ms.value, oracle_ms, spread)
     lines += [
         "# oracle: composite 16-node Gauss-Legendre on 0.25-wide windows of pointwise E2^2",
-        "MEANSQ_E2_1000 = %r" % ms.value,
-        "MEANSQ_E2_1000_ORACLE = %r" % oracle_ms,
+        put("MEANSQ_E2_1000", ms.value),
+        put("MEANSQ_E2_1000_ORACLE", oracle_ms),
         "",
     ]
     print("meansqE2(1000) = %r vs %r (oracle spread %.2g)" % (ms.value, oracle_ms, spread))
 
-    text = "\n".join(lines)
-    old = runpy.run_path(str(OUT)) if OUT.exists() else {}
-    new = {}
-    exec(text, new)
-    for name, value in new.items():
-        if name.isupper() and old.get(name) != value:
-            print("%s %r → %r" % (name, old.get(name), value))
-    OUT.write_text(text)
+    for name, value in values.items():
+        if stored.get(name) != value:
+            print("%s %r → %r" % (name, stored.get(name), value))
+    OUT.write_text("\n".join(lines))
     print("wrote %s in %.0f s total" % (OUT, time.time() - t_start))
 
 
