@@ -60,21 +60,14 @@ def divisor_sieve(x: int, segment: int = DEFAULT_SEGMENT) -> DivisorTable:
         raise DomainError("x must be >= 1")
     if x > MATERIALIZE_CAP:
         raise CapacityExceeded(
-            "materialized table capped at %d entries; use additive_divisor or "
-            "divisor_segments for larger ranges" % MATERIALIZE_CAP
+            "materialized table capped at %d entries; use additive_divisor "
+            "for larger ranges" % MATERIALIZE_CAP
         )
     out = np.zeros(x + 1, dtype=np.int32)
     for lo in range(1, x + 1, segment):
         hi = min(lo + segment, x + 1)
         out[lo:hi] = _sieve_window(lo, hi)
     return DivisorTable(x_max=x, d=out)
-
-
-def divisor_segments(x: int, segment: int = DEFAULT_SEGMENT):
-    """Yield (lo, d-array over [lo, min(lo+segment, x+1))) covering 1..x."""
-    for lo in range(1, x + 1, segment):
-        hi = min(lo + segment, x + 1)
-        yield lo, _sieve_window(lo, hi)
 
 
 def additive_divisor(x: int, f: int, segment: int = DEFAULT_SEGMENT) -> int:

@@ -106,8 +106,9 @@ def build_parser():
     p.add_argument("--k", required=True, type=int, choices=(1, 2))
     p.add_argument("--s-grid", required=True,
                    help="comma-separated positive sigma values")
-    p.add_argument("--kober", action="store_true",
-                   help="with k=1: also print the Kober main term at sigma = s/2")
+    p.add_argument("--main-term", action="store_true",
+                   help="also print the main term: Kober's at sigma = s/2 for k=1, "
+                        "the exact log-power one at s for k=2")
     _add_common(p)
 
     p = sub.add_parser("divisor-corr", help="shifted divisor correlation sums")
@@ -205,19 +206,19 @@ def _dispatch(args) -> int:
         return _cmd_motohashi(args, run_cfg, ctx, cfg)
 
     if args.command == "laplace":
-        from .laplace import kober_main, laplace_moment_grid
+        from .laplace import atkinson_expansion, kober_main, laplace_moment_grid
 
         svals = [float(s) for s in args.s_grid.split(",") if s.strip()]
         results = laplace_moment_grid(args.k, svals, ctx, cfg)
         cols = ["s", "L_k", "err_bound", "panels"]
-        if args.kober and args.k == 1:
-            cols += ["kober_main", "difference"]
+        if args.main_term:
+            cols += ["main_term", "difference"]
         out, stream = _open_out(args, run_cfg, cols)
         for s, r in zip(svals, results):
             row = [s, r.value, r.err_bound, r.panels]
-            if args.kober and args.k == 1:
-                km = kober_main(s / 2.0, ctx)
-                row += [km, r.value - km]
+            if args.main_term:
+                mt = kober_main(s / 2.0, ctx) if args.k == 1 else atkinson_expansion(s, ctx)
+                row += [mt, r.value - mt]
             out.row(row)
         _close(stream)
         return 0

@@ -17,22 +17,6 @@ KERNEL_VERSION = "zk3"
 # the (2 nodes + 1)-point rule of quadrature.kronrod_rule on panels two mesh cells wide
 PANEL_RULE = "gauss-kronrod/2-cell"
 
-# Fields whose value changes the numbers an integration produces.
-_NUMERIC_FIELDS = (
-    "nodes",
-    "gap_fraction",
-    "w_min",
-    "w_max",
-    "max_depth",
-    "panel_rel",
-    "panel_abs",
-    "window_w",
-    "laplace_cmaj",
-    "laplace_tail_abs",
-    "weight_cmaj",
-    "checkpoint_step",
-)
-
 
 @dataclass(frozen=True)
 class QuadConfig:
@@ -59,7 +43,7 @@ class QuadConfig:
 
     def digest(self) -> str:
         parts = ["kernel=%s" % KERNEL_VERSION, "rule=%s" % PANEL_RULE]
-        parts += ["%s=%r" % (name, getattr(self, name)) for name in _NUMERIC_FIELDS]
+        parts += ["%s=%r" % (f.name, getattr(self, f.name)) for f in fields(self)]
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
 
 
@@ -92,12 +76,7 @@ class RunConfig:
         return lines
 
 
-_BOOLISH = {"true": True, "false": False}
-
-
 def _coerce(text: str, like):
-    if isinstance(like, bool):
-        return _BOOLISH[text.lower()]
     if isinstance(like, int):
         return int(text)
     if isinstance(like, float):

@@ -38,17 +38,5 @@ class CapacityExceeded(ZetalabError):
     """Requested table size exceeds the configured capacity limit."""
 
 
-class MissingPrime(ZetalabError):
-    """Hecke eigenvalue extension requires a prime not present in the input map."""
-
-
-class MissingEigenvalues(ZetalabError):
-    """Operation requires Hecke eigenvalues that the record does not carry."""
-
-
-class UnknownKernel(ZetalabError):
-    """Term profiler asked for a kernel name it does not know."""
-
-
 class CheckpointMismatch(ZetalabError):
     """Checkpoint config digest does not match the active configuration."""

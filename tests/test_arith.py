@@ -8,7 +8,6 @@ import pytest
 from zetalab.arith import (
     additive_divisor,
     additive_divisor_bruteforce,
-    divisor_segments,
     divisor_sieve,
     kloosterman,
     kloosterman_bruteforce,
@@ -45,11 +44,6 @@ class TestDivisorSieve:
         small = divisor_sieve(5000, segment=257)
         big = divisor_sieve(5000)
         assert np.array_equal(small.d, big.d)
-
-    def test_segments_iterator(self):
-        full = divisor_sieve(1000).d
-        for lo, seg in divisor_segments(1000, segment=123):
-            assert np.array_equal(seg, full[lo : lo + len(seg)])
 
     def test_capacity_and_domain(self):
         with pytest.raises(DomainError):

@@ -9,6 +9,7 @@ import pytest
 import _frozen as F
 from zetalab import cli
 from zetalab.config import QuadConfig
+from zetalab.laplace import atkinson_expansion, kober_main, laplace_moment_grid
 from zetalab.moments import mean_square_e2
 
 
@@ -47,6 +48,23 @@ class TestMoment:
         (row,) = read_rows(out)
         assert abs(float(row["E"])) / math.sqrt(20000.0) < 200.0
         assert "P4 provenance: paper-exact,paper-exact,derived,derived,derived" in out.read_text()
+
+
+class TestLaplace:
+    @pytest.mark.parametrize("k,main_term", [(1, lambda s, ctx: kober_main(s / 2.0, ctx)),
+                                             (2, atkinson_expansion)], ids=["k1", "k2"])
+    def test_main_term_rows_equal_the_library_calls(self, tmp_path, ctx, cfg, k, main_term):
+        out = tmp_path / "laplace.csv"
+        argv = ["laplace", "--k", str(k), "--s-grid", "0.4,0.1", "--main-term",
+                "--format", "csv", "--out", str(out)]
+        assert cli.main(argv) == 0
+        rows = [(float(r["s"]), float(r["L_k"]), float(r["err_bound"]), int(r["panels"]),
+                 float(r["main_term"]), float(r["difference"])) for r in read_rows(out)]
+        expect = []
+        for s, r in zip([0.4, 0.1], laplace_moment_grid(k, [0.4, 0.1], ctx, cfg)):
+            mt = main_term(s, ctx)
+            expect.append((s, r.value, r.err_bound, r.panels, mt, r.value - mt))
+        assert rows == expect
 
 
 class TestConfig:

@@ -1,0 +1,32 @@
+"""The benchmark's tracer and harness still find every zetalab name they use.
+
+perfbench/ wraps zetalab functions by attribute name, and only its traced
+runs do so; tier-1 never runs them.  A renamed or removed function would
+otherwise break the traced benchmark alone.
+"""
+
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tracer_installs_and_removes_and_the_harness_builds(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import workloads
+    from zetalab import spectral
+
+    original = spectral.motohashi_spectral_sum
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        patched = list(tracer._patches)
+        assert all(getattr(owner, attr) is not old for owner, attr, old in patched)
+        harness = workloads.Harness(tmp_path / "work")
+        assert len(harness.dataset) == 10
+        spectral.motohashi_spectral_sum(200.0, 20.0, harness.dataset)
+        assert tracer.counts["spectral.terms_used"] == 10
+    finally:
+        tracer.remove()
+    assert all(getattr(owner, attr) is old for owner, attr, old in patched)
+    assert spectral.motohashi_spectral_sum is original
