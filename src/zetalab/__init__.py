@@ -2,12 +2,12 @@
 
 Layers:
   precision / gammafn / constants  -- precision-contexted arithmetic core
-  zeta                             -- zeta(s), chi(s), theta(t), Hardy Z(t)
+  zeta                             -- zeta(1/2+it) with an error bound
   zkernel                          -- fast vectorized float64 Z evaluator
-  quadrature / moments             -- error-controlled moment integrals,
-                                      E1/E2, Laplace transforms, scans
+  quadrature / moments             -- error-controlled moment integrals, E1/E2
+  laplace / scans                  -- Laplace transforms, sign-change scans
   checkpoint                       -- resumable running-integral store
-  spectral                         -- Maass-form data and explicit-formula sums
+  spectral                         -- Maass-form data and Motohashi's spectral sum
   arith                            -- divisor sieves and Kloosterman sums
   cli                              -- command-line front end
 """

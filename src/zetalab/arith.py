@@ -6,7 +6,8 @@ cofactor pair, so each window costs sum_{i <= sqrt(R)} O(S/i) slice
 increments; additive_divisor streams windows of a configurable size and
 never materializes the full range.  Kloosterman sums are evaluated exactly
 at prime powers through modular inverses and assembled by twisted
-multiplicativity; a literal-definition brute force is kept as the oracle.
+multiplicativity; kloosterman_grid, the literal definition vectorized over
+(m, n), is the oracle the tests compare them against.
 """
 
 from __future__ import annotations
@@ -156,35 +157,6 @@ def kloosterman(m: int, n: int, c: int) -> KloostermanValue:
         rbar = pow(rest, -1, q)  # cofactor is coprime to q
         total *= _kloosterman_prime_power((m * rbar) % q, (n * rbar) % q, q, p)
     return KloostermanValue(m, n, c, total)
-
-
-def kloosterman_bruteforce(m: int, n: int, c: int) -> KloostermanValue:
-    """Literal definition: sum over 1 <= d < c with (d, c) = 1, d d' = 1 (mod c),
-    of e((m d + n d')/c); extended-gcd inverses."""
-    if c < 1:
-        raise DomainError("modulus must be >= 1")
-    if c == 1:
-        return KloostermanValue(m, n, 1, 1.0 + 0.0j)
-    total = 0.0 + 0.0j
-    for d in range(1, c):
-        g, dinv, _ = _egcd(d, c)
-        if g != 1:
-            continue
-        r = (m * d + n * dinv) % c
-        total += cmath.exp(2j * math.pi * r / c)
-    return KloostermanValue(m, n, c, total)
-
-
-def _egcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q_ = old_r // r
-        old_r, r = r, old_r - q_ * r
-        old_s, s = s, old_s - q_ * s
-        old_t, t = t, old_t - q_ * t
-    return old_r, old_s, old_t
 
 
 def kloosterman_grid(ms, ns, c: int) -> np.ndarray:

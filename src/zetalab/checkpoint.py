@@ -115,12 +115,17 @@ def _row_indices(acc: MomentAccumulator, t_target: float, step: float):
 def extend_checkpoint(path: str, k: int, t_target: float, cfg: QuadConfig, resume: bool = True):
     """Integrate |Z|^{2k} up to t_target, appending boundary-aligned rows.
 
-    Returns (checkpoint, (value, err) at exact t_target).  Refuses to extend a
-    file whose digest differs from cfg's; with resume, the last stored row is
-    recomputed and must match bit-for-bit.
+    Returns (checkpoint, (value, err) at exact t_target).  Without resume,
+    refuses an existing file before integrating anything and leaves it as it
+    is.  With resume, refuses a file whose digest differs from cfg's, and the
+    last stored row is recomputed and must match bit-for-bit.
     """
+    if not resume and os.path.exists(path):
+        raise CheckpointMismatch(
+            "checkpoint %s already exists; extend it with --resume or choose another path" % path
+        )
     digest = cfg.digest()
-    existing = read_checkpoint(path, k) if resume else None
+    existing = read_checkpoint(path, k)
     if existing is not None and existing.config_digest != digest:
         raise CheckpointMismatch(
             "checkpoint digest %s != active config digest %s"

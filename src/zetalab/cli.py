@@ -285,11 +285,11 @@ def _cmd_motohashi(args, run_cfg, ctx, cfg) -> int:
 
     direct = smoothed_fourth(args.T, args.delta, ctx, cfg)
     cols = ["T", "delta", "direct", "direct_err", "spectral", "difference",
-            "truncation_bound", "terms_used", "variant"]
+            "truncation_bound", "terms_used"]
     out, stream = _open_out(args, run_cfg, cols)
     if args.no_spectral:
         out.comment("warning: no spectral dataset; direct side only")
-        out.row([args.T, args.delta, direct.value, direct.err_bound, "", "", "", "", ""])
+        out.row([args.T, args.delta, direct.value, direct.err_bound, "", "", "", ""])
         _close(stream)
         return 0
     ds = load_spectral_dataset(args.spectral)
@@ -297,8 +297,7 @@ def _cmd_motohashi(args, run_cfg, ctx, cfg) -> int:
     out.comment("spectral source checksum=%s" % ds.checksum)
     out.comment("delta admissible (A=1 window): %s" % spec.metadata["delta_admissible_A1"])
     out.row([args.T, args.delta, direct.value, direct.err_bound, spec.value,
-             direct.value - spec.value, spec.truncation_bound, spec.terms_used,
-             "smoothed-minus-spectral-includes-main-term"])
+             direct.value - spec.value, spec.truncation_bound, spec.terms_used])
     _close(stream)
     return 0
 

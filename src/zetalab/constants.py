@@ -7,7 +7,6 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .gammafn import zeta_prime_at_2
 from .precision import PrecisionContext
 
 # (a2, a1, a0) of the fourth-moment polynomial P4(y) = a4 y^4 + ... + a0 in
@@ -32,7 +31,7 @@ def _constants_for_bits(work_bits: int) -> Constants:
         return Constants(
             euler_gamma=+mp.euler,
             log_2pi=mp.log(2 * mp.pi),
-            zeta_prime_2=zeta_prime_at_2(ctx).value,
+            zeta_prime_2=mp.zeta(2, derivative=1),
             pi=+mp.pi,
         )
 

@@ -1,4 +1,4 @@
-"""Log-gamma, log sin and zeta'(2), built on mpmath arithmetic.
+"""Complex log-gamma with a rigorous error bound, built on mpmath arithmetic.
 
 complex_log_gamma uses a Stirling asymptotic series after raising the argument
 by the recurrence log Gamma(z) = log Gamma(z+n) - sum log(z+j); the number of
@@ -96,58 +96,3 @@ def _stirling_remainder(w: mpc, m: int) -> mpf:
     theta = abs(mp.arg(w))
     sec = 1 / mp.cos(theta / 2)
     return abs(mp.bernoulli(2 * m)) / ((2 * m) * (2 * m - 1) * abs(w) ** (2 * m - 1)) * sec ** (2 * m)
-
-
-def log_sin(w: mpc):
-    """log(sin w) stable for large |Im w|; branch chosen by the factored form."""
-    if w.imag > 1:
-        # sin w = (i/2) e^{-iw} (1 - e^{2iw}); |e^{2iw}| < 1 here.
-        return mp.log(mpc(0, 0.5)) - mpc(0, 1) * w + mp.log1p(-mp.exp(2j * w))
-    if w.imag < -1:
-        return mp.log(mpc(0, -0.5)) + mpc(0, 1) * w + mp.log1p(-mp.exp(-2j * w))
-    return mp.log(mp.sin(w))
-
-
-def zeta_prime_at_2(ctx: PrecisionContext) -> ValueWithError:
-    """zeta'(2) = -sum_{n>=2} log(n)/n^2 by Euler-Maclaurin tail acceleration."""
-    with ctx.workprec():
-        prec = mp.prec
-        n_cut = max(32, int(0.14 * prec) + 10)
-        s = mp.mpf(0)
-        for n in range(2, n_cut):
-            s += mp.log(n) / mp.mpf(n) ** 2
-
-        # f(x) = log(x)/x^2; f^(m)(x) = x^(-2-m) (a_m log x + b_m).
-        n = mp.mpf(n_cut)
-        ln_n = mp.log(n)
-        tail = (ln_n + 1) / n + ln_n / (2 * n * n)
-        a_m, b_m = mp.mpf(1), mp.mpf(0)
-        target = mpf(2) ** (-(prec - 2))
-        bound = None
-        deriv_pow = n * n  # x^(2+m), starting at m = 0
-        # Odd-order derivatives enter with m = 2k-1.
-        m = 0
-        term_prev = mp.inf
-        for k in range(1, 4 * n_cut):
-            while m < 2 * k - 1:
-                a_m, b_m = -(2 + m) * a_m, a_m - (2 + m) * b_m
-                m += 1
-                deriv_pow *= n
-            deriv = (a_m * ln_n + b_m) / deriv_pow
-            term = -mp.bernoulli(2 * k) / mp.factorial(2 * k) * deriv
-            at = abs(term)
-            if at >= term_prev:
-                bound = 4 * term_prev
-                break
-            tail += term
-            term_prev = at
-            if at <= target * abs(s + tail):
-                bound = 4 * at
-                break
-        if bound is None:
-            raise PrecisionFailure("zeta'(2) tail did not converge at work_bits=%d" % ctx.work_bits)
-        value = -(s + tail)
-        err = float(bound) + ctx.eps * mag(value) * 8
-        if err > ctx.tolerance_for(mag(value)):
-            raise PrecisionFailure("zeta'(2) error bound %.3g exceeds tolerance" % err)
-        return ValueWithError(value, err)

@@ -6,7 +6,6 @@ Evaluation streams over the shared deterministic panel mesh
 (quadrature.panel_mesh) in fixed-size chunks, so a whole sigma grid costs one
 kernel pass; per-sigma totals only use panels inside that sigma's own
 truncation range, making each value independent of how calls are batched.
-laplace_moment's integrand_hook replaces |zeta|^{2k} in that same pass.
 """
 
 from __future__ import annotations
@@ -58,12 +57,6 @@ def laplace_moment_grid(
     Each value uses exactly the panels inside its own truncation range, so
     results equal the single-call ones regardless of grid composition.
     """
-    return _grid(k, s_values, ctx, cfg, None)
-
-
-def _grid(k, s_values, ctx, cfg, hook):
-    """laplace_moment_grid, with hook(t) in place of |zeta|^{2k} when given
-    (its error model is then zero)."""
     if k not in (1, 2, 6):
         raise DomainError("k must be in {1, 2, 6}")
     ss = [complex(s) for s in s_values]
@@ -91,11 +84,8 @@ def _grid(k, s_values, ctx, cfg, hook):
     for c0 in range(0, n_max, CHUNK):
         c1 = min(c0 + CHUNK, n_max)
         t, half = panel_nodes(bounds[c0:c1], bounds[c0 + 1 : c1 + 1], n)
-        if hook is None:
-            f, df = moment_integrand(t.ravel(), k)
-            f, df = f.reshape(t.shape), df.reshape(t.shape)
-        else:
-            f, df = hook(t), np.zeros_like(t)
+        f, df = moment_integrand(t.ravel(), k)
+        f, df = f.reshape(t.shape), df.reshape(t.shape)
         for i, s in enumerate(ss):
             hi = min(n_use[i], c1)
             if hi <= c0:
@@ -122,7 +112,6 @@ def laplace_moment(
     s,
     ctx: PrecisionContext = DEFAULT_CTX,
     cfg: QuadConfig = QuadConfig(),
-    integrand_hook=None,
 ) -> IntegralResult:
     """L_k(s) = int_0^inf |zeta(1/2+ix)|^{2k} e^{-sx} dx for Re s > 0.
 
@@ -130,7 +119,7 @@ def laplace_moment(
     below tolerance; the tail bound enters err_bound.  The value is complex
     when s has nonzero imaginary part.
     """
-    return _grid(k, [s], ctx, cfg, integrand_hook)[0]
+    return laplace_moment_grid(k, [s], ctx, cfg)[0]
 
 
 def kober_main(sigma: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:

@@ -163,7 +163,6 @@ def smoothed_fourth(
     delta: float,
     ctx: PrecisionContext = DEFAULT_CTX,
     cfg: QuadConfig = QuadConfig(),
-    integrand_hook=None,
 ) -> IntegralResult:
     """Gaussian-smoothed local fourth moment
     (1/(delta sqrt(pi))) int |zeta(1/2 + i(T+t))|^4 exp(-t^2/delta^2) dt,
@@ -182,10 +181,7 @@ def smoothed_fourth(
     inv = 1.0 / (delta * math.sqrt(math.pi))
 
     def weighted(u):
-        if integrand_hook is None:
-            f, df = moment_integrand(u, 2)
-        else:
-            f, df = integrand_hook(u), np.zeros_like(u)
+        f, df = moment_integrand(u, 2)
         g = np.exp(-((u - t_center) / delta) ** 2)
         if lo < 0.0:
             # The window's part u < 0 folded onto [0, -lo]: |zeta(1/2+iu)| is even.

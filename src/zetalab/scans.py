@@ -2,7 +2,8 @@
 
 Values are sampled on the cell boundaries of quadrature.mesh (spacing about
 half the local zero gap; a quadrature panel spans two cells, and the cell
-boundary inside it is read as a partial-panel integral).  Each sign change
+boundary inside it is read as a partial-panel integral), by the same
+formula per target that error_term or integral_of_e2 uses.  Each sign change
 between adjacent samples is refined on the function itself, re-integrated
 at every probe, never interpolated: all of a scan's brackets are refined
 together by Anderson-Bjorck regula falsi with bisection as the fallback,
@@ -54,30 +55,25 @@ def _target_values(target: str, cfg: QuadConfig, ctx, t0, t1, poly):
 
     points maps an array of t to the function's values there, through one
     cumulative query; each value is the one error_term (e1, e2) or
-    integral_of_e2 (intE2) returns at that t.
+    integral_of_e2 (intE2) returns at that t.  The grid values are the same
+    formula applied to the grid's cumulative values.
     """
     k = 1 if target == "e1" else 2
     acc = get_accumulator(k, cfg)
     poly = poly or (p1_exact(ctx) if k == 1 else default_p4(ctx))
-    bs, cv, cu, _ = acc.boundary_grid(t0, t1)
-    if target == "intE2":
-        closed = np.array([integral_of_t_poly(b, poly) for b in bs])
-        vals = bs * cv - cu - closed
 
-        def points(ts):
-            v, vu, _, _ = acc.cumulative_at(ts)
+    def at(ts, v, vu):
+        if target == "intE2":
             return np.array([t * x - xu - integral_of_t_poly(t, poly)
                              for t, x, xu in zip(ts.tolist(), v.tolist(), vu.tolist())])
-    else:
-        logs = np.log(np.maximum(bs, 1e-300))
-        vals = cv - bs * np.polyval(np.array(poly.coeffs), logs)
+        return np.array([x - main_term(k, t, poly) for t, x in zip(ts.tolist(), v.tolist())])
 
-        def points(ts):
-            v = acc.cumulative_at(ts)[0]
-            return np.array([x - main_term(k, t, poly)
-                             for t, x in zip(ts.tolist(), v.tolist())])
+    def points(ts):
+        v, vu, _, _ = acc.cumulative_at(ts)
+        return at(ts, v, vu)
 
-    return bs, vals, points
+    bs, cv, cu, _ = acc.boundary_grid(t0, t1)
+    return bs, at(bs, cv, cu), points
 
 
 def _refine_zeros(points, a, b, fa, fb, rel_tol=1e-10, max_rounds=80):
@@ -144,7 +140,6 @@ def sign_change_scan(
     ctx: PrecisionContext = DEFAULT_CTX,
     cfg: QuadConfig = QuadConfig(),
     poly: MomentPolynomial | None = None,
-    fn=None,
     max_points: int = 2000,
 ) -> SignChangeReport:
     """Scan [t0, t1] for +/- A t^e exceedances and sign changes.
@@ -155,21 +150,12 @@ def sign_change_scan(
     signs, or as an exact zero.  Each round is one batched cumulative query
     over all brackets still open; a bracket takes at most 6 rounds more than
     bisection would, and the rounds stop at 80.
-
-    fn, when given, replaces the error-term evaluation (test hook): it must
-    map an ndarray of t to values; crossings are then not refined but
-    reported as the secant point of the grid bracket.
     """
     if not (0 <= t0 < t1):
         raise DomainError("invalid scan range [%r, %r]" % (t0, t1))
     if target not in TARGETS:
         raise DomainError("unknown scan target %r" % (target,))
-    if fn is not None:
-        bs = np.linspace(t0, t1, 4096)
-        vals = fn(bs)
-        points = None
-    else:
-        bs, vals, points = _target_values(target, cfg, ctx, t0, t1, poly)
+    bs, vals, points = _target_values(target, cfg, ctx, t0, t1, poly)
 
     thresh = amplitude * np.power(np.maximum(bs, 1e-300), threshold_exponent)
     plus_idx = np.nonzero(vals > thresh)[0]
@@ -186,13 +172,8 @@ def sign_change_scan(
 
     sign = np.sign(vals)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    a, b = bs[flips], bs[flips + 1]
-    fa, fb = vals[flips], vals[flips + 1]
-    if points is not None and flips.size:
-        lo, hi = _refine_zeros(points, a, b, fa, fb)
-        crossings = 0.5 * (lo + hi)
-    else:
-        crossings = a - fa * (b - a) / (fb - fa)
+    lo, hi = _refine_zeros(points, bs[flips], bs[flips + 1], vals[flips], vals[flips + 1])
+    crossings = 0.5 * (lo + hi)
     return SignChangeReport(
         target=target,
         t_range=(t0, t1),

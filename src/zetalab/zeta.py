@@ -1,16 +1,9 @@
-"""zeta(s), the chi factor, the theta phase and Hardy's Z at mp precision.
+"""zeta(s) at mp precision with an error estimate, for the CLI's zeta command.
 
-One route per function, each with an error estimate within the context
-tolerances:
-  * zeta_em: Euler-Maclaurin summation with its remainder bound, valid at any
-    s != 1; used directly for Re s > -0.5 and through the functional equation
-    otherwise;
-  * rs_theta: the direct log-gamma evaluation, with the rigorous Stirling
-    remainder bound of complex_log_gamma;
-  * hardy_z: exp(i theta) zeta_em(1/2+it), whose cost grows like t (seconds at
-    t = 1e5).
-Bulk float64 evaluation for the quadrature is zetalab.zkernel; these routines
-serve the CLI's zeta command, the fixture tool and the tests.
+zeta_em is Euler-Maclaurin summation with its remainder bound, for Re s >= -0.5
+and s != 1; its cost grows like |Im s|.  Bulk float64 evaluation of Hardy's Z
+for the quadrature is zetalab.zkernel; mpmath.siegelz and mpmath.siegeltheta
+are the oracles the tests and the fixture tool compare against.
 """
 
 from __future__ import annotations
@@ -20,7 +13,6 @@ from dataclasses import dataclass
 from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, PoleError, PrecisionFailure
-from .gammafn import complex_log_gamma, log_sin
 from .precision import PrecisionContext, ValueWithError, mag
 
 
@@ -34,17 +26,17 @@ class ZetaSample:
 
 
 def zeta_em(s, ctx: PrecisionContext) -> ValueWithError:
-    """zeta(s) by Euler-Maclaurin summation, error within context tolerances."""
+    """zeta(s) by Euler-Maclaurin summation, error within context tolerances.
+
+    Re s < -0.5 is refused with DomainError: the zeta command evaluates
+    only s = 1/2 + it, so no functional-equation route is kept.
+    """
     with ctx.workprec():
         s = mpc(s)
         if s == 1:
             raise PoleError("zeta pole at s = 1")
         if s.real < -0.5:
-            refl, e1 = zeta_em(1 - s, ctx)
-            ch, e2 = chi(s, ctx)
-            value = ch * refl
-            err = e1 * mag(ch) + e2 * mag(refl) + 4 * ctx.eps * mag(value)
-            return ValueWithError(value, err)
+            raise DomainError("zeta_em requires Re s >= -0.5, got %s" % (s,))
 
         prec = mp.prec
         t = abs(float(s.imag))
@@ -91,54 +83,6 @@ def _em_once(s: mpc, n_cut: int, prec: int):
         if bound <= target * max(1, abs(acc)):
             return acc, bound
     return None
-
-
-def chi(s, ctx: PrecisionContext) -> ValueWithError:
-    """chi(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s), via log-gamma."""
-    with ctx.workprec():
-        s = mpc(s)
-        if s.imag == 0 and s.real == mp.floor(s.real):
-            r = int(s.real)
-            if r >= 1:
-                raise PoleError("chi constituent pole at s = %d" % r)
-            if r < 0 and r % 2 == 0:
-                return ValueWithError(mpc(0), ctx.eps)  # trivial zero
-        lg, lg_err = complex_log_gamma(1 - s, ctx)
-        logchi = s * mp.log(2) + (s - 1) * mp.log(mp.pi) + log_sin(mp.pi * s / 2) + lg
-        value = mp.exp(logchi)
-        log_err = lg_err + 8 * ctx.eps * (mag(logchi) + 4)
-        return ValueWithError(value, mag(value) * log_err)
-
-
-def rs_theta(t, ctx: PrecisionContext) -> ValueWithError:
-    """Riemann-Siegel theta: Im log Gamma(1/4 + it/2) - (t/2) log pi.
-
-    Evaluated through complex_log_gamma, whose Stirling remainder bound is
-    rigorous; the error is that bound plus a rounding allowance.
-    """
-    tf = float(t)
-    if tf <= 0:
-        raise DomainError("rs_theta requires t > 0")
-    with ctx.workprec():
-        lg, lg_err = complex_log_gamma(mpc(0.25, tf / 2), ctx)
-        value = lg.imag - mpf(t) / 2 * mp.log(mp.pi)
-        return ValueWithError(value, lg_err + 4 * ctx.eps * mag(value))
-
-
-def hardy_z(t, ctx: PrecisionContext) -> ValueWithError:
-    """Hardy's Z(t) = Re(exp(i theta) zeta_em(1/2+it)): real, |Z(t)| = |zeta(1/2+it)|."""
-    tf = float(t)
-    if tf < 0:
-        raise DomainError("hardy_z requires t >= 0")
-    with ctx.workprec():
-        z, z_err = zeta_em(mpc(0.5, tf), ctx)
-        if tf == 0:
-            return ValueWithError(z.real, z_err)
-        th, th_err = rs_theta(tf, ctx)
-        w = mp.expj(th) * z
-        err = z_err + th_err * mag(z) + 4 * ctx.eps * mag(w)
-        # Z is real: the residual imaginary part is itself an error witness.
-        return ValueWithError(w.real, err + abs(float(w.imag)))
 
 
 def zeta_sample(t, ctx: PrecisionContext) -> ZetaSample:

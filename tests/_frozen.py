@@ -37,7 +37,7 @@ LAPLACE2_01_ORACLE = 40.875890244409305
 KOBER_DIFFS = (2.827549452259154, 2.9945980529611154, 3.07132473930408, 3.1143503174761804)
 KOBER_C0 = 3.1143503174761804
 
-# oracle: bisection on the direct Im log-gamma evaluation of theta
+# oracle: bisection on mpmath.siegeltheta (30 dps)
 THETA_POSITIVE_ZERO = 17.84559954041086
 
 # oracle: recomputation at 256 bits

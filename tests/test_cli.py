@@ -7,15 +7,27 @@ import math
 import pytest
 
 import _frozen as F
-from zetalab import cli
+from zetalab import checkpoint, cli
 from zetalab.config import QuadConfig
 from zetalab.laplace import atkinson_expansion, kober_main, laplace_moment_grid
-from zetalab.moments import mean_square_e2
+from zetalab.moments import mean_square_e2, twelfth_moment_table
+from zetalab.scans import e2_zero_gap_table
+from zetalab.zeta import zeta_sample
 
 
 def read_rows(path):
     with open(path) as fh:
         return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+
+class TestZeta:
+    def test_row_equals_zeta_sample(self, tmp_path, ctx):
+        out = tmp_path / "zeta.csv"
+        assert cli.main(["zeta", "--t", "100", "--format", "csv", "--out", str(out)]) == 0
+        (row,) = read_rows(out)
+        got = [float(row[c]) for c in ("t", "re_zeta", "im_zeta", "abs_zeta", "err")]
+        s = zeta_sample(100.0, ctx)
+        assert got == [s.t, float(s.value.real), float(s.value.imag), float(abs(s.value)), s.abs_err]
 
 
 class TestExplore:
@@ -38,6 +50,25 @@ class TestExplore:
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert [(r["T"], r["int_E2_sq"], r["ratio_T2"]) for r in rows] == table
 
+    def test_twelfth_rows_equal_the_library_table(self, tmp_path, ctx, cfg):
+        out = tmp_path / "twelfth.csv"
+        argv = ["explore", "--table", "twelfth", "--T-list", "300,100",
+                "--format", "csv", "--out", str(out)]
+        assert cli.main(argv) == 0
+        rows = [(float(r["T"]), float(r["integral"]), float(r["ratio_T2_log17"]),
+                 float(r["err_bound"])) for r in read_rows(out)]
+        assert rows == twelfth_moment_table([100.0, 300.0], ctx, cfg)
+
+    def test_e2_gaps_rows_equal_the_library_table(self, tmp_path, ctx, cfg):
+        out = tmp_path / "gaps.csv"
+        argv = ["explore", "--table", "e2-gaps", "--from", "500", "--to", "650",
+                "--format", "csv", "--out", str(out)]
+        assert cli.main(argv) == 0
+        rows = [(int(r["n"]), float(r["u_n"]), float(r["gap"]), float(r["log_gap_over_log_u"]))
+                for r in read_rows(out)]
+        table = e2_zero_gap_table(500.0, 650.0, ctx, cfg)
+        assert len(table) >= 3 and rows == table
+
 
 class TestMoment:
     def test_e2_at_20000_is_of_order_sqrt_t(self, tmp_path):
@@ -48,6 +79,22 @@ class TestMoment:
         (row,) = read_rows(out)
         assert abs(float(row["E"])) / math.sqrt(20000.0) < 200.0
         assert "P4 provenance: paper-exact,paper-exact,derived,derived,derived" in out.read_text()
+
+    def test_second_run_without_resume_leaves_the_checkpoint(self, tmp_path, capsys, monkeypatch):
+        ckpt = tmp_path / "m.ckpt"
+        argv = ["moment", "--k", "1", "--T", "300", "--checkpoint", str(ckpt),
+                "--out", str(tmp_path / "moment.csv")]
+        assert cli.main(argv) == 0
+        before = ckpt.read_bytes()
+        capsys.readouterr()
+        with monkeypatch.context() as m:
+            # refused before any integration
+            m.setattr(checkpoint, "get_accumulator", lambda *a: pytest.fail("integrated"))
+            assert cli.main(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "--resume" in err
+        assert ckpt.read_bytes() == before
+        assert cli.main(argv + ["--resume"]) == 0
 
 
 class TestLaplace:

@@ -1,11 +1,14 @@
-"""No module of src/, tests/ or tools/ imports a name it never uses, and no
-top-level name of src/ goes unreferenced.
+"""No module of src/, tests/ or tools/ imports a name it never uses, no
+top-level name of src/ goes unreferenced, and every name that tools/ and
+perfbench/ import from zetalab exists (tier-1 runs neither of them whole).
 
 __future__ imports and package __init__ files (whose imports are
 re-exports) are exempt from the first scan, dunder names from the second.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -92,3 +95,30 @@ def test_every_top_level_src_name_is_referenced():
         for d in ("tests", "tools", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))
     }
     assert unreferenced_names(src, others) == []
+
+
+def missing_zetalab_names(source: str):
+    """(line, module, name) of each name a `from zetalab... import` statement
+    asks for that the module neither defines nor has as a submodule."""
+    missing = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "zetalab":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                submodule = hasattr(module, "__path__") and importlib.util.find_spec(
+                    node.module + "." + alias.name)
+                if not (hasattr(module, alias.name) or submodule):
+                    missing.append((node.lineno, node.module, alias.name))
+    return missing
+
+
+def test_scanner_finds_a_missing_zetalab_name():
+    src = "def f():\n    from zetalab.zeta import rs_theta, zeta_em\n    from zetalab import cli, nope\n"
+    assert missing_zetalab_names(src) == [(2, "zetalab.zeta", "rs_theta"), (3, "zetalab", "nope")]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for d in ("tools", "perfbench") for p in (ROOT / d).glob("*.py")),
+    ids=lambda p: str(p.relative_to(ROOT)))
+def test_tool_imports_from_zetalab_exist(path):
+    assert missing_zetalab_names(path.read_text()) == []

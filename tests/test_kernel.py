@@ -7,6 +7,8 @@ import pytest
 from zetalab import zkernel
 from zetalab.errors import DomainError
 
+from _frozen import THETA_POSITIVE_ZERO
+
 
 class TestKernelAccuracy:
     def test_em_branch_vs_mpmath(self, rng):
@@ -100,11 +102,18 @@ class TestKernelAccuracy:
             assert np.allclose(f, z ** (2 * k), rtol=1e-12)
             assert np.all(df >= 0)
 
-    def test_theta_fast_matches_scalar(self, ctx):
-        from zetalab.zeta import rs_theta
-
+    def test_theta_fast_matches_scalar(self):
         ts = np.array([5.0, 60.0, 1234.5])
         th = zkernel.theta_fast(ts)
-        for t, v in zip(ts, th):
-            ref, err = rs_theta(float(t), ctx)
-            assert abs(v - float(ref)) < 1e-10
+        with mpmath.workdps(30):
+            for t, v in zip(ts, th):
+                assert abs(v - float(mpmath.siegeltheta(t))) < 1e-10
+
+    def test_positive_zero_bracketed(self):
+        z = THETA_POSITIVE_ZERO
+        ts = np.array([z - 1e-6, z + 1e-6])
+        with mpmath.workdps(30):
+            assert mpmath.siegeltheta(ts[0]) < 0 < mpmath.siegeltheta(ts[1])
+        lo, hi = zkernel.theta_fast(ts)
+        assert lo < 0 < hi
+        assert abs(z - 17.8455995) < 1e-6

@@ -9,7 +9,7 @@ from mpmath import mp, mpc, mpf
 
 from zetalab.constants import constants_for
 from zetalab.errors import DomainError, PoleError
-from zetalab.gammafn import complex_log_gamma, zeta_prime_at_2
+from zetalab.gammafn import complex_log_gamma
 from zetalab.precision import PrecisionContext
 
 
@@ -90,21 +90,20 @@ class TestZetaPrimeAtTwo:
         log_n = math.log(big_n)
         tail = (log_n + 1) / big_n + log_n / (2 * big_n**2)
         oracle = -(partial + tail)
-        v, err = zeta_prime_at_2(ctx)
-        assert abs(float(v) - oracle) < 1e-11
+        assert abs(float(constants_for(ctx).zeta_prime_2) - oracle) < 1e-11
 
     def test_sign_negative(self, ctx):
-        assert zeta_prime_at_2(ctx).value < 0
+        assert constants_for(ctx).zeta_prime_2 < 0
 
     def test_cross_context_agreement_25_digits(self):
-        v96 = zeta_prime_at_2(PrecisionContext(96, 1e-12, 1e-12)).value
-        v160 = zeta_prime_at_2(PrecisionContext(160, 1e-12, 1e-12)).value
+        v96 = constants_for(PrecisionContext(96, 1e-12, 1e-12)).zeta_prime_2
+        v160 = constants_for(PrecisionContext(160, 1e-12, 1e-12)).zeta_prime_2
         assert abs(mpf(v96) - mpf(v160)) < mpf(10) ** (-25)
 
     def test_matches_mpmath_derivative(self, ctx):
         mp.prec = 160
         ref = mp.zeta(2, derivative=1)
-        assert abs(zeta_prime_at_2(ctx).value - ref) < 1e-35
+        assert abs(constants_for(ctx).zeta_prime_2 - ref) < 1e-35
 
 
 class TestConstants:
@@ -116,5 +115,7 @@ class TestConstants:
         assert constants_for(ctx) is constants_for(ctx)
 
     def test_zeta_prime_2_consistent(self, ctx):
+        # taken at the context's working precision, not at mpmath's current one
         c = constants_for(ctx)
-        assert abs(c.zeta_prime_2 - zeta_prime_at_2(ctx).value) == 0
+        with ctx.workprec():
+            assert c.zeta_prime_2 == mp.zeta(2, derivative=1)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from zetalab import scans
 from zetalab.errors import DomainError
 from zetalab.moments import error_term, integral_of_e2
 from zetalab.quadrature import PanelBatch, get_accumulator
@@ -18,18 +19,25 @@ POINT = {
 }
 
 
+def sample(monkeypatch, fn):
+    """Make the scan read fn on a uniform grid in place of its target."""
+    def values(target, cfg, ctx, t0, t1, poly):
+        grid = np.linspace(t0, t1, 4096)
+        return grid, fn(grid), fn
+
+    monkeypatch.setattr(scans, "_target_values", values)
+
+
 class TestSignChangeScan:
-    def test_constant_sign_hook_empty_crossings(self, ctx, cfg):
-        rep = sign_change_scan(
-            "e1", 10.0, 20.0, 1.0, 0.25, ctx, cfg, fn=lambda t: np.ones_like(t)
-        )
+    def test_constant_sign_hook_empty_crossings(self, ctx, cfg, monkeypatch):
+        sample(monkeypatch, np.ones_like)
+        rep = sign_change_scan("e1", 10.0, 20.0, 1.0, 0.25, ctx, cfg)
         assert rep.crossings == ()
         assert rep.exceed_minus == ()
 
-    def test_hook_exceedances_follow_threshold(self, ctx, cfg):
-        rep = sign_change_scan(
-            "e2", 1.0, 2.0, 0.5, 0.0, ctx, cfg, fn=lambda t: t  # values t vs += 0.5
-        )
+    def test_hook_exceedances_follow_threshold(self, ctx, cfg, monkeypatch):
+        sample(monkeypatch, lambda t: t)
+        rep = sign_change_scan("e2", 1.0, 2.0, 0.5, 0.0, ctx, cfg)  # values t vs += 0.5
         assert all(v > 0.5 for _, v in rep.exceed_plus)
         assert rep.exceed_minus == ()
 

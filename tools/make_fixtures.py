@@ -58,7 +58,6 @@ def main():
     from zetalab.precision import PrecisionContext
     from zetalab.quadrature import get_accumulator, numeric_fingerprint
     from zetalab.spectral import hecke_fe_factor, r_factor
-    from zetalab.zeta import rs_theta
     from zetalab.zkernel import z_block
 
     t_start = time.time()
@@ -184,16 +183,17 @@ def main():
     ]
     print("kober diffs:", diffs)
 
-    # --- theta positive zero: oracle = log-gamma evaluation + bisection
+    # --- theta positive zero: oracle = bisection on mpmath.siegeltheta
     lo, hi = 17.0, 18.5
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if float(rs_theta(mid, ctx).value) < 0:
-            lo = mid
-        else:
-            hi = mid
+    with mpmath.workdps(30):
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if mpmath.siegeltheta(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
     lines += [
-        "# oracle: bisection on the direct Im log-gamma evaluation of theta",
+        "# oracle: bisection on mpmath.siegeltheta (30 dps)",
         put("THETA_POSITIVE_ZERO", 0.5 * (lo + hi)),
         "",
     ]
