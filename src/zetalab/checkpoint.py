@@ -1,17 +1,41 @@
 """Persisted running moment integrals, resumable by T.
 
-File format (line-delimited text, decimal at full round-trip precision):
-    # zetalab-checkpoint v1
+File format (line-delimited text, floats as repr(float)):
+    # zetalab-checkpoint v2
     # fingerprint: <numeric fingerprint of the writing environment>
-    k,T,cumulative_value,cumulative_err,config_digest
-Rows are boundary-aligned: every stored T lies on the deterministic panel
-mesh, so any prefix reproduces bit-for-bit when the config digest and the
-numeric fingerprint (quadrature.numeric_fingerprint) match.  Files without
-the fingerprint line still load.
+    k,T,v,e,digest;n;vu;eu
+Rows are boundary-aligned: every stored T is a panel boundary of the mesh
+from 0 (quadrature.panel_mesh), n is the panel count on [0, T], and v =
+int_0^T |Z|^{2k}, vu = int_0^T t |Z|^{2k} and their error bounds e and eu
+are the accumulator's four prefix sums there; digest is the QuadConfig
+digest.  n, vu and eu follow the digest after ';', so a row's five comma
+fields are those of a v1 row (k,T,v,e,digest), which v1 files hold alone.
+Files without the fingerprint line still load.
+
+A resume (extend_checkpoint with resume=True) seeds the accumulator with
+the second-to-last stored row (quadrature.MomentAccumulator's origin),
+integrates from there, and requires the last stored row back bit for bit:
+T, n, v, vu, e and eu.  The prefix sums are a plain left fold, so a fold
+seeded at a panel boundary continues the fold from 0 bit for bit, and Z is
+evaluated only above the seed row.  Where the fold could absorb an ulp of
+the seed (an ulp of T, v, vu, e or eu, one way or the other, would give the
+same row above it: MomentAccumulator.pins_origin), the seed moves down one
+stored row at a time, and the panels below the old seed must reproduce it
+bit for bit (MomentAccumulator.front), until the row above the seed
+determines it.  The resume seeds at the origin row (0, 0, 0, 0, 0, 0)
+instead, recomputing [0, T] in full, when the file has one row, when it is
+v1 (no u-sums), or when its fingerprint is missing or differs from
+numeric_fingerprint().  If the process's accumulator already reaches the
+seed row, it is extended instead, and its prefix at the seed must equal the
+row.  A v1 file is resumed from 0, every stored (T, v, e) must come back,
+and the file is rewritten as v2 through a temporary file and os.replace, so
+no file mixes the two formats; a v1 file that also holds rows of another k
+is refused, as its rewrite would drop them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 
@@ -19,10 +43,22 @@ import numpy as np
 
 from .config import QuadConfig
 from .errors import CheckpointMismatch, DataParseError, DataValidationError
-from .quadrature import MomentAccumulator, get_accumulator, numeric_fingerprint
+from .quadrature import (
+    ORIGIN, MomentAccumulator, drop_accumulator, get_accumulator, numeric_fingerprint)
 
-HEADER = "# zetalab-checkpoint v1"
+HEADER = "# zetalab-checkpoint v2"
+HEADER_V1 = "# zetalab-checkpoint v1"
 FINGERPRINT_PREFIX = "# fingerprint: "
+
+
+@dataclass(frozen=True)
+class Resume:
+    """What a resume did: the seed row's T (0 at the origin), the T of the
+    stored row it reproduced, and the panels it integrated at or below that T."""
+
+    seed_t: float
+    verified_t: float
+    panels: int
 
 
 @dataclass
@@ -31,37 +67,44 @@ class MomentCheckpoint:
     grid: list  # [(T, cumulative_value, cumulative_err), ...] strictly increasing T
     config_digest: str
     fingerprint: str | None = None  # None for files written before it was recorded
+    sums: list | None = None  # [(n, cumulative_value_u, cumulative_err_u), ...] per grid row; None for v1
+    other_rows: int = 0       # rows of other k in the file
+    resume: Resume | None = None  # set by extend_checkpoint when it resumed
+
+    def row(self, i: int):
+        """Row i as (n, T, v, vu, e, eu), an accumulator origin."""
+        (t, v, e), (n, vu, eu) = self.grid[i], self.sums[i]
+        return n, t, v, vu, e, eu
 
     def validate(self):
-        prev_t = -1.0
-        prev_v = -1.0
-        for t, v, e in self.grid:
-            if t <= prev_t:
-                raise DataValidationError(
-                    "checkpoint T not strictly increasing at T=%r" % t,
-                    invariant="strictly-increasing-T",
-                )
-            if v < prev_v:
-                raise DataValidationError(
-                    "cumulative value decreased at T=%r" % t,
-                    invariant="non-decreasing-value",
-                )
-            if e < 0:
-                raise DataValidationError(
-                    "negative error bound at T=%r" % t, invariant="nonnegative-err"
-                )
-            prev_t, prev_v = t, v
+        prev = (-1.0, -1.0, -1, -1.0)  # T, v, n, vu of the row before
+        for (t, v, e), (n, vu, eu) in zip(self.grid, self.sums or [(None,) * 3] * len(self.grid)):
+            for broken, what, invariant in (
+                (t <= prev[0], "checkpoint T not strictly increasing", "strictly-increasing-T"),
+                (v < prev[1], "cumulative value decreased", "non-decreasing-value"),
+                (e < 0, "negative error bound", "nonnegative-err"),
+                (n is not None and n <= prev[2], "panel count not strictly increasing",
+                 "strictly-increasing-n"),
+                (vu is not None and vu < prev[3], "u-weighted cumulative value decreased",
+                 "non-decreasing-value-u"),
+                (eu is not None and eu < 0, "negative u-weighted error bound", "nonnegative-err-u"),
+            ):
+                if broken:
+                    raise DataValidationError("%s at T=%r" % (what, t), invariant=invariant)
+            prev = (t, v, n, vu)
 
 
 def read_checkpoint(path: str, k: int) -> MomentCheckpoint | None:
     if not os.path.exists(path):
         return None
-    grid = []
+    grid, sums = [], []
     digest = fingerprint = None
+    other_rows = 0
     with open(path) as fh:
         first = fh.readline().rstrip("\n")
-        if first != HEADER:
+        if first not in (HEADER, HEADER_V1):
             raise DataParseError("bad checkpoint header %r" % first, line=1)
+        v2 = first == HEADER
         for lineno, raw in enumerate(fh, 2):
             line = raw.strip()
             if line.startswith(FINGERPRINT_PREFIX):
@@ -71,13 +114,18 @@ def read_checkpoint(path: str, k: int) -> MomentCheckpoint | None:
             parts = line.split(",")
             if len(parts) != 5:
                 raise DataParseError("expected 5 fields", line=lineno)
+            d, *extra = parts[4].split(";")
+            if len(extra) != 3 * v2:
+                raise DataParseError("expected %d ';' fields after the digest" % (3 * v2), line=lineno)
             try:
                 rk = int(parts[0])
                 t, v, e = float(parts[1]), float(parts[2]), float(parts[3])
+                if v2:
+                    n, vu, eu = int(extra[0]), float(extra[1]), float(extra[2])
             except ValueError as exc:
                 raise DataParseError(str(exc), line=lineno) from exc
-            d = parts[4]
             if rk != k:
+                other_rows += 1
                 continue
             if digest is None:
                 digest = d
@@ -86,30 +134,82 @@ def read_checkpoint(path: str, k: int) -> MomentCheckpoint | None:
                     "mixed config digests for k=%d" % k, invariant="single-digest"
                 )
             grid.append((t, v, e))
+            if v2:
+                sums.append((n, vu, eu))
     if not grid:
         return None
-    cp = MomentCheckpoint(k=k, grid=grid, config_digest=digest, fingerprint=fingerprint)
+    cp = MomentCheckpoint(k, grid, digest, fingerprint, sums if v2 else None, other_rows)
     cp.validate()
     return cp
 
 
 def _append_rows(path: str, k: int, rows, digest: str):
+    """Append rows (n, T, v, vu, e, eu), writing the header to a new file."""
     new_file = not os.path.exists(path)
     with open(path, "a") as fh:
         if new_file:
             fh.write(HEADER + "\n" + FINGERPRINT_PREFIX + numeric_fingerprint() + "\n")
-        for t, v, e in rows:
-            fh.write("%d,%r,%r,%r,%s\n" % (k, t, v, e, digest))
+        for n, t, v, vu, e, eu in rows:
+            fh.write("%d,%r,%r,%r,%s;%d;%r;%r\n" % (k, t, v, e, digest, n, vu, eu))
 
 
-def _row_indices(acc: MomentAccumulator, t_target: float, step: float):
+def _rows(acc: MomentAccumulator, i):
+    """Rows (n, T, v, vu, e, eu) at the indices i into acc.bounds."""
+    # tolist: plain floats, so rows are written as repr(float) decimals
+    return list(zip((acc.base + i).tolist(), acc.bounds[i].tolist(),
+                    *(q[i].tolist() for q in acc.prefix())))
+
+
+def _row_at(acc: MomentAccumulator, t: float):
+    """The row at the boundary t of acc, or None if t is not one."""
+    i = np.searchsorted(acc.bounds, [t], side="right") - 1
+    return _rows(acc, i)[0] if i[0] >= 0 and acc.bounds[i[0]] == t else None
+
+
+def _row_indices(acc: MomentAccumulator, t_from: float, t_target: float, step: float):
     """Indices into acc.bounds of the last boundary <= each multiple of step
-    below t_target and <= t_target itself, without repeats or T = 0."""
-    acc.ensure(t_target)
+    below t_target and <= t_target itself, without repeats, above t_from."""
+    acc.cover(t_from, t_target)
     targets = step * np.arange(1, int(t_target // step) + 2)
     targets = np.append(targets[targets < t_target], t_target)
-    i = np.unique(np.searchsorted(acc.bounds, targets, side="right") - 1)
-    return i[acc.bounds[i] > 0]
+    i = np.unique(np.searchsorted(acc.bounds, targets[targets > t_from], side="right") - 1)
+    return i[acc.bounds[i] > t_from]
+
+
+def _verify(acc: MomentAccumulator, stored: MomentCheckpoint, rows, seed, seeded: bool):
+    """Require the stored rows back from acc, as the module docstring says.
+
+    Returns the rows (rebuilt from acc for a v1 file) and the seed row.  A
+    new accumulator seeded at a row (seeded) is moved down a row at a time
+    (front) until the row above its origin determines the origin
+    (pins_origin): the fold can absorb an ulp of the seed, and then the
+    last row alone would not show that the seed is off.
+    """
+    here = numeric_fingerprint()
+
+    def reproduce(t, want, got):
+        if got != want:
+            msg = "stored prefix at T=%r does not reproduce under digest %s" % (t, stored.config_digest)
+            if stored.fingerprint != here:
+                msg += "; written under numeric fingerprint %s, running under %s" % (
+                    stored.fingerprint or "(not recorded)", here)
+            raise CheckpointMismatch(msg)
+
+    last_t = stored.grid[-1][0]
+    reproduce(seed[1], seed, _row_at(acc, seed[1]))
+    acc.ensure(last_t)
+    if stored.sums is None:
+        rows = [_row_at(acc, t) for t, _, _ in stored.grid]
+        for want, got in zip(stored.grid, rows):
+            reproduce(want[0], want, got and (got[1], got[2], got[4]))
+    else:
+        reproduce(last_t, rows[-1], _row_at(acc, last_t))
+    j = len(rows) - 2
+    while seeded and acc.base > 0 and not acc.pins_origin(acc.index(rows[j + 1][1])):
+        j -= 1
+        seed = rows[j] if j >= 0 else ORIGIN
+        acc.front(seed)
+    return rows, seed
 
 
 def extend_checkpoint(path: str, k: int, t_target: float, cfg: QuadConfig, resume: bool = True):
@@ -117,41 +217,57 @@ def extend_checkpoint(path: str, k: int, t_target: float, cfg: QuadConfig, resum
 
     Returns (checkpoint, (value, err) at exact t_target).  Without resume,
     refuses an existing file before integrating anything and leaves it as it
-    is.  With resume, refuses a file whose digest differs from cfg's, and the
-    last stored row is recomputed and must match bit-for-bit.
+    is.  With resume, refuses a file whose digest differs from cfg's, and
+    verifies the stored rows as the module docstring says before appending;
+    the checkpoint's resume field says what the resume did.
     """
     if not resume and os.path.exists(path):
         raise CheckpointMismatch(
             "checkpoint %s already exists; extend it with --resume or choose another path" % path
         )
     digest = cfg.digest()
-    existing = read_checkpoint(path, k)
-    if existing is not None and existing.config_digest != digest:
+    stored = read_checkpoint(path, k)
+    if stored is not None and stored.config_digest != digest:
         raise CheckpointMismatch(
             "checkpoint digest %s != active config digest %s"
-            % (existing.config_digest, digest)
+            % (stored.config_digest, digest)
         )
-    acc = get_accumulator(k, cfg)
-    i = _row_indices(acc, t_target, cfg.checkpoint_step)
-    pv, _, pe, _ = acc.prefix()
-    # tolist: plain floats, so rows are written as repr(float) decimals
-    rows = list(zip(acc.bounds[i].tolist(), pv[i].tolist(), pe[i].tolist()))
+    v1 = stored is not None and stored.sums is None
+    if v1 and stored.other_rows:
+        raise CheckpointMismatch(
+            "v1 checkpoint %s also holds %d rows of another k, which its rewrite as v2 "
+            "would drop; give each k its own file" % (path, stored.other_rows))
+    rows = [stored.row(i) for i in range(len(stored.grid))] if stored and not v1 else []
+    seed = rows[-2] if len(rows) > 1 and stored.fingerprint == numeric_fingerprint() else ORIGIN
+    last_t = stored.grid[-1][0] if stored else 0.0
 
-    last_t = existing.grid[-1][0] if existing else -1.0
-    if existing is not None:
-        # Bit-for-bit reproduction of the stored prefix at its last row.
-        i = acc.n_panels_to(last_t)
-        if acc.bounds[i] != last_t or float(pv[i]) != existing.grid[-1][1]:
-            msg = "stored prefix at T=%r does not reproduce under digest %s" % (last_t, digest)
-            here = numeric_fingerprint()
-            if existing.fingerprint != here:
-                msg += "; written under numeric fingerprint %s, running under %s" % (
-                    existing.fingerprint or "(not recorded)", here)
-            raise CheckpointMismatch(msg)
-    new_rows = [r for r in rows if r[0] > last_t]
-    if new_rows:
+    acc = get_accumulator(k, cfg, seed)
+    held = max(acc.index(last_t), 0)
+    seeded = acc.base > 0 and acc.bounds.size == 1  # a new accumulator at the seed row
+    if stored is not None:
+        try:
+            rows, seed = _verify(acc, stored, rows, seed, seeded)
+        except CheckpointMismatch:
+            if seeded:  # no later query may start from an unverified row
+                drop_accumulator(k, cfg)
+            raise
+    new_rows = _rows(acc, _row_indices(acc, last_t, t_target, cfg.checkpoint_step))
+    v, _, e, _ = acc.cumulative_to(t_target)
+
+    if v1:
+        tmp = path + ".tmp"
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        _append_rows(tmp, k, rows + new_rows, digest)
+        os.replace(tmp, path)
+    elif new_rows:
         _append_rows(path, k, new_rows, digest)
 
-    v, _, e, _ = acc.cumulative_to(t_target)
-    cp = read_checkpoint(path, k)
+    rows += new_rows
+    cp = MomentCheckpoint(
+        k, [(t, v_, e_) for _, t, v_, _, e_, _ in rows], digest,
+        stored.fingerprint if stored and not v1 else numeric_fingerprint(),
+        [(n, vu, eu) for n, _, _, vu, _, eu in rows], stored.other_rows if stored else 0)
+    if stored is not None:
+        cp.resume = Resume(seed[1], last_t, max(acc.index(last_t), 0) - held)
     return cp, (v, e)

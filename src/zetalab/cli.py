@@ -270,6 +270,9 @@ def _cmd_moment(args, run_cfg, ctx, cfg) -> int:
         poly = p1_exact(ctx) if args.k == 1 else default_p4(ctx)
         mt = main_term(args.k, args.T, poly)
         out.comment("checkpoint=%s rows=%d digest=%s" % (path, len(cp.grid), cp.config_digest))
+        if cp.resume is not None:
+            out.comment("resume: seed T=%r, verified T=%r, %d panels integrated at or below it"
+                        % (cp.resume.seed_t, cp.resume.verified_t, cp.resume.panels))
         out.comment("P%d provenance: %s" % (args.k * args.k, ",".join(poly.provenance)))
         out.row([args.T, value, mt, value - mt, err])
         _close(stream)

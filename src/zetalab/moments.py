@@ -263,7 +263,7 @@ def mean_square_e2(
     if snaps[0] <= 0 or snaps[-1] > t_upper:
         raise DomainError("snapshots must lie in (0, T]")
     acc = get_accumulator(2, cfg)
-    acc.ensure(t_upper)
+    acc.cover(0.0, t_upper)
     n_panels = acc.n_panels_to(t_upper)
     bs = acc.bounds[: n_panels + 1]
     pv, _, pe, _ = (q[: n_panels + 1] for q in acc.prefix())

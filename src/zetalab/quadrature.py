@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import QuadConfig
-from .errors import DomainError
+from .errors import CheckpointMismatch, DomainError
 from .zkernel import T_SWITCH, moment_integrand
 
 _TWO_PI = 2.0 * math.pi
@@ -258,23 +258,39 @@ class PanelBatch:
         return k, ku, np.abs(g - k), charge + pt, charge_u + ptu
 
 
+ORIGIN = (0, 0.0, 0.0, 0.0, 0.0, 0.0)  # the row (n, T, v, vu, e, eu) at t = 0
+
+
 class MomentAccumulator:
     """Cumulative integrals of |Z(t)|^{2k} (and t |Z|^{2k}) over a shared mesh.
 
-    The panel boundaries (bounds, every other cell boundary of mesh from 0,
-    see panel_mesh) and the per-panel values, errors and their u-weighted
-    twins are numpy arrays, grown once per ensure; prefix sums are a plain
-    left fold, so cumulative values at panel boundaries are independent of
-    how far previous runs integrated -- the property checkpoint resume
-    relies on.
+    An accumulator starts at an origin: a checkpoint row (n, T0, v, vu, e,
+    eu) at a panel boundary T0 of the mesh from 0 (panel_mesh), with n the
+    panel count on [0, T0] and the four prefix sums there; from 0 it is
+    ORIGIN.  Above T0 the panel boundaries (bounds, every other cell
+    boundary of mesh, from T0) and the per-panel values, errors and their
+    u-weighted twins are numpy arrays, grown once per ensure.  The prefix
+    sums are a plain left fold seeded with the origin's sums, so at every
+    panel boundary they are bit-identical to those of an accumulator from 0,
+    however far earlier runs integrated -- the property checkpoint resume
+    relies on.  Indices into bounds and prefix() count from T0;
+    n_panels_to and panels_meeting count panels from 0.
+
+    A query that needs panels below T0 (cover) first integrates [0, T0] in
+    front, the front pass (front).  Its fold must reproduce the origin row
+    bit for bit, or it raises CheckpointMismatch with the reason; after it
+    the accumulator starts at ORIGIN.  A checkpoint resume uses the same
+    step to move its seed down to a lower stored row (pins_origin).
     """
 
     CHUNK = 512
 
-    def __init__(self, k: int, cfg: QuadConfig):
+    def __init__(self, k: int, cfg: QuadConfig, origin=ORIGIN):
         self.k = k
         self.cfg = cfg
-        self.bounds = np.zeros(1)
+        self.base = int(origin[0])
+        self.bounds = np.array([float(origin[1])])
+        self._seed = tuple(float(x) for x in origin[2:])
         self._val = self._val_u = self._err = self._err_u = np.zeros(0)
         self._prefix = None
 
@@ -288,31 +304,90 @@ class MomentAccumulator:
         # for the cyclic garbage collector and could outlive it into the next.
         return PanelBatch(self._integrand, self.cfg)
 
+    def _run(self, new):
+        """Per-panel (value, value_u, err, err_u) of the panels between the
+        boundaries new, CHUNK panels per PanelBatch.run."""
+        lefts, rights = new[:-1], new[1:]
+        parts = [self._batch.run(lefts[i : i + self.CHUNK], rights[i : i + self.CHUNK])
+                 for i in range(0, len(lefts), self.CHUNK)]
+        return [np.concatenate([p[j] for p in parts]) for j in range(4)]
+
+    def _sums(self):
+        return self._val, self._val_u, self._err, self._err_u
+
     def ensure(self, t_target: float):
         if t_target <= self.bounds[-1]:
             return
         new = panel_mesh(float(self.bounds[-1]), t_target, self.cfg)
-        lefts, rights = new[:-1], new[1:]
-        parts = [self._batch.run(lefts[i : i + self.CHUNK], rights[i : i + self.CHUNK])
-                 for i in range(0, len(lefts), self.CHUNK)]
         self._val, self._val_u, self._err, self._err_u = (
-            np.concatenate([old] + [p[j] for p in parts])
-            for j, old in enumerate((self._val, self._val_u, self._err, self._err_u)))
+            np.concatenate([old, q]) for old, q in zip(self._sums(), self._run(new)))
         self.bounds = np.concatenate([self.bounds, new[1:]])
         self._prefix = None
 
+    def front(self, origin=ORIGIN):
+        """Integrate [T, T0] in front from an origin row (n, T, ...) below T0,
+        by default ORIGIN: the front pass.  The fold seeded with the row's
+        sums must reproduce the current origin row bit for bit; the
+        accumulator then starts at the given row."""
+        t0 = float(self.bounds[0])
+        new = panel_mesh(float(origin[1]), t0, self.cfg)
+        parts = self._run(new)
+        # cumsum: the same left fold as prefix()
+        got = (int(origin[0]) + len(new) - 1, float(new[-1])) + tuple(
+            float(np.cumsum(np.concatenate([[s], q]))[-1]) for s, q in zip(origin[2:], parts))
+        want = (self.base, t0) + self._seed
+        if got != want:
+            raise CheckpointMismatch("origin row %r does not reproduce: the panels on [%r, %r] "
+                                     "from the row %r give %r" % (want, origin[1], t0, tuple(origin), got))
+        self._val, self._val_u, self._err, self._err_u = (
+            np.concatenate([q, old]) for q, old in zip(parts, self._sums()))
+        self.bounds = np.concatenate([new[:-1], self.bounds])
+        self.base, self._seed = int(origin[0]), tuple(float(x) for x in origin[2:])
+        self._prefix = None
+
+    def pins_origin(self, i: int) -> bool:
+        """Whether the row at bounds[i] determines the origin row: one ulp
+        more or less in the origin's T or in any of its sums changes that
+        row.  The mesh step and the fold x -> fl(x + q) are monotone, so
+        then no other origin gives the same row; across a binade the fold
+        can absorb an ulp."""
+        t0, t = float(self.bounds[0]), float(self.bounds[i])
+        for d in (-math.inf, math.inf):
+            if panel_mesh(math.nextafter(t0, d), t, self.cfg)[-1] == t:
+                return False
+            for s, q, p in zip(self._seed, self._sums(), self.prefix()):
+                if np.cumsum(np.concatenate([[math.nextafter(s, d)], q[:i]]))[-1] == p[i]:
+                    return False
+        return True
+
+    def cover(self, a: float, b: float):
+        """Hold every panel meeting [a, b]: the front pass if a lies below
+        the origin, then ensure(b)."""
+        if a < self.bounds[0]:
+            self.front()
+        self.ensure(b)
+
     def prefix(self):
+        """The four prefix sums at every boundary of bounds."""
         if self._prefix is None:
-            self._prefix = tuple(np.concatenate([[0.0], np.cumsum(q)])
-                                 for q in (self._val, self._val_u, self._err, self._err_u))
+            self._prefix = tuple(np.cumsum(np.concatenate([[s], q]))
+                                 for s, q in zip(self._seed, self._sums()))
         return self._prefix
 
-    def n_panels_to(self, t: float) -> int:
+    def index(self, t: float) -> int:
+        """Index into bounds of the last boundary <= t (t >= the origin)."""
         return int(np.searchsorted(self.bounds, t, side="right")) - 1
+
+    def n_panels_to(self, t: float) -> int:
+        """Panels on [0, b] for the last boundary b <= t."""
+        if t < self.bounds[0]:
+            self.front()
+        return self.base + self.index(t)
 
     def panels_meeting(self, a: float, b: float) -> int:
         """Number of mesh panels meeting [a, b], a < b <= bounds[-1]."""
-        return int(np.searchsorted(self.bounds, b)) - self.n_panels_to(a)
+        below = self.n_panels_to(a) if a > 0 else 0
+        return self.base + int(np.searchsorted(self.bounds, b)) - below
 
     def cumulative_to(self, t: float):
         """(int_0^t f, int_0^t u f, err, err_u); t may fall inside a panel."""
@@ -332,7 +407,7 @@ class MomentAccumulator:
         if ts.size and ts.min() < 0:
             raise DomainError("integration limit must be >= 0")
         if ts.size:
-            self.ensure(float(ts.max()))
+            self.cover(float(ts.min()), float(ts.max()))
         pv, pu, pe, peu = self.prefix()
         i = np.searchsorted(self.bounds, ts, side="right") - 1
         v, vu, e, eu = pv[i], pu[i], pe[i], peu[i]
@@ -351,8 +426,8 @@ class MomentAccumulator:
         charges no panel outside [a, b]: their errors plus one ulp of the
         result for the summation.
         """
-        self.ensure(b)
-        i, j = self.n_panels_to(a), int(np.searchsorted(self.bounds, b))  # panels i..j-1
+        self.cover(a, b)
+        i, j = self.index(a), int(np.searchsorted(self.bounds, b))  # panels i..j-1
         left, right = self.bounds[i:j], self.bounds[i + 1 : j + 1]
         cut = (a > left) | (b < right)
         v, _, e, _ = self._batch.run(np.maximum(left[cut], a), np.minimum(right[cut], b))
@@ -368,8 +443,8 @@ class MomentAccumulator:
         partial panels) at a time, so it is the one cumulative_to returns at
         that t; at a panel boundary that is the prefix sums alone.
         """
-        self.ensure(t1)
-        i, j = self.n_panels_to(t0), int(np.searchsorted(self.bounds, t1))
+        self.cover(t0, t1)
+        i, j = self.index(t0), int(np.searchsorted(self.bounds, t1))
         cells = mesh(float(self.bounds[i]), float(self.bounds[j]), self.cfg)
         cells = cells[(cells >= t0) & (cells <= t1)]
         v, vu, e = (np.empty(len(cells)) for _ in range(3))
@@ -382,13 +457,19 @@ class MomentAccumulator:
 _ACCUMULATORS: dict = {}
 
 
-def get_accumulator(k: int, cfg: QuadConfig) -> MomentAccumulator:
+def get_accumulator(k: int, cfg: QuadConfig, origin=None) -> MomentAccumulator:
+    """The process's accumulator for (k, cfg).  Given an origin row, one
+    that does not reach the row's T (bounds[0] <= T <= bounds[-1]) is
+    replaced by an accumulator seeded there."""
     key = (k, cfg.digest())
     acc = _ACCUMULATORS.get(key)
-    if acc is None:
-        acc = MomentAccumulator(k, cfg)
-        _ACCUMULATORS[key] = acc
+    if acc is None or (origin is not None and not acc.bounds[0] <= origin[1] <= acc.bounds[-1]):
+        acc = _ACCUMULATORS[key] = MomentAccumulator(k, cfg, ORIGIN if origin is None else origin)
     return acc
+
+
+def drop_accumulator(k: int, cfg: QuadConfig):
+    _ACCUMULATORS.pop((k, cfg.digest()), None)
 
 
 def clear_accumulators():

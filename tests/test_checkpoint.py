@@ -2,13 +2,24 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from zetalab import moments, quadrature
 from zetalab.checkpoint import (
-    FINGERPRINT_PREFIX, MomentCheckpoint, extend_checkpoint, read_checkpoint)
+    FINGERPRINT_PREFIX, HEADER, HEADER_V1, MomentCheckpoint, extend_checkpoint, read_checkpoint)
 from zetalab.config import QuadConfig
 from zetalab.errors import CheckpointMismatch, DataParseError, DataValidationError
-from zetalab.quadrature import numeric_fingerprint
+from zetalab.quadrature import clear_accumulators, get_accumulator, numeric_fingerprint
+
+
+@pytest.fixture
+def fresh():
+    """The accumulators of a new process, as a resume there finds them;
+    cleared again afterwards, so a seeded accumulator reaches no other test."""
+    clear_accumulators()
+    yield clear_accumulators
+    clear_accumulators()
 
 
 class TestCheckpointFile:
@@ -107,3 +118,166 @@ class TestCheckpointFile:
 
     def test_missing_file_returns_none(self, tmp_path):
         assert read_checkpoint(str(tmp_path / "nope.txt"), 1) is None
+
+
+def _write_and_reseed(path, k, t_first, t_resume, cfg, fresh):
+    """A file to t_first, then a resume to t_resume as in a new process."""
+    cp1, _ = extend_checkpoint(path, k, t_first, cfg)
+    fresh()
+    cp2, value = extend_checkpoint(path, k, t_resume, cfg, resume=True)
+    return cp1, cp2, value
+
+
+class TestSeededResume:
+    @pytest.mark.parametrize("t_first", [1000.0, 2500.0])
+    def test_z_is_evaluated_only_above_the_seed_row(self, tmp_path, cfg, fresh, monkeypatch, t_first):
+        path = str(tmp_path / "cp.txt")
+        cp1, _ = extend_checkpoint(path, 1, t_first, cfg)
+        fresh()
+        seen = []
+        integrand = quadrature.moment_integrand
+
+        def spy(ts, k):
+            seen.append(float(np.min(ts)))
+            return integrand(ts, k)
+
+        monkeypatch.setattr(quadrature, "moment_integrand", spy)
+        cp2, value = extend_checkpoint(path, 1, t_first + 500.0, cfg, resume=True)
+        monkeypatch.undo()
+        seed_t = cp2.resume.seed_t
+        j = [t for t, _, _ in cp1.grid].index(seed_t)
+        assert 0 < seed_t <= cp1.grid[-2][0] and cp2.resume.verified_t == cp1.grid[-1][0]
+        assert min(seen) >= seed_t
+        assert cp2.resume.panels == cp1.sums[-1][0] - cp1.sums[j][0]
+        fresh()
+        cp3, fresh_value = extend_checkpoint(str(tmp_path / "fresh.txt"), 1, t_first + 500.0, cfg)
+        assert (cp2.grid, cp2.sums, value) == (cp3.grid, cp3.sums, fresh_value)
+        assert (tmp_path / "cp.txt").read_text() == (tmp_path / "fresh.txt").read_text()
+
+    def test_seed_moves_down_until_the_row_above_determines_it(self, tmp_path, cfg, fresh):
+        _, cp, _ = _write_and_reseed(str(tmp_path / "cp.txt"), 1, 2500.0, 3000.0, cfg, fresh)
+        rows = [cp.row(i) for i in range(len(cp.grid))]
+        ts = [r[1] for r in rows]
+        j, last = ts.index(cp.resume.seed_t), ts.index(cp.resume.verified_t)
+        assert get_accumulator(1, cfg).bounds[0] == cp.resume.seed_t
+
+        def pinned(i):
+            acc = quadrature.MomentAccumulator(1, cfg, rows[i])
+            acc.ensure(ts[i + 1])
+            return acc.pins_origin(acc.index(ts[i + 1]))
+
+        # at this T the row above the second-to-last one does not determine it
+        assert j < last - 1
+        assert pinned(j) and not any(pinned(i) for i in range(j + 1, last))
+
+    @pytest.mark.parametrize("new_process", [True, False], ids=["seeded", "extended"])
+    @pytest.mark.parametrize("field, to", [("v", math.inf), ("v", -math.inf), ("T", math.inf),
+                                           ("vu", math.inf), ("e", -math.inf), ("eu", math.inf)])
+    @pytest.mark.parametrize("t_first", [500.0, 2500.0])
+    def test_seed_row_one_ulp_off_refused(self, tmp_path, cfg, fresh, new_process, field, to, t_first):
+        path = tmp_path / "cp.txt"
+        extend_checkpoint(str(path), 1, t_first, cfg)
+        lines = path.read_text().splitlines()
+        k, t, v, e, rest = lines[-2].split(",")
+        d, n, vu, eu = rest.split(";")
+        row = {"T": t, "v": v, "e": e, "vu": vu, "eu": eu}
+        row[field] = repr(math.nextafter(float(row[field]), to))
+        lines[-2] = "%s,%s,%s,%s,%s;%s;%s;%s" % (
+            k, row["T"], row["v"], row["e"], d, n, row["vu"], row["eu"])
+        path.write_text("\n".join(lines) + "\n")
+        before = path.read_bytes()
+        if new_process:
+            fresh()
+        with pytest.raises(CheckpointMismatch) as ei:
+            extend_checkpoint(str(path), 1, t_first + 100.0, cfg, resume=True)
+        assert "does not reproduce" in str(ei.value)
+        assert path.read_bytes() == before
+        assert get_accumulator(1, cfg).bounds[0] == 0.0  # no seed left from the refused row
+
+    @pytest.mark.parametrize("query", ["integrate_moment", "mean_square_e2", "boundary_grid",
+                                       "integral_of_e2", "cumulative_at"])
+    def test_queries_below_the_seed_equal_a_run_from_0(self, tmp_path, ctx, cfg, fresh, query):
+        calls = {
+            "integrate_moment": lambda: moments.integrate_moment(2, 150.0, 2400.0, ctx, cfg),
+            "mean_square_e2": lambda: moments.mean_square_e2(
+                2400.0, ctx, cfg, snapshots=[100.0, 1333.3, 2200.0]),
+            "boundary_grid": lambda: [q.tolist() for q in get_accumulator(2, cfg).boundary_grid(50.0, 2200.0)],
+            "integral_of_e2": lambda: moments.integral_of_e2(2400.0, ctx, cfg),
+            "cumulative_at": lambda: [q.tolist() for q in get_accumulator(2, cfg).cumulative_at([0.0, 120.5, 2310.0])],
+        }
+        _, cp, _ = _write_and_reseed(str(tmp_path / "cp.txt"), 2, 2000.0, 2400.0, cfg, fresh)
+        acc = get_accumulator(2, cfg)
+        assert acc.base > 0 and acc.bounds[0] == cp.resume.seed_t
+        seeded = calls[query]()
+        fresh()
+        assert seeded == calls[query]()
+
+    def test_resume_to_a_lower_t_appends_nothing(self, tmp_path, cfg, fresh):
+        path = tmp_path / "cp.txt"
+        stored, _ = extend_checkpoint(str(path), 1, 1000.0, cfg)
+        before = path.read_bytes()
+        fresh()
+        cp, value = extend_checkpoint(str(path), 1, 750.0, cfg, resume=True)
+        assert path.read_bytes() == before and cp.grid == stored.grid
+        fresh()
+        _, fresh_value = extend_checkpoint(str(tmp_path / "fresh.txt"), 1, 750.0, cfg)
+        assert value == fresh_value
+
+    def test_front_pass_refuses_a_seed_that_does_not_reproduce(self, tmp_path, cfg, fresh):
+        _, cp, _ = _write_and_reseed(str(tmp_path / "cp.txt"), 1, 500.0, 600.0, cfg, fresh)
+        n, t, v, vu, e, eu = cp.row(-3)
+        fresh()
+        acc = get_accumulator(1, cfg, (n, t, math.nextafter(v, math.inf), vu, e, eu))
+        acc.ensure(700.0)
+        with pytest.raises(CheckpointMismatch, match="does not reproduce"):
+            acc.cumulative_to(100.0)
+
+    def test_v1_file_resumes_and_is_rewritten_as_v2(self, tmp_path, cfg, fresh):
+        v2 = tmp_path / "v2.txt"
+        cp, _ = extend_checkpoint(str(v2), 1, 500.0, cfg)
+        v1 = tmp_path / "v1.txt"
+        lines = [HEADER_V1, FINGERPRINT_PREFIX + numeric_fingerprint()]
+        lines += ["1,%r,%r,%r,%s" % (t, v, e, cp.config_digest) for t, v, e in cp.grid]
+        v1.write_text("\n".join(lines) + "\n")
+        assert read_checkpoint(str(v1), 1).grid == cp.grid
+        fresh()
+        resumed, value = extend_checkpoint(str(v1), 1, 1000.0, cfg, resume=True)
+        assert resumed.resume.seed_t == 0.0
+        fresh()
+        whole, fresh_value = extend_checkpoint(str(tmp_path / "fresh.txt"), 1, 1000.0, cfg)
+        assert v1.read_text().splitlines()[0] == HEADER
+        assert v1.read_text() == (tmp_path / "fresh.txt").read_text()
+        assert (resumed.grid, resumed.sums, value) == (whole.grid, whole.sums, fresh_value)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.txt", "v1.txt", "v2.txt"]
+
+    def test_v1_file_with_rows_of_another_k_refused(self, tmp_path, cfg):
+        path = tmp_path / "v1.txt"
+        path.write_text("%s\n1,100.0,90.0,0.0,%s\n2,100.0,400.0,0.0,%s\n"
+                        % (HEADER_V1, cfg.digest(), cfg.digest()))
+        before = path.read_bytes()
+        with pytest.raises(CheckpointMismatch, match="another k"):
+            extend_checkpoint(str(path), 1, 200.0, cfg, resume=True)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("sums, invariant", [
+        ([(3, 1.0, 0.0), (3, 2.0, 0.0)], "strictly-increasing-n"),
+        ([(3, 2.0, 0.0), (5, 1.0, 0.0)], "non-decreasing-value-u"),
+        ([(3, 1.0, 0.0), (5, 2.0, -1e-300)], "nonnegative-err-u"),
+    ])
+    def test_v2_invariants_validated(self, sums, invariant):
+        cp = MomentCheckpoint(1, [(5.0, 1.0, 0.0), (10.0, 2.0, 0.0)], "d", sums=sums)
+        with pytest.raises(DataValidationError) as ei:
+            cp.validate()
+        assert ei.value.invariant == invariant
+
+    def test_negative_err_named(self):
+        with pytest.raises(DataValidationError) as ei:
+            MomentCheckpoint(1, [(5.0, 1.0, 0.0), (10.0, 2.0, -1.0)], "d").validate()
+        assert ei.value.invariant == "nonnegative-err"
+
+    def test_row_without_the_v2_columns_refused(self, tmp_path, cfg):
+        path = tmp_path / "cp.txt"
+        path.write_text("%s\n1,100.0,90.0,0.0,%s\n" % (HEADER, cfg.digest()))
+        with pytest.raises(DataParseError) as ei:
+            read_checkpoint(str(path), 1)
+        assert ei.value.line == 2

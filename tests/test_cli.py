@@ -7,7 +7,8 @@ import math
 import pytest
 
 import _frozen as F
-from zetalab import checkpoint, cli
+from zetalab import checkpoint, cli, quadrature
+from zetalab.checkpoint import read_checkpoint
 from zetalab.config import QuadConfig
 from zetalab.laplace import atkinson_expansion, kober_main, laplace_moment_grid
 from zetalab.moments import mean_square_e2, twelfth_moment_table
@@ -95,6 +96,25 @@ class TestMoment:
         assert str(ckpt) in err and "--resume" in err
         assert ckpt.read_bytes() == before
         assert cli.main(argv + ["--resume"]) == 0
+
+    def test_resume_comment_says_what_the_resume_did(self, tmp_path):
+        ckpt = str(tmp_path / "m.ckpt")
+        argv = ["moment", "--k", "1", "--checkpoint", ckpt, "--format", "csv"]
+        first, resumed = tmp_path / "first.csv", tmp_path / "resumed.csv"
+        assert cli.main(argv + ["--T", "1000", "--out", str(first)]) == 0
+        stored = read_checkpoint(ckpt, 1)
+        quadrature.clear_accumulators()  # as a new process finds them
+        try:
+            assert cli.main(argv + ["--T", "1500", "--resume", "--out", str(resumed)]) == 0
+        finally:
+            quadrature.clear_accumulators()
+        assert "# resume:" not in first.read_text()
+        (line,) = [x for x in resumed.read_text().splitlines() if x.startswith("# resume:")]
+        seed_t = float(line.split("seed T=")[1].split(",")[0])
+        j = [t for t, _, _ in stored.grid].index(seed_t)
+        assert 0 < j < len(stored.grid) - 1
+        assert line == "# resume: seed T=%r, verified T=%r, %d panels integrated at or below it" % (
+            seed_t, stored.grid[-1][0], stored.sums[-1][0] - stored.sums[j][0])
 
 
 class TestLaplace:

@@ -30,3 +30,25 @@ def test_tracer_installs_and_removes_and_the_harness_builds(monkeypatch, tmp_pat
         tracer.remove()
     assert all(getattr(owner, attr) is old for owner, attr, old in patched)
     assert spectral.motohashi_spectral_sum is original
+
+
+def test_traced_resume_counts_only_the_recomputed_span(monkeypatch, tmp_path, cfg):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from zetalab import checkpoint, quadrature
+
+    path = str(tmp_path / "m.ckpt")
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        quadrature.clear_accumulators()
+        first, _ = checkpoint.extend_checkpoint(path, 1, 1000.0, cfg)
+        points_to_first = tracer.counts["zkernel.em.pts"] + tracer.counts["zkernel.rs.pts"]
+        quadrature.clear_accumulators()  # as a new process finds them
+        resumed, _ = checkpoint.extend_checkpoint(path, 1, 1100.0, cfg, resume=True)
+    finally:
+        tracer.remove()
+        quadrature.clear_accumulators()
+    recomputed = tracer.counts["checkpoint.resume.recomputed_pts"]
+    assert 0 < recomputed < points_to_first
+    assert tracer.counts["checkpoint.rows_written"] == len(resumed.grid) > len(first.grid)
