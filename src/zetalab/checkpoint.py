@@ -10,7 +10,9 @@ int_0^T |Z|^{2k}, vu = int_0^T t |Z|^{2k} and their error bounds e and eu
 are the accumulator's four prefix sums there; digest is the QuadConfig
 digest.  n, vu and eu follow the digest after ';', so a row's five comma
 fields are those of a v1 row (k,T,v,e,digest), which v1 files hold alone.
-Files without the fingerprint line still load.
+Files without the fingerprint line still load.  MomentCheckpoint.rows
+holds a file's rows of one k in this order, (T, v, e, n, vu, eu), the
+order of MomentAccumulator's rows; (T, v, e) for a v1 file.
 
 A resume (extend_checkpoint with resume=True) seeds the accumulator with
 the second-to-last stored row (quadrature.MomentAccumulator's origin),
@@ -27,15 +29,16 @@ instead, recomputing [0, T] in full, when the file has one row, when it is
 v1 (no u-sums), or when its fingerprint is missing or differs from
 numeric_fingerprint().  If the process's accumulator already reaches the
 seed row, it is extended instead, and its prefix at the seed must equal the
-row.  A v1 file is resumed from 0, every stored (T, v, e) must come back,
-and the file is rewritten as v2 through a temporary file and os.replace, so
-no file mixes the two formats; a v1 file that also holds rows of another k
-is refused, as its rewrite would drop them.
+row.  A v1 file is resumed from 0, and every stored (T, v, e) of k must
+come back.  If it holds rows of k alone, it is then rewritten as v2
+through a temporary file, synced to disk before os.replace puts it in
+place.  If it also holds rows of another k, which have no u-sums to seed
+from, it stays v1 and the new rows are appended as v1 rows: every k in it
+resumes from 0, as before v2.  No file mixes the two formats.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 from dataclasses import dataclass
 
@@ -64,21 +67,21 @@ class Resume:
 @dataclass
 class MomentCheckpoint:
     k: int
-    grid: list  # [(T, cumulative_value, cumulative_err), ...] strictly increasing T
+    rows: list  # [(T, v, e, n, vu, eu), ...] strictly increasing T, as stored; (T, v, e) in a v1 file
     config_digest: str
     fingerprint: str | None = None  # None for files written before it was recorded
-    sums: list | None = None  # [(n, cumulative_value_u, cumulative_err_u), ...] per grid row; None for v1
-    other_rows: int = 0       # rows of other k in the file
+    other_rows: int | None = None  # rows of other k in the file, as read_checkpoint counted them
     resume: Resume | None = None  # set by extend_checkpoint when it resumed
 
-    def row(self, i: int):
-        """Row i as (n, T, v, vu, e, eu), an accumulator origin."""
-        (t, v, e), (n, vu, eu) = self.grid[i], self.sums[i]
-        return n, t, v, vu, e, eu
+    @property
+    def grid(self):
+        """[(T, cumulative_value, cumulative_err), ...]"""
+        return [row[:3] for row in self.rows]
 
     def validate(self):
         prev = (-1.0, -1.0, -1, -1.0)  # T, v, n, vu of the row before
-        for (t, v, e), (n, vu, eu) in zip(self.grid, self.sums or [(None,) * 3] * len(self.grid)):
+        for t, v, e, *more in self.rows:
+            n, vu, eu = more or (None, None, None)
             for broken, what, invariant in (
                 (t <= prev[0], "checkpoint T not strictly increasing", "strictly-increasing-T"),
                 (v < prev[1], "cumulative value decreased", "non-decreasing-value"),
@@ -97,7 +100,7 @@ class MomentCheckpoint:
 def read_checkpoint(path: str, k: int) -> MomentCheckpoint | None:
     if not os.path.exists(path):
         return None
-    grid, sums = [], []
+    rows = []
     digest = fingerprint = None
     other_rows = 0
     with open(path) as fh:
@@ -119,9 +122,9 @@ def read_checkpoint(path: str, k: int) -> MomentCheckpoint | None:
                 raise DataParseError("expected %d ';' fields after the digest" % (3 * v2), line=lineno)
             try:
                 rk = int(parts[0])
-                t, v, e = float(parts[1]), float(parts[2]), float(parts[3])
+                row = (float(parts[1]), float(parts[2]), float(parts[3]))
                 if v2:
-                    n, vu, eu = int(extra[0]), float(extra[1]), float(extra[2])
+                    row += (int(extra[0]), float(extra[1]), float(extra[2]))
             except ValueError as exc:
                 raise DataParseError(str(exc), line=lineno) from exc
             if rk != k:
@@ -133,37 +136,55 @@ def read_checkpoint(path: str, k: int) -> MomentCheckpoint | None:
                 raise DataValidationError(
                     "mixed config digests for k=%d" % k, invariant="single-digest"
                 )
-            grid.append((t, v, e))
-            if v2:
-                sums.append((n, vu, eu))
-    if not grid:
+            rows.append(row)
+    if not rows:
         return None
-    cp = MomentCheckpoint(k, grid, digest, fingerprint, sums if v2 else None, other_rows)
+    cp = MomentCheckpoint(k, rows, digest, fingerprint, other_rows)
     cp.validate()
     return cp
 
 
+def _head(path: str):
+    """(whether path is a v1 file, the fingerprint it records or None); a
+    file not yet written will be v2 and record numeric_fingerprint()."""
+    if not os.path.exists(path):
+        return False, numeric_fingerprint()
+    with open(path) as fh:
+        first, second = fh.readline().rstrip("\n"), fh.readline().strip()
+    recorded = second[len(FINGERPRINT_PREFIX):] if second.startswith(FINGERPRINT_PREFIX) else None
+    return first == HEADER_V1, recorded
+
+
+def _write(fh, k: int, rows, digest: str, header: bool):
+    if header:
+        fh.write(HEADER + "\n" + FINGERPRINT_PREFIX + numeric_fingerprint() + "\n")
+    for t, v, e, *more in rows:
+        fh.write("%d,%r,%r,%r,%s%s\n" % (k, t, v, e, digest, ";%d;%r;%r" % tuple(more) if more else ""))
+
+
 def _append_rows(path: str, k: int, rows, digest: str):
-    """Append rows (n, T, v, vu, e, eu), writing the header to a new file."""
+    """Append rows (T, v, e, n, vu, eu), or (T, v, e) to a v1 file, writing
+    the v2 header to a new file."""
     new_file = not os.path.exists(path)
     with open(path, "a") as fh:
-        if new_file:
-            fh.write(HEADER + "\n" + FINGERPRINT_PREFIX + numeric_fingerprint() + "\n")
-        for n, t, v, vu, e, eu in rows:
-            fh.write("%d,%r,%r,%r,%s;%d;%r;%r\n" % (k, t, v, e, digest, n, vu, eu))
+        _write(fh, k, rows, digest, new_file)
 
 
-def _rows(acc: MomentAccumulator, i):
-    """Rows (n, T, v, vu, e, eu) at the indices i into acc.bounds."""
-    # tolist: plain floats, so rows are written as repr(float) decimals
-    return list(zip((acc.base + i).tolist(), acc.bounds[i].tolist(),
-                    *(q[i].tolist() for q in acc.prefix())))
+def _rewrite(path: str, k: int, rows, digest: str):
+    """Replace path by a v2 file of rows, written to a temporary file and
+    synced to disk before it takes the place of path."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        _write(fh, k, rows, digest, True)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 def _row_at(acc: MomentAccumulator, t: float):
     """The row at the boundary t of acc, or None if t is not one."""
-    i = np.searchsorted(acc.bounds, [t], side="right") - 1
-    return _rows(acc, i)[0] if i[0] >= 0 and acc.bounds[i[0]] == t else None
+    i = acc.index(t)
+    return acc.rows([i])[0] if i >= 0 and acc.bounds[i] == t else None
 
 
 def _row_indices(acc: MomentAccumulator, t_from: float, t_target: float, step: float):
@@ -176,7 +197,7 @@ def _row_indices(acc: MomentAccumulator, t_from: float, t_target: float, step: f
     return i[acc.bounds[i] > t_from]
 
 
-def _verify(acc: MomentAccumulator, stored: MomentCheckpoint, rows, seed, seeded: bool):
+def _verify(acc: MomentAccumulator, stored: MomentCheckpoint, seed, seeded: bool):
     """Require the stored rows back from acc, as the module docstring says.
 
     Returns the rows (rebuilt from acc for a v1 file) and the seed row.  A
@@ -195,17 +216,17 @@ def _verify(acc: MomentAccumulator, stored: MomentCheckpoint, rows, seed, seeded
                     stored.fingerprint or "(not recorded)", here)
             raise CheckpointMismatch(msg)
 
-    last_t = stored.grid[-1][0]
-    reproduce(seed[1], seed, _row_at(acc, seed[1]))
-    acc.ensure(last_t)
-    if stored.sums is None:
-        rows = [_row_at(acc, t) for t, _, _ in stored.grid]
-        for want, got in zip(stored.grid, rows):
-            reproduce(want[0], want, got and (got[1], got[2], got[4]))
+    rows = stored.rows
+    reproduce(seed[0], seed, _row_at(acc, seed[0]))
+    acc.ensure(rows[-1][0])
+    if len(rows[-1]) == 3:  # v1
+        rows = [_row_at(acc, t) for t, _, _ in stored.rows]
+        for want, got in zip(stored.rows, rows):
+            reproduce(want[0], want, got and got[:3])
     else:
-        reproduce(last_t, rows[-1], _row_at(acc, last_t))
+        reproduce(rows[-1][0], rows[-1], _row_at(acc, rows[-1][0]))
     j = len(rows) - 2
-    while seeded and acc.base > 0 and not acc.pins_origin(acc.index(rows[j + 1][1])):
+    while seeded and acc.base > 0 and not acc.pins_origin(acc.index(rows[j + 1][0])):
         j -= 1
         seed = rows[j] if j >= 0 else ORIGIN
         acc.front(seed)
@@ -218,7 +239,7 @@ def extend_checkpoint(path: str, k: int, t_target: float, cfg: QuadConfig, resum
     Returns (checkpoint, (value, err) at exact t_target).  Without resume,
     refuses an existing file before integrating anything and leaves it as it
     is.  With resume, refuses a file whose digest differs from cfg's, and
-    verifies the stored rows as the module docstring says before appending;
+    verifies the stored rows as the module docstring says before writing;
     the checkpoint's resume field says what the resume did.
     """
     if not resume and os.path.exists(path):
@@ -232,42 +253,33 @@ def extend_checkpoint(path: str, k: int, t_target: float, cfg: QuadConfig, resum
             "checkpoint digest %s != active config digest %s"
             % (stored.config_digest, digest)
         )
-    v1 = stored is not None and stored.sums is None
-    if v1 and stored.other_rows:
-        raise CheckpointMismatch(
-            "v1 checkpoint %s also holds %d rows of another k, which its rewrite as v2 "
-            "would drop; give each k its own file" % (path, stored.other_rows))
-    rows = [stored.row(i) for i in range(len(stored.grid))] if stored and not v1 else []
-    seed = rows[-2] if len(rows) > 1 and stored.fingerprint == numeric_fingerprint() else ORIGIN
-    last_t = stored.grid[-1][0] if stored else 0.0
+    v1, fingerprint = _head(path)
+    rows = stored.rows if stored else []
+    seed = rows[-2] if len(rows) > 1 and not v1 and fingerprint == numeric_fingerprint() else ORIGIN
+    last_t = rows[-1][0] if rows else 0.0
 
     acc = get_accumulator(k, cfg, seed)
     held = max(acc.index(last_t), 0)
     seeded = acc.base > 0 and acc.bounds.size == 1  # a new accumulator at the seed row
     if stored is not None:
         try:
-            rows, seed = _verify(acc, stored, rows, seed, seeded)
+            rows, seed = _verify(acc, stored, seed, seeded)
         except CheckpointMismatch:
             if seeded:  # no later query may start from an unverified row
                 drop_accumulator(k, cfg)
             raise
-    new_rows = _rows(acc, _row_indices(acc, last_t, t_target, cfg.checkpoint_step))
+    new_rows = acc.rows(_row_indices(acc, last_t, t_target, cfg.checkpoint_step))
     v, _, e, _ = acc.cumulative_to(t_target)
 
-    if v1:
-        tmp = path + ".tmp"
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        _append_rows(tmp, k, rows + new_rows, digest)
-        os.replace(tmp, path)
-    elif new_rows:
-        _append_rows(path, k, new_rows, digest)
-
-    rows += new_rows
-    cp = MomentCheckpoint(
-        k, [(t, v_, e_) for _, t, v_, _, e_, _ in rows], digest,
-        stored.fingerprint if stored and not v1 else numeric_fingerprint(),
-        [(n, vu, eu) for n, _, _, vu, _, eu in rows], stored.other_rows if stored else 0)
+    if v1 and stored is not None and not stored.other_rows:
+        _rewrite(path, k, rows + new_rows, digest)
+        fingerprint = numeric_fingerprint()
+    else:
+        if v1:  # it also holds rows of another k: it stays v1
+            rows, new_rows = [r[:3] for r in rows], [r[:3] for r in new_rows]
+        if new_rows:
+            _append_rows(path, k, new_rows, digest)
+    cp = MomentCheckpoint(k, rows + new_rows, digest, fingerprint, stored and stored.other_rows)
     if stored is not None:
-        cp.resume = Resume(seed[1], last_t, max(acc.index(last_t), 0) - held)
+        cp.resume = Resume(seed[0], last_t, max(acc.index(last_t), 0) - held)
     return cp, (v, e)

@@ -258,16 +258,22 @@ class PanelBatch:
         return k, ku, np.abs(g - k), charge + pt, charge_u + ptu
 
 
-ORIGIN = (0, 0.0, 0.0, 0.0, 0.0, 0.0)  # the row (n, T, v, vu, e, eu) at t = 0
+ORIGIN = (0.0, 0.0, 0.0, 0, 0.0, 0.0)  # the row (T, v, e, n, vu, eu) at t = 0
+
+
+def _split(row):
+    """(T, n, (v, vu, e, eu)) of a row (T, v, e, n, vu, eu)."""
+    t, v, e, n, vu, eu = row
+    return float(t), int(n), (float(v), float(vu), float(e), float(eu))
 
 
 class MomentAccumulator:
     """Cumulative integrals of |Z(t)|^{2k} (and t |Z|^{2k}) over a shared mesh.
 
-    An accumulator starts at an origin: a checkpoint row (n, T0, v, vu, e,
+    An accumulator starts at an origin: a checkpoint row (T0, v, e, n, vu,
     eu) at a panel boundary T0 of the mesh from 0 (panel_mesh), with n the
-    panel count on [0, T0] and the four prefix sums there; from 0 it is
-    ORIGIN.  Above T0 the panel boundaries (bounds, every other cell
+    panel count on [0, T0] and the four prefix sums there (rows); from 0 it
+    is ORIGIN.  Above T0 the panel boundaries (bounds, every other cell
     boundary of mesh, from T0) and the per-panel values, errors and their
     u-weighted twins are numpy arrays, grown once per ensure.  The prefix
     sums are a plain left fold seeded with the origin's sums, so at every
@@ -288,9 +294,8 @@ class MomentAccumulator:
     def __init__(self, k: int, cfg: QuadConfig, origin=ORIGIN):
         self.k = k
         self.cfg = cfg
-        self.base = int(origin[0])
-        self.bounds = np.array([float(origin[1])])
-        self._seed = tuple(float(x) for x in origin[2:])
+        t0, self.base, self._seed = _split(origin)
+        self.bounds = np.array([t0])
         self._val = self._val_u = self._err = self._err_u = np.zeros(0)
         self._prefix = None
 
@@ -325,24 +330,24 @@ class MomentAccumulator:
         self._prefix = None
 
     def front(self, origin=ORIGIN):
-        """Integrate [T, T0] in front from an origin row (n, T, ...) below T0,
+        """Integrate [T, T0] in front from an origin row (T, ...) below T0,
         by default ORIGIN: the front pass.  The fold seeded with the row's
         sums must reproduce the current origin row bit for bit; the
         accumulator then starts at the given row."""
-        t0 = float(self.bounds[0])
-        new = panel_mesh(float(origin[1]), t0, self.cfg)
+        (want,) = self.rows([0])
+        t, n, sums = _split(origin)
+        new = panel_mesh(t, want[0], self.cfg)
         parts = self._run(new)
         # cumsum: the same left fold as prefix()
-        got = (int(origin[0]) + len(new) - 1, float(new[-1])) + tuple(
-            float(np.cumsum(np.concatenate([[s], q]))[-1]) for s, q in zip(origin[2:], parts))
-        want = (self.base, t0) + self._seed
+        v, vu, e, eu = (float(np.cumsum(np.concatenate([[s], q]))[-1]) for s, q in zip(sums, parts))
+        got = (float(new[-1]), v, e, n + len(new) - 1, vu, eu)
         if got != want:
             raise CheckpointMismatch("origin row %r does not reproduce: the panels on [%r, %r] "
-                                     "from the row %r give %r" % (want, origin[1], t0, tuple(origin), got))
+                                     "from the row %r give %r" % (want, t, want[0], tuple(origin), got))
         self._val, self._val_u, self._err, self._err_u = (
             np.concatenate([q, old]) for q, old in zip(parts, self._sums()))
         self.bounds = np.concatenate([new[:-1], self.bounds])
-        self.base, self._seed = int(origin[0]), tuple(float(x) for x in origin[2:])
+        self.base, self._seed = n, sums
         self._prefix = None
 
     def pins_origin(self, i: int) -> bool:
@@ -373,6 +378,13 @@ class MomentAccumulator:
             self._prefix = tuple(np.cumsum(np.concatenate([[s], q]))
                                  for s, q in zip(self._seed, self._sums()))
         return self._prefix
+
+    def rows(self, i):
+        """Rows (T, v, e, n, vu, eu) at the indices i into bounds, as plain
+        Python numbers (so a checkpoint writes them as repr(float))."""
+        i = np.asarray(i, dtype=int)
+        v, vu, e, eu = (q[i].tolist() for q in self.prefix())
+        return list(zip(self.bounds[i].tolist(), v, e, (self.base + i).tolist(), vu, eu))
 
     def index(self, t: float) -> int:
         """Index into bounds of the last boundary <= t (t >= the origin)."""
@@ -463,7 +475,7 @@ def get_accumulator(k: int, cfg: QuadConfig, origin=None) -> MomentAccumulator:
     replaced by an accumulator seeded there."""
     key = (k, cfg.digest())
     acc = _ACCUMULATORS.get(key)
-    if acc is None or (origin is not None and not acc.bounds[0] <= origin[1] <= acc.bounds[-1]):
+    if acc is None or (origin is not None and not acc.bounds[0] <= origin[0] <= acc.bounds[-1]):
         acc = _ACCUMULATORS[key] = MomentAccumulator(k, cfg, ORIGIN if origin is None else origin)
     return acc
 

@@ -1,6 +1,7 @@
 """Checkpoint persistence, digests, resume determinism."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -128,6 +129,10 @@ def _write_and_reseed(path, k, t_first, t_resume, cfg, fresh):
     return cp1, cp2, value
 
 
+def _v2_rows(text):
+    return [line for line in text.splitlines() if not line.startswith("#") and ";" in line]
+
+
 class TestSeededResume:
     @pytest.mark.parametrize("t_first", [1000.0, 2500.0])
     def test_z_is_evaluated_only_above_the_seed_row(self, tmp_path, cfg, fresh, monkeypatch, t_first):
@@ -148,16 +153,16 @@ class TestSeededResume:
         j = [t for t, _, _ in cp1.grid].index(seed_t)
         assert 0 < seed_t <= cp1.grid[-2][0] and cp2.resume.verified_t == cp1.grid[-1][0]
         assert min(seen) >= seed_t
-        assert cp2.resume.panels == cp1.sums[-1][0] - cp1.sums[j][0]
+        assert cp2.resume.panels == cp1.rows[-1][3] - cp1.rows[j][3]
         fresh()
         cp3, fresh_value = extend_checkpoint(str(tmp_path / "fresh.txt"), 1, t_first + 500.0, cfg)
-        assert (cp2.grid, cp2.sums, value) == (cp3.grid, cp3.sums, fresh_value)
+        assert (cp2.rows, value) == (cp3.rows, fresh_value)
         assert (tmp_path / "cp.txt").read_text() == (tmp_path / "fresh.txt").read_text()
 
     def test_seed_moves_down_until_the_row_above_determines_it(self, tmp_path, cfg, fresh):
         _, cp, _ = _write_and_reseed(str(tmp_path / "cp.txt"), 1, 2500.0, 3000.0, cfg, fresh)
-        rows = [cp.row(i) for i in range(len(cp.grid))]
-        ts = [r[1] for r in rows]
+        rows = cp.rows
+        ts = [r[0] for r in rows]
         j, last = ts.index(cp.resume.seed_t), ts.index(cp.resume.verified_t)
         assert get_accumulator(1, cfg).bounds[0] == cp.resume.seed_t
 
@@ -225,14 +230,14 @@ class TestSeededResume:
 
     def test_front_pass_refuses_a_seed_that_does_not_reproduce(self, tmp_path, cfg, fresh):
         _, cp, _ = _write_and_reseed(str(tmp_path / "cp.txt"), 1, 500.0, 600.0, cfg, fresh)
-        n, t, v, vu, e, eu = cp.row(-3)
+        t, v, e, n, vu, eu = cp.rows[-3]
         fresh()
-        acc = get_accumulator(1, cfg, (n, t, math.nextafter(v, math.inf), vu, e, eu))
+        acc = get_accumulator(1, cfg, (t, math.nextafter(v, math.inf), e, n, vu, eu))
         acc.ensure(700.0)
         with pytest.raises(CheckpointMismatch, match="does not reproduce"):
             acc.cumulative_to(100.0)
 
-    def test_v1_file_resumes_and_is_rewritten_as_v2(self, tmp_path, cfg, fresh):
+    def test_v1_file_resumes_and_is_rewritten_as_v2(self, tmp_path, cfg, fresh, monkeypatch):
         v2 = tmp_path / "v2.txt"
         cp, _ = extend_checkpoint(str(v2), 1, 500.0, cfg)
         v1 = tmp_path / "v1.txt"
@@ -241,23 +246,60 @@ class TestSeededResume:
         v1.write_text("\n".join(lines) + "\n")
         assert read_checkpoint(str(v1), 1).grid == cp.grid
         fresh()
+        calls = []
+
+        def spy(name):
+            real = getattr(os, name)
+            return lambda *args: calls.append(name) or real(*args)
+
+        for name in ("fsync", "replace"):
+            monkeypatch.setattr(os, name, spy(name))
         resumed, value = extend_checkpoint(str(v1), 1, 1000.0, cfg, resume=True)
+        monkeypatch.undo()
+        assert calls == ["fsync", "replace"]  # the new file is on disk before it replaces the old one
         assert resumed.resume.seed_t == 0.0
         fresh()
         whole, fresh_value = extend_checkpoint(str(tmp_path / "fresh.txt"), 1, 1000.0, cfg)
         assert v1.read_text().splitlines()[0] == HEADER
         assert v1.read_text() == (tmp_path / "fresh.txt").read_text()
-        assert (resumed.grid, resumed.sums, value) == (whole.grid, whole.sums, fresh_value)
+        assert (resumed.rows, value) == (whole.rows, fresh_value)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.txt", "v1.txt", "v2.txt"]
 
-    def test_v1_file_with_rows_of_another_k_refused(self, tmp_path, cfg):
+    def test_v1_file_of_one_k_takes_rows_of_another_k_and_stays_v1(self, tmp_path, cfg, fresh):
         path = tmp_path / "v1.txt"
-        path.write_text("%s\n1,100.0,90.0,0.0,%s\n2,100.0,400.0,0.0,%s\n"
-                        % (HEADER_V1, cfg.digest(), cfg.digest()))
-        before = path.read_bytes()
-        with pytest.raises(CheckpointMismatch, match="another k"):
-            extend_checkpoint(str(path), 1, 200.0, cfg, resume=True)
-        assert path.read_bytes() == before
+        cp1, _ = extend_checkpoint(str(tmp_path / "v2.txt"), 1, 500.0, cfg)
+        lines = [HEADER_V1, FINGERPRINT_PREFIX + numeric_fingerprint()]
+        lines += ["1,%r,%r,%r,%s" % (t, v, e, cfg.digest()) for t, v, e in cp1.grid]
+        path.write_text("\n".join(lines) + "\n")
+        before = path.read_text()
+        fresh()
+        cp2, _ = extend_checkpoint(str(path), 2, 300.0, cfg, resume=True)
+        text = path.read_text()
+        assert text.startswith(before) and not _v2_rows(text)
+        assert read_checkpoint(str(path), 1).grid == cp1.grid
+        assert read_checkpoint(str(path), 2).grid == cp2.grid
+        assert cp2.resume is None
+        fresh()
+        assert cp2.grid == extend_checkpoint(str(tmp_path / "k2.txt"), 2, 300.0, cfg)[0].grid
+
+    def test_each_k_of_a_v1_file_resumes_from_0(self, tmp_path, cfg, fresh):
+        path = tmp_path / "v1.txt"
+        rows = {}
+        for k, t in ((1, 500.0), (2, 300.0)):
+            fresh()
+            rows[k] = extend_checkpoint(str(tmp_path / ("k%d.txt" % k)), k, t, cfg)[0].grid
+        lines = [HEADER_V1, FINGERPRINT_PREFIX + numeric_fingerprint()]
+        lines += ["%d,%r,%r,%r,%s" % (k, t, v, e, cfg.digest()) for k in (1, 2) for t, v, e in rows[k]]
+        path.write_text("\n".join(lines) + "\n")
+        for k, t in ((1, 700.0), (2, 450.0)):
+            fresh()
+            cp, value = extend_checkpoint(str(path), k, t, cfg, resume=True)
+            assert cp.resume.seed_t == 0.0 and cp.resume.verified_t == rows[k][-1][0]
+            fresh()
+            whole, fresh_value = extend_checkpoint(str(tmp_path / ("k%d-fresh.txt" % k)), k, t, cfg)
+            assert (cp.grid, value) == (whole.grid, fresh_value)
+            assert read_checkpoint(str(path), k).grid == whole.grid
+        assert not _v2_rows(path.read_text())
 
     @pytest.mark.parametrize("sums, invariant", [
         ([(3, 1.0, 0.0), (3, 2.0, 0.0)], "strictly-increasing-n"),
@@ -265,7 +307,8 @@ class TestSeededResume:
         ([(3, 1.0, 0.0), (5, 2.0, -1e-300)], "nonnegative-err-u"),
     ])
     def test_v2_invariants_validated(self, sums, invariant):
-        cp = MomentCheckpoint(1, [(5.0, 1.0, 0.0), (10.0, 2.0, 0.0)], "d", sums=sums)
+        grid = [(5.0, 1.0, 0.0), (10.0, 2.0, 0.0)]
+        cp = MomentCheckpoint(1, [g + s for g, s in zip(grid, sums)], "d")
         with pytest.raises(DataValidationError) as ei:
             cp.validate()
         assert ei.value.invariant == invariant

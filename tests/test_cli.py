@@ -114,7 +114,7 @@ class TestMoment:
         j = [t for t, _, _ in stored.grid].index(seed_t)
         assert 0 < j < len(stored.grid) - 1
         assert line == "# resume: seed T=%r, verified T=%r, %d panels integrated at or below it" % (
-            seed_t, stored.grid[-1][0], stored.sums[-1][0] - stored.sums[j][0])
+            seed_t, stored.grid[-1][0], stored.rows[-1][3] - stored.rows[j][3])
 
 
 class TestLaplace:
