@@ -30,11 +30,15 @@ v1 (no u-sums), or when its fingerprint is missing or differs from
 numeric_fingerprint().  If the process's accumulator already reaches the
 seed row, it is extended instead, and its prefix at the seed must equal the
 row.  A v1 file is resumed from 0, and every stored (T, v, e) of k must
-come back.  If it holds rows of k alone, it is then rewritten as v2
-through a temporary file, synced to disk before os.replace puts it in
-place.  If it also holds rows of another k, which have no u-sums to seed
-from, it stays v1 and the new rows are appended as v1 rows: every k in it
-resumes from 0, as before v2.  No file mixes the two formats.
+come back.  So must every stored row of a v2 file written under another
+fingerprint or none.  If such a file holds rows of k alone, it is then
+rewritten as v2 under this fingerprint, through a temporary file synced to
+disk before os.replace puts it in place, so the next resume seeds above 0.
+A v1 file that also holds rows of another k, which have no u-sums to seed
+from, stays v1 and the new rows are appended as v1 rows: every k in it
+resumes from 0, as before v2.  A v2 file of several k under another
+fingerprint keeps its fingerprint line, and each of its k resumes from 0.
+No file mixes the two formats.
 """
 
 from __future__ import annotations
@@ -197,10 +201,12 @@ def _row_indices(acc: MomentAccumulator, t_from: float, t_target: float, step: f
     return i[acc.bounds[i] > t_from]
 
 
-def _verify(acc: MomentAccumulator, stored: MomentCheckpoint, seed, seeded: bool):
-    """Require the stored rows back from acc, as the module docstring says.
+def _verify(acc: MomentAccumulator, stored: MomentCheckpoint, seed, seeded: bool, every: bool):
+    """Require the stored rows back from acc, as the module docstring says:
+    every one of them if every (a resume from 0 of a file that will be
+    rewritten, or of a v1 file), else the last.
 
-    Returns the rows (rebuilt from acc for a v1 file) and the seed row.  A
+    Returns the rows (rebuilt from acc if every) and the seed row.  A
     new accumulator seeded at a row (seeded) is moved down a row at a time
     (front) until the row above its origin determines the origin
     (pins_origin): the fold can absorb an ulp of the seed, and then the
@@ -219,10 +225,10 @@ def _verify(acc: MomentAccumulator, stored: MomentCheckpoint, seed, seeded: bool
     rows = stored.rows
     reproduce(seed[0], seed, _row_at(acc, seed[0]))
     acc.ensure(rows[-1][0])
-    if len(rows[-1]) == 3:  # v1
-        rows = [_row_at(acc, t) for t, _, _ in stored.rows]
+    if every:
+        rows = [_row_at(acc, row[0]) for row in stored.rows]
         for want, got in zip(stored.rows, rows):
-            reproduce(want[0], want, got and got[:3])
+            reproduce(want[0], want, got and got[: len(want)])
     else:
         reproduce(rows[-1][0], rows[-1], _row_at(acc, rows[-1][0]))
     j = len(rows) - 2
@@ -255,7 +261,11 @@ def extend_checkpoint(path: str, k: int, t_target: float, cfg: QuadConfig, resum
         )
     v1, fingerprint = _head(path)
     rows = stored.rows if stored else []
-    seed = rows[-2] if len(rows) > 1 and not v1 and fingerprint == numeric_fingerprint() else ORIGIN
+    foreign = fingerprint != numeric_fingerprint()
+    seed = rows[-2] if len(rows) > 1 and not v1 and not foreign else ORIGIN
+    # a v1 file, or one written under another fingerprint, that holds rows
+    # of k alone is rewritten as v2 under this one once every row is back
+    rewrite = stored is not None and not stored.other_rows and (v1 or foreign)
     last_t = rows[-1][0] if rows else 0.0
 
     acc = get_accumulator(k, cfg, seed)
@@ -263,7 +273,7 @@ def extend_checkpoint(path: str, k: int, t_target: float, cfg: QuadConfig, resum
     seeded = acc.base > 0 and acc.bounds.size == 1  # a new accumulator at the seed row
     if stored is not None:
         try:
-            rows, seed = _verify(acc, stored, seed, seeded)
+            rows, seed = _verify(acc, stored, seed, seeded, v1 or rewrite)
         except CheckpointMismatch:
             if seeded:  # no later query may start from an unverified row
                 drop_accumulator(k, cfg)
@@ -271,7 +281,7 @@ def extend_checkpoint(path: str, k: int, t_target: float, cfg: QuadConfig, resum
     new_rows = acc.rows(_row_indices(acc, last_t, t_target, cfg.checkpoint_step))
     v, _, e, _ = acc.cumulative_to(t_target)
 
-    if v1 and stored is not None and not stored.other_rows:
+    if rewrite:
         _rewrite(path, k, rows + new_rows, digest)
         fingerprint = numeric_fingerprint()
     else:

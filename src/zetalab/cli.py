@@ -1,7 +1,8 @@
 """Command-line front end: machine-first CSV / JSON-lines output.
 
-Every subcommand echoes the effective configuration as '#' comment lines,
-is deterministic given (config, inputs), and uses the exit codes
+Every subcommand echoes the effective configuration as '#' comment lines
+(in json-lines, as the comments of one final "_meta" record), is
+deterministic given (config, inputs), and uses the exit codes
 0 success, 2 usage, 3 precision failure, 4 data validation.
 """
 
@@ -28,17 +29,22 @@ EXIT_DATA = 4
 
 
 class _Out:
-    """Collects header comments and rows; renders csv or json-lines."""
+    """Renders header comments and rows as csv, or as json-lines: one object
+    per row, then the comments as one final {"_meta": {"comments": [...]}}
+    record (close)."""
 
     def __init__(self, fmt, columns, stream):
         self.fmt = fmt
         self.columns = columns
         self.stream = stream
         self.header_done = False
+        self.notes = []
 
     def comment(self, line):
         if self.fmt == "csv":
             self.stream.write("# %s\n" % line if not line.startswith("#") else line + "\n")
+        else:
+            self.notes.append(line)
 
     def comments(self, lines):
         for line in lines:
@@ -52,6 +58,12 @@ class _Out:
             self.stream.write(",".join(self.columns) + "\n")
             self.header_done = True
         self.stream.write(",".join(_fmt(v) for v in values) + "\n")
+
+    def close(self):
+        if self.fmt == "jsonl" and self.notes:
+            self.stream.write(json.dumps({"_meta": {"comments": self.notes}}) + "\n")
+        if self.stream is not sys.stdout:
+            self.stream.close()
 
 
 def _fmt(v):
@@ -145,7 +157,7 @@ def _open_out(args, run_cfg, columns):
     stream = open(args.out, "w") if args.out else sys.stdout
     out = _Out(run_cfg.output_format, columns, stream)
     out.comments(run_cfg.echo_lines())
-    return out, stream
+    return out
 
 
 def main(argv=None) -> int:
@@ -177,10 +189,10 @@ def _dispatch(args) -> int:
         from .zeta import zeta_sample
 
         sample = zeta_sample(args.t, ctx)
-        out, stream = _open_out(args, run_cfg, ["t", "re_zeta", "im_zeta", "abs_zeta", "err"])
+        out = _open_out(args, run_cfg, ["t", "re_zeta", "im_zeta", "abs_zeta", "err"])
         out.row([sample.t, float(sample.value.real), float(sample.value.imag),
                  float(abs(sample.value)), sample.abs_err])
-        _close(stream)
+        out.close()
         return 0
 
     if args.command == "moment":
@@ -190,7 +202,7 @@ def _dispatch(args) -> int:
         from .scans import sign_change_scan
 
         rep = sign_change_scan(args.target, args.t0, args.t1, args.A, args.exp, ctx, cfg)
-        out, stream = _open_out(args, run_cfg, ["kind", "t", "value"])
+        out = _open_out(args, run_cfg, ["kind", "t", "value"])
         out.comment("target=%s range=[%r,%r] A=%r exp=%r grid_points=%d"
                     % (rep.target, args.t0, args.t1, args.A, args.exp, rep.grid_points))
         for t, v in rep.exceed_plus:
@@ -199,7 +211,7 @@ def _dispatch(args) -> int:
             out.row(["exceed_minus", t, v])
         for t in rep.crossings:
             out.row(["crossing", t, 0.0])
-        _close(stream)
+        out.close()
         return 0
 
     if args.command == "motohashi":
@@ -213,32 +225,32 @@ def _dispatch(args) -> int:
         cols = ["s", "L_k", "err_bound", "panels"]
         if args.main_term:
             cols += ["main_term", "difference"]
-        out, stream = _open_out(args, run_cfg, cols)
+        out = _open_out(args, run_cfg, cols)
         for s, r in zip(svals, results):
             row = [s, r.value, r.err_bound, r.panels]
             if args.main_term:
                 mt = kober_main(s / 2.0, ctx) if args.k == 1 else atkinson_expansion(s, ctx)
                 row += [mt, r.value - mt]
             out.row(row)
-        _close(stream)
+        out.close()
         return 0
 
     if args.command == "divisor-corr":
         from .arith import additive_divisor
 
-        out, stream = _open_out(args, run_cfg, ["f", "x", "sum"])
+        out = _open_out(args, run_cfg, ["f", "x", "sum"])
         for f in range(1, args.f_max + 1):
             out.row([f, args.x, additive_divisor(args.x, f)])
-        _close(stream)
+        out.close()
         return 0
 
     if args.command == "kloosterman":
         from .arith import kloosterman
 
         v = kloosterman(args.m, args.n, args.c)
-        out, stream = _open_out(args, run_cfg, ["m", "n", "c", "re", "im"])
+        out = _open_out(args, run_cfg, ["m", "n", "c", "re", "im"])
         out.row([args.m, args.n, args.c, v.value.real, v.value.imag])
-        _close(stream)
+        out.close()
         return 0
 
     if args.command == "explore":
@@ -261,10 +273,10 @@ def _cmd_moment(args, run_cfg, ctx, cfg) -> int:
         print("checkpoint %s is locked by another process" % path, file=sys.stderr)
         return EXIT_DATA
     try:
-        out, stream = _open_out(args, run_cfg, ["T", "integral", "main_term", "E", "err_bound"])
+        out = _open_out(args, run_cfg, ["T", "integral", "main_term", "E", "err_bound"])
         if args.T == 0:
             out.row([0.0, 0.0, 0.0, 0.0, 0.0])
-            _close(stream)
+            out.close()
             return 0
         cp, (value, err) = extend_checkpoint(path, args.k, args.T, cfg, resume=args.resume)
         poly = p1_exact(ctx) if args.k == 1 else default_p4(ctx)
@@ -275,7 +287,7 @@ def _cmd_moment(args, run_cfg, ctx, cfg) -> int:
                         % (cp.resume.seed_t, cp.resume.verified_t, cp.resume.panels))
         out.comment("P%d provenance: %s" % (args.k * args.k, ",".join(poly.provenance)))
         out.row([args.T, value, mt, value - mt, err])
-        _close(stream)
+        out.close()
         return 0
     finally:
         fcntl.flock(lock, fcntl.LOCK_UN)
@@ -289,11 +301,11 @@ def _cmd_motohashi(args, run_cfg, ctx, cfg) -> int:
     direct = smoothed_fourth(args.T, args.delta, ctx, cfg)
     cols = ["T", "delta", "direct", "direct_err", "spectral", "difference",
             "truncation_bound", "terms_used"]
-    out, stream = _open_out(args, run_cfg, cols)
+    out = _open_out(args, run_cfg, cols)
     if args.no_spectral:
         out.comment("warning: no spectral dataset; direct side only")
         out.row([args.T, args.delta, direct.value, direct.err_bound, "", "", "", ""])
-        _close(stream)
+        out.close()
         return 0
     ds = load_spectral_dataset(args.spectral)
     spec = motohashi_spectral_sum(args.T, args.delta, ds, cfg=cfg, ctx=ctx)
@@ -301,7 +313,7 @@ def _cmd_motohashi(args, run_cfg, ctx, cfg) -> int:
     out.comment("delta admissible (A=1 window): %s" % spec.metadata["delta_admissible_A1"])
     out.row([args.T, args.delta, direct.value, direct.err_bound, spec.value,
              direct.value - spec.value, spec.truncation_bound, spec.terms_used])
-    _close(stream)
+    out.close()
     return 0
 
 
@@ -311,36 +323,31 @@ def _cmd_explore(args, run_cfg, ctx, cfg) -> int:
 
         ts = sorted(float(x) for x in (args.T_list or "250,500,1000,2000").split(","))
         _, table = mean_square_e2(max(ts), ctx, cfg, snapshots=ts)
-        out, stream = _open_out(args, run_cfg, ["T", "int_E2_sq", "ratio_T2"])
+        out = _open_out(args, run_cfg, ["T", "int_E2_sq", "ratio_T2"])
         for t, v, ratio in table:
             out.row([t, v, ratio])
-        _close(stream)
+        out.close()
         return 0
     if args.table == "twelfth":
         from .moments import twelfth_moment_table
 
         ts = sorted(float(x) for x in (args.T_list or "250,500,1000,2000").split(","))
         rows = twelfth_moment_table(ts, ctx, cfg)
-        out, stream = _open_out(args, run_cfg, ["T", "integral", "ratio_T2_log17", "err_bound"])
+        out = _open_out(args, run_cfg, ["T", "integral", "ratio_T2_log17", "err_bound"])
         for row in rows:
             out.row(list(row))
-        _close(stream)
+        out.close()
         return 0
     if args.table == "e2-gaps":
         from .scans import e2_zero_gap_table
 
         rows = e2_zero_gap_table(args.t0, args.t1, ctx, cfg)
-        out, stream = _open_out(args, run_cfg, ["n", "u_n", "gap", "log_gap_over_log_u"])
+        out = _open_out(args, run_cfg, ["n", "u_n", "gap", "log_gap_over_log_u"])
         for row in rows:
             out.row(list(row))
-        _close(stream)
+        out.close()
         return 0
     raise AssertionError
-
-
-def _close(stream):
-    if stream is not sys.stdout:
-        stream.close()
 
 
 if __name__ == "__main__":

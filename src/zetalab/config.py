@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .errors import DataParseError
 
-KERNEL_VERSION = "zk3"
+KERNEL_VERSION = "zk4"
 # the (2 nodes + 1)-point rule of quadrature.kronrod_rule on panels two mesh cells wide
 PANEL_RULE = "gauss-kronrod/2-cell"
 

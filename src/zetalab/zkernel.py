@@ -8,9 +8,41 @@ Two regimes, split at T_SWITCH:
     corrections C0..C4 of _rs_cheb.
 Both return pointwise error-model arrays, smooth in t, that the quadrature
 layer folds into its bounds.  The theta phase uses scipy's complex log-gamma.
+
+The Riemann-Siegel main sum sum_{n <= N} n^(-1/2) cos(theta - t log n),
+N = floor(sqrt(t / 2 pi)), is summed directly (one cosine per point and
+term) for N < RS_TAYLOR_N, where that is the cheaper way.  From RS_TAYLOR_N
+on it is an anchor-Taylor multi-evaluation (the Taylor step of
+Odlyzko-Schoenhage, Trans. AMS 309, 1988):
+  * each point has an anchor a = j Delta, j = rint(t / Delta), with Delta =
+    RS_DELTA a power of two, so h = t - a is exact and |h| <= Delta/2;
+  * the points of a block of RS_BLOCK sharing (N, j) form a group, with
+    C_n = n^(-1/2) e^(-i a log n) and, about the centre c = log(N)/2 of the
+    logs, S_m = sum_n C_n (log n - c)^m / m! for m <= M(N);
+  * a point's sum is Re(e^(i (theta - h c)) P(-ih)), with P(x) = sum_m S_m
+    x^m by one Horner pass: one cosine per anchor and term instead of one
+    per point and term;
+  * M(N) (taylor_order) is the least order whose remainder bound
+    2 sqrt(N) x^(M+1)/(M+1)! e^x, x = (Delta/4) log N (|h| |log n - c| <= x),
+    is at most RS_TAYLOR_TOL; twice that bound (the sum is doubled) is
+    added to err;
+  * a log n is reduced mod 2 pi exactly, once per anchor and term: log n =
+    log_hi + log_lo from 40 digits with log_hi of PHASE_BITS bits, so a
+    log_hi is exact for a < 2^(53 - PHASE_BITS), and 2 pi = P1 + P2 + P3
+    (Cody-Waite) with P1 and P2 of PHASE_BITS bits, so k P1, k P2 and the
+    reduction (a log_hi - k P1) - k P2 are exact.  That holds below
+    RS_T_MAX, which z_rs_block enforces.  The direct sum instead rounds
+    t log n, an error of order eps t log n per term.
+A point's value depends only on its own t: the S_m accumulate with n
+outermost, elementwise, and the rows above a group's own M are zero, so
+Horner takes the same steps for it in any block.  The rounding of the
+Taylor sum, at most about eps M 2 sqrt(N) e^x with e^x = sqrt(N) at Delta
+= 2, is not charged apart from the per-point rounding term of the model.
+
 The branch policy (T_SWITCH, EM_TERMS, the corrections, RS_REMAINDER_COEF,
-EM_ROUNDING_COEF) is fixed, not configured; changing it means a new
-config.KERNEL_VERSION.  The oracle of both branches is mpmath.siegelz.
+EM_ROUNDING_COEF, RS_TAYLOR_N, RS_DELTA, RS_TAYLOR_TOL) is fixed, not
+configured; changing it means a new config.KERNEL_VERSION.  The oracle of
+both branches is mpmath.siegelz.
 """
 
 from __future__ import annotations
@@ -38,10 +70,21 @@ EM_BLOCK = 512  # points per block of zeta_half_em
 
 EM_ROUNDING_COEF = 8.0
 # Riemann-Siegel remainder after C4: |R| <= RS_REMAINDER_COEF (t/2pi)^(-11/4).
-# Validated against mpmath.siegelz by test_rs_branch_vs_mpmath (t <= 6000);
-# above t ~ 2e4 the bound under-reports, because the float64 phase rounding
-# is not charged (ROADMAP item 2).
+# Validated against mpmath.siegelz by test_rs_branch_vs_mpmath (t <= 6000)
+# and test_rs_anchor_path_vs_mpmath (t <= 1.2e4); from t ~ 1.4e4 on the
+# bound under-reports, because the float64 rounding of theta is not charged
+# (ROADMAP item 1).
 RS_REMAINDER_COEF = 0.2
+# The main sum is anchor-Taylor from N = RS_TAYLOR_N on, direct below it
+# (see the module docstring), with anchors RS_DELTA apart and Taylor orders
+# whose remainder is at most RS_TAYLOR_TOL, in blocks of RS_BLOCK points.
+RS_TAYLOR_N = 18
+RS_DELTA = 2.0
+RS_TAYLOR_TOL = 1e-15
+RS_BLOCK = 4096
+# Bits of log_hi and of P1, P2; the reduction is exact for t < RS_T_MAX.
+PHASE_BITS = 26
+RS_T_MAX = 1e8
 
 _EPS = float(np.finfo(float).eps)
 _LOG_PI = math.log(math.pi)
@@ -141,23 +184,173 @@ def z_em_block(t: np.ndarray):
     return zv, err
 
 
+def _split(x, bits: int):
+    """(hi, x - hi): hi a float of at most `bits` significant bits near the
+    mpf x, and the exact mpf rest."""
+    m, e = math.frexp(float(x))
+    hi = math.ldexp(round(math.ldexp(m, bits)), e - bits)
+    return hi, x - hi
+
+
+@cache
+def _two_pi_parts():
+    """2 pi = P1 + P2 + P3 to 40 digits (Cody-Waite), P1 and P2 of
+    PHASE_BITS bits each."""
+    from mpmath import mp, workdps
+
+    with workdps(40):
+        p1, rest = _split(2 * mp.pi, PHASE_BITS)
+        p2, rest = _split(rest, PHASE_BITS)
+        return p1, p2, float(rest)
+
+
+def _log_table(n: int):
+    """(log_hi, log_lo, log, k^(-1/2)) for k = 1..N, N >= n a power of two:
+    log_hi of at most PHASE_BITS bits and log_lo the rest of a 40-digit log k,
+    rounded.  So a call builds the table only up to about the N it needs."""
+    return _log_table_of_size(max(64, 1 << (n - 1).bit_length()))
+
+
+@cache
+def _log_table_of_size(size: int):
+    from mpmath import log, mpf, workdps
+
+    rows = []
+    with workdps(40):
+        for k in range(1, size + 1):
+            lg = log(mpf(k))
+            hi, lo = _split(lg, PHASE_BITS)
+            rows.append((hi, float(lo), float(lg)))
+    hi, lo, lg = (np.array(c) for c in zip(*rows))
+    return hi, lo, lg, 1.0 / np.sqrt(np.arange(1.0, size + 1))
+
+
+def taylor_order(n: int):
+    """(M, R) for the main sum over 1..n about an anchor: the least Taylor
+    order M whose remainder bound R = 2 sqrt(n) x^(M+1)/(M+1)! e^x, with
+    x = (RS_DELTA/4) log n, is at most RS_TAYLOR_TOL, and that R."""
+    x = 0.25 * RS_DELTA * math.log(n) if n > 1 else 0.0
+    m, term = 0, x  # term = x^(M+1)/(M+1)!
+    while 2.0 * math.sqrt(n) * term * math.exp(x) > RS_TAYLOR_TOL:
+        m += 1
+        term *= x / (m + 1)
+    return m, 2.0 * math.sqrt(n) * term * math.exp(x)
+
+
+def _taylor_powers(n: int):
+    """(log k - log(n)/2)^m / m! for k = 1..n (rows) and m = 0..M (columns),
+    M = taylor_order(n)[0]."""
+    m = taylor_order(n)[0]
+    lg = _log_table(n)[2][:n]
+    d = (lg - 0.5 * lg[-1])[:, None] / np.arange(1.0, m + 1)
+    return np.multiply.accumulate(np.concatenate([np.ones((n, 1)), d], axis=1), axis=1)
+
+
+def _taylor_remainders(n: int):
+    """R of taylor_order for N = 0..n at least, 0 below RS_TAYLOR_N (where
+    the main sum is direct)."""
+    return _taylor_remainders_of_size(max(64, 1 << n.bit_length()))
+
+
+@cache
+def _taylor_remainders_of_size(size: int):
+    return np.array([taylor_order(m)[1] if m >= RS_TAYLOR_N else 0.0 for m in range(size)])
+
+
+def _groups(j, nmain):
+    """(N, j, inverse): the distinct (nmain, j) pairs of a block, sorted N
+    first, and each point's index among them."""
+    j0 = j.min()
+    key = (nmain - nmain.min()) * (j.max() - j0 + 1.0) + (j - j0)  # integers, exact
+    keys = np.sort(key)
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    inv = np.searchsorted(keys, key)
+    first = np.empty(keys.size, dtype=np.intp)
+    first[inv] = np.arange(key.size)
+    return nmain[first], j[first], inv
+
+
+def _direct_sum(t, th, nmain):
+    """sum_{n <= nmain} n^(-1/2) cos(theta - t log n), one cosine per term."""
+    out = np.zeros_like(t)
+    for n in range(1, int(nmain.max()) + 1 if t.size else 1):
+        mask = nmain >= n
+        if not mask.all():
+            out[mask] += np.cos(th[mask] - t[mask] * math.log(n)) / math.sqrt(n)
+        else:
+            out += np.cos(th - t * math.log(n)) / math.sqrt(n)
+    return out
+
+
+def _anchor_sum(t, th, nmain):
+    """The same sum by Taylor expansion about each point's anchor (see the
+    module docstring); every nmain at least RS_TAYLOR_N."""
+    j = np.rint(t * (1.0 / RS_DELTA))
+    h = t - j * RS_DELTA                    # exact: |h| <= RS_DELTA / 2
+    gn, gj, inv = _groups(j, nmain)
+    hi, lo, lg, w = _log_table(int(gn[-1]))
+    p1, p2, p3 = _two_pi_parts()
+    # one run of groups per N: S_m = sum_n C_n (log n - log(N)/2)^m / m!
+    # with C_n = n^(-1/2) e^(-i a log n), n outermost and elementwise, so
+    # that a group's sums do not depend on the other groups of the block
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(gn)) + 1, [gn.size]])
+    runs = [(g0, g1, _taylor_powers(int(gn[g0]))) for g0, g1 in zip(bounds[:-1], bounds[1:])]
+    mb = max(powers.shape[1] for _, _, powers in runs) - 1
+    s = np.zeros((mb + 1, gn.size), dtype=complex)
+    for g0, g1, powers in runs:
+        n, m = powers.shape[0], powers.shape[1] - 1
+        a = gj[g0:g1] * RS_DELTA
+        # a log n mod 2 pi: a hi is exact (PHASE_BITS bits each), and so is
+        # its reduction by P1 and P2
+        x = hi[:n, None] * a
+        k = np.rint(x * (1.0 / _TWO_PI))
+        phase = ((x - k * p1) - k * p2) - k * p3 + lo[:n, None] * a
+        c = np.concatenate([np.cos(phase), -np.sin(phase)], axis=1) * w[:n, None]
+        acc = np.zeros((m + 1, c.shape[1]))
+        tmp = np.empty_like(acc)
+        for q in range(n):
+            acc += np.multiply.outer(powers[q], c[q], out=tmp)
+        s[: m + 1, g0:g1] = acc[:, : g1 - g0] + 1j * acc[:, g1 - g0 :]
+
+    # Horner in -ih, in place; the rows above a group's own order are zero,
+    # so its points take exactly the steps they would alone
+    step = -1j * h
+    acc = s[mb][inv]
+    coef = np.empty_like(acc)
+    for m in range(mb - 1, -1, -1):
+        np.multiply(acc, step, out=acc)
+        np.add(acc, np.take(s[m], inv, out=coef), out=acc)
+    phi = th - h * (0.5 * lg[nmain - 1])
+    return np.cos(phi) * acc.real - np.sin(phi) * acc.imag
+
+
 def z_rs_block(t: np.ndarray):
-    """(Z, err) on the Riemann-Siegel branch; requires t > 2 pi elementwise."""
+    """(Z, err) on the Riemann-Siegel branch; requires 2 pi < t < RS_T_MAX
+    elementwise."""
     t = np.asarray(t, dtype=float)
+    if t.size and not t.max() < RS_T_MAX:
+        raise DomainError(
+            "the Riemann-Siegel branch reduces its anchor phases exactly only for"
+            " t < RS_T_MAX = %g: beyond it a log_hi or k P1 needs more than 53 bits"
+            % RS_T_MAX)
     a = np.sqrt(t / _TWO_PI)
     nmain = np.floor(a).astype(np.int64)
     p = a - nmain
     th = theta_fast(t)
 
-    out = np.zeros_like(t)
-    nmax = int(nmain.max()) if nmain.size else 0
-    for n in range(1, nmax + 1):
-        mask = nmain >= n
-        if not mask.all():
-            tm = t[mask]
-            out[mask] += np.cos(th[mask] - tm * math.log(n)) / math.sqrt(n)
-        else:
-            out += np.cos(th - t * math.log(n)) / math.sqrt(n)
+    # the direct sum below RS_TAYLOR_N, where it is the cheaper one; the
+    # anchor sum in blocks of RS_BLOCK points, which bound its temporaries
+    direct = nmain < RS_TAYLOR_N
+    if direct.all():
+        out = _direct_sum(t, th, nmain)
+    else:
+        out = np.empty_like(t)
+        d, q = np.flatnonzero(direct), np.flatnonzero(~direct)
+        if d.size:
+            out[d] = _direct_sum(t[d], th[d], nmain[d])
+        for i in range(0, q.size, RS_BLOCK):
+            sel = q[i : i + RS_BLOCK] if d.size else slice(i, i + RS_BLOCK)
+            out[sel] = _anchor_sum(t[sel], th[sel], nmain[sel])
     out *= 2.0
 
     corr = _rs_cheb.eval_correction(0, p)
@@ -173,7 +366,7 @@ def z_rs_block(t: np.ndarray):
     # Rounding of each point's own nmain-term main sum, so that a point's
     # bound does not depend on the other points of the call.
     err = err + 1e-14 * (1.0 + np.sqrt(nmain)) * (1.0 + np.abs(z))
-    return z, err
+    return z, err + 2.0 * _taylor_remainders(int(nmain.max()) if t.size else 0)[nmain]
 
 
 def z_block(t: np.ndarray):

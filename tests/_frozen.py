@@ -5,7 +5,7 @@ moment fixtures are tied to the default QuadConfig digest below, and
 all values are bit-identical only under the numeric fingerprint below.
 """
 
-QUAD_DIGEST = 'd530efdc928fae25'
+QUAD_DIGEST = '17673b449790639f'
 FINGERPRINT = 'python 3.11.7; numpy 2.4.6; scipy 1.17.1; mpmath 1.3.0; simd X86_V2,X86_V3,X86_V4,AVX512_ICL,AVX512_SPR; machine x86_64; libc glibc-2.36'
 
 # oracle: mpmath tanh-sinh quadrature of siegelz^2 (30 dps), piecewise
@@ -19,11 +19,11 @@ MOMENT2_0_500_ORACLE = 42393.1529936112
 # oracle: cumulative grid of the k=1 accumulator (window-validated
 # against mpmath); ratio over the boundary grid on [10, 5000]
 E1_AT_1000 = -11.801779108742267
-E1_RATIO_MAX_10_5000 = 7.586553654812956
+E1_RATIO_MAX_10_5000 = 7.586553654807902
 
 # E2 uses the package's P4: closed-form a4, a3, derived constants.P4_LOWER
 E2_AT_2000 = -1011.3358704550774
-E2_RATIO_MAX_500_5000 = 63.53162174032873
+E2_RATIO_MAX_500_5000 = 63.53162174029348
 
 # oracle: trapezoid on a 0.002-step grid over |t| <= 8 delta
 SMOOTHED_200_20 = 78.9969792383367

@@ -160,7 +160,7 @@ class TestSeededResume:
         assert (tmp_path / "cp.txt").read_text() == (tmp_path / "fresh.txt").read_text()
 
     def test_seed_moves_down_until_the_row_above_determines_it(self, tmp_path, cfg, fresh):
-        _, cp, _ = _write_and_reseed(str(tmp_path / "cp.txt"), 1, 2500.0, 3000.0, cfg, fresh)
+        _, cp, _ = _write_and_reseed(str(tmp_path / "cp.txt"), 1, 2400.0, 2900.0, cfg, fresh)
         rows = cp.rows
         ts = [r[0] for r in rows]
         j, last = ts.index(cp.resume.seed_t), ts.index(cp.resume.verified_t)
@@ -264,6 +264,41 @@ class TestSeededResume:
         assert v1.read_text() == (tmp_path / "fresh.txt").read_text()
         assert (resumed.rows, value) == (whole.rows, fresh_value)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.txt", "v1.txt", "v2.txt"]
+
+    @pytest.mark.parametrize("line", [FINGERPRINT_PREFIX + "forged host", None])
+    def test_file_of_another_fingerprint_is_rewritten_so_the_next_resume_seeds(
+            self, tmp_path, cfg, fresh, line):
+        path = tmp_path / "cp.txt"
+        extend_checkpoint(str(path), 1, 1000.0, cfg)
+        lines = path.read_text().splitlines()
+        lines[1:2] = [line] if line else []
+        path.write_text("\n".join(lines) + "\n")
+        fresh()
+        first, _ = extend_checkpoint(str(path), 1, 1200.0, cfg, resume=True)
+        assert first.resume.seed_t == 0.0
+        assert path.read_text().splitlines()[1] == FINGERPRINT_PREFIX + numeric_fingerprint()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cp.txt"]
+        fresh()
+        second, value = extend_checkpoint(str(path), 1, 1400.0, cfg, resume=True)
+        assert 0.0 < second.resume.seed_t < second.resume.verified_t == first.rows[-1][0]
+        fresh()
+        whole, fresh_value = extend_checkpoint(str(tmp_path / "fresh.txt"), 1, 1400.0, cfg)
+        assert (second.rows, value) == (whole.rows, fresh_value)
+        assert path.read_text() == (tmp_path / "fresh.txt").read_text()
+
+    def test_file_of_another_fingerprint_must_give_every_row_back(self, tmp_path, cfg, fresh):
+        path = tmp_path / "cp.txt"
+        extend_checkpoint(str(path), 1, 1000.0, cfg)
+        lines = path.read_text().splitlines()
+        lines[1] = FINGERPRINT_PREFIX + "forged host"
+        k, t, v, rest = lines[5].split(",", 3)
+        lines[5] = ",".join([k, t, repr(math.nextafter(float(v), math.inf)), rest])
+        path.write_text("\n".join(lines) + "\n")
+        before = path.read_bytes()
+        fresh()
+        with pytest.raises(CheckpointMismatch, match="does not reproduce.*forged host"):
+            extend_checkpoint(str(path), 1, 1200.0, cfg, resume=True)
+        assert path.read_bytes() == before
 
     def test_v1_file_of_one_k_takes_rows_of_another_k_and_stays_v1(self, tmp_path, cfg, fresh):
         path = tmp_path / "v1.txt"

@@ -48,8 +48,9 @@ class TestExplore:
                 "--format", "jsonl", "--out", str(out)]
         assert cli.main(argv) == 0
         _, table = mean_square_e2(250.0, ctx, cfg)
-        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        *rows, meta = [json.loads(line) for line in out.read_text().splitlines()]
         assert [(r["T"], r["int_E2_sq"], r["ratio_T2"]) for r in rows] == table
+        assert list(meta) == ["_meta"]
 
     def test_twelfth_rows_equal_the_library_table(self, tmp_path, ctx, cfg):
         out = tmp_path / "twelfth.csv"
@@ -80,6 +81,25 @@ class TestMoment:
         (row,) = read_rows(out)
         assert abs(float(row["E"])) / math.sqrt(20000.0) < 200.0
         assert "P4 provenance: paper-exact,paper-exact,derived,derived,derived" in out.read_text()
+
+    def test_jsonl_ends_with_the_comments_of_the_csv(self, tmp_path, cfg):
+        ckpt = tmp_path / "m.ckpt"
+        outs, notes = {}, {}
+        for fmt in ("csv", "jsonl"):
+            outs[fmt] = tmp_path / ("moment." + fmt)
+            argv = ["moment", "--k", "1", "--T", "300", "--checkpoint", str(ckpt),
+                    "--format", fmt, "--out", str(outs[fmt])]
+            assert cli.main(argv) == 0
+            ckpt.unlink()
+        row, meta = [json.loads(line) for line in outs["jsonl"].read_text().splitlines()]
+        (csv_row,) = read_rows(outs["csv"])
+        assert row == {k: float(v) for k, v in csv_row.items()}
+        notes = meta["_meta"]["comments"]
+        assert "quad.digest=%s" % cfg.digest() in notes
+        assert any(n.startswith("checkpoint=") for n in notes)
+        assert any(n.startswith("P1 provenance: ") for n in notes)
+        csv_notes = [line[2:] for line in outs["csv"].read_text().splitlines() if line.startswith("# ")]
+        assert notes == [n.replace("output_format=csv", "output_format=jsonl") for n in csv_notes]
 
     def test_second_run_without_resume_leaves_the_checkpoint(self, tmp_path, capsys, monkeypatch):
         ckpt = tmp_path / "m.ckpt"

@@ -53,6 +53,90 @@ class TestKernelAccuracy:
             ref = float(mpmath.siegelz(t))
             assert abs(zi - ref) <= ei
 
+    def test_rs_anchor_path_vs_mpmath(self, rng):
+        # where the present model holds (from t ~ 1.4e4 on the float64 theta
+        # outgrows it, on either main-sum path: ROADMAP item 1): random t, the
+        # points either side of t = 2 pi n^2 (where N steps) and of anchor
+        # edges (j + 1/2) Delta
+        steps = 2 * np.pi * np.array([31, 36, 40, 43]) ** 2
+        edges = zkernel.RS_DELTA * (np.array([3000, 4321, 5025, 5999]) + 0.5)
+        near = np.repeat(np.concatenate([steps, edges]), 2)
+        ts = np.concatenate([rng.uniform(6.0e3, 1.2e4, 24),
+                             np.nextafter(near, np.tile([0.0, 1e9], near.size // 2))])
+        assert np.all(np.floor(np.sqrt(ts / (2 * np.pi))) >= zkernel.RS_TAYLOR_N)
+        z, err = zkernel.z_rs_block(ts)
+        with mpmath.workdps(30):
+            for t, zi, ei in zip(ts, z, err):
+                assert abs(zi - float(mpmath.siegelz(t))) <= ei, t
+
+    def test_rs_err_includes_the_taylor_remainder(self):
+        # err is the model of the direct sum plus twice the remainder bound
+        # of the anchor sum's Taylor expansion, on both sides of the switch
+        ts = np.array([1000.0, 2000.0, 2100.0, 9000.0, 3.0e4, 2.5e5])
+        z, err = zkernel.z_rs_block(ts)
+        n = np.floor(np.sqrt(ts / (2 * np.pi))).astype(int)
+        base = (zkernel.RS_REMAINDER_COEF * (ts / (2 * np.pi)) ** (-11 / 4.0)
+                + 1e-14 * (1.0 + np.sqrt(n)) * (1.0 + np.abs(z)))
+        for t, nt, e, b in zip(ts, n, err, base):
+            m, rem = zkernel.taylor_order(int(nt))
+            want = 2.0 * rem if nt >= zkernel.RS_TAYLOR_N else 0.0
+            assert 0.0 < rem <= zkernel.RS_TAYLOR_TOL
+            assert abs((e - b) - want) <= 4 * np.spacing(e), t
+
+    @pytest.mark.parametrize("n", [18, 56, 400])
+    def test_taylor_remainder_bounds_the_truncation(self, n):
+        # sum_{k<=n} k^(-1/2) e^(-i h (log k - log(n)/2)) against its Taylor
+        # polynomial of taylor_order(n), at the anchor interval's ends
+        m, rem = zkernel.taylor_order(n)
+        with mpmath.workdps(40):
+            for h in (-zkernel.RS_DELTA / 2, zkernel.RS_DELTA / 2):
+                mid = mpmath.log(n) / 2
+                d = [mpmath.log(k) - mid for k in range(1, n + 1)]
+                w = [1 / mpmath.sqrt(k) for k in range(1, n + 1)]
+                exact = sum(wk * mpmath.expj(-h * dk) for wk, dk in zip(w, d))
+                poly = sum(wk * sum((-1j * h * dk) ** q / mpmath.factorial(q) for q in range(m + 1))
+                           for wk, dk in zip(w, d))
+                assert abs(exact - poly) <= rem
+
+    def test_anchor_phase_split_is_exact(self):
+        from fractions import Fraction
+
+        def bits(x):
+            if x == 0:
+                return 0
+            m = Fraction(x)
+            while m.denominator != 1:
+                m *= 2
+            n = int(m)
+            return (n >> ((n & -n).bit_length() - 1)).bit_length()
+
+        t_max = np.nextafter(zkernel.RS_T_MAX, 0.0)
+        n_max = int(np.sqrt(t_max / (2 * np.pi)))
+        hi, lo, lg, _ = zkernel._log_table(n_max)
+        hi, lo = hi[:n_max], lo[:n_max]
+        p1, p2, p3 = zkernel._two_pi_parts()
+        assert max(bits(x) for x in hi) <= zkernel.PHASE_BITS
+        assert bits(p1) <= zkernel.PHASE_BITS and bits(p2) <= zkernel.PHASE_BITS
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpf(p1) + p2 + p3 - 2 * mpmath.pi) < mpmath.mpf(2) ** -100
+            for n in (2, 3, 1000, n_max):
+                assert abs(mpmath.mpf(hi[n - 1]) + lo[n - 1] - mpmath.log(n)) < mpmath.mpf(2) ** -75
+        # the largest anchor a below RS_T_MAX: a hi, k P1 and k P2 are
+        # exact, and so is the reduction (a hi - k P1) - k P2
+        a = zkernel.RS_DELTA * np.rint(t_max / zkernel.RS_DELTA)
+        x = hi * a
+        k = np.rint(x * (1.0 / (2 * np.pi)))
+        r = (x - k * p1) - k * p2
+        fa, f1, f2 = Fraction(a), Fraction(p1), Fraction(p2)
+        for xi, hii, ki, ri in zip(x, hi, k, r):
+            assert Fraction(xi) == fa * Fraction(hii)
+            assert Fraction(ki * p1) == Fraction(ki) * f1 and Fraction(ki * p2) == Fraction(ki) * f2
+            assert Fraction(ri) == Fraction(xi) - Fraction(ki) * (f1 + f2)
+        z, _ = zkernel.z_rs_block(np.array([1.0e4, t_max]))
+        assert np.all(np.isfinite(z))
+        with pytest.raises(DomainError, match="RS_T_MAX = 1e[+]08"):
+            zkernel.z_rs_block(np.array([1.0e4, zkernel.RS_T_MAX]))
+
     def test_em_error_model_dominates_imaginary_witness(self):
         # Z is real: |Im(e^(i theta) zeta)| witnesses the rounding the model charges
         ts = np.linspace(0.5, 399.5, 20001)
@@ -75,8 +159,18 @@ class TestKernelAccuracy:
         z, err = zkernel.z_block(np.array([t]))
         assert [z.tolist(), err.tolist()] == [q.tolist() for q in zkernel.z_rs_block(np.array([t]))]
 
-    def test_rs_point_independent_of_the_call(self):
-        ts = np.array([450.0, 2.0e3, 7.5e4])
+    def test_rs_point_independent_of_the_call(self, rng):
+        # two blocks of dense points across t = 2 pi 40^2 (N 39 | 40) and
+        # several anchor edges, the direct/anchor switch, t in [400, 2e5],
+        # and points either side of anchor edges and of N's steps
+        switch = 2 * np.pi * zkernel.RS_TAYLOR_N**2
+        edges = [2 * np.pi * 40**2, switch, 2 * np.pi * 100**2] + list(
+            zkernel.RS_DELTA * (np.array([3000, 5025, 61234]) + 0.5))
+        ts = np.concatenate([rng.uniform(10040.0, 10070.0, 2 * zkernel.RS_BLOCK + 37),
+                             np.exp(rng.uniform(np.log(400.0), np.log(2e5), 64)),
+                             np.nextafter(np.repeat(edges, 2), np.tile([0.0, 1e9], len(edges))),
+                             [450.0, 2.0e3, 7.5e4]])
+        rng.shuffle(ts)
         z, err = zkernel.z_rs_block(ts)
         for j, t in enumerate(ts):
             zj, ej = zkernel.z_rs_block(ts[j : j + 1])
