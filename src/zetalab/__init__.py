@@ -1,14 +1,14 @@
 """zetalab: numerical laboratory for critical-line moments of the zeta-function.
 
 Layers:
-  precision / gammafn / constants  -- precision-contexted arithmetic core
+  precision / constants            -- precision-contexted arithmetic core
   zeta                             -- zeta(1/2+it) with an error bound
   zkernel                          -- fast vectorized float64 Z evaluator
   quadrature / moments             -- error-controlled moment integrals, E1/E2
   laplace / scans                  -- Laplace transforms, sign-change scans
   checkpoint                       -- resumable running-integral store
   spectral                         -- Maass-form data and Motohashi's spectral sum
-  arith                            -- divisor sieves and Kloosterman sums
+  arith                            -- divisor correlations and Kloosterman sums
   cli                              -- command-line front end
 """
 

@@ -1,13 +1,16 @@
-"""Exact arithmetic kernels: segmented divisor sieves, shifted divisor
-correlation sums, and Kloosterman sums.
+"""Exact arithmetic kernels: shifted divisor correlation sums and
+Kloosterman sums.
 
-The divisor-count sieve marks small divisors i <= sqrt(n) and counts the
-cofactor pair, so each window costs sum_{i <= sqrt(R)} O(S/i) slice
-increments; additive_divisor streams windows of a configurable size and
-never materializes the full range.  Kloosterman sums are evaluated exactly
-at prime powers through modular inverses and assembled by twisted
-multiplicativity; kloosterman_grid, the literal definition vectorized over
-(m, n), is the oracle the tests compare them against.
+A window's divisor counts come from marking the small divisors
+i <= sqrt(n) and counting the cofactor pair, so each window costs
+sum_{i <= sqrt(R)} O(S/i) slice increments; additive_divisor streams
+windows of a configurable size and never materializes the full range.  Its
+oracle additive_divisor_bruteforce counts every divisor of every n <= x + f
+instead, so the tests check the window sieve's d(n) too.
+Kloosterman sums are evaluated exactly at prime powers through modular
+inverses and assembled by twisted multiplicativity; kloosterman_grid, the
+literal definition vectorized over (m, n), is the oracle the tests compare
+them against.
 """
 
 from __future__ import annotations
@@ -18,23 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityExceeded, DomainError
+from .errors import DomainError
 
 DEFAULT_SEGMENT = 1 << 22
-MATERIALIZE_CAP = 1 << 26
-
-
-@dataclass(frozen=True)
-class DivisorTable:
-    """Divisor counts d(1..x_max); values in an int32 array, d[0] unused."""
-
-    x_max: int
-    d: np.ndarray
-
-    def count(self, n: int) -> int:
-        if not (1 <= n <= self.x_max):
-            raise DomainError("n out of table range")
-        return int(self.d[n])
 
 
 def _sieve_window(lo: int, hi: int) -> np.ndarray:
@@ -55,22 +44,6 @@ def _sieve_window(lo: int, hi: int) -> np.ndarray:
     return d
 
 
-def divisor_sieve(x: int, segment: int = DEFAULT_SEGMENT) -> DivisorTable:
-    """Divisor-count table for n <= x, built window by window."""
-    if x < 1:
-        raise DomainError("x must be >= 1")
-    if x > MATERIALIZE_CAP:
-        raise CapacityExceeded(
-            "materialized table capped at %d entries; use additive_divisor "
-            "for larger ranges" % MATERIALIZE_CAP
-        )
-    out = np.zeros(x + 1, dtype=np.int32)
-    for lo in range(1, x + 1, segment):
-        hi = min(lo + segment, x + 1)
-        out[lo:hi] = _sieve_window(lo, hi)
-    return DivisorTable(x_max=x, d=out)
-
-
 def additive_divisor(x: int, f: int, segment: int = DEFAULT_SEGMENT) -> int:
     """Exact sum_{n<=x} d(n) d(n+f), streamed in windows covering both shifts."""
     if x < 1:
@@ -89,9 +62,10 @@ def additive_divisor(x: int, f: int, segment: int = DEFAULT_SEGMENT) -> int:
 
 
 def additive_divisor_bruteforce(x: int, f: int) -> int:
-    """Literal double definition via a materialized table (oracle)."""
-    table = divisor_sieve(x + f)
-    d = table.d.astype(np.int64)
+    """Literal double definition, d(n) counting every i | n (oracle)."""
+    d = np.zeros(x + f + 1, dtype=np.int64)
+    for i in range(1, x + f + 1):
+        d[i::i] += 1
     return int(d[1 : x + 1] @ d[1 + f : x + f + 1])
 
 
@@ -173,10 +147,3 @@ def kloosterman_grid(ms, ns, c: int) -> np.ndarray:
     en = np.exp(2j * np.pi * (np.outer(ns, dinv) % c) / c)
     return em @ en.T
 
-
-def weil_bound(m: int, n: int, c: int, table: DivisorTable) -> float:
-    """d(c) sqrt(gcd(m, n, c)) sqrt(c) (standard audit bound)."""
-    g = math.gcd(math.gcd(abs(m), abs(n)), c)
-    if g == 0:
-        g = c
-    return table.count(c) * math.sqrt(g) * math.sqrt(c)

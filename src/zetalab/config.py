@@ -9,9 +9,10 @@ it enters the digest as KERNEL_VERSION.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, replace
 
-from .errors import DataParseError
+from .errors import DataParseError, DomainError
 
 KERNEL_VERSION = "zk4"
 # the (2 nodes + 1)-point rule of quadrature.kronrod_rule on panels two mesh cells wide
@@ -41,6 +42,18 @@ class QuadConfig:
     weight_cmaj: float = 10.0    # spectral weight growth majorant c_j <= C kappa^3
     checkpoint_step: float = 100.0
 
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(f.default, float) and not (math.isfinite(v) and v > 0):
+                raise DomainError("quad.%s must be finite and > 0, got %r" % (f.name, v))
+        if self.nodes < 1:
+            raise DomainError("quad.nodes must be >= 1, got %r" % self.nodes)
+        if self.max_depth < 0:
+            raise DomainError("quad.max_depth must be >= 0, got %r" % self.max_depth)
+        if self.w_min > self.w_max:
+            raise DomainError("quad.w_min must be <= quad.w_max, got %r > %r" % (self.w_min, self.w_max))
+
     def digest(self) -> str:
         parts = ["kernel=%s" % KERNEL_VERSION, "rule=%s" % PANEL_RULE]
         parts += ["%s=%r" % (f.name, getattr(self, f.name)) for f in fields(self)]
@@ -57,6 +70,10 @@ class RunConfig:
     quad: QuadConfig = field(default_factory=QuadConfig)
     checkpoint_path: str = "zetalab-checkpoint.txt"
     output_format: str = "csv"                # or "jsonl"
+
+    def __post_init__(self):
+        if self.output_format not in ("csv", "jsonl"):
+            raise DomainError("output_format must be csv or jsonl, got %r" % self.output_format)
 
     def context(self):
         from .precision import PrecisionContext
@@ -85,7 +102,8 @@ def _coerce(text: str, like):
 
 
 def load_config(path: str) -> RunConfig:
-    """Read a flat key=value config file; unknown keys are an error."""
+    """Read a flat key=value config file; unknown keys and values that do
+    not parse are an error naming the line."""
     run_kwargs = {}
     quad_kwargs = {}
     run_fields = {f.name: f for f in fields(RunConfig) if f.name != "quad"}
@@ -100,14 +118,14 @@ def load_config(path: str) -> RunConfig:
                 raise DataParseError("expected key=value", line=lineno)
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key.startswith("quad."):
-                qkey = key[5:]
-                if qkey not in quad_fields:
-                    raise DataParseError("unknown config key %r" % key, line=lineno)
-                quad_kwargs[qkey] = _coerce(val, getattr(defaults.quad, qkey))
-            elif key in run_fields:
-                run_kwargs[key] = _coerce(val, getattr(defaults, key))
-            else:
+            name, known, kwargs, like = (
+                (key[5:], quad_fields, quad_kwargs, defaults.quad) if key.startswith("quad.")
+                else (key, run_fields, run_kwargs, defaults))
+            if name not in known:
                 raise DataParseError("unknown config key %r" % key, line=lineno)
+            try:
+                kwargs[name] = _coerce(val, getattr(like, name))
+            except ValueError as exc:
+                raise DataParseError("bad value for %s: %s" % (key, exc), line=lineno) from exc
     quad = replace(defaults.quad, **quad_kwargs) if quad_kwargs else defaults.quad
     return replace(defaults, quad=quad, **run_kwargs)

@@ -27,15 +27,12 @@ class DataValidationError(ZetalabError):
 
 
 class DataParseError(ZetalabError):
-    """A data file could not be parsed; carries the offending line number."""
+    """A data file could not be parsed; carries the offending line number,
+    which the message names too."""
 
     def __init__(self, message, line=None):
-        super().__init__(message)
+        super().__init__(message if line is None else "line %d: %s" % (line, message))
         self.line = line
-
-
-class CapacityExceeded(ZetalabError):
-    """Requested table size exceeds the configured capacity limit."""
 
 
 class CheckpointMismatch(ZetalabError):

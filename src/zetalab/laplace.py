@@ -61,6 +61,8 @@ def laplace_moment_grid(
         raise DomainError("k must be in {1, 2, 6}")
     ss = [complex(s) for s in s_values]
     for s in ss:
+        if not cmath.isfinite(s):
+            raise DomainError("invalid-argument: s must be finite, got %r" % s)
         if s.real <= 0:
             raise DomainError("invalid-argument: Re s must be > 0")
         if abs(cmath.phase(s)) >= math.pi / 2:

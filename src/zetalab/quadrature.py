@@ -182,7 +182,10 @@ def mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf):
 
     A cell is cfg.gap_fraction of the local mean zero gap wide; the scans
     sample every cell boundary, and a quadrature panel spans two cells
-    (panel_mesh)."""
+    (panel_mesh).  A non-finite t0 or t1 is refused: the recurrence would
+    not end at an infinite t1."""
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise DomainError("integration range [%s, %s] is not finite" % (t0, t1))
     out = [t0]
     t = t0
     while t < t1:

@@ -4,9 +4,7 @@ Datasets carry the combined weight c_j = alpha_j H_j^3(1/2) per form; odd
 forms (eps = -1) are forced to c = 0 because the Hecke-series functional
 equation factor equals eps at the central point.  The spectral side of the
 smoothed fourth moment returns its per-term values and their correctly
-rounded sum.  R(y) and the Hecke functional-equation factor, gamma factors
-of the source's other spectral formulas, are kept with their fixtures
-(tools/make_fixtures.py).
+rounded sum.
 """
 
 from __future__ import annotations
@@ -16,12 +14,11 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
 from .config import QuadConfig
-from .errors import DataParseError, DataValidationError, DomainError, PoleError
-from .gammafn import complex_log_gamma
-from .precision import DEFAULT_CTX, PrecisionContext, ValueWithError, mag
+from .errors import DataParseError, DataValidationError, DomainError
+from .precision import DEFAULT_CTX, PrecisionContext
 
 
 @dataclass(frozen=True)
@@ -136,62 +133,6 @@ def load_spectral_dataset(path=None) -> SpectralDataset:
         raise DataParseError("missing header line", line=1)
     ds = SpectralDataset(records=tuple(records), source="\n".join([name] + provenance), checksum=checksum)
     return ds.validate()
-
-
-# ---------------------------------------------------------------------------
-# Gamma factors
-
-
-def hecke_fe_factor(s, kappa: float, eps: int, ctx: PrecisionContext = DEFAULT_CTX) -> ValueWithError:
-    """Functional-equation conversion factor of the Hecke series:
-    pi^{-1} (2 pi)^{2s-1} Gamma(1-s+i kappa) Gamma(1-s-i kappa)
-    {-cos(pi s) + eps cosh(pi kappa)}, via log-gamma throughout."""
-    if eps not in (1, -1):
-        raise DomainError("eps must be +1 or -1")
-    with ctx.workprec():
-        s = mpc(s)
-        g1, e1 = complex_log_gamma(1 - s + 1j * mpf(kappa), ctx)
-        g2, e2 = complex_log_gamma(1 - s - 1j * mpf(kappa), ctx)
-        log_pref = -mp.log(mp.pi) + (2 * s - 1) * mp.log(2 * mp.pi) + g1 + g2
-        # brace in log-safe form: eps cosh(pi kappa) - cos(pi s)
-        brace = eps * mp.cosh(mp.pi * kappa) - mp.cos(mp.pi * s)
-        value = mp.exp(log_pref) * brace
-        err = mag(value) * (e1 + e2 + 16 * ctx.eps * (1 + mag(log_pref)))
-        return ValueWithError(value, err)
-
-
-def r_factor(y: float, ctx: PrecisionContext = DEFAULT_CTX) -> ValueWithError:
-    """R(y) = sqrt(pi/2) (2^{iy} Gamma(1/4+iy/2)/Gamma(1/4-iy/2))^3
-    Gamma(-2iy) cosh(pi y), assembled in log space."""
-    if y == 0:
-        raise PoleError("R(y) has a pole at y = 0 (Gamma(-2iy))")
-    with ctx.workprec():
-        yy = mpf(y)
-        gpl, e1 = complex_log_gamma(mpc(0.25, float(yy) / 2), ctx)
-        gmi, e2 = complex_log_gamma(mpc(0.25, -float(yy) / 2), ctx)
-        gneg, e3 = complex_log_gamma(mpc(0, -2 * float(yy)), ctx)
-        # log cosh(pi y) stable for large |y|
-        ay = abs(yy)
-        log_cosh = mp.pi * ay + mp.log1p(mp.exp(-2 * mp.pi * ay)) - mp.log(2)
-        logr = (
-            mp.log(mp.pi / 2) / 2
-            + 3 * (1j * yy * mp.log(2) + gpl - gmi)
-            + gneg
-            + log_cosh
-        )
-        value = mp.exp(logr)
-        err = mag(value) * (3 * (e1 + e2) + e3 + 16 * ctx.eps * (1 + mag(logr)))
-        return ValueWithError(value, err)
-
-
-def r_factor_modulus(y: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """Closed modulus |R(y)| = (pi/2) cosh(pi y) / sqrt(y sinh(2 pi y))."""
-    with ctx.workprec():
-        yy = abs(mpf(y))
-        # (pi/2) * cosh(pi y)/sqrt(y sinh(2pi y)), computed in logs
-        log_cosh = mp.pi * yy + mp.log1p(mp.exp(-2 * mp.pi * yy)) - mp.log(2)
-        log_sinh = 2 * mp.pi * yy + mp.log1p(-mp.exp(-4 * mp.pi * yy)) - mp.log(2)
-        return float(mp.exp(mp.log(mp.pi / 2) + log_cosh - (mp.log(yy) + log_sinh) / 2))
 
 
 # ---------------------------------------------------------------------------

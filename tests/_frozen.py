@@ -40,10 +40,6 @@ KOBER_C0 = 3.1143503174761804
 # oracle: bisection on mpmath.siegeltheta (30 dps)
 THETA_POSITIVE_ZERO = 17.84559954041086
 
-# oracle: recomputation at 256 bits
-R_AT_9_5337 = (-0.33973396786380106-0.11825820314751734j)
-FE_FACTOR_S2_K9_5337 = (0.2831412118104746+0j)
-
 # oracle: composite 16-node Gauss-Legendre on unit windows of pointwise E2
 INT_E2_1000 = 1107.0454241856933
 INT_E2_1000_ORACLE = 1107.0453914278041

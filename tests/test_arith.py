@@ -1,4 +1,4 @@
-"""Divisor sieves, shifted correlations, Kloosterman sums."""
+"""Shifted divisor correlations and Kloosterman sums."""
 
 import math
 
@@ -8,47 +8,14 @@ import pytest
 from zetalab.arith import (
     additive_divisor,
     additive_divisor_bruteforce,
-    divisor_sieve,
     kloosterman,
     kloosterman_grid,
-    weil_bound,
 )
-from zetalab.errors import CapacityExceeded, DomainError
+from zetalab.errors import DomainError
 
 
 def divisors_direct(n):
     return sum(1 for d in range(1, n + 1) if n % d == 0)
-
-
-class TestDivisorSieve:
-    def test_examples(self):
-        t = divisor_sieve(20)
-        assert t.count(1) == 1
-        assert t.count(12) == 6
-        assert int(t.d[1:9].sum()) == 20
-
-    def test_matches_direct_counting(self):
-        t = divisor_sieve(10**4)
-        for n in list(range(1, 200)) + [511, 1024, 5040, 9973, 10**4]:
-            assert t.count(n) == divisors_direct(n)
-
-    def test_multiplicative_spot_checks(self):
-        t = divisor_sieve(10**4)
-        for (a, b) in [(7, 11), (4, 9), (8, 27), (25, 49)]:
-            assert t.count(a * b) == t.count(a) * t.count(b)
-        for p in (2, 3, 5, 97, 9973):
-            assert t.count(p) == 2
-
-    def test_segmented_equals_monolithic(self):
-        small = divisor_sieve(5000, segment=257)
-        big = divisor_sieve(5000)
-        assert np.array_equal(small.d, big.d)
-
-    def test_capacity_and_domain(self):
-        with pytest.raises(DomainError):
-            divisor_sieve(0)
-        with pytest.raises(CapacityExceeded):
-            divisor_sieve((1 << 26) + 1)
 
 
 class TestAdditiveDivisor:
@@ -114,12 +81,12 @@ class TestKloosterman:
             assert abs(kloosterman(0, 0, c).value - phi(c)) < 1e-9
 
     def test_weil_audit(self):
-        table = divisor_sieve(500)
+        # |S(m, n; c)| <= d(c) sqrt(gcd(m, n, c)) sqrt(c)
+        ms = np.arange(1, 11)
         for c in range(1, 501):
-            grid = kloosterman_grid(range(1, 11), range(1, 11), c)
-            bound = np.array(
-                [[weil_bound(m, n, c, table) for n in range(1, 11)] for m in range(1, 11)]
-            )
+            grid = kloosterman_grid(ms, ms, c)
+            g = np.gcd(np.gcd.outer(ms, ms), c)
+            bound = divisors_direct(c) * np.sqrt(g) * math.sqrt(c)
             assert np.all(np.abs(grid) <= bound + 1e-6)
 
     def test_domain(self):

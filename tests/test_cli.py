@@ -182,3 +182,50 @@ class TestConfig:
         argv = ["explore", "--table", "meansq-e2", "--T-list", "250", "--config", str(conf)]
         assert cli.main(argv) == cli.EXIT_DATA
         assert "unknown config key %r" % line.partition("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,code,reason", [
+        ("quad.nodes=abc", cli.EXIT_DATA, "line 2: bad value for quad.nodes"),
+        ("precision_bits=12x", cli.EXIT_DATA, "line 2: bad value for precision_bits"),
+        ("output_format=xml", cli.EXIT_USAGE, "output_format must be csv or jsonl"),
+        ("quad.checkpoint_step=0", cli.EXIT_USAGE, "quad.checkpoint_step must be finite and > 0"),
+        ("quad.panel_rel=inf", cli.EXIT_USAGE, "quad.panel_rel must be finite and > 0"),
+        ("quad.gap_fraction=nan", cli.EXIT_USAGE, "quad.gap_fraction must be finite and > 0"),
+        ("quad.gap_fraction=0\nquad.w_min=0", cli.EXIT_USAGE, "quad.gap_fraction must be finite and > 0"),
+        ("quad.nodes=0", cli.EXIT_USAGE, "quad.nodes must be >= 1"),
+        ("quad.max_depth=-1", cli.EXIT_USAGE, "quad.max_depth must be >= 0"),
+        ("quad.w_min=3.0", cli.EXIT_USAGE, "quad.w_min must be <= quad.w_max"),
+    ])
+    def test_bad_values_are_refused_with_the_field(self, tmp_path, capsys, text, code, reason):
+        conf = tmp_path / "run.conf"
+        conf.write_text("# a comment line\n" + text + "\n")
+        out = tmp_path / "zeta.csv"
+        assert cli.main(["zeta", "--t", "10", "--config", str(conf), "--out", str(out)]) == code
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNonFiniteInput:
+    """Non-finite ranges and arguments are refused with the reason (the
+    mesh of an infinite range would never end)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["moment", "--k", "2", "--T", "nan"],
+        ["moment", "--k", "1", "--T", "inf"],
+        ["explore", "--table", "twelfth", "--T-list", "nan"],
+        ["explore", "--table", "meansq-e2", "--T-list", "nan"],
+        ["scan", "--target", "e1", "--from", "10", "--to", "inf", "--A", "1", "--exp", "0.25"],
+    ])
+    def test_range_end(self, tmp_path, capsys, argv):
+        ckpt = tmp_path / "m.ckpt"
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+        if argv[0] == "moment":
+            argv += ["--checkpoint", str(ckpt)]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert "is not finite" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("s", ["nan", "inf", "0.1,inf"])
+    def test_laplace_s(self, tmp_path, capsys, s):
+        argv = ["laplace", "--k", "2", "--s-grid", s, "--out", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert "s must be finite" in capsys.readouterr().err

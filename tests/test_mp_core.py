@@ -1,15 +1,13 @@
-"""Precision contexts, log-gamma, zeta'(2)."""
+"""Precision contexts, zeta'(2) and the cached constants."""
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
 
 from zetalab.constants import constants_for
-from zetalab.errors import DomainError, PoleError
-from zetalab.gammafn import complex_log_gamma
+from zetalab.errors import DomainError
 from zetalab.precision import PrecisionContext
 
 
@@ -31,54 +29,6 @@ class TestPrecisionContext:
             z = mpc("1.25", "-3.5")
             assert mp.conj(mp.conj(z)) == z
             assert abs(abs(z) ** 2 - (z.real**2 + z.imag**2)) <= ctx.rel_tol * abs(z) ** 2
-
-
-class TestComplexLogGamma:
-    def test_at_one(self, ctx):
-        v, err = complex_log_gamma(1, ctx)
-        assert abs(v) <= max(err, 1e-30)
-
-    def test_at_half(self, ctx):
-        v, err = complex_log_gamma(0.5, ctx)
-        with ctx.workprec():
-            assert abs(v - mp.log(mp.sqrt(mp.pi))) < 1e-30
-
-    @pytest.mark.parametrize("kappa", [1.0, 5.0, 9.5, 20.0])
-    def test_reflection_product(self, ctx, kappa):
-        # Gamma(1/2+ik) Gamma(1/2-ik) = pi / cosh(pi k)
-        v1, _ = complex_log_gamma(mpc(0.5, kappa), ctx)
-        v2, _ = complex_log_gamma(mpc(0.5, -kappa), ctx)
-        with ctx.workprec():
-            lhs = mp.exp(v1 + v2) * mp.cosh(mp.pi * kappa) / mp.pi
-            assert abs(lhs - 1) < 1e-20
-
-    def test_pole_rejected(self, ctx):
-        for z in (0, -1, -7):
-            with pytest.raises(PoleError):
-                complex_log_gamma(z, ctx)
-
-    def test_recurrence_property_random_grid(self, ctx, rng):
-        # exp(lg(z+1)) = z exp(lg(z)) on 100 random points, |z| <= 20
-        for _ in range(100):
-            re = rng.uniform(-20, 20)
-            im = rng.uniform(-20, 20)
-            if abs(im) < 0.1 and re <= 0.5:
-                im = 0.5  # stay clear of the pole line
-            z = mpc(re, im)
-            v1, e1 = complex_log_gamma(z, ctx)
-            v2, e2 = complex_log_gamma(z + 1, ctx)
-            with ctx.workprec():
-                lhs = mp.exp(v2)
-                rhs = z * mp.exp(v1)
-                assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-
-    def test_matches_mpmath(self, ctx, rng):
-        mp.prec = 160
-        for _ in range(25):
-            z = mpc(rng.uniform(0.1, 30), rng.uniform(-30, 30))
-            v, err = complex_log_gamma(z, ctx)
-            ref = mpmath.loggamma(z)
-            assert abs(v - ref) <= max(err, 1e-30)
 
 
 class TestZetaPrimeAtTwo:

@@ -1,23 +1,17 @@
-"""Spectral dataset handling, gamma factors, Motohashi's spectral sum."""
+"""Spectral dataset handling and Motohashi's spectral sum."""
 
 import math
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpc
 
-from zetalab.errors import DataParseError, DataValidationError, PoleError
+from zetalab.errors import DataParseError, DataValidationError
 from zetalab.spectral import (
     MaassFormRecord,
     SpectralDataset,
-    hecke_fe_factor,
     load_spectral_dataset,
     motohashi_spectral_sum,
-    r_factor,
-    r_factor_modulus,
 )
-
-import _frozen as F
 
 
 def synthetic(kappa=10.0, c=1.0, eps=1, j=1):
@@ -87,55 +81,6 @@ class TestDatasetLoading:
             MaassFormRecord(j=1, kappa=13.78, c=3.0, eps=1, alpha=1.0, h_half=1.0).validate()
         assert ei.value.invariant == "combined-weight-consistency"
         MaassFormRecord(j=1, kappa=13.78, c=8.0, eps=1, alpha=1.0, h_half=2.0).validate()
-
-
-class TestFeFactor:
-    @pytest.mark.parametrize("kappa", [9.5337, 12.173, 25.0])
-    @pytest.mark.parametrize("eps", [1, -1])
-    def test_collapses_to_eps_at_half(self, ctx, kappa, eps):
-        v, _ = hecke_fe_factor(0.5, kappa, eps, ctx)
-        assert abs(v - eps) < 1e-14
-
-    def test_involution(self, ctx):
-        s = mpc(0.3, 2.0)
-        v1, _ = hecke_fe_factor(s, 9.5337, 1, ctx)
-        v2, _ = hecke_fe_factor(1 - s, 9.5337, 1, ctx)
-        assert abs(v1 * v2 - 1) < 1e-12
-
-    def test_involution_grid(self, ctx, rng):
-        for _ in range(12):
-            s = mpc(rng.uniform(-1, 2), rng.uniform(-3, 3))
-            v1, _ = hecke_fe_factor(s, 13.779751, -1, ctx)
-            v2, _ = hecke_fe_factor(1 - s, 13.779751, -1, ctx)
-            assert abs(v1 * v2 - 1) < 1e-12
-
-    def test_fixture(self, ctx):
-        v, err = hecke_fe_factor(2.0, 9.5337, 1, ctx)
-        assert abs(complex(v) - F.FE_FACTOR_S2_K9_5337) <= max(err, 1e-18)
-
-
-class TestRFactor:
-    def test_modulus_identity(self, ctx):
-        v, _ = r_factor(5.0, ctx)
-        assert abs(abs(v) - r_factor_modulus(5.0, ctx)) < 1e-12
-
-    def test_conjugation(self, ctx):
-        v, _ = r_factor(9.5337, ctx)
-        w, _ = r_factor(-9.5337, ctx)
-        assert abs(w - mp.conj(v)) < 1e-14
-
-    def test_fixture(self, ctx):
-        v, err = r_factor(9.5337, ctx)
-        assert abs(complex(v) - F.R_AT_9_5337) <= max(err, 1e-20)
-
-    def test_pole_at_zero(self, ctx):
-        with pytest.raises(PoleError):
-            r_factor(0.0, ctx)
-
-    @pytest.mark.parametrize("y", [1.0, 5.0, 9.5337, 20.0])
-    def test_modulus_identity_grid(self, ctx, y):
-        v, _ = r_factor(y, ctx)
-        assert abs(abs(v) - r_factor_modulus(y, ctx)) <= 1e-12 * r_factor_modulus(y, ctx)
 
 
 class TestMotohashiSum:

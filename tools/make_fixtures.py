@@ -9,7 +9,8 @@ changes: the values are bit-identical only under the fingerprint recorded
 with them (zetalab.quadrature.numeric_fingerprint).  The E2 fixtures use the
 package's P4 (closed-form a4, a3 and the derived constants.P4_LOWER).  Every
 oracle check is asserted before anything is written, and every value that
-moved from the existing tests/_frozen.py is printed as NAME old → new.
+moved from the existing tests/_frozen.py is printed as NAME old → new, and
+every value it no longer writes as NAME old → removed.
 
 The two tanh-sinh oracles of siegelz (MOMENT1_0_100_ORACLE and
 MOMENT2_0_500_ORACLE) depend on neither the quadrature nor P4: they are read
@@ -57,7 +58,6 @@ def main():
     )
     from zetalab.precision import PrecisionContext
     from zetalab.quadrature import get_accumulator, numeric_fingerprint
-    from zetalab.spectral import hecke_fe_factor, r_factor
     from zetalab.zkernel import z_block
 
     t_start = time.time()
@@ -199,23 +199,6 @@ def main():
     ]
     print("theta zero = %r" % (0.5 * (lo + hi),))
 
-    # --- spectral fixtures at doubled precision
-    ctx256 = PrecisionContext(256, 1e-30, 1e-30)
-    r_lo = r_factor(9.5337, ctx)
-    r_hi = r_factor(9.5337, ctx256)
-    assert abs(complex(r_lo.value) - complex(r_hi.value)) < 1e-20
-    fe_lo = hecke_fe_factor(2.0, 9.5337, 1, ctx)
-    fe_hi = hecke_fe_factor(2.0, 9.5337, 1, ctx256)
-    assert abs(complex(fe_lo.value) - complex(fe_hi.value)) < 1e-18 * abs(complex(fe_hi.value))
-    lines += [
-        "# oracle: recomputation at 256 bits",
-        put("R_AT_9_5337", complex(r_hi.value)),
-        put("FE_FACTOR_S2_K9_5337", complex(fe_hi.value)),
-        "",
-    ]
-    print("R(9.5337) = %r" % (complex(r_hi.value),))
-    print("fe(2, 9.5337) = %r" % (complex(fe_hi.value),))
-
     # --- integral of E2 at T=1000: oracle = composite Gauss-Legendre over
     # pointwise error_term evaluations (direct double integral on a fine
     # grid; windows short enough to resolve E2's unit-scale oscillation)
@@ -267,6 +250,8 @@ def main():
     for name, value in values.items():
         if stored.get(name) != value:
             print("%s %r → %r" % (name, stored.get(name), value))
+    for name in sorted(n for n in stored if n.isupper() and n not in values):
+        print("%s %r → removed" % (name, stored[name]))
     OUT.write_text("\n".join(lines))
     print("wrote %s in %.0f s total" % (OUT, time.time() - t_start))
 
