@@ -3,13 +3,15 @@
 Every subcommand echoes the effective configuration as '#' comment lines
 (in json-lines, as the comments of one final "_meta" record), is
 deterministic given (config, inputs), and uses the exit codes
-0 success, 2 usage, 3 precision failure, 4 data validation.
+0 success, 2 usage, 3 precision failure, 4 data validation.  Output is
+opened only once every value is computed, so a refused command writes none.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -134,10 +136,9 @@ def build_parser():
     p.add_argument("--c", required=True, type=int)
     _add_common(p)
 
-    p = sub.add_parser("explore", help="exploratory tables (mean-square E2, "
-                                       "twelfth moment, E2 zero gaps)")
-    p.add_argument("--table", required=True, choices=("meansq-e2", "twelfth", "e2-gaps"))
-    p.add_argument("--T-list", help="comma-separated T values (meansq-e2, twelfth)")
+    p = sub.add_parser("explore", help="exploratory tables (mean-square E2, E2 zero gaps)")
+    p.add_argument("--table", required=True, choices=("meansq-e2", "e2-gaps"))
+    p.add_argument("--T-list", help="comma-separated T values (meansq-e2)")
     p.add_argument("--from", dest="t0", type=float, default=500.0)
     p.add_argument("--to", dest="t1", type=float, default=3000.0)
     _add_common(p)
@@ -225,12 +226,14 @@ def _dispatch(args) -> int:
         cols = ["s", "L_k", "err_bound", "panels"]
         if args.main_term:
             cols += ["main_term", "difference"]
-        out = _open_out(args, run_cfg, cols)
+        rows = []
         for s, r in zip(svals, results):
-            row = [s, r.value, r.err_bound, r.panels]
+            rows.append([s, r.value, r.err_bound, r.panels])
             if args.main_term:
                 mt = kober_main(s / 2.0, ctx) if args.k == 1 else atkinson_expansion(s, ctx)
-                row += [mt, r.value - mt]
+                rows[-1] += [mt, r.value - mt]
+        out = _open_out(args, run_cfg, cols)
+        for row in rows:
             out.row(row)
         out.close()
         return 0
@@ -238,9 +241,10 @@ def _dispatch(args) -> int:
     if args.command == "divisor-corr":
         from .arith import additive_divisor
 
+        rows = [[f, args.x, additive_divisor(args.x, f)] for f in range(1, args.f_max + 1)]
         out = _open_out(args, run_cfg, ["f", "x", "sum"])
-        for f in range(1, args.f_max + 1):
-            out.row([f, args.x, additive_divisor(args.x, f)])
+        for row in rows:
+            out.row(row)
         out.close()
         return 0
 
@@ -266,32 +270,38 @@ def _cmd_moment(args, run_cfg, ctx, cfg) -> int:
     from .moments import default_p4, main_term, p1_exact
 
     path = run_cfg.checkpoint_path
-    lock = open(path + ".lock", "w")
-    try:
-        fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
-    except OSError:
-        print("checkpoint %s is locked by another process" % path, file=sys.stderr)
-        return EXIT_DATA
-    try:
-        out = _open_out(args, run_cfg, ["T", "integral", "main_term", "E", "err_bound"])
-        if args.T == 0:
-            out.row([0.0, 0.0, 0.0, 0.0, 0.0])
+    lock_path = path + ".lock"
+    with open(lock_path, "w") as lock:
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            # A holder that ended unlinked the file it locked, so the path
+            # may now name a file whose lock this process does not hold.
+            held = os.path.samestat(os.fstat(lock.fileno()), os.stat(lock_path))
+        except OSError:
+            held = False
+        if not held:
+            print("checkpoint %s is locked by another process" % path, file=sys.stderr)
+            return EXIT_DATA
+        try:
+            notes, row = [], [0.0, 0.0, 0.0, 0.0, 0.0]
+            if args.T != 0:
+                cp, (value, err) = extend_checkpoint(path, args.k, args.T, cfg, resume=args.resume)
+                poly = p1_exact(ctx) if args.k == 1 else default_p4(ctx)
+                mt = main_term(args.k, args.T, poly)
+                notes.append("checkpoint=%s rows=%d digest=%s" % (path, len(cp.grid), cp.config_digest))
+                if cp.resume is not None:
+                    notes.append("resume: seed T=%r, verified T=%r, %d panels integrated at or below it"
+                                 % (cp.resume.seed_t, cp.resume.verified_t, cp.resume.panels))
+                notes.append("P%d provenance: %s" % (args.k * args.k, ",".join(poly.provenance)))
+                row = [args.T, value, mt, value - mt, err]
+            out = _open_out(args, run_cfg, ["T", "integral", "main_term", "E", "err_bound"])
+            for note in notes:
+                out.comment(note)
+            out.row(row)
             out.close()
             return 0
-        cp, (value, err) = extend_checkpoint(path, args.k, args.T, cfg, resume=args.resume)
-        poly = p1_exact(ctx) if args.k == 1 else default_p4(ctx)
-        mt = main_term(args.k, args.T, poly)
-        out.comment("checkpoint=%s rows=%d digest=%s" % (path, len(cp.grid), cp.config_digest))
-        if cp.resume is not None:
-            out.comment("resume: seed T=%r, verified T=%r, %d panels integrated at or below it"
-                        % (cp.resume.seed_t, cp.resume.verified_t, cp.resume.panels))
-        out.comment("P%d provenance: %s" % (args.k * args.k, ",".join(poly.provenance)))
-        out.row([args.T, value, mt, value - mt, err])
-        out.close()
-        return 0
-    finally:
-        fcntl.flock(lock, fcntl.LOCK_UN)
-        lock.close()
+        finally:
+            os.unlink(lock_path)  # while the lock is held; closing the file releases it
 
 
 def _cmd_motohashi(args, run_cfg, ctx, cfg) -> int:
@@ -301,14 +311,15 @@ def _cmd_motohashi(args, run_cfg, ctx, cfg) -> int:
     direct = smoothed_fourth(args.T, args.delta, ctx, cfg)
     cols = ["T", "delta", "direct", "direct_err", "spectral", "difference",
             "truncation_bound", "terms_used"]
-    out = _open_out(args, run_cfg, cols)
     if args.no_spectral:
+        out = _open_out(args, run_cfg, cols)
         out.comment("warning: no spectral dataset; direct side only")
         out.row([args.T, args.delta, direct.value, direct.err_bound, "", "", "", ""])
         out.close()
         return 0
     ds = load_spectral_dataset(args.spectral)
     spec = motohashi_spectral_sum(args.T, args.delta, ds, cfg=cfg, ctx=ctx)
+    out = _open_out(args, run_cfg, cols)
     out.comment("spectral source checksum=%s" % ds.checksum)
     out.comment("delta admissible (A=1 window): %s" % spec.metadata["delta_admissible_A1"])
     out.row([args.T, args.delta, direct.value, direct.err_bound, spec.value,
@@ -326,16 +337,6 @@ def _cmd_explore(args, run_cfg, ctx, cfg) -> int:
         out = _open_out(args, run_cfg, ["T", "int_E2_sq", "ratio_T2"])
         for t, v, ratio in table:
             out.row([t, v, ratio])
-        out.close()
-        return 0
-    if args.table == "twelfth":
-        from .moments import twelfth_moment_table
-
-        ts = sorted(float(x) for x in (args.T_list or "250,500,1000,2000").split(","))
-        rows = twelfth_moment_table(ts, ctx, cfg)
-        out = _open_out(args, run_cfg, ["T", "integral", "ratio_T2_log17", "err_bound"])
-        for row in rows:
-            out.row(list(row))
         out.close()
         return 0
     if args.table == "e2-gaps":

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, fields, replace
 from .errors import DataParseError, DomainError
 
 KERNEL_VERSION = "zk4"
-# the (2 nodes + 1)-point rule of quadrature.kronrod_rule on panels two mesh cells wide
-PANEL_RULE = "gauss-kronrod/2-cell"
+# the (2 nodes + 1)-point rule of quadrature.kronrod_rule on panels four mesh cells wide
+PANEL_RULE = "gauss-kronrod/4-cell"
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class QuadConfig:
 
     nodes: int = 16              # Gauss nodes per panel; with their Kronrod nodes 2n+1 points
     gap_fraction: float = 0.5    # cell width as a fraction of the local mean zero gap;
-                                 # a quadrature panel spans two cells
+                                 # a quadrature panel spans four cells
     w_min: float = 0.05
     w_max: float = 2.0
     max_depth: int = 12

@@ -57,8 +57,8 @@ def laplace_moment_grid(
     Each value uses exactly the panels inside its own truncation range, so
     results equal the single-call ones regardless of grid composition.
     """
-    if k not in (1, 2, 6):
-        raise DomainError("k must be in {1, 2, 6}")
+    if k not in (1, 2):
+        raise DomainError("k must be in {1, 2}")
     ss = [complex(s) for s in s_values]
     for s in ss:
         if not cmath.isfinite(s):

@@ -22,6 +22,7 @@ from .constants import P4_LOWER, fourth_moment_a3, fourth_moment_a4, second_mome
 from .errors import DomainError
 from .precision import DEFAULT_CTX, PrecisionContext
 from .quadrature import (
+    CELLS,
     IntegralResult,
     PanelBatch,
     get_accumulator,
@@ -114,8 +115,8 @@ def integrate_moment(
     the integrated pointwise kernel error model, plus one ulp of the result
     for the final summation; no panel outside [a, b] is charged.
     """
-    if k not in (1, 2, 6):
-        raise DomainError("k must be in {1, 2, 6}")
+    if k not in (1, 2):
+        raise DomainError("k must be in {1, 2}")
     if a < 0 or b < a:
         raise DomainError("invalid range [%r, %r]" % (a, b))
     if a == b:
@@ -169,8 +170,8 @@ def smoothed_fourth(
     truncated at |t| <= W delta with the tail folded into the error bound.
     One panel run on quadrature.panel_mesh over [max(T - W delta, 0), T + W delta];
     a window part below 0 is folded onto [0, W delta - T] (|zeta| is even)."""
-    if t_center <= 1.0 or math.log(t_center) <= 0:
-        raise DomainError("invalid-delta: smoothing requires T > 1")
+    if not (math.isfinite(t_center) and t_center > 1.0):
+        raise DomainError("invalid-argument: T must be finite and > 1, got %r" % t_center)
     if not (0 < delta <= t_center / math.log(t_center)):
         raise DomainError(
             "invalid-delta: need 0 < delta <= T/log T = %.6g" % (t_center / math.log(t_center))
@@ -188,8 +189,8 @@ def smoothed_fourth(
             g = g + np.where(u <= -lo, np.exp(-((u + t_center) / delta) ** 2), 0.0)
         return f * g * inv, df * g * inv
 
-    # cap bounds the cells, so a panel is up to delta/3 wide
-    bounds = panel_mesh(max(lo, 0.0), hi, cfg, cap=delta / 6.0)
+    # cap bounds the cells, so a panel of CELLS cells is up to delta/3 wide
+    bounds = panel_mesh(max(lo, 0.0), hi, cfg, cap=delta / (3.0 * CELLS))
     val, _, err, _ = PanelBatch(weighted, cfg).run(bounds[:-1], bounds[1:])
 
     # Truncation: |zeta|^4 majorized by cmaj (1 + log^4) near the window.
@@ -314,11 +315,3 @@ def _e2_squared(lefts, rights, base, cum_err, poly, cfg):
         val[part] = fine
         err[part] = np.abs(fine - coarse) + 2.0 * cum_err * half * np.sum(wk * np.abs(e_k), axis=1)
     return val, err
-
-
-def twelfth_moment_table(t_list, ctx: PrecisionContext = DEFAULT_CTX, cfg: QuadConfig = QuadConfig()):
-    """Exploratory rows (T, int_0^T |Z|^12, ratio to T^2 log^17 T)."""
-    ts = sorted(float(t) for t in t_list)
-    v, _, e, _ = get_accumulator(6, cfg).cumulative_at(ts)
-    return [(t, x, x / (t * t * math.log(t) ** 17), err)
-            for t, x, err in zip(ts, v.tolist(), e.tolist())]

@@ -2,9 +2,11 @@
 
 mesh is the one cell mesh: boundaries from t0 with width a configured
 fraction of the local mean zero gap 2 pi / log(t/2pi), optionally capped.
-A quadrature panel spans two consecutive cells (panel_mesh): the
+A quadrature panel spans CELLS = 4 consecutive cells (panel_mesh): the
 accumulators, the Laplace grid and the smoothed moment all integrate on
-such panels, and the scans sample every cell boundary.  Each panel is
+such panels, and the scans sample every cell boundary, reading the three
+inside a panel from the panel's own samples
+(MomentAccumulator.boundary_grid).  Each panel is
 integrated with the n Gauss-Legendre nodes plus their n+1 Kronrod nodes
 (kronrod_rule, 2n+1 kernel points); Gauss-Kronrod disagreement triggers
 bisection up to a depth cap, and the final disagreement above the
@@ -37,6 +39,7 @@ from .errors import CheckpointMismatch, DomainError
 from .zkernel import T_SWITCH, moment_integrand
 
 _TWO_PI = 2.0 * math.pi
+CELLS = 4  # mesh cells per quadrature panel
 
 
 def numeric_fingerprint() -> str:
@@ -110,21 +113,28 @@ def kronrod_rule(n: int):
     return x, b[0] * v[0] ** 2, wg
 
 
-def integration_matrix(x):
-    """S[i, j] = int_{-1}^{x_i} l_j for nodes x in [-1, 1] and their Lagrange
+def integration_matrix(x, at=None):
+    """S[i, j] = int_{-1}^{at_i} l_j for nodes x in [-1, 1], their Lagrange
     basis l_j = sum_m c_mj P_m, with c the inverse of the Legendre Vandermonde
-    matrix at x (Greengard 1991).
+    matrix at x (Greengard 1991), and targets at in [-1, 1], by default x.
 
-    S @ f integrates the interpolant of f at the nodes from -1 to each node,
-    exactly for polynomials of degree < len(x).  Built from
-    int_{-1}^x P_m = (P_{m+1} - P_{m-1}) / (2m + 1), P_{-1} = -1.
+    S @ f integrates the interpolant of f at the nodes from -1 to each
+    target, exactly for polynomials of degree < len(x).  Built from
+    int_{-1}^x P_m = (P_{m+1} - P_{m-1}) / (2m + 1), P_{-1} = -1.  Each row
+    is summed over m in a fixed order, so it does not depend on the other
+    targets.
     """
     n = len(x)
-    p = np.polynomial.legendre.legvander(x, n)              # P_0 .. P_n at x
-    q = np.empty((n, n))
-    q[:, 0] = x + 1.0
+    at = np.asarray(x if at is None else at, dtype=float)
+    c = np.linalg.solve(np.polynomial.legendre.legvander(x, n - 1), np.eye(n))
+    p = np.polynomial.legendre.legvander(at, n)              # P_0 .. P_n at the targets
+    q = np.empty((len(at), n))
+    q[:, 0] = at + 1.0
     q[:, 1:] = (p[:, 2:] - p[:, : n - 1]) / (2.0 * np.arange(1, n) + 1.0)
-    return q @ np.linalg.solve(p[:, :n], np.eye(n))
+    s = q[:, :1] * c[0]
+    for m in range(1, n):
+        s += q[:, m : m + 1] * c[m]
+    return s
 
 
 def _gamma(m: int) -> float:
@@ -171,6 +181,12 @@ def kernel_model(half, df, n: int, certified):
     return np.where(certified, pk + np.abs(pg - pk), pk), np.where(certified, pg + pk, 0.0)
 
 
+def _accepts(cfg: QuadConfig, k, diff, depth: int = 0):
+    """Whether PanelBatch accepts a rule at the given depth whose Kronrod
+    value is k and whose Gauss-Kronrod disagreement is diff."""
+    return (diff <= np.maximum(cfg.panel_abs, cfg.panel_rel * np.abs(k))) | (depth >= cfg.max_depth)
+
+
 def panel_width(t: float, cfg: QuadConfig) -> float:
     gap = _TWO_PI / max(math.log(t / _TWO_PI) if t > 0 else 0.0, 1.0)
     return min(max(cfg.gap_fraction * gap, cfg.w_min), cfg.w_max)
@@ -181,7 +197,7 @@ def mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf):
     scalar recurrence b_{i+1} = b_i + min(panel_width(b_i), cap).
 
     A cell is cfg.gap_fraction of the local mean zero gap wide; the scans
-    sample every cell boundary, and a quadrature panel spans two cells
+    sample every cell boundary, and a quadrature panel spans CELLS cells
     (panel_mesh).  A non-finite t0 or t1 is refused: the recurrence would
     not end at an infinite t1."""
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -195,15 +211,17 @@ def mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf):
 
 
 def panel_mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf):
-    """Panel boundaries: every other boundary of mesh(t0, t1, cfg, cap),
-    with one more cell (the same recurrence step) when the cell count is
-    odd.  So the last boundary is >= t1, and panels laid from a panel
-    boundary continue the same two-cell grid."""
+    """Panel boundaries: every CELLS-th boundary of mesh(t0, t1, cfg, cap),
+    with cells appended by the same recurrence step while the cell count is
+    not a multiple of CELLS.  So the last boundary is >= t1, and panels laid
+    from a panel boundary continue the same four-cell grid."""
     cells = mesh(t0, t1, cfg, cap)
-    if len(cells) % 2 == 0:
-        t = float(cells[-1])
-        cells = np.append(cells, t + min(panel_width(t, cfg), cap))
-    return cells[::2]
+    more = []
+    t = float(cells[-1])
+    while (len(cells) - 1 + len(more)) % CELLS:
+        t += min(panel_width(t, cfg), cap)
+        more.append(t)
+    return np.append(cells, more)[::CELLS]
 
 
 class PanelBatch:
@@ -229,8 +247,7 @@ class PanelBatch:
             k, ku, diff, e, eu = self._panel_pair(a, b)
             if totals is None:
                 totals = [np.zeros(m, np.result_type(q)) for q in (k, ku, e, eu)]
-            tol = np.maximum(cfg.panel_abs, cfg.panel_rel * np.abs(k))
-            accept = (diff <= tol) | (depth >= cfg.max_depth)
+            accept = _accepts(cfg, k, diff, depth)
             # np.add.at adds in array order, so the sub-panels of one panel
             # accumulate left to right as a per-item loop would
             for total, q in zip(totals, (k, ku, e, eu)):
@@ -276,7 +293,7 @@ class MomentAccumulator:
     An accumulator starts at an origin: a checkpoint row (T0, v, e, n, vu,
     eu) at a panel boundary T0 of the mesh from 0 (panel_mesh), with n the
     panel count on [0, T0] and the four prefix sums there (rows); from 0 it
-    is ORIGIN.  Above T0 the panel boundaries (bounds, every other cell
+    is ORIGIN.  Above T0 the panel boundaries (bounds, every CELLS-th cell
     boundary of mesh, from T0) and the per-panel values, errors and their
     u-weighted twins are numpy arrays, grown once per ensure.  The prefix
     sums are a plain left fold seeded with the origin's sums, so at every
@@ -292,7 +309,8 @@ class MomentAccumulator:
     step to move its seed down to a lower stored row (pins_origin).
     """
 
-    CHUNK = 512
+    CHUNK = 512       # panels per PanelBatch.run
+    GRID_CHUNK = 128  # panels per integrand evaluation in boundary_grid
 
     def __init__(self, k: int, cfg: QuadConfig, origin=ORIGIN):
         self.k = k
@@ -454,19 +472,61 @@ class MomentAccumulator:
     def boundary_grid(self, t0: float, t1: float):
         """Cell boundaries in [t0, t1] with cumulative values and error bounds.
 
-        Every value is read through cumulative_at, 2 CHUNK cells (CHUNK
-        partial panels) at a time, so it is the one cumulative_to returns at
-        that t; at a panel boundary that is the prefix sums alone.
+        At a panel boundary the values are the prefix sums, so they are the
+        ones cumulative_to returns there.  The cell boundaries inside a panel
+        are read from one evaluation of the integrand at the panel's own
+        Gauss-Kronrod nodes (panel_nodes), GRID_CHUNK panels per evaluation:
+        at x in [-1, 1] of a panel of half-width h, the prefix sums at its
+        left end plus h r(x) . f, with r(x) the integration_matrix row at x
+        of the Kronrod nodes.  The error bound adds to the prefix bound
+        |h r(x) . f - h r_G(x) . f_G|, where r_G interpolates at the Gauss
+        nodes alone, the kernel model h |r(x)| . df, and the rounding of the
+        dot product.  Inside a panel whose first rule PanelBatch rejects, the
+        values are read through cumulative_at instead.  Each value depends on
+        its own panel alone, not on t0, t1 or the chunks.
         """
         self.cover(t0, t1)
         i, j = self.index(t0), int(np.searchsorted(self.bounds, t1))
         cells = mesh(float(self.bounds[i]), float(self.bounds[j]), self.cfg)
-        cells = cells[(cells >= t0) & (cells <= t1)]
-        v, vu, e = (np.empty(len(cells)) for _ in range(3))
-        for c in range(0, len(cells), 2 * self.CHUNK):
-            part = slice(c, c + 2 * self.CHUNK)
-            v[part], vu[part], e[part], _ = self.cumulative_at(cells[part])
+        at = np.nonzero((cells >= t0) & (cells <= t1))[0]
+        cells, panel = cells[at], i + at // CELLS
+        v, vu, e, _ = (q[panel] for q in self.prefix())
+        inner = np.nonzero(at % CELLS)[0]
+        met = np.unique(panel[inner])
+        for c in range(0, len(met), self.GRID_CHUNK):
+            chunk = met[c : c + self.GRID_CHUNK]
+            lo, hi = np.searchsorted(panel[inner], [chunk[0], chunk[-1] + 1])
+            rows = inner[lo:hi]
+            ok, pieces = self._read_inside(chunk, panel[rows], cells[rows])
+            for total, piece in zip((v, vu, e), pieces):
+                total[rows[ok]] += piece[ok]
+            if not ok.all():
+                redo = rows[~ok]
+                v[redo], vu[redo], e[redo], _ = self.cumulative_at(cells[redo])
         return cells, v, vu, e
+
+    def _read_inside(self, ps, panel, ts):
+        """(ok, (value, value_u, err)) of the integrals from the left end of
+        each target's panel to the target ts, for the panels ps (ascending
+        indices into bounds) and each target's panel; ok is False at the
+        targets of a panel whose first rule PanelBatch rejects (see
+        boundary_grid)."""
+        n = self.cfg.nodes
+        x = kronrod_rule(n)[0]
+        t, half = panel_nodes(self.bounds[ps], self.bounds[ps + 1], n)
+        f, df = self._integrand(t.ravel())
+        f, df = f.reshape(t.shape), df.reshape(t.shape)
+        k, g, _ = kronrod_sums(half, f, n)
+        r = np.searchsorted(ps, panel)
+        h = half[r]
+        at = (ts - self.bounds[panel]) / h - 1.0
+        sk, sg = integration_matrix(x, at), integration_matrix(x[1::2], at)
+        fr, ask = f[r], np.abs(sk)
+        val = h * np.sum(sk * fr, axis=1)
+        val_u = h * np.sum(sk * (t * f)[r], axis=1)
+        err = (np.abs(val - h * np.sum(sg * fr[:, 1::2], axis=1)) + h * np.sum(ask * df[r], axis=1)
+               + _gamma(2 * n + 3) * h * np.sum(ask * np.abs(fr), axis=1))
+        return _accepts(self.cfg, k, np.abs(g - k))[r], (val, val_u, err)
 
 
 _ACCUMULATORS: dict = {}

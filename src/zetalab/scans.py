@@ -1,9 +1,10 @@
 """Sign-change and exceedance scans for E1, E2 and the integral of E2.
 
 Values are sampled on the cell boundaries of quadrature.mesh (spacing about
-half the local zero gap; a quadrature panel spans two cells, and the cell
-boundary inside it is read as a partial-panel integral), by the same
-formula per target that error_term or integral_of_e2 uses.  Each sign change
+half the local zero gap; a quadrature panel spans four cells, and the three
+cell boundaries inside it are read from the panel's own samples,
+MomentAccumulator.boundary_grid), by the same formula per target that
+error_term or integral_of_e2 uses.  Each sign change
 between adjacent samples is refined on the function itself, re-integrated
 at every probe, never interpolated: all of a scan's brackets are refined
 together by Anderson-Bjorck regula falsi with bisection as the fallback,

@@ -48,8 +48,10 @@ class TestCheckpointFile:
         # that of the Gauss-Kronrod rule while QuadConfig still carried the
         # kernel's t_switch and rs_terms; 1ec07b3dd89ac4cf that of kernel zk2,
         # whose Euler-Maclaurin branch summed a fixed 160 terms; ddd102d5a58bab53
-        # that of panels one mesh cell wide
-        for old in ("b4d5fb7713ea0486", "3a5ddcb906fa6a3b", "1ec07b3dd89ac4cf", "ddd102d5a58bab53"):
+        # that of panels one mesh cell wide; d530efdc928fae25 and
+        # 17673b449790639f those of panels two cells wide under kernels zk3 and zk4
+        for old in ("b4d5fb7713ea0486", "3a5ddcb906fa6a3b", "1ec07b3dd89ac4cf", "ddd102d5a58bab53",
+                    "d530efdc928fae25", "17673b449790639f"):
             path = tmp_path / ("cp-%s.txt" % old)
             extend_checkpoint(str(path), 1, 200.0, cfg)
             path.write_text(path.read_text().replace(cfg.digest(), old))
@@ -134,7 +136,7 @@ def _v2_rows(text):
 
 
 class TestSeededResume:
-    @pytest.mark.parametrize("t_first", [1000.0, 2500.0])
+    @pytest.mark.parametrize("t_first", [1300.0, 2500.0])
     def test_z_is_evaluated_only_above_the_seed_row(self, tmp_path, cfg, fresh, monkeypatch, t_first):
         path = str(tmp_path / "cp.txt")
         cp1, _ = extend_checkpoint(path, 1, t_first, cfg)
@@ -210,7 +212,7 @@ class TestSeededResume:
             "integral_of_e2": lambda: moments.integral_of_e2(2400.0, ctx, cfg),
             "cumulative_at": lambda: [q.tolist() for q in get_accumulator(2, cfg).cumulative_at([0.0, 120.5, 2310.0])],
         }
-        _, cp, _ = _write_and_reseed(str(tmp_path / "cp.txt"), 2, 2000.0, 2400.0, cfg, fresh)
+        _, cp, _ = _write_and_reseed(str(tmp_path / "cp.txt"), 2, 2600.0, 3000.0, cfg, fresh)
         acc = get_accumulator(2, cfg)
         assert acc.base > 0 and acc.bounds[0] == cp.resume.seed_t
         seeded = calls[query]()
@@ -274,15 +276,15 @@ class TestSeededResume:
         lines[1:2] = [line] if line else []
         path.write_text("\n".join(lines) + "\n")
         fresh()
-        first, _ = extend_checkpoint(str(path), 1, 1200.0, cfg, resume=True)
+        first, _ = extend_checkpoint(str(path), 1, 1300.0, cfg, resume=True)
         assert first.resume.seed_t == 0.0
         assert path.read_text().splitlines()[1] == FINGERPRINT_PREFIX + numeric_fingerprint()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cp.txt"]
         fresh()
-        second, value = extend_checkpoint(str(path), 1, 1400.0, cfg, resume=True)
+        second, value = extend_checkpoint(str(path), 1, 1500.0, cfg, resume=True)
         assert 0.0 < second.resume.seed_t < second.resume.verified_t == first.rows[-1][0]
         fresh()
-        whole, fresh_value = extend_checkpoint(str(tmp_path / "fresh.txt"), 1, 1400.0, cfg)
+        whole, fresh_value = extend_checkpoint(str(tmp_path / "fresh.txt"), 1, 1500.0, cfg)
         assert (second.rows, value) == (whole.rows, fresh_value)
         assert path.read_text() == (tmp_path / "fresh.txt").read_text()
 

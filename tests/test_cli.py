@@ -1,6 +1,7 @@
 """The command-line front end against the library calls it wraps."""
 
 import csv
+import fcntl
 import json
 import math
 
@@ -11,7 +12,7 @@ from zetalab import checkpoint, cli, quadrature
 from zetalab.checkpoint import read_checkpoint
 from zetalab.config import QuadConfig
 from zetalab.laplace import atkinson_expansion, kober_main, laplace_moment_grid
-from zetalab.moments import mean_square_e2, twelfth_moment_table
+from zetalab.moments import mean_square_e2
 from zetalab.scans import e2_zero_gap_table
 from zetalab.zeta import zeta_sample
 
@@ -51,15 +52,6 @@ class TestExplore:
         *rows, meta = [json.loads(line) for line in out.read_text().splitlines()]
         assert [(r["T"], r["int_E2_sq"], r["ratio_T2"]) for r in rows] == table
         assert list(meta) == ["_meta"]
-
-    def test_twelfth_rows_equal_the_library_table(self, tmp_path, ctx, cfg):
-        out = tmp_path / "twelfth.csv"
-        argv = ["explore", "--table", "twelfth", "--T-list", "300,100",
-                "--format", "csv", "--out", str(out)]
-        assert cli.main(argv) == 0
-        rows = [(float(r["T"]), float(r["integral"]), float(r["ratio_T2_log17"]),
-                 float(r["err_bound"])) for r in read_rows(out)]
-        assert rows == twelfth_moment_table([100.0, 300.0], ctx, cfg)
 
     def test_e2_gaps_rows_equal_the_library_table(self, tmp_path, ctx, cfg):
         out = tmp_path / "gaps.csv"
@@ -116,12 +108,51 @@ class TestMoment:
         assert str(ckpt) in err and "--resume" in err
         assert ckpt.read_bytes() == before
         assert cli.main(argv + ["--resume"]) == 0
+        assert not (tmp_path / "m.ckpt.lock").exists()
+
+    def test_a_run_removes_its_lock_and_a_held_lock_refuses(self, tmp_path, capsys):
+        ckpt, lock = tmp_path / "m.ckpt", tmp_path / "m.ckpt.lock"
+        out = tmp_path / "moment.csv"
+        argv = ["moment", "--k", "1", "--T", "300", "--checkpoint", str(ckpt), "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert not lock.exists()
+        out.unlink()
+        # a run refused after taking the lock removes it too
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert not lock.exists() and not out.exists()
+        with open(lock, "w") as held:
+            fcntl.flock(held, fcntl.LOCK_EX)
+            before = ckpt.read_bytes()
+            capsys.readouterr()
+            assert cli.main(argv + ["--resume"]) == cli.EXIT_DATA
+            assert "is locked by another process" in capsys.readouterr().err
+            assert lock.exists() and ckpt.read_bytes() == before and not out.exists()
+
+    def test_lock_file_replaced_before_the_flock_is_refused(self, tmp_path, capsys, monkeypatch):
+        # As if the holder ended, unlinking its file, and a third process
+        # created a new one between this process's open and its flock: the
+        # flock then holds a file no longer at the path.
+        ckpt, lock = tmp_path / "m.ckpt", tmp_path / "m.ckpt.lock"
+        real = fcntl.flock
+
+        def flock(fd, op):
+            if op & fcntl.LOCK_EX:
+                lock.unlink()
+                lock.write_text("")
+            return real(fd, op)
+
+        monkeypatch.setattr(fcntl, "flock", flock)
+        argv = ["moment", "--k", "1", "--T", "300", "--checkpoint", str(ckpt),
+                "--out", str(tmp_path / "moment.csv")]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert "is locked by another process" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt.lock"]
 
     def test_resume_comment_says_what_the_resume_did(self, tmp_path):
         ckpt = str(tmp_path / "m.ckpt")
         argv = ["moment", "--k", "1", "--checkpoint", ckpt, "--format", "csv"]
         first, resumed = tmp_path / "first.csv", tmp_path / "resumed.csv"
-        assert cli.main(argv + ["--T", "1000", "--out", str(first)]) == 0
+        assert cli.main(argv + ["--T", "1300", "--out", str(first)]) == 0
         stored = read_checkpoint(ckpt, 1)
         quadrature.clear_accumulators()  # as a new process finds them
         try:
@@ -211,7 +242,7 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("argv", [
         ["moment", "--k", "2", "--T", "nan"],
         ["moment", "--k", "1", "--T", "inf"],
-        ["explore", "--table", "twelfth", "--T-list", "nan"],
+        ["explore", "--table", "e2-gaps", "--from", "10", "--to", "inf"],
         ["explore", "--table", "meansq-e2", "--T-list", "nan"],
         ["scan", "--target", "e1", "--from", "10", "--to", "inf", "--A", "1", "--exp", "0.25"],
     ])
@@ -222,7 +253,17 @@ class TestNonFiniteInput:
             argv += ["--checkpoint", str(ckpt)]
         assert cli.main(argv) == cli.EXIT_USAGE
         assert "is not finite" in capsys.readouterr().err
-        assert not ckpt.exists()
+        # a refused command leaves no file: no checkpoint, lock or output
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("t", ["inf", "nan"])
+    def test_motohashi_t_is_named(self, tmp_path, capsys, t):
+        out = tmp_path / "out.csv"
+        argv = ["motohashi", "--T", t, "--delta", "20", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "T must be finite and > 1, got %s" % t in err and "delta" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("s", ["nan", "inf", "0.1,inf"])
     def test_laplace_s(self, tmp_path, capsys, s):

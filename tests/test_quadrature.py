@@ -1,8 +1,10 @@
 """The panel rule, its integration matrices and the accumulator's queries."""
 
+import mpmath
 import numpy as np
 import pytest
 
+from zetalab import zkernel
 from zetalab.errors import DomainError
 import zetalab.quadrature as quadrature
 from zetalab.config import QuadConfig
@@ -64,28 +66,39 @@ class TestMesh:
             assert y == x + min(quadrature.panel_width(x, cfg), 0.7)
         assert quadrature.mesh(5.0, 5.0, cfg).tolist() == [5.0]
 
-    def test_panel_mesh_takes_every_other_cell(self, cfg):
+    def test_panel_mesh_takes_every_fourth_cell(self, cfg):
+        residues = set()
         for t1 in (40.0, 41.0, 42.0, 43.0):
             cells = quadrature.mesh(3.0, t1, cfg, cap=0.7)
+            residues.add((len(cells) - 1) % 4)
             b = quadrature.panel_mesh(3.0, t1, cfg, cap=0.7)
             assert b[-2] < t1 <= b[-1]
-            # an odd cell count gets one more cell, by the same recurrence
-            assert b.tolist() == quadrature.mesh(3.0, b[-1], cfg, cap=0.7)[::2].tolist()
-            assert b.tolist() == cells[::2].tolist() or len(cells) % 2 == 0
+            # cells are appended by the same recurrence up to a multiple of four
+            assert b.tolist() == quadrature.mesh(3.0, b[-1], cfg, cap=0.7)[::4].tolist()
+            assert b.tolist() == cells[::4].tolist() or (len(cells) - 1) % 4
+        assert residues == {0, 1, 2, 3}
         assert quadrature.panel_mesh(5.0, 5.0, cfg).tolist() == [5.0]
 
     def test_accumulator_bounds_are_one_mesh(self, cfg):
-        # panels two cells wide, independent of how far earlier calls integrated
+        # panels four cells wide, independent of how far earlier calls integrated
         acc = MomentAccumulator(1, cfg)
         acc.ensure(700.0)
         acc.ensure(2100.0)
         whole = MomentAccumulator(1, cfg)
         whole.ensure(2100.0)
         assert acc.bounds.tolist() == whole.bounds.tolist()
-        assert acc.bounds.tolist() == quadrature.mesh(0.0, acc.bounds[-1], cfg)[::2].tolist()
+        assert acc.bounds.tolist() == quadrature.mesh(0.0, acc.bounds[-1], cfg)[::4].tolist()
         for p, q in zip(acc.prefix(), whole.prefix()):
             assert p.tolist() == q.tolist()
         assert len(acc.bounds) == len(acc.prefix()[0])
+
+
+def mp_cumulative(k, ts, dps=15):
+    """Independent oracle: mpmath tanh-sinh quadrature of siegelz^2k from
+    ts[0] to each of ts[1:], piece by piece."""
+    with mpmath.workdps(dps):
+        pieces = [mpmath.quad(lambda t: mpmath.siegelz(t) ** (2 * k), [a, b]) for a, b in zip(ts, ts[1:])]
+        return [float(x) for x in np.cumsum(pieces)]
 
 
 class TestBoundaryGrid:
@@ -96,28 +109,84 @@ class TestBoundaryGrid:
         cells = quadrature.mesh(0.0, t1, cfg)
         assert bs.tolist() == cells[(cells >= t0) & (cells <= t1)].tolist()
         poly = p1_exact(ctx)
-        for t, v, vu, e in zip(bs.tolist(), cv.tolist(), cu.tolist(), ce.tolist()):
-            res = error_term(1, t, ctx, cfg)
-            assert (v - main_term(1, t, poly), e) == (res.value, res.err_bound), t
-            assert vu == acc.cumulative_to(t)[1], t
+        on_panel = np.isin(bs, acc.bounds)
+        assert 0 < np.count_nonzero(on_panel) < len(bs)
+        for t, v, vu, e, edge in zip(bs.tolist(), cv.tolist(), cu.tolist(), ce.tolist(), on_panel):
+            got = acc.cumulative_to(t)
+            if edge:
+                # at a panel boundary, the prefix sums themselves
+                res = error_term(1, t, ctx, cfg)
+                assert (v - main_term(1, t, poly), e) == (res.value, res.err_bound), t
+                assert vu == got[1], t
+            else:
+                # inside, the interpolant of the panel's samples: within the
+                # two bounds of the partial-panel integral
+                assert abs(v - got[0]) <= e + got[2], t
+                assert abs(vu - got[1]) <= t * (e + got[2]), t
+
+    @pytest.mark.parametrize("k, t", [(1, 100.0), (2, 410.0)], ids=["em", "rs"])
+    def test_interior_bound_covers_the_oracle(self, k, t, cfg):
+        # one panel of the Euler-Maclaurin branch (t < 400) and one of the
+        # Riemann-Siegel branch; the grid's charge above the prefix bound at
+        # the panel's left end covers the integral from there
+        acc = get_accumulator(k, cfg)
+        acc.ensure(t + 10.0)
+        i = acc.index(t)
+        left, right = float(acc.bounds[i]), float(acc.bounds[i + 1])
+        assert (left >= zkernel.T_SWITCH) == (right > zkernel.T_SWITCH) == (k == 2)
+        bs, cv, _, ce = acc.boundary_grid(left, right)
+        assert len(bs) == 5 and (bs[0], bs[-1]) == (left, right)
+        oracle = mp_cumulative(k, bs[:-1].tolist())
+        for x, v, e, want in zip(bs[1:-1].tolist(), cv[1:-1].tolist(), ce[1:-1].tolist(), oracle):
+            assert abs((v - cv[0]) - want) <= e - ce[0], x
+
+    def test_z_is_evaluated_once_per_panel_met(self, cfg, monkeypatch):
+        acc = get_accumulator(1, cfg)
+        acc.ensure(1500.0)
+        i, j = acc.index(500.0), acc.index(1500.0)
+        points = [0]
+        real = zkernel.z_block
+
+        def counted(t):
+            points[0] += np.size(t)
+            return real(t)
+
+        monkeypatch.setattr(zkernel, "z_block", counted)
+        bs, *_ = acc.boundary_grid(float(acc.bounds[i]), float(acc.bounds[j]))
+        assert len(bs) == 4 * (j - i) + 1
+        assert points[0] == (2 * cfg.nodes + 1) * (j - i)
+
+    def test_panel_whose_first_rule_is_rejected_reads_cumulative_to(self):
+        cfg = QuadConfig(panel_rel=1e-12, panel_abs=1e-12)
+        acc = MomentAccumulator(2, cfg)
+        bs, cv, cu, ce = acc.boundary_grid(600.0, 700.0)
+        i = np.searchsorted(acc.bounds, bs, side="right") - 1
+        a, b = acc.bounds[:-1], acc.bounds[1:]
+        k, _, diff, _, _ = PanelBatch(acc._integrand, cfg)._panel_pair(a, b)
+        rejected = (diff > np.maximum(cfg.panel_abs, cfg.panel_rel * np.abs(k)))[np.minimum(i, len(a) - 1)]
+        inside = bs != acc.bounds[i]
+        assert np.any(inside & rejected) and np.any(inside & ~rejected)
+        for t, v, vu, e in zip(bs[inside & rejected].tolist(), cv[inside & rejected].tolist(),
+                               cu[inside & rejected].tolist(), ce[inside & rejected].tolist()):
+            assert (v, vu, e) == acc.cumulative_to(t)[:3], t
 
 
 class TestRefinement:
     @pytest.mark.parametrize("k", [1, 2])
-    def test_two_cell_panels_need_no_refinement(self, k, cfg, monkeypatch):
-        # above the first panel [0, 2 w_max], whose cells are capped at w_max
+    def test_four_cell_panels_need_no_refinement(self, k, cfg, monkeypatch):
+        # above the first panel [0, 4 w_max], whose cells are capped at w_max
         # and which is split, every panel takes exactly one rule
         rules = [0]
         real = PanelBatch._panel_pair
 
         def counted(self, a, b):
-            rules[0] += int(np.count_nonzero(a >= 2.0 * cfg.w_max))
+            rules[0] += int(np.count_nonzero(a >= 4.0 * cfg.w_max))
             return real(self, a, b)
 
         monkeypatch.setattr(PanelBatch, "_panel_pair", counted)
         acc = MomentAccumulator(k, cfg)
         acc.ensure(2.0e4)
-        assert acc.bounds[1] == 2.0 * cfg.w_max
+        assert acc.bounds[1] == 4.0 * cfg.w_max
         assert rules[0] == len(acc.bounds) - 2
 
 
