@@ -2,15 +2,16 @@
 
 Every subcommand echoes the effective configuration as '#' comment lines
 (in json-lines, as the comments of one final "_meta" record), is
-deterministic given (config, inputs), and uses the exit codes
-0 success, 2 usage, 3 precision failure, 4 data validation.  Output is
-opened only once every value is computed, so a refused command writes none.
+deterministic given (config, inputs), and uses the exit codes 0 success,
+2 usage, 4 data validation.  Output is opened only once every value is
+computed, so a refused command writes none.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -21,12 +22,11 @@ from .errors import (
     CheckpointMismatch,
     DataParseError,
     DataValidationError,
-    PrecisionFailure,
+    DomainError,
     ZetalabError,
 )
 
 EXIT_USAGE = 2
-EXIT_PRECISION = 3
 EXIT_DATA = 4
 
 
@@ -88,7 +88,7 @@ def build_parser():
     ap.add_argument("--version", action="version", version="zetalab " + __version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("zeta", help="zeta(1/2+it) with error estimate")
+    p = sub.add_parser("zeta", help="Hardy's Z(t) with its error bound (zkernel.z_block)")
     p.add_argument("--t", required=True, type=float)
     _add_common(p)
 
@@ -125,17 +125,6 @@ def build_parser():
                         "the exact log-power one at s for k=2")
     _add_common(p)
 
-    p = sub.add_parser("divisor-corr", help="shifted divisor correlation sums")
-    p.add_argument("--x", required=True, type=int)
-    p.add_argument("--f-max", required=True, type=int)
-    _add_common(p)
-
-    p = sub.add_parser("kloosterman", help="Kloosterman sum S(m,n;c)")
-    p.add_argument("--m", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--c", required=True, type=int)
-    _add_common(p)
-
     p = sub.add_parser("explore", help="exploratory tables (mean-square E2, E2 zero gaps)")
     p.add_argument("--table", required=True, choices=("meansq-e2", "e2-gaps"))
     p.add_argument("--T-list", help="comma-separated T values (meansq-e2)")
@@ -169,9 +158,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(args)
-    except PrecisionFailure as exc:
-        print("precision-failure: %s" % exc, file=sys.stderr)
-        return EXIT_PRECISION
     except (DataValidationError, DataParseError, CheckpointMismatch) as exc:
         print("data-error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
@@ -183,26 +169,26 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     run_cfg = _config_from(args)
-    ctx = run_cfg.context()
     cfg = run_cfg.quad
 
     if args.command == "zeta":
-        from .zeta import zeta_sample
+        from .zkernel import z_block
 
-        sample = zeta_sample(args.t, ctx)
-        out = _open_out(args, run_cfg, ["t", "re_zeta", "im_zeta", "abs_zeta", "err"])
-        out.row([sample.t, float(sample.value.real), float(sample.value.imag),
-                 float(abs(sample.value)), sample.abs_err])
+        if not (math.isfinite(args.t) and args.t >= 0):
+            raise DomainError("invalid-argument: t must be finite and >= 0, got %r" % args.t)
+        z, err = z_block([args.t])
+        out = _open_out(args, run_cfg, ["t", "Z", "err"])
+        out.row([args.t, float(z[0]), float(err[0])])
         out.close()
         return 0
 
     if args.command == "moment":
-        return _cmd_moment(args, run_cfg, ctx, cfg)
+        return _cmd_moment(args, run_cfg, cfg)
 
     if args.command == "scan":
         from .scans import sign_change_scan
 
-        rep = sign_change_scan(args.target, args.t0, args.t1, args.A, args.exp, ctx, cfg)
+        rep = sign_change_scan(args.target, args.t0, args.t1, args.A, args.exp, cfg)
         out = _open_out(args, run_cfg, ["kind", "t", "value"])
         out.comment("target=%s range=[%r,%r] A=%r exp=%r grid_points=%d"
                     % (rep.target, args.t0, args.t1, args.A, args.exp, rep.grid_points))
@@ -216,13 +202,13 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "motohashi":
-        return _cmd_motohashi(args, run_cfg, ctx, cfg)
+        return _cmd_motohashi(args, run_cfg, cfg)
 
     if args.command == "laplace":
         from .laplace import atkinson_expansion, kober_main, laplace_moment_grid
 
         svals = [float(s) for s in args.s_grid.split(",") if s.strip()]
-        results = laplace_moment_grid(args.k, svals, ctx, cfg)
+        results = laplace_moment_grid(args.k, svals, cfg)
         cols = ["s", "L_k", "err_bound", "panels"]
         if args.main_term:
             cols += ["main_term", "difference"]
@@ -230,7 +216,7 @@ def _dispatch(args) -> int:
         for s, r in zip(svals, results):
             rows.append([s, r.value, r.err_bound, r.panels])
             if args.main_term:
-                mt = kober_main(s / 2.0, ctx) if args.k == 1 else atkinson_expansion(s, ctx)
+                mt = kober_main(s / 2.0) if args.k == 1 else atkinson_expansion(s)
                 rows[-1] += [mt, r.value - mt]
         out = _open_out(args, run_cfg, cols)
         for row in rows:
@@ -238,32 +224,13 @@ def _dispatch(args) -> int:
         out.close()
         return 0
 
-    if args.command == "divisor-corr":
-        from .arith import additive_divisor
-
-        rows = [[f, args.x, additive_divisor(args.x, f)] for f in range(1, args.f_max + 1)]
-        out = _open_out(args, run_cfg, ["f", "x", "sum"])
-        for row in rows:
-            out.row(row)
-        out.close()
-        return 0
-
-    if args.command == "kloosterman":
-        from .arith import kloosterman
-
-        v = kloosterman(args.m, args.n, args.c)
-        out = _open_out(args, run_cfg, ["m", "n", "c", "re", "im"])
-        out.row([args.m, args.n, args.c, v.value.real, v.value.imag])
-        out.close()
-        return 0
-
     if args.command == "explore":
-        return _cmd_explore(args, run_cfg, ctx, cfg)
+        return _cmd_explore(args, run_cfg, cfg)
 
     raise AssertionError("unhandled command %r" % (args.command,))
 
 
-def _cmd_moment(args, run_cfg, ctx, cfg) -> int:
+def _cmd_moment(args, run_cfg, cfg) -> int:
     import fcntl
 
     from .checkpoint import extend_checkpoint
@@ -286,7 +253,7 @@ def _cmd_moment(args, run_cfg, ctx, cfg) -> int:
             notes, row = [], [0.0, 0.0, 0.0, 0.0, 0.0]
             if args.T != 0:
                 cp, (value, err) = extend_checkpoint(path, args.k, args.T, cfg, resume=args.resume)
-                poly = p1_exact(ctx) if args.k == 1 else default_p4(ctx)
+                poly = p1_exact() if args.k == 1 else default_p4()
                 mt = main_term(args.k, args.T, poly)
                 notes.append("checkpoint=%s rows=%d digest=%s" % (path, len(cp.grid), cp.config_digest))
                 if cp.resume is not None:
@@ -304,11 +271,11 @@ def _cmd_moment(args, run_cfg, ctx, cfg) -> int:
             os.unlink(lock_path)  # while the lock is held; closing the file releases it
 
 
-def _cmd_motohashi(args, run_cfg, ctx, cfg) -> int:
+def _cmd_motohashi(args, run_cfg, cfg) -> int:
     from .moments import smoothed_fourth
     from .spectral import load_spectral_dataset, motohashi_spectral_sum
 
-    direct = smoothed_fourth(args.T, args.delta, ctx, cfg)
+    direct = smoothed_fourth(args.T, args.delta, cfg)
     cols = ["T", "delta", "direct", "direct_err", "spectral", "difference",
             "truncation_bound", "terms_used"]
     if args.no_spectral:
@@ -318,7 +285,7 @@ def _cmd_motohashi(args, run_cfg, ctx, cfg) -> int:
         out.close()
         return 0
     ds = load_spectral_dataset(args.spectral)
-    spec = motohashi_spectral_sum(args.T, args.delta, ds, cfg=cfg, ctx=ctx)
+    spec = motohashi_spectral_sum(args.T, args.delta, ds, cfg=cfg)
     out = _open_out(args, run_cfg, cols)
     out.comment("spectral source checksum=%s" % ds.checksum)
     out.comment("delta admissible (A=1 window): %s" % spec.metadata["delta_admissible_A1"])
@@ -328,12 +295,12 @@ def _cmd_motohashi(args, run_cfg, ctx, cfg) -> int:
     return 0
 
 
-def _cmd_explore(args, run_cfg, ctx, cfg) -> int:
+def _cmd_explore(args, run_cfg, cfg) -> int:
     if args.table == "meansq-e2":
         from .moments import mean_square_e2
 
         ts = sorted(float(x) for x in (args.T_list or "250,500,1000,2000").split(","))
-        _, table = mean_square_e2(max(ts), ctx, cfg, snapshots=ts)
+        _, table = mean_square_e2(max(ts), cfg, snapshots=ts)
         out = _open_out(args, run_cfg, ["T", "int_E2_sq", "ratio_T2"])
         for t, v, ratio in table:
             out.row([t, v, ratio])
@@ -342,7 +309,7 @@ def _cmd_explore(args, run_cfg, ctx, cfg) -> int:
     if args.table == "e2-gaps":
         from .scans import e2_zero_gap_table
 
-        rows = e2_zero_gap_table(args.t0, args.t1, ctx, cfg)
+        rows = e2_zero_gap_table(args.t0, args.t1, cfg)
         out = _open_out(args, run_cfg, ["n", "u_n", "gap", "log_gap_over_log_u"])
         for row in rows:
             out.row(list(row))

@@ -1,4 +1,4 @@
-"""Run configuration: quadrature policy, precision, file paths.
+"""Run configuration: quadrature policy, checkpoint path, output format.
 
 The numerically relevant subset of the configuration is hashed into a digest
 that binds checkpoints to the settings that produced them; resuming under a
@@ -62,11 +62,8 @@ class QuadConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """CLI-level configuration: precision, quadrature policy, checkpoint path, output."""
+    """CLI-level configuration: quadrature policy, checkpoint path, output."""
 
-    precision_bits: int = 128
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
     quad: QuadConfig = field(default_factory=QuadConfig)
     checkpoint_path: str = "zetalab-checkpoint.txt"
     output_format: str = "csv"                # or "jsonl"
@@ -74,11 +71,6 @@ class RunConfig:
     def __post_init__(self):
         if self.output_format not in ("csv", "jsonl"):
             raise DomainError("output_format must be csv or jsonl, got %r" % self.output_format)
-
-    def context(self):
-        from .precision import PrecisionContext
-
-        return PrecisionContext(self.precision_bits, self.abs_tol, self.rel_tol)
 
     def echo_lines(self):
         """Effective configuration as '#' comment lines for output headers."""

@@ -1,4 +1,7 @@
-"""Shared constants, computed once per precision context and cached."""
+"""Shared constants, computed once per precision context and cached.
+
+The main-term coefficients are taken at DEFAULT_CTX and rounded to float64
+by their callers."""
 
 from __future__ import annotations
 
@@ -7,7 +10,7 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .precision import PrecisionContext
+from .precision import DEFAULT_CTX, PrecisionContext
 
 # (a2, a1, a0) of the fourth-moment polynomial P4(y) = a4 y^4 + ... + a0 in
 # int_0^T |zeta(1/2+it)|^4 dt = T P4(log T) + E2(T): derived, not fitted, by
@@ -25,8 +28,7 @@ class Constants:
 
 
 @lru_cache(maxsize=32)
-def _constants_for_bits(work_bits: int) -> Constants:
-    ctx = PrecisionContext(work_bits=work_bits, abs_tol=1e-12, rel_tol=1e-12)
+def constants_for(ctx: PrecisionContext) -> Constants:
     with ctx.workprec():
         return Constants(
             euler_gamma=+mp.euler,
@@ -36,27 +38,23 @@ def _constants_for_bits(work_bits: int) -> Constants:
         )
 
 
-def constants_for(ctx: PrecisionContext) -> Constants:
-    return _constants_for_bits(ctx.work_bits)
-
-
-def second_moment_constant(ctx: PrecisionContext) -> mpf:
+def second_moment_constant() -> mpf:
     """Constant term of the second-moment polynomial: 2*gamma - 1 - log(2 pi)."""
-    c = constants_for(ctx)
-    with ctx.workprec():
+    c = constants_for(DEFAULT_CTX)
+    with DEFAULT_CTX.workprec():
         return 2 * c.euler_gamma - 1 - c.log_2pi
 
 
-def fourth_moment_a4(ctx: PrecisionContext) -> mpf:
+def fourth_moment_a4() -> mpf:
     """Leading fourth-moment coefficient 1/(2 pi^2)."""
-    c = constants_for(ctx)
-    with ctx.workprec():
+    c = constants_for(DEFAULT_CTX)
+    with DEFAULT_CTX.workprec():
         return 1 / (2 * c.pi**2)
 
 
-def fourth_moment_a3(ctx: PrecisionContext) -> mpf:
+def fourth_moment_a3() -> mpf:
     """Second fourth-moment coefficient 2(4g - 1 - log 2pi - 12 zeta'(2)/pi^2)/pi^2."""
-    c = constants_for(ctx)
-    with ctx.workprec():
+    c = constants_for(DEFAULT_CTX)
+    with DEFAULT_CTX.workprec():
         inner = 4 * c.euler_gamma - 1 - c.log_2pi - 12 * c.zeta_prime_2 / c.pi**2
         return 2 * inner / c.pi**2

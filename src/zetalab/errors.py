@@ -5,14 +5,6 @@ class ZetalabError(Exception):
     """Base class for all zetalab errors."""
 
 
-class PrecisionFailure(ZetalabError):
-    """Requested tolerance cannot be certified at the context's working precision."""
-
-
-class PoleError(ZetalabError):
-    """Evaluation requested at (or too close to) a pole of the function."""
-
-
 class DomainError(ZetalabError):
     """Argument outside the documented domain (invalid range, delta, argument)."""
 

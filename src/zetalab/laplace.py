@@ -21,19 +21,19 @@ from .config import QuadConfig
 from .constants import constants_for
 from .errors import DomainError
 from .moments import default_p4
-from .precision import DEFAULT_CTX, PrecisionContext
+from .precision import DEFAULT_CTX
 from .quadrature import IntegralResult, kronrod_rule, kronrod_sums, panel_mesh, panel_nodes
 from .zkernel import moment_integrand
 
 CHUNK = 1024
 
 
-def _truncation_x(k: int, sigma: float, cfg: QuadConfig, tol: float) -> float:
-    """Smallest X with cmaj log^{k^2+1}(X) (1 + 1/sigma) e^{-sigma X} <= tol."""
+def _truncation_x(k: int, sigma: float, cfg: QuadConfig) -> float:
+    """Smallest X with cmaj log^{k^2+1}(X) (1 + 1/sigma) e^{-sigma X} <= laplace_tail_abs."""
     x = 10.0 / sigma
     for _ in range(5):
         poly = cfg.laplace_cmaj * max(math.log(x), 1.0) ** (k * k + 1) * (1.0 + 1.0 / sigma)
-        x = math.log(max(poly / tol, 2.0)) / sigma
+        x = math.log(max(poly / cfg.laplace_tail_abs, 2.0)) / sigma
     return x
 
 
@@ -46,12 +46,7 @@ def _tail_bound(k: int, sigma: float, x: float, cfg: QuadConfig) -> float:
     )
 
 
-def laplace_moment_grid(
-    k: int,
-    s_values,
-    ctx: PrecisionContext = DEFAULT_CTX,
-    cfg: QuadConfig = QuadConfig(),
-):
+def laplace_moment_grid(k: int, s_values, cfg: QuadConfig = QuadConfig()):
     """L_k(s) for every s in s_values, sharing one streaming kernel pass.
 
     Each value uses exactly the panels inside its own truncation range, so
@@ -67,10 +62,9 @@ def laplace_moment_grid(
             raise DomainError("invalid-argument: Re s must be > 0")
         if abs(cmath.phase(s)) >= math.pi / 2:
             raise DomainError("invalid-argument: |arg s| must be < pi/2")
-    tol = max(cfg.laplace_tail_abs, ctx.abs_tol)
 
     # Deterministic panels from 0; per-s panel counts, then global bound.
-    x_needed = [_truncation_x(k, s.real, cfg, tol) for s in ss]
+    x_needed = [_truncation_x(k, s.real, cfg) for s in ss]
     bounds = panel_mesh(0.0, max(x_needed), cfg)
     n_use = [
         min(max(int(np.searchsorted(bounds, x, side="left")), 1), len(bounds) - 1)
@@ -109,32 +103,27 @@ def laplace_moment_grid(
     return out
 
 
-def laplace_moment(
-    k: int,
-    s,
-    ctx: PrecisionContext = DEFAULT_CTX,
-    cfg: QuadConfig = QuadConfig(),
-) -> IntegralResult:
+def laplace_moment(k: int, s, cfg: QuadConfig = QuadConfig()) -> IntegralResult:
     """L_k(s) = int_0^inf |zeta(1/2+ix)|^{2k} e^{-sx} dx for Re s > 0.
 
     Truncated at X where the disclosed polylog majorant brings the tail
     below tolerance; the tail bound enters err_bound.  The value is complex
     when s has nonzero imaginary part.
     """
-    return laplace_moment_grid(k, [s], ctx, cfg)[0]
+    return laplace_moment_grid(k, [s], cfg)[0]
 
 
-def kober_main(sigma: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+def kober_main(sigma: float) -> float:
     """Leading Kober term (gamma - log(4 pi sigma)) / (2 sin sigma)."""
     if not (0 < sigma < 1):
         raise DomainError("kober_main requires 0 < sigma < 1")
-    c = constants_for(ctx)
-    with ctx.workprec():
+    c = constants_for(DEFAULT_CTX)
+    with DEFAULT_CTX.workprec():
         return float((c.euler_gamma - mp.log(4 * c.pi * sigma)) / (2 * mp.sin(sigma)))
 
 
 @functools.cache
-def atkinson_coeffs(ctx: PrecisionContext = DEFAULT_CTX) -> tuple:
+def atkinson_coeffs() -> tuple:
     """(A, B, C, D, E) of the fourth-moment Laplace main term, exact.
 
     The main term is the Laplace transform of d(T P4(log T)) = Q(log t) dt,
@@ -145,8 +134,8 @@ def atkinson_coeffs(ctx: PrecisionContext = DEFAULT_CTX) -> tuple:
     = (6 gamma - 2 log 2pi - 24 zeta'(2)/pi^2)/pi^2, the negative of the
     closed form printed in the source.
     """
-    a = default_p4(ctx).coeffs[::-1]
-    with ctx.workprec():
+    a = default_p4().coeffs[::-1]
+    with DEFAULT_CTX.workprec():
         q = [mpf(a[j]) + (j + 1) * mpf(a[j + 1]) for j in range(4)] + [mpf(a[4])]
         gamma_d = [mpf(1)]
         for n in range(4):
@@ -157,9 +146,9 @@ def atkinson_coeffs(ctx: PrecisionContext = DEFAULT_CTX) -> tuple:
         )
 
 
-def atkinson_expansion(sigma: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+def atkinson_expansion(sigma: float) -> float:
     """(A log^4(1/s) + B log^3(1/s) + C log^2(1/s) + D log(1/s) + E) / s
     with the exact atkinson_coeffs."""
     if not (0 < sigma < 1):
         raise DomainError("atkinson_expansion requires 0 < sigma < 1")
-    return float(np.polyval(atkinson_coeffs(ctx), math.log(1.0 / sigma))) / sigma
+    return float(np.polyval(atkinson_coeffs(), math.log(1.0 / sigma))) / sigma

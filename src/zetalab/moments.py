@@ -20,7 +20,6 @@ import numpy as np
 from .config import QuadConfig
 from .constants import P4_LOWER, fourth_moment_a3, fourth_moment_a4, second_moment_constant
 from .errors import DomainError
-from .precision import DEFAULT_CTX, PrecisionContext
 from .quadrature import (
     CELLS,
     IntegralResult,
@@ -62,23 +61,19 @@ class MomentPolynomial:
         return all(p == PAPER_EXACT for p in self.provenance)
 
 
-def p1_exact(ctx: PrecisionContext = DEFAULT_CTX) -> MomentPolynomial:
+def p1_exact() -> MomentPolynomial:
     """P1(y) = y + 2*gamma - 1 - log(2 pi), both coefficients exact."""
     return MomentPolynomial(
         k=1,
-        coeffs=(1.0, float(second_moment_constant(ctx))),
+        coeffs=(1.0, float(second_moment_constant())),
         provenance=(PAPER_EXACT, PAPER_EXACT),
     )
 
 
-def p4_polynomial(
-    lower=(0.0, 0.0, 0.0),
-    lower_provenance=USER,
-    ctx: PrecisionContext = DEFAULT_CTX,
-) -> MomentPolynomial:
+def p4_polynomial(lower=(0.0, 0.0, 0.0), lower_provenance=USER) -> MomentPolynomial:
     """P4 with exact a4, a3 and supplied lower-order coefficients (a2, a1, a0)."""
-    a4 = float(fourth_moment_a4(ctx))
-    a3 = float(fourth_moment_a3(ctx))
+    a4 = float(fourth_moment_a4())
+    a3 = float(fourth_moment_a3())
     return MomentPolynomial(
         k=2,
         coeffs=(a4, a3) + tuple(float(c) for c in lower),
@@ -87,9 +82,9 @@ def p4_polynomial(
 
 
 @functools.cache
-def default_p4(ctx: PrecisionContext = DEFAULT_CTX) -> MomentPolynomial:
+def default_p4() -> MomentPolynomial:
     """P4 with the closed-form a4, a3 and the derived P4_LOWER."""
-    return p4_polynomial(P4_LOWER, DERIVED, ctx)
+    return p4_polynomial(P4_LOWER, DERIVED)
 
 
 def main_term(k: int, t_upper: float, poly: MomentPolynomial) -> float:
@@ -101,9 +96,7 @@ def main_term(k: int, t_upper: float, poly: MomentPolynomial) -> float:
     return t_upper * poly.eval(math.log(t_upper))
 
 
-def integrate_moment(
-    k: int, a: float, b: float, ctx: PrecisionContext = DEFAULT_CTX, cfg: QuadConfig = QuadConfig()
-) -> IntegralResult:
+def integrate_moment(k: int, a: float, b: float, cfg: QuadConfig = QuadConfig()) -> IntegralResult:
     """Adaptive panel quadrature of |Z(t)|^{2k} over [a, b].
 
     For a = 0 the value and bound are the accumulator's cumulative ones at b
@@ -139,17 +132,16 @@ class ErrorTermResult:
 def error_term(
     k: int,
     t_upper: float,
-    ctx: PrecisionContext = DEFAULT_CTX,
     cfg: QuadConfig = QuadConfig(),
     poly: MomentPolynomial | None = None,
 ) -> ErrorTermResult:
     """E_k(T) = int_0^T |Z|^{2k} - T P_{k^2}(log T), with combined error bound."""
     if k == 1:
-        poly = poly or p1_exact(ctx)
+        poly = poly or p1_exact()
         if not poly.all_paper_exact():
             raise DomainError("E1 must use only paper-exact coefficients")
     elif k == 2:
-        poly = poly or default_p4(ctx)
+        poly = poly or default_p4()
     else:
         raise DomainError("error term defined for k in {1, 2}")
     if t_upper == 0:
@@ -160,10 +152,7 @@ def error_term(
 
 
 def smoothed_fourth(
-    t_center: float,
-    delta: float,
-    ctx: PrecisionContext = DEFAULT_CTX,
-    cfg: QuadConfig = QuadConfig(),
+    t_center: float, delta: float, cfg: QuadConfig = QuadConfig()
 ) -> IntegralResult:
     """Gaussian-smoothed local fourth moment
     (1/(delta sqrt(pi))) int |zeta(1/2 + i(T+t))|^4 exp(-t^2/delta^2) dt,
@@ -213,14 +202,11 @@ def integral_of_t_poly(t_upper: float, poly: MomentPolynomial) -> float:
 
 
 def integral_of_e2(
-    t_upper: float,
-    ctx: PrecisionContext = DEFAULT_CTX,
-    cfg: QuadConfig = QuadConfig(),
-    poly: MomentPolynomial | None = None,
+    t_upper: float, cfg: QuadConfig = QuadConfig(), poly: MomentPolynomial | None = None
 ) -> IntegralResult:
     """int_0^T E2(t) dt in a single pass:
     T int_0^T f - int_0^T u f(u) du - int_0^T t P4(log t) dt."""
-    poly = poly or default_p4(ctx)
+    poly = poly or default_p4()
     if t_upper <= 0:
         return IntegralResult(0.0, 0.0, 0, (0.0, max(t_upper, 0.0)))
     acc = get_accumulator(2, cfg)
@@ -234,7 +220,6 @@ _MEANSQ_CHUNK = 256  # pieces per kernel call in mean_square_e2
 
 def mean_square_e2(
     t_upper: float,
-    ctx: PrecisionContext = DEFAULT_CTX,
     cfg: QuadConfig = QuadConfig(),
     poly: MomentPolynomial | None = None,
     snapshots=None,
@@ -257,7 +242,7 @@ def mean_square_e2(
     A snapshot's integral is the prefix sum of the panels before it plus its
     own piece, bit-identical to mean_square_e2(snapshot).value.
     """
-    poly = poly or default_p4(ctx)
+    poly = poly or default_p4()
     if t_upper <= 0:
         return IntegralResult(0.0, 0.0, 0, (0.0, 0.0)), []
     snaps = np.array(sorted(set(list(snapshots or []) + [t_upper])), dtype=float)

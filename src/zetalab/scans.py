@@ -28,7 +28,6 @@ from .moments import (
     main_term,
     p1_exact,
 )
-from .precision import DEFAULT_CTX, PrecisionContext
 from .quadrature import get_accumulator
 
 TARGETS = ("e1", "e2", "intE2")
@@ -51,7 +50,7 @@ class SignChangeReport:
     grid_points: int
 
 
-def _target_values(target: str, cfg: QuadConfig, ctx, t0, t1, poly):
+def _target_values(target: str, cfg: QuadConfig, t0, t1, poly):
     """(grid, values, points) for the named error-term function.
 
     points maps an array of t to the function's values there, through one
@@ -61,7 +60,7 @@ def _target_values(target: str, cfg: QuadConfig, ctx, t0, t1, poly):
     """
     k = 1 if target == "e1" else 2
     acc = get_accumulator(k, cfg)
-    poly = poly or (p1_exact(ctx) if k == 1 else default_p4(ctx))
+    poly = poly or (p1_exact() if k == 1 else default_p4())
 
     def at(ts, v, vu):
         if target == "intE2":
@@ -138,7 +137,6 @@ def sign_change_scan(
     t1: float,
     amplitude: float,
     threshold_exponent: float,
-    ctx: PrecisionContext = DEFAULT_CTX,
     cfg: QuadConfig = QuadConfig(),
     poly: MomentPolynomial | None = None,
     max_points: int = 2000,
@@ -156,7 +154,7 @@ def sign_change_scan(
         raise DomainError("invalid scan range [%r, %r]" % (t0, t1))
     if target not in TARGETS:
         raise DomainError("unknown scan target %r" % (target,))
-    bs, vals, points = _target_values(target, cfg, ctx, t0, t1, poly)
+    bs, vals, points = _target_values(target, cfg, t0, t1, poly)
 
     thresh = amplitude * np.power(np.maximum(bs, 1e-300), threshold_exponent)
     plus_idx = np.nonzero(vals > thresh)[0]
@@ -187,10 +185,10 @@ def sign_change_scan(
     )
 
 
-def e2_zero_gap_table(t0: float, t1: float, ctx=DEFAULT_CTX, cfg=QuadConfig(), poly=None):
+def e2_zero_gap_table(t0: float, t1: float, cfg=QuadConfig(), poly=None):
     """Rows (n, u_n, u_{n+1} - u_n, log gap / log u_n) for zeros of E2 in [t0, t1]."""
     report = sign_change_scan("e2", t0, t1, amplitude=math.inf, threshold_exponent=0.0,
-                              ctx=ctx, cfg=cfg, poly=poly)
+                              cfg=cfg, poly=poly)
     zeros = report.crossings
     rows = []
     for n in range(len(zeros) - 1):

@@ -18,7 +18,7 @@ from mpmath import mp, mpf
 
 from .config import QuadConfig
 from .errors import DataParseError, DataValidationError, DomainError
-from .precision import DEFAULT_CTX, PrecisionContext
+from .precision import DEFAULT_CTX
 
 
 @dataclass(frozen=True)
@@ -149,11 +149,7 @@ class SpectralSumResult:
 
 
 def motohashi_spectral_sum(
-    t_center: float,
-    delta: float,
-    ds: SpectralDataset,
-    cfg: QuadConfig = QuadConfig(),
-    ctx: PrecisionContext = DEFAULT_CTX,
+    t_center: float, delta: float, ds: SpectralDataset, cfg: QuadConfig = QuadConfig()
 ) -> SpectralSumResult:
     """Spectral side of the smoothed-fourth-moment explicit formula:
     pi 2^{-1/2} T^{-1/2} sum_j c_j kappa_j^{-1/2}
@@ -178,7 +174,7 @@ def motohashi_spectral_sum(
 
     kap_last = ds.records[-1].kappa if ds.records else 0.0
     beta = (delta / (2 * t_center)) ** 2
-    with ctx.workprec():
+    with DEFAULT_CTX.workprec():
         # int_{kappa_last}^inf C kappa^3 kappa^{-1/2} e^{-beta kappa^2} dkappa
         tail_int = mp.gammainc(mpf(7) / 4, beta * mpf(kap_last) ** 2) / (2 * mpf(beta) ** mpf(1.75))
         trunc = float(pref * cfg.weight_cmaj * tail_int)

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from zetalab.config import QuadConfig
-from zetalab.precision import PrecisionContext
 
 
 @pytest.fixture(autouse=True)
@@ -12,16 +11,6 @@ def _restore_mp_prec():
     prec = mpmath.mp.prec
     yield
     mpmath.mp.prec = prec
-
-
-@pytest.fixture(scope="session")
-def ctx():
-    return PrecisionContext(128, 1e-12, 1e-12)
-
-
-@pytest.fixture(scope="session")
-def ctx_tight():
-    return PrecisionContext(128, 1e-30, 1e-30)
 
 
 @pytest.fixture(scope="session")

@@ -203,13 +203,13 @@ class TestSeededResume:
 
     @pytest.mark.parametrize("query", ["integrate_moment", "mean_square_e2", "boundary_grid",
                                        "integral_of_e2", "cumulative_at"])
-    def test_queries_below_the_seed_equal_a_run_from_0(self, tmp_path, ctx, cfg, fresh, query):
+    def test_queries_below_the_seed_equal_a_run_from_0(self, tmp_path, cfg, fresh, query):
         calls = {
-            "integrate_moment": lambda: moments.integrate_moment(2, 150.0, 2400.0, ctx, cfg),
+            "integrate_moment": lambda: moments.integrate_moment(2, 150.0, 2400.0, cfg),
             "mean_square_e2": lambda: moments.mean_square_e2(
-                2400.0, ctx, cfg, snapshots=[100.0, 1333.3, 2200.0]),
+                2400.0, cfg, snapshots=[100.0, 1333.3, 2200.0]),
             "boundary_grid": lambda: [q.tolist() for q in get_accumulator(2, cfg).boundary_grid(50.0, 2200.0)],
-            "integral_of_e2": lambda: moments.integral_of_e2(2400.0, ctx, cfg),
+            "integral_of_e2": lambda: moments.integral_of_e2(2400.0, cfg),
             "cumulative_at": lambda: [q.tolist() for q in get_accumulator(2, cfg).cumulative_at([0.0, 120.5, 2310.0])],
         }
         _, cp, _ = _write_and_reseed(str(tmp_path / "cp.txt"), 2, 2600.0, 3000.0, cfg, fresh)

@@ -5,6 +5,7 @@ import fcntl
 import json
 import math
 
+import mpmath
 import pytest
 
 import _frozen as F
@@ -14,7 +15,7 @@ from zetalab.config import QuadConfig
 from zetalab.laplace import atkinson_expansion, kober_main, laplace_moment_grid
 from zetalab.moments import mean_square_e2
 from zetalab.scans import e2_zero_gap_table
-from zetalab.zeta import zeta_sample
+from zetalab.zkernel import z_block
 
 
 def read_rows(path):
@@ -23,44 +24,54 @@ def read_rows(path):
 
 
 class TestZeta:
-    def test_row_equals_zeta_sample(self, tmp_path, ctx):
+    def test_row_equals_z_block(self, tmp_path):
         out = tmp_path / "zeta.csv"
         assert cli.main(["zeta", "--t", "100", "--format", "csv", "--out", str(out)]) == 0
         (row,) = read_rows(out)
-        got = [float(row[c]) for c in ("t", "re_zeta", "im_zeta", "abs_zeta", "err")]
-        s = zeta_sample(100.0, ctx)
-        assert got == [s.t, float(s.value.real), float(s.value.imag), float(abs(s.value)), s.abs_err]
+        z, err = z_block([100.0])
+        assert list(row) == ["t", "Z", "err"]
+        assert [float(row[c]) for c in row] == [100.0, z[0], err[0]]
+
+    # across T_SWITCH (400) and the anchor-sum switch at N = 18 (t near 2035.75),
+    # inside the range the Riemann-Siegel error model is certified for
+    @pytest.mark.parametrize("t", [0.0, 14.134725, 100.0, 399.99, 400.01, 2035.7, 2035.8, 1e4])
+    def test_err_bounds_the_distance_to_siegelz(self, tmp_path, t):
+        out = tmp_path / "zeta.csv"
+        assert cli.main(["zeta", "--t", repr(t), "--out", str(out)]) == 0
+        (row,) = read_rows(out)
+        with mpmath.workdps(30):
+            assert abs(float(row["Z"]) - mpmath.siegelz(t)) <= float(row["err"])
 
 
 class TestExplore:
-    def test_meansq_e2_rows_equal_the_library_table(self, tmp_path, ctx, cfg):
+    def test_meansq_e2_rows_equal_the_library_table(self, tmp_path, cfg):
         out = tmp_path / "meansq.csv"
         argv = ["explore", "--table", "meansq-e2", "--T-list", "250,500",
                 "--format", "csv", "--out", str(out)]
         assert cli.main(argv) == 0
-        _, table = mean_square_e2(500.0, ctx, cfg, snapshots=[250.0, 500.0])
+        _, table = mean_square_e2(500.0, cfg, snapshots=[250.0, 500.0])
         rows = [(float(r["T"]), float(r["int_E2_sq"]), float(r["ratio_T2"]))
                 for r in read_rows(out)]
         assert rows == table
 
-    def test_meansq_e2_jsonl(self, tmp_path, ctx, cfg):
+    def test_meansq_e2_jsonl(self, tmp_path, cfg):
         out = tmp_path / "meansq.jsonl"
         argv = ["explore", "--table", "meansq-e2", "--T-list", "250",
                 "--format", "jsonl", "--out", str(out)]
         assert cli.main(argv) == 0
-        _, table = mean_square_e2(250.0, ctx, cfg)
+        _, table = mean_square_e2(250.0, cfg)
         *rows, meta = [json.loads(line) for line in out.read_text().splitlines()]
         assert [(r["T"], r["int_E2_sq"], r["ratio_T2"]) for r in rows] == table
         assert list(meta) == ["_meta"]
 
-    def test_e2_gaps_rows_equal_the_library_table(self, tmp_path, ctx, cfg):
+    def test_e2_gaps_rows_equal_the_library_table(self, tmp_path, cfg):
         out = tmp_path / "gaps.csv"
         argv = ["explore", "--table", "e2-gaps", "--from", "500", "--to", "650",
                 "--format", "csv", "--out", str(out)]
         assert cli.main(argv) == 0
         rows = [(int(r["n"]), float(r["u_n"]), float(r["gap"]), float(r["log_gap_over_log_u"]))
                 for r in read_rows(out)]
-        table = e2_zero_gap_table(500.0, 650.0, ctx, cfg)
+        table = e2_zero_gap_table(500.0, 650.0, cfg)
         assert len(table) >= 3 and rows == table
 
 
@@ -169,9 +180,9 @@ class TestMoment:
 
 
 class TestLaplace:
-    @pytest.mark.parametrize("k,main_term", [(1, lambda s, ctx: kober_main(s / 2.0, ctx)),
+    @pytest.mark.parametrize("k,main_term", [(1, lambda s: kober_main(s / 2.0)),
                                              (2, atkinson_expansion)], ids=["k1", "k2"])
-    def test_main_term_rows_equal_the_library_calls(self, tmp_path, ctx, cfg, k, main_term):
+    def test_main_term_rows_equal_the_library_calls(self, tmp_path, cfg, k, main_term):
         out = tmp_path / "laplace.csv"
         argv = ["laplace", "--k", str(k), "--s-grid", "0.4,0.1", "--main-term",
                 "--format", "csv", "--out", str(out)]
@@ -179,8 +190,8 @@ class TestLaplace:
         rows = [(float(r["s"]), float(r["L_k"]), float(r["err_bound"]), int(r["panels"]),
                  float(r["main_term"]), float(r["difference"])) for r in read_rows(out)]
         expect = []
-        for s, r in zip([0.4, 0.1], laplace_moment_grid(k, [0.4, 0.1], ctx, cfg)):
-            mt = main_term(s, ctx)
+        for s, r in zip([0.4, 0.1], laplace_moment_grid(k, [0.4, 0.1], cfg)):
+            mt = main_term(s)
             expect.append((s, r.value, r.err_bound, r.panels, mt, r.value - mt))
         assert rows == expect
 
@@ -206,7 +217,8 @@ class TestConfig:
         assert "unknown config key %r" % key in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["spectral_path=starter.txt", "laplace_e2_variant=printed",
-                                      "l2_gamma_variant=printed"])
+                                      "l2_gamma_variant=printed", "precision_bits=128",
+                                      "abs_tol=1e-12", "rel_tol=1e-12"])
     def test_removed_run_keys_are_data_errors(self, tmp_path, capsys, line):
         conf = tmp_path / "run.conf"
         conf.write_text(line + "\n")
@@ -216,7 +228,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("text,code,reason", [
         ("quad.nodes=abc", cli.EXIT_DATA, "line 2: bad value for quad.nodes"),
-        ("precision_bits=12x", cli.EXIT_DATA, "line 2: bad value for precision_bits"),
+        ("quad.max_depth=1.5", cli.EXIT_DATA, "line 2: bad value for quad.max_depth"),
         ("output_format=xml", cli.EXIT_USAGE, "output_format must be csv or jsonl"),
         ("quad.checkpoint_step=0", cli.EXIT_USAGE, "quad.checkpoint_step must be finite and > 0"),
         ("quad.panel_rel=inf", cli.EXIT_USAGE, "quad.panel_rel must be finite and > 0"),
@@ -263,6 +275,13 @@ class TestNonFiniteInput:
         assert cli.main(argv) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert "T must be finite and > 1, got %s" % t in err and "delta" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-1"])
+    def test_zeta_t_is_named(self, tmp_path, capsys, t):
+        out = tmp_path / "out.csv"
+        assert cli.main(["zeta", "--t", t, "--out", str(out)]) == cli.EXIT_USAGE
+        assert "t must be finite and >= 0, got %r" % float(t) in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("s", ["nan", "inf", "0.1,inf"])

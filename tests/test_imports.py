@@ -100,8 +100,6 @@ def test_every_top_level_src_name_is_referenced():
 
 # The top-level names of src/ that only tests reference, each with the reason it stays.
 TEST_ONLY = {
-    ("src/zetalab/arith.py", "additive_divisor_bruteforce"): "oracle of additive_divisor",
-    ("src/zetalab/arith.py", "kloosterman_grid"): "oracle of kloosterman",
     ("src/zetalab/zkernel.py", "EM_TRUNCATION"):
         "the tolerance under which test_em_terms_from_backlund_bound re-derives EM_TERMS",
 }
@@ -134,8 +132,8 @@ def missing_zetalab_names(source: str):
 
 
 def test_scanner_finds_a_missing_zetalab_name():
-    src = "def f():\n    from zetalab.zeta import rs_theta, zeta_em\n    from zetalab import cli, nope\n"
-    assert missing_zetalab_names(src) == [(2, "zetalab.zeta", "rs_theta"), (3, "zetalab", "nope")]
+    src = "def f():\n    from zetalab.zkernel import z_block, zeta_em\n    from zetalab import cli, nope\n"
+    assert missing_zetalab_names(src) == [(2, "zetalab.zkernel", "zeta_em"), (3, "zetalab", "nope")]
 
 
 @pytest.mark.parametrize(

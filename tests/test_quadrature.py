@@ -103,19 +103,19 @@ def mp_cumulative(k, ts, dps=15):
 
 class TestBoundaryGrid:
     @pytest.mark.parametrize("t0, t1", [(0.0, 150.0), (123.4, 567.8)])
-    def test_every_cell_boundary_with_the_error_term_there(self, t0, t1, ctx, cfg):
+    def test_every_cell_boundary_with_the_error_term_there(self, t0, t1, cfg):
         acc = get_accumulator(1, cfg)
         bs, cv, cu, ce = acc.boundary_grid(t0, t1)
         cells = quadrature.mesh(0.0, t1, cfg)
         assert bs.tolist() == cells[(cells >= t0) & (cells <= t1)].tolist()
-        poly = p1_exact(ctx)
+        poly = p1_exact()
         on_panel = np.isin(bs, acc.bounds)
         assert 0 < np.count_nonzero(on_panel) < len(bs)
         for t, v, vu, e, edge in zip(bs.tolist(), cv.tolist(), cu.tolist(), ce.tolist(), on_panel):
             got = acc.cumulative_to(t)
             if edge:
                 # at a panel boundary, the prefix sums themselves
-                res = error_term(1, t, ctx, cfg)
+                res = error_term(1, t, cfg)
                 assert (v - main_term(1, t, poly), e) == (res.value, res.err_bound), t
                 assert vu == got[1], t
             else:

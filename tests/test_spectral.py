@@ -84,15 +84,15 @@ class TestDatasetLoading:
 
 
 class TestMotohashiSum:
-    def test_empty_dataset(self, cfg, ctx):
+    def test_empty_dataset(self, cfg):
         ds = dataset()
-        r = motohashi_spectral_sum(100.0, 10.0, ds, cfg=cfg, ctx=ctx)
+        r = motohashi_spectral_sum(100.0, 10.0, ds, cfg=cfg)
         assert r.value == 0.0 and r.terms_used == 0
         assert r.truncation_bound > 0
 
-    def test_single_form_closed_form(self, cfg, ctx):
+    def test_single_form_closed_form(self, cfg):
         ds = dataset(synthetic(kappa=10.0, c=1.0))
-        r = motohashi_spectral_sum(100.0, 10.0, ds, cfg=cfg, ctx=ctx)
+        r = motohashi_spectral_sum(100.0, 10.0, ds, cfg=cfg)
         expect = (
             math.pi
             / math.sqrt(2 * 100.0)
@@ -103,15 +103,15 @@ class TestMotohashiSum:
         )
         assert abs(r.value - expect) < 1e-15
 
-    def test_admissibility_flag(self, cfg, ctx):
+    def test_admissibility_flag(self, cfg):
         ds = dataset(synthetic())
-        r = motohashi_spectral_sum(10000.0, 30.0, ds, cfg=cfg, ctx=ctx)
+        r = motohashi_spectral_sum(10000.0, 30.0, ds, cfg=cfg)
         lo, hi = r.metadata["delta_window_A1"]
         assert (lo <= 30.0 <= hi) == r.metadata["delta_admissible_A1"]
 
     @pytest.mark.parametrize("t_center,delta", [(200.0, 20.0), (1000.0, 50.0), (3000.0, 100.0)])
-    def test_value_is_the_correctly_rounded_sum_of_the_terms(self, cfg, ctx, starter_dataset,
+    def test_value_is_the_correctly_rounded_sum_of_the_terms(self, cfg, starter_dataset,
                                                              t_center, delta):
-        r = motohashi_spectral_sum(t_center, delta, starter_dataset, cfg=cfg, ctx=ctx)
+        r = motohashi_spectral_sum(t_center, delta, starter_dataset, cfg=cfg)
         assert r.terms_used == len(r.terms) == len(starter_dataset)
         assert r.value == float(sum(map(Fraction, r.terms)))

@@ -56,12 +56,10 @@ def main():
         mean_square_e2,
         smoothed_fourth,
     )
-    from zetalab.precision import PrecisionContext
     from zetalab.quadrature import get_accumulator, numeric_fingerprint
     from zetalab.zkernel import z_block
 
     t_start = time.time()
-    ctx = PrecisionContext()
     cfg = QuadConfig()
     stored = runpy.run_path(str(OUT)) if OUT.exists() else {}
     values = {}
@@ -110,11 +108,11 @@ def main():
     print("moment2[0,500] = %r vs oracle %r  (%.0f s)" % (v4, oracle4, time.time() - t_start))
 
     # --- E1(1000), max |E1|/T^0.3171 on a scan grid
-    e1 = error_term(1, 1000.0, ctx, cfg)
+    e1 = error_term(1, 1000.0, cfg)
     bs, cv, _, _ = acc1.boundary_grid(10.0, 5000.0)
     from zetalab.moments import p1_exact
 
-    poly1 = p1_exact(ctx)
+    poly1 = p1_exact()
     logs = np.log(bs)
     e1_vals = cv - bs * np.polyval(np.array(poly1.coeffs), logs)
     ratio_max = float(np.max(np.abs(e1_vals) / bs**0.3171))
@@ -128,8 +126,8 @@ def main():
     print("E1(1000) = %r, max|E1|/T^.3171 = %r" % (e1.value, ratio_max))
 
     # --- E2(2000) with the package's P4
-    e2 = error_term(2, 2000.0, ctx, cfg)
-    p4 = default_p4(ctx)
+    e2 = error_term(2, 2000.0, cfg)
+    p4 = default_p4()
     bs2, cv2, _, _ = acc2.boundary_grid(500.0, 5000.0)
     e2_vals = cv2 - bs2 * np.polyval(np.array(p4.coeffs), np.log(bs2))
     e2_ratio_max = float(np.max(np.abs(e2_vals) / bs2 ** (2.0 / 3.0)))
@@ -142,7 +140,7 @@ def main():
     print("E2(2000) = %r, max|E2|/T^(2/3) = %r" % (e2.value, e2_ratio_max))
 
     # --- smoothed fourth moment at (200, 20): oracle = fine-grid trapezoid
-    sm = smoothed_fourth(200.0, 20.0, ctx, cfg)
+    sm = smoothed_fourth(200.0, 20.0, cfg)
     w = 8.0
     grid = np.arange(200.0 - w * 20.0, 200.0 + w * 20.0, 0.002)
     z, _ = z_block(np.abs(grid))
@@ -158,9 +156,9 @@ def main():
     print("smoothed(200,20) = %r vs %r" % (sm.value, oracle_sm))
 
     # --- Laplace fixtures
-    l2_01 = laplace_moment(2, 0.1, ctx, cfg)
+    l2_01 = laplace_moment(2, 0.1, cfg)
     cfg_hi = replace(cfg, nodes=32, laplace_tail_abs=1e-12)
-    l2_01_hi = laplace_moment(2, 0.1, ctx, cfg_hi)
+    l2_01_hi = laplace_moment(2, 0.1, cfg_hi)
     assert abs(l2_01.value - l2_01_hi.value) <= l2_01.err_bound + l2_01_hi.err_bound
     lines += [
         "# oracle: doubled nodes and tightened tail tolerance",
@@ -173,8 +171,8 @@ def main():
     # Kober constant: c0 = lim L1(2s) - kober_main(s); record the value at
     # the smallest sigma of the acceptance grid.
     sig = [0.2, 0.1, 0.05, 0.02]
-    res = laplace_moment_grid(1, [2 * s for s in sig], ctx, cfg)
-    diffs = [r.value - kober_main(s, ctx) for s, r in zip(sig, res)]
+    res = laplace_moment_grid(1, [2 * s for s in sig], cfg)
+    diffs = [r.value - kober_main(s) for s, r in zip(sig, res)]
     lines += [
         "# g(sigma) = L1(2 sigma) - kober_main(sigma) on sigma = 0.2/0.1/0.05/0.02",
         put("KOBER_DIFFS", tuple(diffs)),
@@ -202,7 +200,7 @@ def main():
     # --- integral of E2 at T=1000: oracle = composite Gauss-Legendre over
     # pointwise error_term evaluations (direct double integral on a fine
     # grid; windows short enough to resolve E2's unit-scale oscillation)
-    ie2 = integral_of_e2(1000.0, ctx, cfg)
+    ie2 = integral_of_e2(1000.0, cfg)
     nodes, weights = np.polynomial.legendre.leggauss(16)
     total = 0.0
     for a10 in range(0, 10000, 10):
@@ -227,7 +225,7 @@ def main():
     # Gauss-Legendre of pointwise E2^2 on 0.25-wide windows, all nodes from one
     # cumulative_at query; its own error is its change when the windows are
     # four times wider (about 3e-4), which the test uses as its tolerance
-    ms, _ = mean_square_e2(1000.0, ctx, cfg)
+    ms, _ = mean_square_e2(1000.0, cfg)
 
     def meansq_oracle(width):
         lefts = np.arange(0.0, 1000.0, width)
