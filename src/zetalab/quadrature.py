@@ -4,9 +4,9 @@ mesh is the one cell mesh: boundaries from t0 with width a configured
 fraction of the local mean zero gap 2 pi / log(t/2pi), optionally capped.
 A quadrature panel spans CELLS = 4 consecutive cells (panel_mesh): the
 accumulators, the Laplace grid and the smoothed moment all integrate on
-such panels, and the scans sample every cell boundary, reading the three
-inside a panel from the panel's own samples
-(MomentAccumulator.boundary_grid).  Each panel is
+such panels.  The scans evaluate each panel once (MomentAccumulator.sweep)
+and read every value inside it -- the cell boundaries, the nodes, the
+probes -- from the panel's own samples (MomentAccumulator.read).  Each panel is
 integrated with the n Gauss-Legendre nodes plus their n+1 Kronrod nodes
 (kronrod_rule, 2n+1 kernel points); Gauss-Kronrod disagreement triggers
 bisection up to a depth cap, and the final disagreement above the
@@ -31,6 +31,7 @@ import functools
 import math
 import platform
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,6 +114,22 @@ def kronrod_rule(n: int):
     return x, b[0] * v[0] ** 2, wg
 
 
+@functools.cache
+def _legendre_inverse(x: tuple):
+    """The inverse of the Legendre Vandermonde matrix at the nodes x."""
+    c = np.linalg.solve(np.polynomial.legendre.legvander(np.array(x), len(x) - 1), np.eye(len(x)))
+    c.flags.writeable = False
+    return c
+
+
+@functools.cache
+def _node_matrix(n: int):
+    """integration_matrix of the (2n+1)-point Kronrod nodes at themselves."""
+    s = integration_matrix(kronrod_rule(n)[0])
+    s.flags.writeable = False
+    return s
+
+
 def integration_matrix(x, at=None):
     """S[i, j] = int_{-1}^{at_i} l_j for nodes x in [-1, 1], their Lagrange
     basis l_j = sum_m c_mj P_m, with c the inverse of the Legendre Vandermonde
@@ -126,7 +143,7 @@ def integration_matrix(x, at=None):
     """
     n = len(x)
     at = np.asarray(x if at is None else at, dtype=float)
-    c = np.linalg.solve(np.polynomial.legendre.legvander(x, n - 1), np.eye(n))
+    c = _legendre_inverse(tuple(np.asarray(x, dtype=float).tolist()))
     p = np.polynomial.legendre.legvander(at, n)              # P_0 .. P_n at the targets
     q = np.empty((len(at), n))
     q[:, 0] = at + 1.0
@@ -236,7 +253,10 @@ class PanelBatch:
         self.integrand = integrand
         self.cfg = cfg
 
-    def run(self, lefts, rights):
+    def run(self, lefts, rights, samples=None):
+        """Per panel (value, value_u, err, err_u).  samples, if given, are
+        the integrand's (f, df) at panel_nodes(lefts, rights) as rows, which
+        the first rule uses instead of evaluating the integrand."""
         cfg = self.cfg
         m = len(lefts)
         idx = np.arange(m)
@@ -244,7 +264,7 @@ class PanelBatch:
         totals = None
         depth = 0
         while idx.size:
-            k, ku, diff, e, eu = self._panel_pair(a, b)
+            k, ku, diff, e, eu = self._panel_pair(a, b, samples if depth == 0 else None)
             if totals is None:
                 totals = [np.zeros(m, np.result_type(q)) for q in (k, ku, e, eu)]
             accept = _accepts(cfg, k, diff, depth)
@@ -260,16 +280,18 @@ class PanelBatch:
             depth += 1
         return tuple(totals) if totals else (np.zeros(0),) * 4
 
-    def _panel_pair(self, a, b):
+    def _panel_pair(self, a, b, samples=None):
         """Kronrod values of f and u*f on the panels [a, b], the raw |G - K|
         of f that decides acceptance, and the error charges of f and u*f:
         the kronrod_sums charge plus the integrated pointwise error model.
         Panels wholly at or below T_SWITCH lie on the kernel's Euler-Maclaurin
-        branch, whose model is certified (kernel_model)."""
+        branch, whose model is certified (kernel_model).  samples are (f, df)
+        at the nodes if already evaluated."""
         n = self.cfg.nodes
         t, half = panel_nodes(a, b, n)
-        f, df = self.integrand(t.ravel())
-        f, df = f.reshape(t.shape), df.reshape(t.shape)
+        if samples is None:
+            samples = (q.reshape(t.shape) for q in self.integrand(t.ravel()))
+        f, df = samples
         em = b <= T_SWITCH
         pt, floor = kernel_model(half, df, n, em)
         ptu, floor_u = kernel_model(half, df * t, n, em)
@@ -279,6 +301,23 @@ class PanelBatch:
 
 
 ORIGIN = (0.0, 0.0, 0.0, 0, 0.0, 0.0)  # the row (T, v, e, n, vu, eu) at t = 0
+
+
+class PanelSamples(NamedTuple):
+    """The integrand at the panel_nodes of some mesh panels: their indices
+    ps into an accumulator's bounds, their half-widths, and the nodes t, the
+    samples f and the error model df as rows; ok tells whether PanelBatch
+    accepts each panel's first rule (MomentAccumulator.sweep)."""
+
+    ps: np.ndarray
+    half: np.ndarray
+    t: np.ndarray
+    f: np.ndarray
+    df: np.ndarray
+    ok: np.ndarray
+
+    def take(self, rows):
+        return PanelSamples(*(q[rows] for q in self))
 
 
 def _split(row):
@@ -295,7 +334,7 @@ class MomentAccumulator:
     panel count on [0, T0] and the four prefix sums there (rows); from 0 it
     is ORIGIN.  Above T0 the panel boundaries (bounds, every CELLS-th cell
     boundary of mesh, from T0) and the per-panel values, errors and their
-    u-weighted twins are numpy arrays, grown once per ensure.  The prefix
+    u-weighted twins are numpy arrays, grown by ensure and sweep.  The prefix
     sums are a plain left fold seeded with the origin's sums, so at every
     panel boundary they are bit-identical to those of an accumulator from 0,
     however far earlier runs integrated -- the property checkpoint resume
@@ -310,7 +349,7 @@ class MomentAccumulator:
     """
 
     CHUNK = 512       # panels per PanelBatch.run
-    GRID_CHUNK = 128  # panels per integrand evaluation in boundary_grid
+    GRID_CHUNK = 128  # panels per integrand evaluation in sweep
 
     def __init__(self, k: int, cfg: QuadConfig, origin=ORIGIN):
         self.k = k
@@ -341,14 +380,19 @@ class MomentAccumulator:
     def _sums(self):
         return self._val, self._val_u, self._err, self._err_u
 
+    def _append(self, rights, sums):
+        """Hold the panels from bounds[-1] to each of rights in turn, with
+        their per-panel (value, value_u, err, err_u)."""
+        self._val, self._val_u, self._err, self._err_u = (
+            np.concatenate([old, q]) for old, q in zip(self._sums(), sums))
+        self.bounds = np.concatenate([self.bounds, rights])
+        self._prefix = None
+
     def ensure(self, t_target: float):
         if t_target <= self.bounds[-1]:
             return
         new = panel_mesh(float(self.bounds[-1]), t_target, self.cfg)
-        self._val, self._val_u, self._err, self._err_u = (
-            np.concatenate([old, q]) for old, q in zip(self._sums(), self._run(new)))
-        self.bounds = np.concatenate([self.bounds, new[1:]])
-        self._prefix = None
+        self._append(new[1:], self._run(new))
 
     def front(self, origin=ORIGIN):
         """Integrate [T, T0] in front from an origin row (T, ...) below T0,
@@ -469,64 +513,107 @@ class MomentAccumulator:
         value = math.fsum(vals)
         return value, math.fsum(errs) + math.ulp(value)
 
-    def boundary_grid(self, t0: float, t1: float):
+    def sweep(self, t0: float, t1: float):
+        """Yield the integrand at the panel_nodes of every panel meeting
+        [t0, t1], as PanelSamples of at most GRID_CHUNK panels, left to right.
+
+        Panels not yet held, from bounds[-1] on (so also any below t0, which
+        are not yielded), are integrated from the same samples, as
+        PanelBatch.run's depth-0 samples, and held before their chunk is
+        yielded: each panel's integrand is evaluated once, and its per-panel
+        sums are those ensure gives, since a panel's result does not depend
+        on its batch.
+        """
+        if t0 < self.bounds[0]:
+            self.front()
+        held = len(self.bounds) - 1
+        bs = self.bounds
+        if t1 > bs[-1]:
+            bs = np.concatenate([bs, panel_mesh(float(bs[-1]), t1, self.cfg)[1:]])
+        n, end = self.cfg.nodes, int(np.searchsorted(bs, t1))
+        for c in range(self.index(t0), end, self.GRID_CHUNK):
+            ps = np.arange(c, min(c + self.GRID_CHUNK, end))
+            a, b = bs[ps], bs[ps + 1]
+            t, half = panel_nodes(a, b, n)
+            f, df = (q.reshape(t.shape) for q in self._integrand(t.ravel()))
+            new = ps >= held
+            if new.any():
+                self._append(b[new], self._batch.run(a[new], b[new], (f[new], df[new])))
+            k, g, _ = kronrod_sums(half, f, n)
+            meet = np.nonzero(b > t0)[0]
+            if meet.size:
+                yield PanelSamples(ps, half, t, f, df, _accepts(self.cfg, k, np.abs(g - k))).take(meet)
+
+    def read(self, s: PanelSamples, r, ts):
+        """(value, value_u, err) of the cumulative integrals at the targets
+        ts, each inside the panel r of the samples s (an index into s).
+
+        At x in [-1, 1] of a panel of half-width h: the prefix sums at its
+        left end plus h r(x) . f, with r(x) the integration_matrix row at x
+        of the Kronrod nodes (Greengard 1991).  The error bound adds to the
+        prefix bound |h r(x) . f - h r_G(x) . f_G|, where r_G interpolates
+        at the Gauss nodes alone, the kernel model h |r(x)| . df, and the
+        rounding of the dot product.  In a panel whose first rule PanelBatch
+        rejects, the values are cumulative_at's.  Each value depends on its
+        own panel and target alone.
+        """
+        n = self.cfg.nodes
+        x = kronrod_rule(n)[0]
+        p, h = s.ps[r], s.half[r]
+        at = (ts - self.bounds[p]) / h - 1.0
+        sk, sg = integration_matrix(x, at), integration_matrix(x[1::2], at)
+        fr, ask = s.f[r], np.abs(sk)
+        v, vu, e, _ = (q[p] for q in self.prefix())
+        piece = h * np.sum(sk * fr, axis=1)
+        v = v + piece
+        vu = vu + h * np.sum(sk * (s.t * s.f)[r], axis=1)
+        e = e + (np.abs(piece - h * np.sum(sg * fr[:, 1::2], axis=1)) + h * np.sum(ask * s.df[r], axis=1)
+                 + _gamma(2 * n + 3) * h * np.sum(ask * np.abs(fr), axis=1))
+        bad = np.nonzero(~s.ok[r])[0]
+        if bad.size:
+            v[bad], vu[bad], e[bad], _ = self.cumulative_at(ts[bad])
+        return v, vu, e
+
+    def read_nodes(self, s: PanelSamples):
+        """(value, value_u) of the cumulative integrals at the nodes s.t, as
+        read gives them but with the integration_matrix of the nodes
+        themselves, summed row by row so that each panel's values do not
+        depend on the other panels of s."""
+        smat = _node_matrix(self.cfg.nodes)
+        v, vu = (q[s.ps, None] for q in self.prefix()[:2])
+        h = s.half[:, None]
+        v = v + h * np.sum(s.f[:, None, :] * smat, axis=2)
+        vu = vu + h * np.sum((s.t * s.f)[:, None, :] * smat, axis=2)
+        bad = np.nonzero(~s.ok)[0]
+        if bad.size:
+            redo = self.cumulative_at(s.t[bad].ravel())
+            v[bad], vu[bad] = (q.reshape(-1, s.t.shape[1]) for q in redo[:2])
+        return v, vu
+
+    def boundary_grid(self, t0: float, t1: float, visit=None):
         """Cell boundaries in [t0, t1] with cumulative values and error bounds.
 
         At a panel boundary the values are the prefix sums, so they are the
         ones cumulative_to returns there.  The cell boundaries inside a panel
-        are read from one evaluation of the integrand at the panel's own
-        Gauss-Kronrod nodes (panel_nodes), GRID_CHUNK panels per evaluation:
-        at x in [-1, 1] of a panel of half-width h, the prefix sums at its
-        left end plus h r(x) . f, with r(x) the integration_matrix row at x
-        of the Kronrod nodes.  The error bound adds to the prefix bound
-        |h r(x) . f - h r_G(x) . f_G|, where r_G interpolates at the Gauss
-        nodes alone, the kernel model h |r(x)| . df, and the rounding of the
-        dot product.  Inside a panel whose first rule PanelBatch rejects, the
-        values are read through cumulative_at instead.  Each value depends on
-        its own panel alone, not on t0, t1 or the chunks.
+        are read from the panel's own samples (read), in one sweep(t0, t1);
+        visit, if given, is called with each chunk of the sweep after its
+        cells are read.  Each value depends on its own panel alone, not on
+        t0, t1 or the chunks.
         """
-        self.cover(t0, t1)
-        i, j = self.index(t0), int(np.searchsorted(self.bounds, t1))
-        cells = mesh(float(self.bounds[i]), float(self.bounds[j]), self.cfg)
-        at = np.nonzero((cells >= t0) & (cells <= t1))[0]
-        cells, panel = cells[at], i + at // CELLS
-        v, vu, e, _ = (q[panel] for q in self.prefix())
-        inner = np.nonzero(at % CELLS)[0]
-        met = np.unique(panel[inner])
-        for c in range(0, len(met), self.GRID_CHUNK):
-            chunk = met[c : c + self.GRID_CHUNK]
-            lo, hi = np.searchsorted(panel[inner], [chunk[0], chunk[-1] + 1])
-            rows = inner[lo:hi]
-            ok, pieces = self._read_inside(chunk, panel[rows], cells[rows])
-            for total, piece in zip((v, vu, e), pieces):
-                total[rows[ok]] += piece[ok]
-            if not ok.all():
-                redo = rows[~ok]
-                v[redo], vu[redo], e[redo], _ = self.cumulative_at(cells[redo])
-        return cells, v, vu, e
-
-    def _read_inside(self, ps, panel, ts):
-        """(ok, (value, value_u, err)) of the integrals from the left end of
-        each target's panel to the target ts, for the panels ps (ascending
-        indices into bounds) and each target's panel; ok is False at the
-        targets of a panel whose first rule PanelBatch rejects (see
-        boundary_grid)."""
-        n = self.cfg.nodes
-        x = kronrod_rule(n)[0]
-        t, half = panel_nodes(self.bounds[ps], self.bounds[ps + 1], n)
-        f, df = self._integrand(t.ravel())
-        f, df = f.reshape(t.shape), df.reshape(t.shape)
-        k, g, _ = kronrod_sums(half, f, n)
-        r = np.searchsorted(ps, panel)
-        h = half[r]
-        at = (ts - self.bounds[panel]) / h - 1.0
-        sk, sg = integration_matrix(x, at), integration_matrix(x[1::2], at)
-        fr, ask = f[r], np.abs(sk)
-        val = h * np.sum(sk * fr, axis=1)
-        val_u = h * np.sum(sk * (t * f)[r], axis=1)
-        err = (np.abs(val - h * np.sum(sg * fr[:, 1::2], axis=1)) + h * np.sum(ask * df[r], axis=1)
-               + _gamma(2 * n + 3) * h * np.sum(ask * np.abs(fr), axis=1))
-        return _accepts(self.cfg, k, np.abs(g - k))[r], (val, val_u, err)
+        parts = [(np.zeros(0),) * 4]
+        for s in self.sweep(t0, t1):
+            cells = mesh(float(self.bounds[s.ps[0]]), float(self.bounds[s.ps[-1] + 1]), self.cfg)[:-1]
+            at = np.nonzero((cells >= t0) & (cells <= t1))[0]
+            v, vu, e, _ = (q[s.ps[0] + at // CELLS] for q in self.prefix())
+            inner = np.nonzero(at % CELLS)[0]
+            v[inner], vu[inner], e[inner] = self.read(s, at[inner] // CELLS, cells[at[inner]])
+            parts.append((cells[at], v, vu, e))
+            if visit is not None:
+                visit(s)
+        j = int(np.searchsorted(self.bounds, t1))
+        if t0 <= self.bounds[j] <= t1:
+            parts.append(tuple(q[j : j + 1] for q in (self.bounds,) + self.prefix()[:3]))
+        return tuple(np.concatenate(q) for q in zip(*parts))
 
 
 _ACCUMULATORS: dict = {}

@@ -1,15 +1,20 @@
 """Sign-change and exceedance scans for E1, E2 and the integral of E2.
 
-Values are sampled on the cell boundaries of quadrature.mesh (spacing about
-half the local zero gap; a quadrature panel spans four cells, and the three
-cell boundaries inside it are read from the panel's own samples,
-MomentAccumulator.boundary_grid), by the same formula per target that
-error_term or integral_of_e2 uses.  Each sign change
-between adjacent samples is refined on the function itself, re-integrated
-at every probe, never interpolated: all of a scan's brackets are refined
-together by Anderson-Bjorck regula falsi with bisection as the fallback,
-one batched cumulative query per round.  A crossing is the midpoint of a
-sign-change bracket of width at most 1e-10 max(1, t), or an exact zero.
+One sweep of the accumulator over the window (MomentAccumulator.sweep)
+evaluates Z once per panel, at its Gauss-Kronrod nodes; new panels are
+integrated from those samples.  Exceedances are read on the cell
+boundaries of quadrature.mesh (spacing about half the local zero gap, four
+cells per panel; MomentAccumulator.boundary_grid), by the same formula per
+target that error_term or integral_of_e2 uses.  Sign changes are sought
+between neighbouring nodes and panel ends, which lie closer than the
+cells.  Each is refined on the panel's interpolant of its own samples,
+the prefix sum at the panel's left end plus its integral to the probe
+(MomentAccumulator.read); only in a panel whose first Gauss-Kronrod rule
+is rejected are the values integrated afresh (cumulative_at).  All of a
+scan's brackets are refined together by Anderson-Bjorck regula falsi with
+bisection as the fallback, one batched read per round.  A crossing is the
+midpoint of a sign-change bracket of width at most 1e-10 max(1, t), or an
+exact zero.
 """
 
 from __future__ import annotations
@@ -25,10 +30,9 @@ from .moments import (
     MomentPolynomial,
     default_p4,
     integral_of_t_poly,
-    main_term,
     p1_exact,
 )
-from .quadrature import get_accumulator
+from .quadrature import PanelSamples, get_accumulator
 
 TARGETS = ("e1", "e2", "intE2")
 
@@ -51,29 +55,57 @@ class SignChangeReport:
 
 
 def _target_values(target: str, cfg: QuadConfig, t0, t1, poly):
-    """(grid, values, points) for the named error-term function.
+    """(grid, values, brackets, points) for the named error-term function,
+    from one sweep of the accumulator over [t0, t1] (boundary_grid).
 
-    points maps an array of t to the function's values there, through one
-    cumulative query; each value is the one error_term (e1, e2) or
-    integral_of_e2 (intE2) returns at that t.  The grid values are the same
-    formula applied to the grid's cumulative values.
+    values is the function at the cell-boundary grid.  brackets (a, b, fa,
+    fb) are the sign changes between neighbours of the sequence of every
+    panel's left end and its Gauss-Kronrod nodes (and the last right end)
+    in [t0, t1], the nodes read as MomentAccumulator.read_nodes reads them;
+    each lies inside one panel, whose samples are kept.  points maps t
+    inside those panels to the function's values there, read from the
+    kept samples (MomentAccumulator.read).  Each value is cumulative value
+    less T P(log T) (e1, e2), or T v - vu - int t P(log t) (intE2).
     """
     k = 1 if target == "e1" else 2
     acc = get_accumulator(k, cfg)
     poly = poly or (p1_exact() if k == 1 else default_p4())
+    if poly.k != k:
+        raise DomainError("polynomial is for k=%d, not k=%d" % (poly.k, k))
+    coeffs = np.array(poly.coeffs)
 
     def at(ts, v, vu):
         if target == "intE2":
-            return np.array([t * x - xu - integral_of_t_poly(t, poly)
-                             for t, x, xu in zip(ts.tolist(), v.tolist(), vu.tolist())])
-        return np.array([x - main_term(k, t, poly) for t, x in zip(ts.tolist(), v.tolist())])
+            rows = zip(ts.ravel().tolist(), v.ravel().tolist(), vu.ravel().tolist())
+            out = [t * x - xu - integral_of_t_poly(t, poly) for t, x, xu in rows]
+            return np.array(out).reshape(ts.shape)
+        return v - ts * np.polyval(coeffs, np.log(np.where(ts > 0, ts, 1.0)))
+
+    brackets, kept = [(np.zeros(0),) * 4], []
+
+    def visit(s):
+        pv, pu = acc.prefix()[:2]
+        ends = np.append(s.ps, s.ps[-1] + 1)
+        tb = acc.bounds[ends]
+        vb = at(tb, pv[ends], pu[ends])
+        width = s.t.shape[1] + 1
+        ts = np.append(np.column_stack([tb[:-1], s.t]).ravel(), tb[-1])
+        vs = np.append(np.column_stack([vb[:-1], at(s.t, *acc.read_nodes(s))]).ravel(), vb[-1])
+        inside = np.nonzero((ts >= t0) & (ts <= t1))[0]
+        sign = np.sign(vs[inside])
+        flips = inside[:-1][sign[:-1] * sign[1:] < 0]
+        brackets.append((ts[flips], ts[flips + 1], vs[flips], vs[flips + 1]))
+        kept.append(s.take(np.unique(flips // width)))
+
+    bs, cv, cu, _ = acc.boundary_grid(t0, t1, visit)
+    samples = PanelSamples(*map(np.concatenate, zip(*kept)))
+    lefts = acc.bounds[samples.ps]
 
     def points(ts):
-        v, vu, _, _ = acc.cumulative_at(ts)
+        v, vu, _ = acc.read(samples, np.searchsorted(lefts, ts, side="right") - 1, ts)
         return at(ts, v, vu)
 
-    bs, cv, cu, _ = acc.boundary_grid(t0, t1)
-    return bs, at(bs, cv, cu), points
+    return bs, at(bs, cv, cu), tuple(map(np.concatenate, zip(*brackets))), points
 
 
 def _refine_zeros(points, a, b, fa, fb, rel_tol=1e-10, max_rounds=80):
@@ -89,7 +121,9 @@ def _refine_zeros(points, a, b, fa, fb, rel_tol=1e-10, max_rounds=80):
     that budget, however slowly regula falsi converges on it.  A bracket
     closes when its width is at most tol = rel_tol max(1, lo), or at an
     exact zero, where lo = hi; after max_rounds the open brackets are
-    returned as they are.
+    returned as they are.  In a scan, points reads each probe from the
+    kept samples of its bracket's panel (_target_values), so the rounds
+    evaluate Z only inside panels whose first rule is rejected.
     """
     # (x1, f1) is the retained end, (x2, f2) the latest probe; f1 f2 < 0.
     x1, x2 = np.array(a, dtype=float), np.array(b, dtype=float)
@@ -144,17 +178,18 @@ def sign_change_scan(
     """Scan [t0, t1] for +/- A t^e exceedances and sign changes.
 
     Exceedances are read on the cell-boundary grid.  Each sign change
-    between adjacent grid points is reported as the midpoint of a bracket
-    [lo, hi] with width at most 1e-10 max(1, lo) whose ends have opposite
-    signs, or as an exact zero.  Each round is one batched cumulative query
-    over all brackets still open; a bracket takes at most 6 rounds more than
-    bisection would, and the rounds stop at 80.
+    between neighbouring Gauss-Kronrod nodes or panel ends is reported as
+    the midpoint of a bracket [lo, hi] with width at most 1e-10 max(1, lo)
+    whose ends have opposite signs, or as an exact zero.  Each round is one
+    batched read of the kept panel samples over all brackets still open; a
+    bracket takes at most 6 rounds more than bisection would, and the
+    rounds stop at 80.
     """
     if not (0 <= t0 < t1):
         raise DomainError("invalid scan range [%r, %r]" % (t0, t1))
     if target not in TARGETS:
         raise DomainError("unknown scan target %r" % (target,))
-    bs, vals, points = _target_values(target, cfg, t0, t1, poly)
+    bs, vals, (a, b, fa, fb), points = _target_values(target, cfg, t0, t1, poly)
 
     thresh = amplitude * np.power(np.maximum(bs, 1e-300), threshold_exponent)
     plus_idx = np.nonzero(vals > thresh)[0]
@@ -169,9 +204,7 @@ def sign_change_scan(
     exceed_plus = tuple((float(bs[i]), float(vals[i])) for i in thin(plus_idx))
     exceed_minus = tuple((float(bs[i]), float(vals[i])) for i in thin(minus_idx))
 
-    sign = np.sign(vals)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    lo, hi = _refine_zeros(points, bs[flips], bs[flips + 1], vals[flips], vals[flips + 1])
+    lo, hi = _refine_zeros(points, a, b, fa, fb)
     crossings = 0.5 * (lo + hi)
     return SignChangeReport(
         target=target,

@@ -171,6 +171,34 @@ class TestBoundaryGrid:
             assert (v, vu, e) == acc.cumulative_to(t)[:3], t
 
 
+class TestSampleReads:
+    @pytest.mark.parametrize("k, t0, t1", [(1, 100.0, 300.0), (2, 500.0, 700.0)], ids=["em", "rs"])
+    def test_read_agrees_with_cumulative_at(self, k, t0, t1, cfg):
+        # Both add a piece to the same prefix sums, so the pieces differ by
+        # at most the two charges above the prefix bound; on the
+        # Euler-Maclaurin branch also by at most 1e-13 relative.
+        acc = get_accumulator(k, cfg)
+        for s in acc.sweep(t0, t1):
+            r = np.repeat(np.nonzero(s.ok)[0], 3)
+            ts = acc.bounds[s.ps[r]] + np.tile([0.1, 0.5, 0.93], r.size // 3) * 2.0 * s.half[r]
+            v, vu, e = acc.read(s, r, ts)
+            cv, cu, ce, _ = acc.cumulative_at(ts)
+            pe = acc.prefix()[2][s.ps[r]]
+            assert np.all(np.abs(v - cv) <= (e - pe) + (ce - pe))
+            assert np.all(np.abs(vu - cu) <= ts * ((e - pe) + (ce - pe)))
+            if t1 <= zkernel.T_SWITCH:
+                assert np.all(np.abs(v - cv) <= 1e-13 * np.abs(cv))
+
+    def test_node_reads_agree_with_read(self, cfg):
+        acc = get_accumulator(1, cfg)
+        s = next(acc.sweep(200.0, 260.0))
+        v, vu = acc.read_nodes(s)
+        r = np.repeat(np.arange(len(s.ps)), s.t.shape[1])
+        rv, ru, _ = acc.read(s, r, s.t.ravel())
+        assert np.allclose(v.ravel(), rv, rtol=1e-14, atol=0.0)
+        assert np.allclose(vu.ravel(), ru, rtol=1e-14, atol=0.0)
+
+
 class TestRefinement:
     @pytest.mark.parametrize("k", [1, 2])
     def test_four_cell_panels_need_no_refinement(self, k, cfg, monkeypatch):
@@ -179,9 +207,9 @@ class TestRefinement:
         rules = [0]
         real = PanelBatch._panel_pair
 
-        def counted(self, a, b):
+        def counted(self, a, b, *samples):
             rules[0] += int(np.count_nonzero(a >= 4.0 * cfg.w_max))
-            return real(self, a, b)
+            return real(self, a, b, *samples)
 
         monkeypatch.setattr(PanelBatch, "_panel_pair", counted)
         acc = MomentAccumulator(k, cfg)
@@ -218,9 +246,9 @@ class TestPanelBatch:
         pairs = [0]
         real = PanelBatch._panel_pair
 
-        def counted(self, a, b):
+        def counted(self, a, b, *samples):
             pairs[0] += len(a)
-            return real(self, a, b)
+            return real(self, a, b, *samples)
 
         monkeypatch.setattr(PanelBatch, "_panel_pair", counted)
         batch = PanelBatch(acc._integrand, cfg)

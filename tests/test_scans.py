@@ -1,14 +1,16 @@
 """Sign-change scans and the E2 zero-gap table."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from zetalab import scans
+from zetalab import scans, zkernel
+from zetalab.config import QuadConfig
 from zetalab.errors import DomainError
-from zetalab.moments import error_term, integral_of_e2
-from zetalab.quadrature import PanelBatch, get_accumulator
+from zetalab.moments import error_term, integral_of_e2, p1_exact
+from zetalab.quadrature import MomentAccumulator, PanelBatch, _accepts, drop_accumulator, get_accumulator
 from zetalab.scans import SLACK_ROUNDS, _refine_zeros, e2_zero_gap_table, sign_change_scan
 
 # The scalar value of each scan target at t.
@@ -20,10 +22,13 @@ POINT = {
 
 
 def sample(monkeypatch, fn):
-    """Make the scan read fn on a uniform grid in place of its target."""
+    """Make the scan read fn on a uniform grid in place of its target, with
+    its sign changes between grid points as the brackets."""
     def values(target, cfg, t0, t1, poly):
         grid = np.linspace(t0, t1, 4096)
-        return grid, fn(grid), fn
+        v = fn(grid)
+        flips = np.nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)[0]
+        return grid, v, (grid[flips], grid[flips + 1], v[flips], v[flips + 1]), fn
 
     monkeypatch.setattr(scans, "_target_values", values)
 
@@ -83,22 +88,95 @@ class TestSignChangeScan:
             lo, mid, hi = (point(x, cfg) for x in (u - h, u, u + h))
             assert mid == 0.0 or lo * hi < 0, (u, lo, hi)
 
-    def test_refinement_is_batched(self, cfg, monkeypatch):
-        get_accumulator(1, cfg).ensure(700.0)
-        calls = []
-        run = PanelBatch.run
+    @pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+    def test_rounds_read_the_grid_pass_samples(self, strict, cfg, monkeypatch):
+        # After the grid pass the rounds call neither the kernel nor
+        # PanelBatch.run, except cumulative_at's partial panels inside a
+        # panel whose first rule is rejected.
+        if strict:
+            cfg = QuadConfig(panel_rel=1e-12, panel_abs=1e-12)
+        acc = get_accumulator(2, cfg)
+        acc.ensure(700.0)
+        a, b = acc.bounds[:-1], acc.bounds[1:]
+        a, b = a[(b > 500.0) & (a < 650.0)], b[(b > 500.0) & (a < 650.0)]
+        k, _, diff, _, _ = PanelBatch(acc._integrand, cfg)._panel_pair(a, b)
+        rejected = set(a[~_accepts(cfg, k, diff)].tolist())
+        assert bool(rejected) == strict
+        grid_done, runs, in_run, loose_points = [], [], [0], []
+        grid, run, z_block = MomentAccumulator.boundary_grid, PanelBatch.run, zkernel.z_block
 
-        def counted(self, lefts, rights):
-            calls.append(len(lefts))
-            return run(self, lefts, rights)
+        def grid_pass(self, *args):
+            out = grid(self, *args)
+            grid_done.append(True)
+            return out
 
-        monkeypatch.setattr(PanelBatch, "run", counted)
-        rep = sign_change_scan("e1", 500.0, 700.0, math.inf, 0.0, cfg)
-        # the grid reads its cell boundaries from the panels' own samples,
-        # so every run is a refinement round
-        assert len(rep.crossings) > 5
-        assert len(calls) <= 30
-        assert calls[0] == len(rep.crossings)
+        def counted_run(self, lefts, rights, samples=None):
+            if grid_done:
+                runs.append(np.asarray(lefts).tolist())
+            in_run[0] += 1
+            try:
+                return run(self, lefts, rights, samples)
+            finally:
+                in_run[0] -= 1
+
+        def counted_z(t):
+            # a kernel call after the grid pass outside a PanelBatch.run
+            if grid_done and not in_run[0]:
+                loose_points.append(np.size(t))
+            return z_block(t)
+
+        monkeypatch.setattr(MomentAccumulator, "boundary_grid", grid_pass)
+        monkeypatch.setattr(PanelBatch, "run", counted_run)
+        monkeypatch.setattr(zkernel, "z_block", counted_z)
+        rep = sign_change_scan("e2", 500.0, 650.0, math.inf, 0.0, cfg)
+        assert len(rep.crossings) > 3
+        assert loose_points == []
+        assert all(set(lefts) <= rejected for lefts in runs)
+        assert bool(runs) == strict
+
+    def test_scan_evaluates_each_node_once(self, cfg, monkeypatch):
+        points = [0]
+        real = zkernel.z_block
+
+        def counted(t):
+            points[0] += np.size(t)
+            return real(t)
+
+        monkeypatch.setattr(zkernel, "z_block", counted)
+        MomentAccumulator(1, cfg).ensure(2000.0)
+        own = points[0]
+        points[0] = 0
+        drop_accumulator(1, cfg)
+        sign_change_scan("e1", 10.0, 2000.0, 1.0, 0.25, cfg)
+        assert points[0] <= 1.05 * own
+
+    def test_scan_leaves_the_sums_of_a_plain_ensure(self, cfg):
+        drop_accumulator(1, cfg)
+        sign_change_scan("e1", 10.0, 2000.0, 1.0, 0.25, cfg)
+        acc, plain = get_accumulator(1, cfg), MomentAccumulator(1, cfg)
+        plain.ensure(2000.0)
+        assert acc.bounds.tolist() == plain.bounds.tolist()
+        assert [q.tolist() for q in acc._sums()] == [q.tolist() for q in plain._sums()]
+        every = np.arange(len(plain.bounds))
+        assert acc.rows(every) == plain.rows(every)
+
+    def test_crossings_do_not_depend_on_the_window(self, cfg):
+        short = sign_change_scan("e1", 10.0, 1000.0, math.inf, 0.0, cfg).crossings
+        long = sign_change_scan("e1", 10.0, 2000.0, math.inf, 0.0, cfg).crossings
+        assert [c for c in short if c < 990.0] == [c for c in long if c < 990.0]
+
+    def test_every_sign_change_of_a_finer_grid_is_found(self, cfg):
+        # The brackets start at the Gauss-Kronrod nodes, so close pairs of
+        # crossings that the cell grid passes over are found: every sign
+        # change between neighbours of the cells at a quarter of the zero
+        # gap (half the default width) holds an odd number of crossings.
+        crossings = np.array(sign_change_scan("e1", 10.0, 2000.0, math.inf, 0.0, cfg).crossings)
+        fine = dataclasses.replace(cfg, gap_fraction=0.5 * cfg.gap_fraction)
+        bs, cv, _, _ = MomentAccumulator(1, fine).boundary_grid(10.0, 2000.0)
+        sign = np.sign(cv - bs * np.polyval(np.array(p1_exact().coeffs), np.log(bs)))
+        flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+        inside = np.searchsorted(crossings, bs[flips + 1]) - np.searchsorted(crossings, bs[flips])
+        assert len(flips) > 330 and np.all(inside % 2 == 1)
 
     def test_bad_inputs(self, cfg):
         with pytest.raises(DomainError):
