@@ -8,11 +8,11 @@ Rows are boundary-aligned: every stored T is a panel boundary of the mesh
 from 0 (quadrature.panel_mesh), n is the panel count on [0, T], and v =
 int_0^T |Z|^{2k}, vu = int_0^T t |Z|^{2k} and their error bounds e and eu
 are the accumulator's four prefix sums there; digest is the QuadConfig
-digest.  n, vu and eu follow the digest after ';', so a row's five comma
-fields are those of a v1 row (k,T,v,e,digest), which v1 files hold alone.
-Files without the fingerprint line still load.  MomentCheckpoint.rows
-holds a file's rows of one k in this order, (T, v, e, n, vu, eu), the
-order of MomentAccumulator's rows; (T, v, e) for a v1 file.
+digest.  MomentCheckpoint.rows holds a file's rows of one k in this order,
+(T, v, e, n, vu, eu), the order of MomentAccumulator's rows.  Files without
+the fingerprint line still load.  A v1 file (rows k,T,v,e,digest) is
+refused: its writer hashed kernel zk3 and two-cell panels into every
+digest, so no configuration of this version could resume it.
 
 A resume (extend_checkpoint with resume=True) seeds the accumulator with
 the second-to-last stored row (quadrature.MomentAccumulator's origin),
@@ -24,21 +24,17 @@ the seed (an ulp of T, v, vu, e or eu, one way or the other, would give the
 same row above it: MomentAccumulator.pins_origin), the seed moves down one
 stored row at a time, and the panels below the old seed must reproduce it
 bit for bit (MomentAccumulator.front), until the row above the seed
-determines it.  The resume seeds at the origin row (0, 0, 0, 0, 0, 0)
-instead, recomputing [0, T] in full, when the file has one row, when it is
-v1 (no u-sums), or when its fingerprint is missing or differs from
-numeric_fingerprint().  If the process's accumulator already reaches the
-seed row, it is extended instead, and its prefix at the seed must equal the
-row.  A v1 file is resumed from 0, and every stored (T, v, e) of k must
-come back.  So must every stored row of a v2 file written under another
-fingerprint or none.  If such a file holds rows of k alone, it is then
-rewritten as v2 under this fingerprint, through a temporary file synced to
-disk before os.replace puts it in place, so the next resume seeds above 0.
-A v1 file that also holds rows of another k, which have no u-sums to seed
-from, stays v1 and the new rows are appended as v1 rows: every k in it
-resumes from 0, as before v2.  A v2 file of several k under another
-fingerprint keeps its fingerprint line, and each of its k resumes from 0.
-No file mixes the two formats.
+determines it.  If the process's accumulator already reaches the seed row,
+it is extended instead, and its prefix at the seed must equal the row.
+
+A resume starts at the origin row (0, 0, 0, 0, 0, 0) instead when the file
+has one row of k, or when its fingerprint is missing or differs from
+numeric_fingerprint().  It integrates through every stored row of k then,
+and requires every one of them back.  A file of another fingerprint or
+none that holds rows of k alone is then rewritten under this fingerprint,
+through a temporary file synced to disk before os.replace puts it in
+place, so the next resume seeds above 0.  One that also holds rows of
+another k keeps its fingerprint line, and each of its k resumes from 0.
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ from .quadrature import (
     ORIGIN, MomentAccumulator, drop_accumulator, get_accumulator, numeric_fingerprint)
 
 HEADER = "# zetalab-checkpoint v2"
-HEADER_V1 = "# zetalab-checkpoint v1"
 FINGERPRINT_PREFIX = "# fingerprint: "
 
 
@@ -71,9 +66,9 @@ class Resume:
 @dataclass
 class MomentCheckpoint:
     k: int
-    rows: list  # [(T, v, e, n, vu, eu), ...] strictly increasing T, as stored; (T, v, e) in a v1 file
+    rows: list  # [(T, v, e, n, vu, eu), ...] strictly increasing T, as stored
     config_digest: str
-    fingerprint: str | None = None  # None for files written before it was recorded
+    fingerprint: str | None = None  # None if the file records none, or extend_checkpoint read no rows of k
     other_rows: int | None = None  # rows of other k in the file, as read_checkpoint counted them
     resume: Resume | None = None  # set by extend_checkpoint when it resumed
 
@@ -84,17 +79,14 @@ class MomentCheckpoint:
 
     def validate(self):
         prev = (-1.0, -1.0, -1, -1.0)  # T, v, n, vu of the row before
-        for t, v, e, *more in self.rows:
-            n, vu, eu = more or (None, None, None)
+        for t, v, e, n, vu, eu in self.rows:
             for broken, what, invariant in (
                 (t <= prev[0], "checkpoint T not strictly increasing", "strictly-increasing-T"),
                 (v < prev[1], "cumulative value decreased", "non-decreasing-value"),
                 (e < 0, "negative error bound", "nonnegative-err"),
-                (n is not None and n <= prev[2], "panel count not strictly increasing",
-                 "strictly-increasing-n"),
-                (vu is not None and vu < prev[3], "u-weighted cumulative value decreased",
-                 "non-decreasing-value-u"),
-                (eu is not None and eu < 0, "negative u-weighted error bound", "nonnegative-err-u"),
+                (n <= prev[2], "panel count not strictly increasing", "strictly-increasing-n"),
+                (vu < prev[3], "u-weighted cumulative value decreased", "non-decreasing-value-u"),
+                (eu < 0, "negative u-weighted error bound", "nonnegative-err-u"),
             ):
                 if broken:
                     raise DataValidationError("%s at T=%r" % (what, t), invariant=invariant)
@@ -109,9 +101,11 @@ def read_checkpoint(path: str, k: int) -> MomentCheckpoint | None:
     other_rows = 0
     with open(path) as fh:
         first = fh.readline().rstrip("\n")
-        if first not in (HEADER, HEADER_V1):
+        if first == "# zetalab-checkpoint v1":
+            raise DataParseError("checkpoint format v1 is no longer read: its digests name kernel zk3 "
+                                 "and two-cell panels, which no configuration reproduces", line=1)
+        if first != HEADER:
             raise DataParseError("bad checkpoint header %r" % first, line=1)
-        v2 = first == HEADER
         for lineno, raw in enumerate(fh, 2):
             line = raw.strip()
             if line.startswith(FINGERPRINT_PREFIX):
@@ -122,13 +116,12 @@ def read_checkpoint(path: str, k: int) -> MomentCheckpoint | None:
             if len(parts) != 5:
                 raise DataParseError("expected 5 fields", line=lineno)
             d, *extra = parts[4].split(";")
-            if len(extra) != 3 * v2:
-                raise DataParseError("expected %d ';' fields after the digest" % (3 * v2), line=lineno)
+            if len(extra) != 3:
+                raise DataParseError("expected 3 ';' fields after the digest", line=lineno)
             try:
                 rk = int(parts[0])
-                row = (float(parts[1]), float(parts[2]), float(parts[3]))
-                if v2:
-                    row += (int(extra[0]), float(extra[1]), float(extra[2]))
+                row = (float(parts[1]), float(parts[2]), float(parts[3]),
+                       int(extra[0]), float(extra[1]), float(extra[2]))
             except ValueError as exc:
                 raise DataParseError(str(exc), line=lineno) from exc
             if rk != k:
@@ -137,9 +130,7 @@ def read_checkpoint(path: str, k: int) -> MomentCheckpoint | None:
             if digest is None:
                 digest = d
             elif d != digest:
-                raise DataValidationError(
-                    "mixed config digests for k=%d" % k, invariant="single-digest"
-                )
+                raise DataValidationError("mixed config digests for k=%d" % k, invariant="single-digest")
             rows.append(row)
     if not rows:
         return None
@@ -148,34 +139,22 @@ def read_checkpoint(path: str, k: int) -> MomentCheckpoint | None:
     return cp
 
 
-def _head(path: str):
-    """(whether path is a v1 file, the fingerprint it records or None); a
-    file not yet written will be v2 and record numeric_fingerprint()."""
-    if not os.path.exists(path):
-        return False, numeric_fingerprint()
-    with open(path) as fh:
-        first, second = fh.readline().rstrip("\n"), fh.readline().strip()
-    recorded = second[len(FINGERPRINT_PREFIX):] if second.startswith(FINGERPRINT_PREFIX) else None
-    return first == HEADER_V1, recorded
-
-
 def _write(fh, k: int, rows, digest: str, header: bool):
     if header:
         fh.write(HEADER + "\n" + FINGERPRINT_PREFIX + numeric_fingerprint() + "\n")
-    for t, v, e, *more in rows:
-        fh.write("%d,%r,%r,%r,%s%s\n" % (k, t, v, e, digest, ";%d;%r;%r" % tuple(more) if more else ""))
+    for t, v, e, n, vu, eu in rows:
+        fh.write("%d,%r,%r,%r,%s;%d;%r;%r\n" % (k, t, v, e, digest, n, vu, eu))
 
 
 def _append_rows(path: str, k: int, rows, digest: str):
-    """Append rows (T, v, e, n, vu, eu), or (T, v, e) to a v1 file, writing
-    the v2 header to a new file."""
+    """Append rows (T, v, e, n, vu, eu), writing the header to a new file."""
     new_file = not os.path.exists(path)
     with open(path, "a") as fh:
         _write(fh, k, rows, digest, new_file)
 
 
 def _rewrite(path: str, k: int, rows, digest: str):
-    """Replace path by a v2 file of rows, written to a temporary file and
+    """Replace path by a file of rows, written to a temporary file and
     synced to disk before it takes the place of path."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -201,42 +180,36 @@ def _row_indices(acc: MomentAccumulator, t_from: float, t_target: float, step: f
     return i[acc.bounds[i] > t_from]
 
 
-def _verify(acc: MomentAccumulator, stored: MomentCheckpoint, seed, seeded: bool, every: bool):
+def _verify(acc: MomentAccumulator, stored: MomentCheckpoint, seed, seeded: bool):
     """Require the stored rows back from acc, as the module docstring says:
-    every one of them if every (a resume from 0 of a file that will be
-    rewritten, or of a v1 file), else the last.
+    every one of them if the resume starts at the origin, else the last.
 
-    Returns the rows (rebuilt from acc if every) and the seed row.  A
-    new accumulator seeded at a row (seeded) is moved down a row at a time
-    (front) until the row above its origin determines the origin
-    (pins_origin): the fold can absorb an ulp of the seed, and then the
-    last row alone would not show that the seed is off.
+    Returns the seed row.  A new accumulator seeded at a row (seeded) is
+    moved down a row at a time (front) until the row above its origin
+    determines the origin (pins_origin): the fold can absorb an ulp of the
+    seed, and then the last row alone would not show that the seed is off.
     """
     here = numeric_fingerprint()
 
-    def reproduce(t, want, got):
-        if got != want:
-            msg = "stored prefix at T=%r does not reproduce under digest %s" % (t, stored.config_digest)
+    def reproduce(want):
+        if _row_at(acc, want[0]) != want:
+            msg = "stored prefix at T=%r does not reproduce under digest %s" % (want[0], stored.config_digest)
             if stored.fingerprint != here:
                 msg += "; written under numeric fingerprint %s, running under %s" % (
                     stored.fingerprint or "(not recorded)", here)
             raise CheckpointMismatch(msg)
 
     rows = stored.rows
-    reproduce(seed[0], seed, _row_at(acc, seed[0]))
+    reproduce(seed)
     acc.ensure(rows[-1][0])
-    if every:
-        rows = [_row_at(acc, row[0]) for row in stored.rows]
-        for want, got in zip(stored.rows, rows):
-            reproduce(want[0], want, got and got[: len(want)])
-    else:
-        reproduce(rows[-1][0], rows[-1], _row_at(acc, rows[-1][0]))
+    for want in rows if seed is ORIGIN else rows[-1:]:
+        reproduce(want)
     j = len(rows) - 2
     while seeded and acc.base > 0 and not acc.pins_origin(acc.index(rows[j + 1][0])):
         j -= 1
         seed = rows[j] if j >= 0 else ORIGIN
         acc.front(seed)
-    return rows, seed
+    return seed
 
 
 def extend_checkpoint(path: str, k: int, t_target: float, cfg: QuadConfig, resume: bool = True):
@@ -248,24 +221,22 @@ def extend_checkpoint(path: str, k: int, t_target: float, cfg: QuadConfig, resum
     verifies the stored rows as the module docstring says before writing;
     the checkpoint's resume field says what the resume did.
     """
-    if not resume and os.path.exists(path):
+    existed = os.path.exists(path)
+    if not resume and existed:
         raise CheckpointMismatch(
-            "checkpoint %s already exists; extend it with --resume or choose another path" % path
-        )
+            "checkpoint %s already exists; extend it with --resume or choose another path" % path)
     digest = cfg.digest()
     stored = read_checkpoint(path, k)
     if stored is not None and stored.config_digest != digest:
         raise CheckpointMismatch(
-            "checkpoint digest %s != active config digest %s"
-            % (stored.config_digest, digest)
-        )
-    v1, fingerprint = _head(path)
+            "checkpoint digest %s != active config digest %s" % (stored.config_digest, digest))
+    here = numeric_fingerprint()
     rows = stored.rows if stored else []
-    foreign = fingerprint != numeric_fingerprint()
-    seed = rows[-2] if len(rows) > 1 and not v1 and not foreign else ORIGIN
-    # a v1 file, or one written under another fingerprint, that holds rows
-    # of k alone is rewritten as v2 under this one once every row is back
-    rewrite = stored is not None and not stored.other_rows and (v1 or foreign)
+    foreign = stored is not None and stored.fingerprint != here
+    seed = rows[-2] if len(rows) > 1 and not foreign else ORIGIN
+    # a file of another fingerprint or none that holds rows of k alone is
+    # rewritten under this one once every row is back
+    rewrite = foreign and not stored.other_rows
     last_t = rows[-1][0] if rows else 0.0
 
     acc = get_accumulator(k, cfg, seed)
@@ -273,7 +244,7 @@ def extend_checkpoint(path: str, k: int, t_target: float, cfg: QuadConfig, resum
     seeded = acc.base > 0 and acc.bounds.size == 1  # a new accumulator at the seed row
     if stored is not None:
         try:
-            rows, seed = _verify(acc, stored, seed, seeded, v1 or rewrite)
+            seed = _verify(acc, stored, seed, seeded)
         except CheckpointMismatch:
             if seeded:  # no later query may start from an unverified row
                 drop_accumulator(k, cfg)
@@ -283,12 +254,9 @@ def extend_checkpoint(path: str, k: int, t_target: float, cfg: QuadConfig, resum
 
     if rewrite:
         _rewrite(path, k, rows + new_rows, digest)
-        fingerprint = numeric_fingerprint()
-    else:
-        if v1:  # it also holds rows of another k: it stays v1
-            rows, new_rows = [r[:3] for r in rows], [r[:3] for r in new_rows]
-        if new_rows:
-            _append_rows(path, k, new_rows, digest)
+    elif new_rows:
+        _append_rows(path, k, new_rows, digest)
+    fingerprint = here if rewrite or not existed else stored and stored.fingerprint
     cp = MomentCheckpoint(k, rows + new_rows, digest, fingerprint, stored and stored.other_rows)
     if stored is not None:
         cp.resume = Resume(seed[0], last_t, max(acc.index(last_t), 0) - held)

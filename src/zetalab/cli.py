@@ -59,7 +59,7 @@ class _Out:
         if not self.header_done:
             self.stream.write(",".join(self.columns) + "\n")
             self.header_done = True
-        self.stream.write(",".join(_fmt(v) for v in values) + "\n")
+        self.stream.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in values) + "\n")
 
     def close(self):
         if self.fmt == "jsonl" and self.notes:
@@ -68,10 +68,23 @@ class _Out:
             self.stream.close()
 
 
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _float_list(positive=False):
+    """argparse type: comma-separated finite floats, at least one, each
+    > 0 if positive."""
+
+    def parse(text):
+        try:
+            values = [float(x) for x in text.split(",") if x.strip()]
+        except ValueError:
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError("expected comma-separated numbers, got %r" % text)
+        for x in values:
+            if not math.isfinite(x) or positive and x <= 0:
+                raise argparse.ArgumentTypeError("%r is not %s" % (x, "> 0" if math.isfinite(x) else "finite"))
+        return values
+
+    return parse
 
 
 def _add_common(p):
@@ -118,7 +131,7 @@ def build_parser():
 
     p = sub.add_parser("laplace", help="L_k(s) over an s grid")
     p.add_argument("--k", required=True, type=int, choices=(1, 2))
-    p.add_argument("--s-grid", required=True,
+    p.add_argument("--s-grid", required=True, type=_float_list(),
                    help="comma-separated positive sigma values")
     p.add_argument("--main-term", action="store_true",
                    help="also print the main term: Kober's at sigma = s/2 for k=1, "
@@ -127,7 +140,8 @@ def build_parser():
 
     p = sub.add_parser("explore", help="exploratory tables (mean-square E2, E2 zero gaps)")
     p.add_argument("--table", required=True, choices=("meansq-e2", "e2-gaps"))
-    p.add_argument("--T-list", help="comma-separated T values (meansq-e2)")
+    p.add_argument("--T-list", type=_float_list(positive=True), default="250,500,1000,2000",
+                   help="comma-separated T values (meansq-e2)")
     p.add_argument("--from", dest="t0", type=float, default=500.0)
     p.add_argument("--to", dest="t1", type=float, default=3000.0)
     _add_common(p)
@@ -164,7 +178,10 @@ def main(argv=None) -> int:
     except ZetalabError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    return 0
+    except OSError as exc:  # a file named on the command line or in the config
+        print("data-error: %s" % (exc if exc.filename is None else "%s: %s" % (exc.filename, exc.strerror)),
+              file=sys.stderr)
+        return EXIT_DATA
 
 
 def _dispatch(args) -> int:
@@ -207,13 +224,12 @@ def _dispatch(args) -> int:
     if args.command == "laplace":
         from .laplace import atkinson_expansion, kober_main, laplace_moment_grid
 
-        svals = [float(s) for s in args.s_grid.split(",") if s.strip()]
-        results = laplace_moment_grid(args.k, svals, cfg)
+        results = laplace_moment_grid(args.k, args.s_grid, cfg)
         cols = ["s", "L_k", "err_bound", "panels"]
         if args.main_term:
             cols += ["main_term", "difference"]
         rows = []
-        for s, r in zip(svals, results):
+        for s, r in zip(args.s_grid, results):
             rows.append([s, r.value, r.err_bound, r.panels])
             if args.main_term:
                 mt = kober_main(s / 2.0) if args.k == 1 else atkinson_expansion(s)
@@ -250,21 +266,16 @@ def _cmd_moment(args, run_cfg, cfg) -> int:
             print("checkpoint %s is locked by another process" % path, file=sys.stderr)
             return EXIT_DATA
         try:
-            notes, row = [], [0.0, 0.0, 0.0, 0.0, 0.0]
-            if args.T != 0:
-                cp, (value, err) = extend_checkpoint(path, args.k, args.T, cfg, resume=args.resume)
-                poly = p1_exact() if args.k == 1 else default_p4()
-                mt = main_term(args.k, args.T, poly)
-                notes.append("checkpoint=%s rows=%d digest=%s" % (path, len(cp.grid), cp.config_digest))
-                if cp.resume is not None:
-                    notes.append("resume: seed T=%r, verified T=%r, %d panels integrated at or below it"
-                                 % (cp.resume.seed_t, cp.resume.verified_t, cp.resume.panels))
-                notes.append("P%d provenance: %s" % (args.k * args.k, ",".join(poly.provenance)))
-                row = [args.T, value, mt, value - mt, err]
+            cp, (value, err) = extend_checkpoint(path, args.k, args.T, cfg, resume=args.resume)
+            poly = p1_exact() if args.k == 1 else default_p4()
+            mt = main_term(args.k, args.T, poly)
             out = _open_out(args, run_cfg, ["T", "integral", "main_term", "E", "err_bound"])
-            for note in notes:
-                out.comment(note)
-            out.row(row)
+            out.comment("checkpoint=%s rows=%d digest=%s" % (path, len(cp.grid), cp.config_digest))
+            if cp.resume is not None:
+                out.comment("resume: seed T=%r, verified T=%r, %d panels integrated at or below it"
+                            % (cp.resume.seed_t, cp.resume.verified_t, cp.resume.panels))
+            out.comment("P%d provenance: %s" % (args.k * args.k, ",".join(poly.provenance)))
+            out.row([args.T, value, mt, value - mt, err])
             out.close()
             return 0
         finally:
@@ -299,8 +310,7 @@ def _cmd_explore(args, run_cfg, cfg) -> int:
     if args.table == "meansq-e2":
         from .moments import mean_square_e2
 
-        ts = sorted(float(x) for x in (args.T_list or "250,500,1000,2000").split(","))
-        _, table = mean_square_e2(max(ts), cfg, snapshots=ts)
+        _, table = mean_square_e2(max(args.T_list), cfg, snapshots=sorted(args.T_list))
         out = _open_out(args, run_cfg, ["T", "int_E2_sq", "ratio_T2"])
         for t, v, ratio in table:
             out.row([t, v, ratio])

@@ -6,9 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from zetalab import moments, quadrature
-from zetalab.checkpoint import (
-    FINGERPRINT_PREFIX, HEADER, HEADER_V1, MomentCheckpoint, extend_checkpoint, read_checkpoint)
+from zetalab import cli, moments, quadrature
+from zetalab.checkpoint import FINGERPRINT_PREFIX, HEADER, MomentCheckpoint, extend_checkpoint, read_checkpoint
 from zetalab.config import QuadConfig
 from zetalab.errors import CheckpointMismatch, DataParseError, DataValidationError
 from zetalab.quadrature import clear_accumulators, get_accumulator, numeric_fingerprint
@@ -100,16 +99,31 @@ class TestCheckpointFile:
 
     def test_malformed_row(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("# zetalab-checkpoint v1\n1,xx,1.0,0.0,deadbeef\n")
+        path.write_text("%s\n1,xx,1.0,0.0,deadbeef;1;1.0;0.0\n" % HEADER)
         with pytest.raises(DataParseError) as ei:
             read_checkpoint(str(path), 1)
         assert ei.value.line == 2
 
+    def test_v1_header_refused(self, tmp_path, cfg, capsys):
+        path = tmp_path / "v1.txt"
+        path.write_text("# zetalab-checkpoint v1\n%s%s\n1,100.0,90.0,0.0,%s\n"
+                        % (FINGERPRINT_PREFIX, numeric_fingerprint(), cfg.digest()))
+        before = path.read_bytes()
+        with pytest.raises(DataParseError, match="v1 is no longer read") as ei:
+            read_checkpoint(str(path), 1)
+        assert ei.value.line == 1
+        out = tmp_path / "out.csv"
+        argv = ["moment", "--k", "1", "--T", "300", "--checkpoint", str(path), "--resume", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert "v1 is no longer read" in capsys.readouterr().err
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v1.txt"]
+
     def test_invariants_validated(self):
         with pytest.raises(DataValidationError):
-            MomentCheckpoint(1, [(10.0, 1.0, 0.0), (5.0, 2.0, 0.0)], "d").validate()
+            MomentCheckpoint(1, [(10.0, 1.0, 0.0, 3, 1.0, 0.0), (5.0, 2.0, 0.0, 5, 2.0, 0.0)], "d").validate()
         with pytest.raises(DataValidationError):
-            MomentCheckpoint(1, [(5.0, 2.0, 0.0), (10.0, 1.0, 0.0)], "d").validate()
+            MomentCheckpoint(1, [(5.0, 2.0, 0.0, 3, 1.0, 0.0), (10.0, 1.0, 0.0, 5, 2.0, 0.0)], "d").validate()
 
     def test_grid_monotone(self, tmp_path, cfg):
         path = str(tmp_path / "cp.txt")
@@ -129,10 +143,6 @@ def _write_and_reseed(path, k, t_first, t_resume, cfg, fresh):
     fresh()
     cp2, value = extend_checkpoint(path, k, t_resume, cfg, resume=True)
     return cp1, cp2, value
-
-
-def _v2_rows(text):
-    return [line for line in text.splitlines() if not line.startswith("#") and ";" in line]
 
 
 class TestSeededResume:
@@ -239,14 +249,14 @@ class TestSeededResume:
         with pytest.raises(CheckpointMismatch, match="does not reproduce"):
             acc.cumulative_to(100.0)
 
-    def test_v1_file_resumes_and_is_rewritten_as_v2(self, tmp_path, cfg, fresh, monkeypatch):
-        v2 = tmp_path / "v2.txt"
-        cp, _ = extend_checkpoint(str(v2), 1, 500.0, cfg)
-        v1 = tmp_path / "v1.txt"
-        lines = [HEADER_V1, FINGERPRINT_PREFIX + numeric_fingerprint()]
-        lines += ["1,%r,%r,%r,%s" % (t, v, e, cp.config_digest) for t, v, e in cp.grid]
-        v1.write_text("\n".join(lines) + "\n")
-        assert read_checkpoint(str(v1), 1).grid == cp.grid
+    @pytest.mark.parametrize("line", [FINGERPRINT_PREFIX + "forged host", None])
+    def test_file_of_another_fingerprint_is_rewritten_so_the_next_resume_seeds(
+            self, tmp_path, cfg, fresh, monkeypatch, line):
+        path = tmp_path / "cp.txt"
+        extend_checkpoint(str(path), 1, 1000.0, cfg)
+        lines = path.read_text().splitlines()
+        lines[1:2] = [line] if line else []
+        path.write_text("\n".join(lines) + "\n")
         fresh()
         calls = []
 
@@ -256,27 +266,9 @@ class TestSeededResume:
 
         for name in ("fsync", "replace"):
             monkeypatch.setattr(os, name, spy(name))
-        resumed, value = extend_checkpoint(str(v1), 1, 1000.0, cfg, resume=True)
+        first, _ = extend_checkpoint(str(path), 1, 1300.0, cfg, resume=True)
         monkeypatch.undo()
         assert calls == ["fsync", "replace"]  # the new file is on disk before it replaces the old one
-        assert resumed.resume.seed_t == 0.0
-        fresh()
-        whole, fresh_value = extend_checkpoint(str(tmp_path / "fresh.txt"), 1, 1000.0, cfg)
-        assert v1.read_text().splitlines()[0] == HEADER
-        assert v1.read_text() == (tmp_path / "fresh.txt").read_text()
-        assert (resumed.rows, value) == (whole.rows, fresh_value)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.txt", "v1.txt", "v2.txt"]
-
-    @pytest.mark.parametrize("line", [FINGERPRINT_PREFIX + "forged host", None])
-    def test_file_of_another_fingerprint_is_rewritten_so_the_next_resume_seeds(
-            self, tmp_path, cfg, fresh, line):
-        path = tmp_path / "cp.txt"
-        extend_checkpoint(str(path), 1, 1000.0, cfg)
-        lines = path.read_text().splitlines()
-        lines[1:2] = [line] if line else []
-        path.write_text("\n".join(lines) + "\n")
-        fresh()
-        first, _ = extend_checkpoint(str(path), 1, 1300.0, cfg, resume=True)
         assert first.resume.seed_t == 0.0
         assert path.read_text().splitlines()[1] == FINGERPRINT_PREFIX + numeric_fingerprint()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cp.txt"]
@@ -302,41 +294,24 @@ class TestSeededResume:
             extend_checkpoint(str(path), 1, 1200.0, cfg, resume=True)
         assert path.read_bytes() == before
 
-    def test_v1_file_of_one_k_takes_rows_of_another_k_and_stays_v1(self, tmp_path, cfg, fresh):
-        path = tmp_path / "v1.txt"
-        cp1, _ = extend_checkpoint(str(tmp_path / "v2.txt"), 1, 500.0, cfg)
-        lines = [HEADER_V1, FINGERPRINT_PREFIX + numeric_fingerprint()]
-        lines += ["1,%r,%r,%r,%s" % (t, v, e, cfg.digest()) for t, v, e in cp1.grid]
+    def test_file_of_another_fingerprint_and_two_k_must_give_every_row_back(self, tmp_path, cfg, fresh):
+        path = tmp_path / "cp.txt"
+        cp1, _ = extend_checkpoint(str(path), 1, 1000.0, cfg)
+        cp2, _ = extend_checkpoint(str(path), 2, 300.0, cfg, resume=True)  # a file of k = 1 takes k = 2
+        assert cp2.resume is None and read_checkpoint(str(path), 1).rows == cp1.rows
+        assert read_checkpoint(str(path), 2).rows == cp2.rows
+        lines = path.read_text().splitlines()
+        lines[1] = FINGERPRINT_PREFIX + "forged host"
+        k1 = [i for i, line in enumerate(lines) if line.startswith("1,")]
+        i = k1[len(k1) // 2]
+        k, t, v, rest = lines[i].split(",", 3)
+        lines[i] = ",".join([k, t, repr(float(v) * (1 + 1e-9)), rest])
         path.write_text("\n".join(lines) + "\n")
-        before = path.read_text()
+        before = path.read_bytes()
         fresh()
-        cp2, _ = extend_checkpoint(str(path), 2, 300.0, cfg, resume=True)
-        text = path.read_text()
-        assert text.startswith(before) and not _v2_rows(text)
-        assert read_checkpoint(str(path), 1).grid == cp1.grid
-        assert read_checkpoint(str(path), 2).grid == cp2.grid
-        assert cp2.resume is None
-        fresh()
-        assert cp2.grid == extend_checkpoint(str(tmp_path / "k2.txt"), 2, 300.0, cfg)[0].grid
-
-    def test_each_k_of_a_v1_file_resumes_from_0(self, tmp_path, cfg, fresh):
-        path = tmp_path / "v1.txt"
-        rows = {}
-        for k, t in ((1, 500.0), (2, 300.0)):
-            fresh()
-            rows[k] = extend_checkpoint(str(tmp_path / ("k%d.txt" % k)), k, t, cfg)[0].grid
-        lines = [HEADER_V1, FINGERPRINT_PREFIX + numeric_fingerprint()]
-        lines += ["%d,%r,%r,%r,%s" % (k, t, v, e, cfg.digest()) for k in (1, 2) for t, v, e in rows[k]]
-        path.write_text("\n".join(lines) + "\n")
-        for k, t in ((1, 700.0), (2, 450.0)):
-            fresh()
-            cp, value = extend_checkpoint(str(path), k, t, cfg, resume=True)
-            assert cp.resume.seed_t == 0.0 and cp.resume.verified_t == rows[k][-1][0]
-            fresh()
-            whole, fresh_value = extend_checkpoint(str(tmp_path / ("k%d-fresh.txt" % k)), k, t, cfg)
-            assert (cp.grid, value) == (whole.grid, fresh_value)
-            assert read_checkpoint(str(path), k).grid == whole.grid
-        assert not _v2_rows(path.read_text())
+        with pytest.raises(CheckpointMismatch, match="T=%s does not reproduce.*forged host" % t):
+            extend_checkpoint(str(path), 1, 1200.0, cfg, resume=True)
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize("sums, invariant", [
         ([(3, 1.0, 0.0), (3, 2.0, 0.0)], "strictly-increasing-n"),
@@ -352,7 +327,7 @@ class TestSeededResume:
 
     def test_negative_err_named(self):
         with pytest.raises(DataValidationError) as ei:
-            MomentCheckpoint(1, [(5.0, 1.0, 0.0), (10.0, 2.0, -1.0)], "d").validate()
+            MomentCheckpoint(1, [(5.0, 1.0, 0.0, 3, 1.0, 0.0), (10.0, 2.0, -1.0, 5, 2.0, 0.0)], "d").validate()
         assert ei.value.invariant == "nonnegative-err"
 
     def test_row_without_the_v2_columns_refused(self, tmp_path, cfg):

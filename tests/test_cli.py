@@ -121,6 +121,21 @@ class TestMoment:
         assert cli.main(argv + ["--resume"]) == 0
         assert not (tmp_path / "m.ckpt.lock").exists()
 
+    def test_t_0_takes_the_path_of_every_t(self, tmp_path, capsys):
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "moment.csv"
+        argv = ["moment", "--k", "1", "--T", "0", "--checkpoint", str(ckpt), "--out", str(out)]
+        assert cli.main(argv) == 0
+        lines = out.read_text().splitlines()
+        assert lines[-1] == "0.0,0.0,0.0,0.0,0.0"
+        assert any(line.startswith("# checkpoint=%s rows=0 " % ckpt) for line in lines)
+        assert any(line.startswith("# P1 provenance: ") for line in lines)
+        assert cli.main(argv[:4] + ["300"] + argv[5:]) == 0
+        before = ckpt.read_bytes()
+        assert cli.main(argv) == cli.EXIT_DATA  # an existing file without --resume, as for any T
+        assert "--resume" in capsys.readouterr().err and ckpt.read_bytes() == before
+        assert cli.main(argv + ["--resume"]) == 0
+        assert out.read_text().splitlines()[-1] == "0.0,0.0,0.0,0.0,0.0" and ckpt.read_bytes() == before
+
     def test_a_run_removes_its_lock_and_a_held_lock_refuses(self, tmp_path, capsys):
         ckpt, lock = tmp_path / "m.ckpt", tmp_path / "m.ckpt.lock"
         out = tmp_path / "moment.csv"
@@ -288,4 +303,34 @@ class TestNonFiniteInput:
     def test_laplace_s(self, tmp_path, capsys, s):
         argv = ["laplace", "--k", "2", "--s-grid", s, "--out", str(tmp_path / "out.csv")]
         assert cli.main(argv) == cli.EXIT_USAGE
-        assert "s must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "argument --s-grid: " in err and "is not finite" in err
+
+
+class TestExitCodes:
+    """Bad input exits 2 (usage) or 4 (data) with one error line that names
+    the option or the path, never with a traceback."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["laplace", "--k", "1", "--s-grid", "0.5,abc"], "argument --s-grid"),
+        (["laplace", "--k", "1", "--s-grid", ""], "argument --s-grid"),
+        (["explore", "--table", "meansq-e2", "--T-list", "100,x"], "argument --T-list"),
+        (["explore", "--table", "meansq-e2", "--T-list", "-5"], "argument --T-list: -5.0 is not > 0"),
+        (["zeta", "--t", "10", "--config", "{tmp}/nope.cfg"], "data-error: {tmp}/nope.cfg: "),
+        (["motohashi", "--T", "200", "--delta", "20", "--spectral", "{tmp}/nope.txt"],
+         "data-error: {tmp}/nope.txt: "),
+        (["zeta", "--t", "10", "--out", "{tmp}/no/x.csv"], "data-error: {tmp}/no/x.csv: "),
+        (["moment", "--k", "1", "--T", "10", "--checkpoint", "{tmp}/no/c.txt"],
+         "data-error: {tmp}/no/c.txt.lock: "),
+        (["moment", "--k", "1", "--T", "300", "--checkpoint", "{tmp}/v1.txt", "--resume"],
+         "v1 is no longer read"),
+        (["moment", "--k", "1", "--T", "nan", "--checkpoint", "{tmp}/c.txt"], "is not finite"),
+    ], ids=["s-grid-word", "s-grid-empty", "T-list-word", "T-list-negative", "config", "spectral",
+            "out", "checkpoint-dir", "checkpoint-v1", "T-nan"])
+    def test_bad_input_exits_2_or_4_with_one_error_line(self, tmp_path, capsys, argv, named):
+        (tmp_path / "v1.txt").write_text("# zetalab-checkpoint v1\n1,100.0,90.0,0.0,deadbeef\n")
+        code = cli.main([a.format(tmp=tmp_path) for a in argv])
+        err = capsys.readouterr().err
+        assert code in (cli.EXIT_USAGE, cli.EXIT_DATA)
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert named.format(tmp=tmp_path) in err and "Traceback" not in err
