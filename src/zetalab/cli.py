@@ -10,6 +10,7 @@ computed, so a refused command writes none.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -157,6 +158,21 @@ def _config_from(args) -> RunConfig:
     return cfg
 
 
+def _check_out(path):
+    """Raise the OSError that opening path for writing would raise for a
+    missing directory, a directory or no write permission, creating nothing."""
+    where = os.path.dirname(path) or "."
+    if not os.path.isdir(where):
+        code = errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.access(path if os.path.exists(path) else where, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _open_out(args, run_cfg, columns):
     stream = open(args.out, "w") if args.out else sys.stdout
     out = _Out(run_cfg.output_format, columns, stream)
@@ -252,6 +268,8 @@ def _cmd_moment(args, run_cfg, cfg) -> int:
     from .checkpoint import extend_checkpoint
     from .moments import default_p4, main_term, p1_exact
 
+    if args.out:  # before the checkpoint is touched, which a refusal would leave behind
+        _check_out(args.out)
     path = run_cfg.checkpoint_path
     lock_path = path + ".lock"
     with open(lock_path, "w") as lock:

@@ -2,9 +2,10 @@
 small-sigma expansions they are compared against (Kober for k=1, the
 quartic-log main term for k=2, the Laplace transform of d(T P4(log T))).
 
-Evaluation streams over the shared deterministic panel mesh
-(quadrature.panel_mesh) in fixed-size chunks, so a whole sigma grid costs one
-kernel pass; per-sigma totals only use panels inside that sigma's own
+Evaluation streams over the panels of the mesh from 0 in fixed-size chunks
+and reads Z at their nodes from the process's store (quadrature.get_store),
+so a whole sigma grid evaluates no node that an accumulator or another grid
+has evaluated; per-sigma totals only use panels inside that sigma's own
 truncation range, making each value independent of how calls are batched.
 """
 
@@ -22,7 +23,7 @@ from .constants import constants_for
 from .errors import DomainError
 from .moments import default_p4
 from .precision import DEFAULT_CTX
-from .quadrature import IntegralResult, kronrod_rule, kronrod_sums, panel_mesh, panel_nodes
+from .quadrature import IntegralResult, get_store, kronrod_rule, kronrod_sums
 from .zkernel import moment_integrand
 
 CHUNK = 1024
@@ -47,7 +48,7 @@ def _tail_bound(k: int, sigma: float, x: float, cfg: QuadConfig) -> float:
 
 
 def laplace_moment_grid(k: int, s_values, cfg: QuadConfig = QuadConfig()):
-    """L_k(s) for every s in s_values, sharing one streaming kernel pass.
+    """L_k(s) for every s in s_values, sharing one pass over the store's samples.
 
     Each value uses exactly the panels inside its own truncation range, so
     results equal the single-call ones regardless of grid composition.
@@ -65,7 +66,8 @@ def laplace_moment_grid(k: int, s_values, cfg: QuadConfig = QuadConfig()):
 
     # Deterministic panels from 0; per-s panel counts, then global bound.
     x_needed = [_truncation_x(k, s.real, cfg) for s in ss]
-    bounds = panel_mesh(0.0, max(x_needed), cfg)
+    store = get_store(cfg)
+    bounds = store.panels(0.0, max(x_needed))
     n_use = [
         min(max(int(np.searchsorted(bounds, x, side="left")), 1), len(bounds) - 1)
         for x in x_needed
@@ -77,11 +79,10 @@ def laplace_moment_grid(k: int, s_values, cfg: QuadConfig = QuadConfig()):
     total = [0.0 + 0.0j] * m
     err = [0.0] * m
     n_max = max(n_use)
-    for c0 in range(0, n_max, CHUNK):
+    blocks = store.samples(bounds[: n_max + 1], CHUNK)
+    for c0, (t, half, *zs) in zip(range(0, n_max, CHUNK), blocks):
         c1 = min(c0 + CHUNK, n_max)
-        t, half = panel_nodes(bounds[c0:c1], bounds[c0 + 1 : c1 + 1], n)
-        f, df = moment_integrand(t.ravel(), k)
-        f, df = f.reshape(t.shape), df.reshape(t.shape)
+        f, df = moment_integrand(t, k, zs)
         for i, s in enumerate(ss):
             hi = min(n_use[i], c1)
             if hi <= c0:

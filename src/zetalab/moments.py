@@ -6,7 +6,8 @@ mean-squared E2.  P4's two leading coefficients are the displayed closed forms;
 its lower three (constants.P4_LOWER) are derived from the CFKRS residue formula.
 
 The mean square of E2 takes E2 inside a panel from the spectral integral of
-the panel's |Z|^4 interpolant at the accumulator's own nodes, 33 per panel.
+the panel's |Z|^4 interpolant at the accumulator's own nodes, 33 per panel,
+read from the process's store of Z samples.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .quadrature import (
     IntegralResult,
     PanelBatch,
     get_accumulator,
+    get_store,
     integration_matrix,
     kronrod_rule,
     panel_mesh,
@@ -215,7 +217,7 @@ def integral_of_e2(
     return IntegralResult(value, t_upper * e + eu, acc.panels_meeting(0.0, t_upper), (0.0, t_upper))
 
 
-_MEANSQ_CHUNK = 256  # pieces per kernel call in mean_square_e2
+_MEANSQ_CHUNK = 256  # pieces per chunk of samples in mean_square_e2
 
 
 def mean_square_e2(
@@ -227,8 +229,10 @@ def mean_square_e2(
     """int_0^T E2(t)^2 dt on the k = 2 accumulator's mesh and node set.
 
     Every piece [a, b] -- a mesh panel, or [left, s] for a snapshot s (or T)
-    inside a panel -- evaluates |Z|^4 once at the accumulator's own nodes,
-    the 2 cfg.nodes + 1 Gauss-Kronrod points (33 by default).  E2 at each
+    inside a panel -- takes |Z|^4 at the accumulator's own nodes, the
+    2 cfg.nodes + 1 Gauss-Kronrod points (33 by default): a mesh panel reads
+    Z there from the store the accumulator filled (quadrature.get_store), so
+    only the pieces of snapshots inside panels evaluate the kernel.  E2 at each
     node, and separately at each Gauss node, is the cumulative value at a,
     plus the integral from a to the node of the polynomial interpolating
     |Z|^4 at all nodes (at the Gauss nodes; integration_matrix), less
@@ -255,12 +259,16 @@ def mean_square_e2(
     pv, _, pe, _ = (q[: n_panels + 1] for q in acc.prefix())
     at = np.searchsorted(bs, snaps, side="right") - 1
     inside = np.nonzero(snaps > bs[at])[0]
-    val, err = _e2_squared(
-        np.concatenate([bs[:-1], bs[at[inside]]]),
-        np.concatenate([bs[1:], snaps[inside]]),
-        np.concatenate([pv[:-1], pv[at[inside]]]),
-        float(pe[-1]), poly, cfg,
-    )
+
+    def pieces():
+        blocks = get_store(cfg).samples(bs, _MEANSQ_CHUNK)
+        for i, (t, half, *zs) in zip(range(0, n_panels, _MEANSQ_CHUNK), blocks):
+            yield t, half, moment_integrand(t, 2, zs)[0], pv[i : i + len(half)]
+        if inside.size:
+            t, half = panel_nodes(bs[at[inside]], snaps[inside], cfg.nodes)
+            yield t, half, moment_integrand(t.ravel(), 2)[0].reshape(t.shape), pv[at[inside]]
+
+    val, err = _e2_squared(pieces(), float(pe[-1]), poly, cfg)
     snap_vals = np.concatenate([[0.0], np.cumsum(val[:n_panels])])[at]
     snap_vals[inside] += val[n_panels:]
     err_total = float(np.sum(err[:n_panels]))
@@ -272,11 +280,11 @@ def mean_square_e2(
     return result, table
 
 
-def _e2_squared(lefts, rights, base, cum_err, poly, cfg):
-    """(value, err) of int E2^2 over each piece [lefts, rights], with the
-    cumulative |Z|^4 integral base at each left end (see mean_square_e2)."""
-    n = cfg.nodes
-    x, wk, wg = kronrod_rule(n)
+def _e2_squared(pieces, cum_err, poly, cfg):
+    """(value, err) of int E2^2 over each piece, from chunks (t, half, f,
+    base) of pieces: the nodes, the half-widths, |Z|^4 at the nodes and the
+    cumulative |Z|^4 integral at each left end (see mean_square_e2)."""
+    x, wk, wg = kronrod_rule(cfg.nodes)
     sk, sg = integration_matrix(x), integration_matrix(x[1::2])
     coeffs = np.array(poly.coeffs)
 
@@ -286,17 +294,13 @@ def _e2_squared(lefts, rights, base, cum_err, poly, cfg):
         inner = half * np.sum(f[:, None, :] * smat, axis=2)
         return b + inner - t * np.polyval(coeffs, np.log(t))
 
-    val = np.empty(len(lefts))
-    err = np.empty(len(lefts))
-    for i in range(0, len(lefts), _MEANSQ_CHUNK):
-        part = slice(i, i + _MEANSQ_CHUNK)
-        t, half = panel_nodes(lefts[part], rights[part], n)
-        f, _ = moment_integrand(t.ravel(), 2)
-        f, b, h = f.reshape(t.shape), base[part, None], half[:, None]
+    val, err = [], []
+    for t, half, f, base in pieces:
+        b, h = base[:, None], half[:, None]
         e_k = e2_at(t, f, b, h, sk)
         e_g = e2_at(t[:, 1::2], f[:, 1::2], b, h, sg)
         fine = half * np.sum(wk * e_k * e_k, axis=1)
         coarse = half * np.sum(wg * e_g * e_g, axis=1)
-        val[part] = fine
-        err[part] = np.abs(fine - coarse) + 2.0 * cum_err * half * np.sum(wk * np.abs(e_k), axis=1)
-    return val, err
+        val.append(fine)
+        err.append(np.abs(fine - coarse) + 2.0 * cum_err * half * np.sum(wk * np.abs(e_k), axis=1))
+    return np.concatenate(val), np.concatenate(err)

@@ -2,11 +2,7 @@
 
 mesh is the one cell mesh: boundaries from t0 with width a configured
 fraction of the local mean zero gap 2 pi / log(t/2pi), optionally capped.
-A quadrature panel spans CELLS = 4 consecutive cells (panel_mesh): the
-accumulators, the Laplace grid and the smoothed moment all integrate on
-such panels.  The scans evaluate each panel once (MomentAccumulator.sweep)
-and read every value inside it -- the cell boundaries, the nodes, the
-probes -- from the panel's own samples (MomentAccumulator.read).  Each panel is
+A quadrature panel spans CELLS = 4 consecutive cells (panel_mesh).  Each panel is
 integrated with the n Gauss-Legendre nodes plus their n+1 Kronrod nodes
 (kronrod_rule, 2n+1 kernel points); Gauss-Kronrod disagreement triggers
 bisection up to a depth cap, and the final disagreement above the
@@ -16,6 +12,20 @@ kernel's Euler-Maclaurin branch, whose model is certified, the floor also
 takes in the model's integral, so the bound does not grow under refinement.
 All reductions run in a fixed order so reruns and checkpoint resumes are
 bit-identical.
+
+One mesh and one store of Z samples per QuadConfig (ZStore, get_store):
+the cells of the mesh from 0 and Z with its error model at the Kronrod
+nodes of its panels.  The accumulators (ensure, front, sweep), the mean
+square of E2 and the Laplace grid take their panels and samples from it,
+so a process evaluates each node of the mesh once whichever functionals it
+computes; refinement sub-panels, partial panels and the smoothed windows
+evaluate the kernel themselves.  Z at a point depends on that t alone, so
+every value is the same from a cold or a warm store.  The store keeps
+nothing past STORE_PANELS panels: it costs 528 B per panel, 13 times the
+accumulator's 40, so an uncapped store would hold 36 MB on [0, 10^5] and
+raise the peak memory of a checkpointed run.  The scans read every value
+inside a panel -- the cell boundaries, the nodes, the probes -- from the
+panel's own samples (MomentAccumulator.read).
 
 Bit-identity holds per numeric fingerprint (numeric_fingerprint): the same
 numpy, scipy, mpmath and Python versions, the same SIMD features numpy
@@ -35,12 +45,17 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import zkernel
 from .config import QuadConfig
 from .errors import CheckpointMismatch, DomainError
 from .zkernel import T_SWITCH, moment_integrand
 
 _TWO_PI = 2.0 * math.pi
 CELLS = 4  # mesh cells per quadrature panel
+# Panels of the mesh from 0 whose cells and samples a ZStore keeps: at most
+# 4096 * 33 * 2 * 8 B = 2.2 MB of samples at 16 nodes.  The functionals over
+# [0, 6e3] fit (2.8e3 panels); a checkpointed fill of 8e3 panels keeps nothing.
+STORE_PANELS = 4096
 
 
 def numeric_fingerprint() -> str:
@@ -227,18 +242,24 @@ def mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf):
     return np.array(out)
 
 
-def panel_mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf):
-    """Panel boundaries: every CELLS-th boundary of mesh(t0, t1, cfg, cap),
-    with cells appended by the same recurrence step while the cell count is
-    not a multiple of CELLS.  So the last boundary is >= t1, and panels laid
-    from a panel boundary continue the same four-cell grid."""
+def _cell_mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf):
+    """mesh(t0, t1, cfg, cap) with cells appended by the same recurrence
+    step while the cell count is not a multiple of CELLS."""
     cells = mesh(t0, t1, cfg, cap)
     more = []
     t = float(cells[-1])
     while (len(cells) - 1 + len(more)) % CELLS:
         t += min(panel_width(t, cfg), cap)
         more.append(t)
-    return np.append(cells, more)[::CELLS]
+    return np.append(cells, more)
+
+
+def panel_mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf):
+    """Panel boundaries: every CELLS-th boundary of mesh(t0, t1, cfg, cap),
+    with cells appended by the same recurrence step while the cell count is
+    not a multiple of CELLS.  So the last boundary is >= t1, and panels laid
+    from a panel boundary continue the same four-cell grid."""
+    return _cell_mesh(t0, t1, cfg, cap)[::CELLS]
 
 
 class PanelBatch:
@@ -264,7 +285,8 @@ class PanelBatch:
         totals = None
         depth = 0
         while idx.size:
-            k, ku, diff, e, eu = self._panel_pair(a, b, samples if depth == 0 else None)
+            k, ku, diff, e, eu = self._panel_pair(a, b, samples)
+            samples = None  # for the first rule alone, and not held while rejected panels refine
             if totals is None:
                 totals = [np.zeros(m, np.result_type(q)) for q in (k, ku, e, eu)]
             accept = _accepts(cfg, k, diff, depth)
@@ -334,7 +356,9 @@ class MomentAccumulator:
     panel count on [0, T0] and the four prefix sums there (rows); from 0 it
     is ORIGIN.  Above T0 the panel boundaries (bounds, every CELLS-th cell
     boundary of mesh, from T0) and the per-panel values, errors and their
-    u-weighted twins are numpy arrays, grown by ensure and sweep.  The prefix
+    u-weighted twins are numpy arrays, grown by ensure and sweep from the
+    panels and samples of the store (ZStore), which PanelBatch.run's first
+    rule reads instead of evaluating the integrand.  The prefix
     sums are a plain left fold seeded with the origin's sums, so at every
     panel boundary they are bit-identical to those of an accumulator from 0,
     however far earlier runs integrated -- the property checkpoint resume
@@ -348,8 +372,8 @@ class MomentAccumulator:
     step to move its seed down to a lower stored row (pins_origin).
     """
 
-    CHUNK = 512       # panels per PanelBatch.run
-    GRID_CHUNK = 128  # panels per integrand evaluation in sweep
+    CHUNK = 512       # panels per PanelBatch.run and per kernel call of the store
+    GRID_CHUNK = 128  # panels per chunk of samples in sweep
 
     def __init__(self, k: int, cfg: QuadConfig, origin=ORIGIN):
         self.k = k
@@ -359,8 +383,8 @@ class MomentAccumulator:
         self._val = self._val_u = self._err = self._err_u = np.zeros(0)
         self._prefix = None
 
-    def _integrand(self, ts):
-        return moment_integrand(ts, self.k)
+    def _integrand(self, ts, samples=None):
+        return moment_integrand(ts, self.k, samples)
 
     @property
     def _batch(self):
@@ -371,9 +395,13 @@ class MomentAccumulator:
 
     def _run(self, new):
         """Per-panel (value, value_u, err, err_u) of the panels between the
-        boundaries new, CHUNK panels per PanelBatch.run."""
+        boundaries new, CHUNK panels per PanelBatch.run on the store's samples."""
         lefts, rights = new[:-1], new[1:]
-        parts = [self._batch.run(lefts[i : i + self.CHUNK], rights[i : i + self.CHUNK])
+        blocks = get_store(self.cfg).samples(new, self.CHUNK)
+        # next(fs) as the argument: a block is freed once its integrand is
+        # formed, and the integrand once PanelBatch.run's first rule used it
+        fs = map(lambda b: self._integrand(b[0], b[2:]), blocks)
+        parts = [self._batch.run(lefts[i : i + self.CHUNK], rights[i : i + self.CHUNK], next(fs))
                  for i in range(0, len(lefts), self.CHUNK)]
         return [np.concatenate([p[j] for p in parts]) for j in range(4)]
 
@@ -391,7 +419,7 @@ class MomentAccumulator:
     def ensure(self, t_target: float):
         if t_target <= self.bounds[-1]:
             return
-        new = panel_mesh(float(self.bounds[-1]), t_target, self.cfg)
+        new = get_store(self.cfg).panels(float(self.bounds[-1]), t_target)
         self._append(new[1:], self._run(new))
 
     def front(self, origin=ORIGIN):
@@ -401,7 +429,7 @@ class MomentAccumulator:
         accumulator then starts at the given row."""
         (want,) = self.rows([0])
         t, n, sums = _split(origin)
-        new = panel_mesh(t, want[0], self.cfg)
+        new = get_store(self.cfg).panels(t, want[0])
         parts = self._run(new)
         # cumsum: the same left fold as prefix()
         v, vu, e, eu = (float(np.cumsum(np.concatenate([[s], q]))[-1]) for s, q in zip(sums, parts))
@@ -517,25 +545,25 @@ class MomentAccumulator:
         """Yield the integrand at the panel_nodes of every panel meeting
         [t0, t1], as PanelSamples of at most GRID_CHUNK panels, left to right.
 
-        Panels not yet held, from bounds[-1] on (so also any below t0, which
-        are not yielded), are integrated from the same samples, as
-        PanelBatch.run's depth-0 samples, and held before their chunk is
-        yielded: each panel's integrand is evaluated once, and its per-panel
-        sums are those ensure gives, since a panel's result does not depend
-        on its batch.
+        The samples are the store's (ZStore.samples).  Panels not yet held,
+        from bounds[-1] on (so also any below t0, which are not yielded), are
+        integrated from the same samples, as PanelBatch.run's depth-0
+        samples, and held before their chunk is yielded: each panel's
+        integrand is evaluated once, and its per-panel sums are those ensure
+        gives, since a panel's result does not depend on its batch.
         """
         if t0 < self.bounds[0]:
             self.front()
         held = len(self.bounds) - 1
-        bs = self.bounds
+        bs, store = self.bounds, get_store(self.cfg)
         if t1 > bs[-1]:
-            bs = np.concatenate([bs, panel_mesh(float(bs[-1]), t1, self.cfg)[1:]])
-        n, end = self.cfg.nodes, int(np.searchsorted(bs, t1))
-        for c in range(self.index(t0), end, self.GRID_CHUNK):
+            bs = np.concatenate([bs, store.panels(float(bs[-1]), t1)[1:]])
+        n, start, end = self.cfg.nodes, self.index(t0), int(np.searchsorted(bs, t1))
+        blocks = store.samples(bs[start : end + 1], self.GRID_CHUNK)
+        for c, (t, half, *zs) in zip(range(start, end, self.GRID_CHUNK), blocks):
             ps = np.arange(c, min(c + self.GRID_CHUNK, end))
             a, b = bs[ps], bs[ps + 1]
-            t, half = panel_nodes(a, b, n)
-            f, df = (q.reshape(t.shape) for q in self._integrand(t.ravel()))
+            f, df = self._integrand(t, zs)
             new = ps >= held
             if new.any():
                 self._append(b[new], self._batch.run(a[new], b[new], (f[new], df[new])))
@@ -601,8 +629,9 @@ class MomentAccumulator:
         t0, t1 or the chunks.
         """
         parts = [(np.zeros(0),) * 4]
+        store = get_store(self.cfg)
         for s in self.sweep(t0, t1):
-            cells = mesh(float(self.bounds[s.ps[0]]), float(self.bounds[s.ps[-1] + 1]), self.cfg)[:-1]
+            cells = store.cells_in(float(self.bounds[s.ps[0]]), float(self.bounds[s.ps[-1] + 1]))
             at = np.nonzero((cells >= t0) & (cells <= t1))[0]
             v, vu, e, _ = (q[s.ps[0] + at // CELLS] for q in self.prefix())
             inner = np.nonzero(at % CELLS)[0]
@@ -616,7 +645,97 @@ class MomentAccumulator:
         return tuple(np.concatenate(q) for q in zip(*parts))
 
 
-_ACCUMULATORS: dict = {}
+class ZStore:
+    """Z and its error model at the panel_nodes of the first panels of the
+    mesh from 0, and the cells of that mesh: one store per QuadConfig
+    (get_store).  The cells and the sample rows grow from 0, and a request
+    keeps what it lays or evaluates only if the mesh it reaches ends within
+    STORE_PANELS panels; past that it reads what is held and keeps nothing.
+    """
+
+    def __init__(self, cfg: QuadConfig):
+        self.cfg = cfg
+        self.cells = np.zeros(1)  # a whole number of panels: CELLS cells each
+        self.z = self.zerr = np.zeros((0, 2 * cfg.nodes + 1))  # rows [0, held) are filled
+        self.held = 0
+
+    def panels(self, t0: float, t1: float):
+        """panel_mesh(t0, t1, cfg) for t0 a panel boundary of the mesh from 0:
+        read from the held cells and laid on past them, the cells laid kept
+        if the mesh then ends within STORE_PANELS panels.  From a t0 beyond
+        the held cells (or off the mesh), panel_mesh itself."""
+        p = self.cells[::CELLS]
+        i = int(np.searchsorted(p, t0))
+        if i == len(p) or p[i] != t0:
+            return panel_mesh(t0, t1, self.cfg)
+        if not t1 <= p[-1]:  # so mesh refuses a non-finite t1
+            more = _cell_mesh(float(p[-1]), t1, self.cfg)
+            if (len(self.cells) + len(more) - 2) // CELLS <= STORE_PANELS:
+                self.cells = np.concatenate([self.cells, more[1:]])
+                p = self.cells[::CELLS]
+            else:
+                p = np.concatenate([p, more[CELLS::CELLS]])
+        return p[i : int(np.searchsorted(p, t1)) + 1]
+
+    def cells_in(self, a: float, b: float):
+        """The cell boundaries in [a, b) of the mesh through the panel
+        boundaries a < b: read from the held cells, or laid by mesh."""
+        i, j = np.searchsorted(self.cells, (a, b))
+        if j < len(self.cells) and self.cells[i] == a and self.cells[j] == b:
+            return self.cells[i:j]
+        return mesh(a, b, self.cfg)[:-1]
+
+    def samples(self, bs, chunk: int):
+        """Yield (t, half, z, zerr) at the panel_nodes of the panels between
+        the boundaries bs, consecutive panels of a mesh, chunk panels at a
+        time: t and half as panel_nodes gives them, Z and its error model at
+        t as rows.
+
+        Rows held of panels on the held cells are read.  The others are
+        evaluated once, at most MomentAccumulator.CHUNK panels per
+        zkernel.z_block call, and kept if the whole request lies on the held
+        cells (so within STORE_PANELS) and they continue the held rows.
+        """
+        m, p = len(bs) - 1, self.cells[::CELLS]
+        first = int(np.searchsorted(p, bs[0]))
+        on = min(len(p) - 1 - first, m)  # leading panels of the request on the held cells
+        if on < 0 or not np.array_equal(bs[: on + 1], p[first : first + on + 1]):
+            on = 0
+        for i in range(0, m, chunk):
+            # built by a call, so that this frame holds no block while the caller works on it
+            yield self._block(first + i, bs[i : i + chunk + 1], first + on, on == m)
+
+    def _block(self, first: int, bs, lim: int, keep: bool):
+        """One block of samples: the rows held below panel lim read, the
+        others evaluated, and kept if keep and they continue the held rows."""
+        t, half = panel_nodes(bs[:-1], bs[1:], self.cfg.nodes)
+        m = len(bs) - 1
+        r = min(max(min(self.held, lim) - first, 0), m)
+        parts = [(self.z[first : first + r], self.zerr[first : first + r])] if r else []
+        for c in range(r, m, MomentAccumulator.CHUNK):
+            tc = t[c : c + MomentAccumulator.CHUNK]
+            parts.append([q.reshape(tc.shape) for q in zkernel.z_block(tc.ravel())])
+        z, zerr = parts[0] if len(parts) == 1 else (np.concatenate(q) for q in zip(*parts))
+        if keep and r < m and first + r == self.held:
+            if len(self.z) < first + m:  # rows for every panel of the held cells
+                grown = [np.empty(((len(self.cells) - 1) // CELLS,) + t.shape[1:]) for _ in range(2)]
+                grown[0][: self.held], grown[1][: self.held] = self.z[: self.held], self.zerr[: self.held]
+                self.z, self.zerr = grown
+            self.held = first + m
+            self.z[first + r : self.held], self.zerr[first + r : self.held] = z[r:], zerr[r:]
+        return t, half, z, zerr
+
+
+_ACCUMULATORS: dict = {}  # the accumulators and stores of the process
+
+
+def get_store(cfg: QuadConfig) -> ZStore:
+    """The process's ZStore for cfg."""
+    key = ("z", cfg.digest())
+    store = _ACCUMULATORS.get(key)
+    if store is None:
+        store = _ACCUMULATORS[key] = ZStore(cfg)
+    return store
 
 
 def get_accumulator(k: int, cfg: QuadConfig, origin=None) -> MomentAccumulator:

@@ -383,9 +383,10 @@ def z_block(t: np.ndarray):
     return z, err
 
 
-def moment_integrand(t: np.ndarray, k: int):
-    """(|Z|^{2k}, pointwise error) arrays for the 2k-th moment integrand."""
-    z, zerr = z_block(t)
+def moment_integrand(t: np.ndarray, k: int, samples=None):
+    """(|Z|^{2k}, pointwise error) arrays for the 2k-th moment integrand,
+    from samples (Z, err) at t if given, else from z_block(t)."""
+    z, zerr = z_block(t) if samples is None else samples
     z2 = z * z
     f = z2**k
     # d(Z^{2k}) = 2k |Z|^{2k-1} dZ

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from zetalab import cli, moments, quadrature
+from zetalab import cli, moments, quadrature, zkernel
 from zetalab.checkpoint import FINGERPRINT_PREFIX, HEADER, MomentCheckpoint, extend_checkpoint, read_checkpoint
 from zetalab.config import QuadConfig
 from zetalab.errors import CheckpointMismatch, DataParseError, DataValidationError
@@ -152,13 +152,13 @@ class TestSeededResume:
         cp1, _ = extend_checkpoint(path, 1, t_first, cfg)
         fresh()
         seen = []
-        integrand = quadrature.moment_integrand
+        z_block = zkernel.z_block
 
-        def spy(ts, k):
+        def spy(ts):
             seen.append(float(np.min(ts)))
-            return integrand(ts, k)
+            return z_block(ts)
 
-        monkeypatch.setattr(quadrature, "moment_integrand", spy)
+        monkeypatch.setattr(zkernel, "z_block", spy)
         cp2, value = extend_checkpoint(path, 1, t_first + 500.0, cfg, resume=True)
         monkeypatch.undo()
         seed_t = cp2.resume.seed_t

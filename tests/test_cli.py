@@ -325,8 +325,10 @@ class TestExitCodes:
         (["moment", "--k", "1", "--T", "300", "--checkpoint", "{tmp}/v1.txt", "--resume"],
          "v1 is no longer read"),
         (["moment", "--k", "1", "--T", "nan", "--checkpoint", "{tmp}/c.txt"], "is not finite"),
+        (["moment", "--k", "1", "--T", "300", "--checkpoint", "{tmp}/c.txt", "--out", "{tmp}/no/x.csv"],
+         "data-error: {tmp}/no/x.csv: "),
     ], ids=["s-grid-word", "s-grid-empty", "T-list-word", "T-list-negative", "config", "spectral",
-            "out", "checkpoint-dir", "checkpoint-v1", "T-nan"])
+            "out", "checkpoint-dir", "checkpoint-v1", "T-nan", "moment-out"])
     def test_bad_input_exits_2_or_4_with_one_error_line(self, tmp_path, capsys, argv, named):
         (tmp_path / "v1.txt").write_text("# zetalab-checkpoint v1\n1,100.0,90.0,0.0,deadbeef\n")
         code = cli.main([a.format(tmp=tmp_path) for a in argv])
@@ -334,3 +336,9 @@ class TestExitCodes:
         assert code in (cli.EXIT_USAGE, cli.EXIT_DATA)
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
         assert named.format(tmp=tmp_path) in err and "Traceback" not in err
+        assert not (tmp_path / "c.txt").exists()  # a refused moment leaves no checkpoint
+        if "--out" in argv and argv[0] == "moment":
+            assert code == cli.EXIT_DATA
+            # so the retry with a writable --out is no resume
+            argv = [a.format(tmp=tmp_path).replace("/no/", "/") for a in argv]
+            assert cli.main(argv) == 0 and (tmp_path / "c.txt").exists() and (tmp_path / "x.csv").exists()

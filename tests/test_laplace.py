@@ -24,7 +24,7 @@ from _fingerprint import frozen_mismatch
 
 class TestLaplaceMoment:
     def test_exponential_hook(self, cfg, monkeypatch):
-        monkeypatch.setattr(laplace, "moment_integrand", lambda t, k: (np.ones_like(t), np.zeros_like(t)))
+        monkeypatch.setattr(laplace, "moment_integrand", lambda t, k, zs: (np.ones_like(t), np.zeros_like(t)))
         r = laplace_moment(1, 2.0, cfg)
         assert abs(r.value - 0.5) < 1e-8
         r = laplace_moment(1, 2.0 + 1.0j, cfg)

@@ -93,6 +93,65 @@ class TestMesh:
         assert len(acc.bounds) == len(acc.prefix()[0])
 
 
+class TestZStore:
+    T, SNAPS, SIGMAS = 600.0, [250.0, 400.0], [0.05, 0.08]  # 173 panels; L2 truncated at 404 and 662
+
+    def results(self, cfg, before):
+        """Accumulator rows, E1, E2, the mean square and an L2 grid to T,
+        each computed after before()."""
+        from zetalab.laplace import laplace_moment_grid
+        from zetalab.moments import mean_square_e2
+
+        out = []
+        for k in (1, 2):
+            before()
+            acc = get_accumulator(k, cfg)
+            acc.ensure(self.T)
+            out.append((acc.rows(np.arange(len(acc.bounds))), error_term(k, self.T, cfg)))
+        before()
+        out.append(mean_square_e2(self.T, cfg, snapshots=self.SNAPS))
+        before()
+        out.append(laplace_moment_grid(2, self.SIGMAS, cfg))
+        return out
+
+    def test_a_fill_keeps_its_samples_within_the_cap_only(self, cfg, monkeypatch):
+        monkeypatch.setattr(quadrature, "STORE_PANELS", 64)
+        quadrature.clear_accumulators()
+        store = quadrature.get_store(cfg)
+        acc = get_accumulator(1, cfg)
+        acc.ensure(100.0)
+        held = len(acc.bounds) - 1
+        assert 0 < held <= 64 and store.held == held and len(store.cells) == 4 * held + 1
+        z, zerr = zkernel.z_block(quadrature.panel_nodes(acc.bounds[:-1], acc.bounds[1:], cfg.nodes)[0])
+        assert store.z[:held].tolist() == z.tolist() and store.zerr[:held].tolist() == zerr.tolist()
+        get_accumulator(2, cfg).ensure(self.T)  # reads the rows held, keeps none past the cap
+        assert store.held == held and len(store.cells) == 4 * held + 1
+        quadrature.clear_accumulators()
+        store = quadrature.get_store(cfg)
+        get_accumulator(2, cfg).ensure(self.T)
+        assert store.held == 0 and store.z.size == 0 and len(store.cells) == 1
+
+    def test_every_value_is_the_same_from_a_cold_a_warm_and_no_store(self, cfg, monkeypatch):
+        def drop():
+            for k in (1, 2):
+                quadrature.drop_accumulator(k, cfg)
+
+        cold = self.results(cfg, quadrature.clear_accumulators)
+        quadrature.clear_accumulators()
+        self.results(cfg, lambda: None)
+        assert quadrature.get_store(cfg).held >= len(get_accumulator(1, cfg).bounds) - 1
+        assert self.results(cfg, drop) == cold
+        monkeypatch.setattr(quadrature, "STORE_PANELS", 64)
+        assert self.results(cfg, quadrature.clear_accumulators) == cold
+        assert quadrature.get_store(cfg).held == 0
+        error_term(1, 100.0, cfg)  # a few rows held, the rest past the cap
+        held = quadrature.get_store(cfg).held
+        assert held > 0
+        assert self.results(cfg, drop) == cold
+        assert quadrature.get_store(cfg).held == held
+        quadrature.clear_accumulators()
+
+
 def mp_cumulative(k, ts, dps=15):
     """Independent oracle: mpmath tanh-sinh quadrature of siegelz^2k from
     ts[0] to each of ts[1:], piece by piece."""
@@ -141,8 +200,9 @@ class TestBoundaryGrid:
             assert abs((v - cv[0]) - want) <= e - ce[0], x
 
     def test_z_is_evaluated_once_per_panel_met(self, cfg, monkeypatch):
-        acc = get_accumulator(1, cfg)
+        acc = MomentAccumulator(1, cfg)
         acc.ensure(1500.0)
+        quadrature.clear_accumulators()  # the panels held, their samples not
         i, j = acc.index(500.0), acc.index(1500.0)
         points = [0]
         real = zkernel.z_block
@@ -155,6 +215,12 @@ class TestBoundaryGrid:
         bs, *_ = acc.boundary_grid(float(acc.bounds[i]), float(acc.bounds[j]))
         assert len(bs) == 4 * (j - i) + 1
         assert points[0] == (2 * cfg.nodes + 1) * (j - i)
+        # an accumulator that filled the store leaves the grid nothing to evaluate
+        filled = get_accumulator(1, cfg)
+        filled.ensure(1500.0)
+        points[0] = 0
+        assert filled.boundary_grid(float(acc.bounds[i]), float(acc.bounds[j]))[0].tolist() == bs.tolist()
+        assert points[0] == 0
 
     def test_panel_whose_first_rule_is_rejected_reads_cumulative_to(self):
         cfg = QuadConfig(panel_rel=1e-12, panel_abs=1e-12)
@@ -284,14 +350,15 @@ class TestKronrodRule:
 
     def test_unrefined_panel_costs_2n_plus_1_points(self, monkeypatch):
         count = [0]
-        real = quadrature.moment_integrand
+        real = zkernel.z_block
 
-        def counting(t, *args):
+        def counting(t):
             count[0] += np.size(t)
-            return real(t, *args)
+            return real(t)
 
-        monkeypatch.setattr(quadrature, "moment_integrand", counting)
+        monkeypatch.setattr(zkernel, "z_block", counting)
         for cfg in (QuadConfig(panel_abs=1e300), QuadConfig(nodes=8, panel_abs=1e300)):
+            quadrature.clear_accumulators()
             count[0] = 0
             acc = MomentAccumulator(2, cfg)
             acc.ensure(600.0)
