@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .errors import DataParseError, DomainError
 
-KERNEL_VERSION = "zk4"
+KERNEL_VERSION = "zk5"
 # the (2 nodes + 1)-point rule of quadrature.kronrod_rule on panels four mesh cells wide
 PANEL_RULE = "gauss-kronrod/4-cell"
 

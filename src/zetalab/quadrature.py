@@ -56,10 +56,16 @@ CELLS = 4  # mesh cells per quadrature panel
 # 4096 * 33 * 2 * 8 B = 2.2 MB of samples at 16 nodes.  The functionals over
 # [0, 6e3] fit (2.8e3 panels); a checkpointed fill of 8e3 panels keeps nothing.
 STORE_PANELS = 4096
+MESH_CHUNK = 16384  # cells per fixed-point chunk of the mesh
 
 
 def numeric_fingerprint() -> str:
-    """The numeric environment under which results are bit-identical."""
+    """The numeric environment under which results are bit-identical.
+
+    Z passes through BLAS (the anchor sum's moment products), so the
+    fingerprint names the BLAS numpy was built against.  An OpenBLAS built
+    for several cores picks its kernels at run time; that choice is covered
+    only through the SIMD list."""
     import mpmath
     import scipy
 
@@ -71,9 +77,14 @@ def numeric_fingerprint() -> str:
             __cpu_baseline__, __cpu_dispatch__, __cpu_features__)
     simd = [f for f in list(__cpu_baseline__) + list(__cpu_dispatch__) if __cpu_features__.get(f)]
     libc = "-".join(platform.libc_ver()) or "unknown"
-    return "python %s; numpy %s; scipy %s; mpmath %s; simd %s; machine %s; libc %s" % (
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = "%s %s" % (blas.get("name", "unknown"), blas.get("version", "unknown"))
+    except (TypeError, KeyError):  # numpy < 1.26: show_config has no mode
+        blas = "unknown"
+    return "python %s; numpy %s; scipy %s; mpmath %s; simd %s; machine %s; libc %s; blas %s" % (
         platform.python_version(), np.__version__, scipy.__version__, mpmath.__version__,
-        ",".join(simd) or "none", platform.machine(), libc)
+        ",".join(simd) or "none", platform.machine(), libc, blas)
 
 
 @dataclass(frozen=True)
@@ -219,39 +230,70 @@ def _accepts(cfg: QuadConfig, k, diff, depth: int = 0):
     return (diff <= np.maximum(cfg.panel_abs, cfg.panel_rel * np.abs(k))) | (depth >= cfg.max_depth)
 
 
-def panel_width(t: float, cfg: QuadConfig) -> float:
-    gap = _TWO_PI / max(math.log(t / _TWO_PI) if t > 0 else 0.0, 1.0)
-    return min(max(cfg.gap_fraction * gap, cfg.w_min), cfg.w_max)
+def _widths(b, cfg: QuadConfig, cap: float, log=np.log):
+    """min(w(t), cap) at each t of b (see mesh); with log = _exact_log the
+    floats of the scalar formula, one t at a time."""
+    gap = _TWO_PI / np.maximum(log(np.maximum(b / _TWO_PI, 1.0)), 1.0)
+    return np.minimum(np.minimum(np.maximum(cfg.gap_fraction * gap, cfg.w_min), cfg.w_max), cap)
+
+
+def _exact_log(x):
+    """math.log of each element: numpy's vectorised log may round differently."""
+    return np.fromiter(map(math.log, x.tolist()), float, x.size)
+
+
+def _fold(t: float, n: int, cfg: QuadConfig, cap: float):
+    """b_0 = t, ..., b_n of the recurrence as the fixed point of mesh's
+    docstring: passes with numpy's log until stationary, which only brings
+    the guess near, then with math.log until stationary."""
+    w = np.empty(n + 1)
+    w[0] = t
+    b = t + _widths(np.array([t]), cfg, cap)[0] * np.arange(n + 1.0)
+    for log in (np.log, _exact_log):
+        while True:
+            w[1:] = _widths(b[:-1], cfg, cap, log)
+            b, old = np.cumsum(w), b
+            if np.array_equal(b, old):
+                break
+    return b
+
+
+def _cell_mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf, multiple: int = CELLS):
+    """The cell boundaries b_0 = t0, ..., b_m of mesh with m the least
+    multiple of `multiple` such that b_m >= t1, laid in _fold chunks of at
+    most MESH_CHUNK cells, each from the exact end of the last."""
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise DomainError("integration range [%s, %s] is not finite" % (t0, t1))
+    parts, t = [np.array([t0])], t0
+    while t < t1:
+        # widths only shrink, so this undercounts the cells left to t1
+        n = min(int((t1 - t) / _widths(np.array([t]), cfg, cap)[0] * 1.01) + 4, MESH_CHUNK)
+        parts.append(_fold(t, n + (-n) % multiple, cfg, cap)[1:])
+        t = float(parts[-1][-1])
+    b = np.concatenate(parts)
+    i = int(np.searchsorted(b, t1))
+    return b[: i + (-i) % multiple + 1]
 
 
 def mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf):
-    """Cell boundaries t0 = b_0 < ... < b_m, the first b_m >= t1, by the
-    scalar recurrence b_{i+1} = b_i + min(panel_width(b_i), cap).
+    """Cell boundaries t0 = b_0 < ... < b_m, the first b_m >= t1, of the
+    recurrence b_{i+1} = fl(b_i + min(w(b_i), cap)) in float64: w(t) is
+    cfg.gap_fraction of the mean zero gap 2 pi / max(log(t/2pi), 1), with
+    math.log, clamped to [w_min, w_max].
+
+    The recurrence is laid as a fixed point, a chunk at a time (_fold):
+    from a guess b_0 = t, ..., b_n, take the widths at b_0, ..., b_{n-1}
+    and fold them with np.cumsum from t, until b does not move.  np.cumsum
+    is a sequential left fold, so at the fixed point each b_{i+1} is
+    fl(b_i + w(b_i)), the recurrence's own step, bit for bit.  A pass with
+    math.log whose input is exact in its first k entries returns k + 1
+    exact ones, so a chunk of n cells is stationary within n + 1 passes.
 
     A cell is cfg.gap_fraction of the local mean zero gap wide; the scans
     sample every cell boundary, and a quadrature panel spans CELLS cells
     (panel_mesh).  A non-finite t0 or t1 is refused: the recurrence would
     not end at an infinite t1."""
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise DomainError("integration range [%s, %s] is not finite" % (t0, t1))
-    out = [t0]
-    t = t0
-    while t < t1:
-        t += min(panel_width(t, cfg), cap)
-        out.append(t)
-    return np.array(out)
-
-
-def _cell_mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf):
-    """mesh(t0, t1, cfg, cap) with cells appended by the same recurrence
-    step while the cell count is not a multiple of CELLS."""
-    cells = mesh(t0, t1, cfg, cap)
-    more = []
-    t = float(cells[-1])
-    while (len(cells) - 1 + len(more)) % CELLS:
-        t += min(panel_width(t, cfg), cap)
-        more.append(t)
-    return np.append(cells, more)
+    return _cell_mesh(t0, t1, cfg, cap, 1)
 
 
 def panel_mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf):

@@ -18,7 +18,10 @@ Odlyzko-Schoenhage, Trans. AMS 309, 1988):
     RS_DELTA a power of two, so h = t - a is exact and |h| <= Delta/2;
   * the points of a block of RS_BLOCK sharing (N, j) form a group, with
     C_n = n^(-1/2) e^(-i a log n) and, about the centre c = log(N)/2 of the
-    logs, S_m = sum_n C_n (log n - c)^m / m! for m <= M(N);
+    logs, S_m = sum_n C_n (log n - c)^m / m! for m <= M(N): the product of
+    the (M+1) x N matrix of the powers (_taylor_powers) by the N x 2 matrix
+    of Re C_n and Im C_n, one np.matmul over the stack of a block's groups
+    of equal N;
   * a point's sum is Re(e^(i (theta - h c)) P(-ih)), with P(x) = sum_m S_m
     x^m by one Horner pass: one cosine per anchor and term instead of one
     per point and term;
@@ -33,11 +36,17 @@ Odlyzko-Schoenhage, Trans. AMS 309, 1988):
     reduction (a log_hi - k P1) - k P2 are exact.  That holds below
     RS_T_MAX, which z_rs_block enforces.  The direct sum instead rounds
     t log n, an error of order eps t log n per term.
-A point's value depends only on its own t: the S_m accumulate with n
-outermost, elementwise, and the rows above a group's own M are zero, so
-Horner takes the same steps for it in any block.  The rounding of the
-Taylor sum, at most about eps M 2 sqrt(N) e^x with e^x = sqrt(N) at Delta
-= 2, is not charged apart from the per-point rounding term of the model.
+A point's value depends only on its own t, given one condition: numpy
+runs a stacked matmul as one BLAS gemm per matrix of the stack, all of one
+shape for one N, so a group's S_m have the same bits at any stack size,
+position and memory offset (tests/test_kernel.py checks it; one 2-D
+product over all the groups' columns lacks that property).  The C_n are
+elementwise, and the rows above a group's own M are zero, so Horner takes
+the same steps for it in any block.  The BLAS build is part of
+quadrature.numeric_fingerprint.  The rounding of the Taylor sum and of its
+moment products, at most about eps M 2 sqrt(N) e^x with e^x = sqrt(N) at
+Delta = 2, is not charged apart from the per-point rounding term of the
+model.
 
 The branch policy (T_SWITCH, EM_TERMS, the corrections, RS_REMAINDER_COEF,
 EM_ROUNDING_COEF, RS_TAYLOR_N, RS_DELTA, RS_TAYLOR_TOL) is fixed, not
@@ -48,7 +57,7 @@ both branches is mpmath.siegelz.
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy.special import loggamma
@@ -237,13 +246,19 @@ def taylor_order(n: int):
     return m, 2.0 * math.sqrt(n) * term * math.exp(x)
 
 
+@lru_cache(maxsize=16)
 def _taylor_powers(n: int):
-    """(log k - log(n)/2)^m / m! for k = 1..n (rows) and m = 0..M (columns),
-    M = taylor_order(n)[0]."""
+    """(log k - log(n)/2)^m / m! for m = 0..M (rows) and k = 1..n (columns),
+    M = taylor_order(n)[0]: the C-contiguous, read-only left factor of the
+    moment product of every anchor group with N = n.  The cache holds the
+    few N of a stretch of t (0.33 MB each at t = 1e7, 1.1 MB at RS_T_MAX)."""
     m = taylor_order(n)[0]
     lg = _log_table(n)[2][:n]
     d = (lg - 0.5 * lg[-1])[:, None] / np.arange(1.0, m + 1)
-    return np.multiply.accumulate(np.concatenate([np.ones((n, 1)), d], axis=1), axis=1)
+    p = np.multiply.accumulate(np.concatenate([np.ones((n, 1)), d], axis=1), axis=1)
+    p = np.ascontiguousarray(p.T)
+    p.flags.writeable = False
+    return p
 
 
 def _taylor_remainders(n: int):
@@ -290,27 +305,27 @@ def _anchor_sum(t, th, nmain):
     gn, gj, inv = _groups(j, nmain)
     hi, lo, lg, w = _log_table(int(gn[-1]))
     p1, p2, p3 = _two_pi_parts()
-    # one run of groups per N: S_m = sum_n C_n (log n - log(N)/2)^m / m!
-    # with C_n = n^(-1/2) e^(-i a log n), n outermost and elementwise, so
-    # that a group's sums do not depend on the other groups of the block
+    # per group, S_m = sum_n (log n - log(N)/2)^m / m! C_n with C_n =
+    # n^(-1/2) e^(-i a log n): one (M+1) x N by N x 2 product, stacked over
+    # the groups of a run of equal N, so BLAS runs the same gemm for each
     bounds = np.concatenate([[0], np.flatnonzero(np.diff(gn)) + 1, [gn.size]])
-    runs = [(g0, g1, _taylor_powers(int(gn[g0]))) for g0, g1 in zip(bounds[:-1], bounds[1:])]
-    mb = max(powers.shape[1] for _, _, powers in runs) - 1
+    mb = _taylor_powers(int(gn[-1])).shape[0] - 1  # gn is sorted, and M grows with N
     s = np.zeros((mb + 1, gn.size), dtype=complex)
-    for g0, g1, powers in runs:
-        n, m = powers.shape[0], powers.shape[1] - 1
-        a = gj[g0:g1] * RS_DELTA
+    for g0, g1 in zip(bounds[:-1], bounds[1:]):
+        powers = _taylor_powers(int(gn[g0]))
+        m, n = powers.shape[0] - 1, powers.shape[1]
+        a = gj[g0:g1, None] * RS_DELTA
         # a log n mod 2 pi: a hi is exact (PHASE_BITS bits each), and so is
         # its reduction by P1 and P2
-        x = hi[:n, None] * a
+        x = a * hi[:n]
         k = np.rint(x * (1.0 / _TWO_PI))
-        phase = ((x - k * p1) - k * p2) - k * p3 + lo[:n, None] * a
-        c = np.concatenate([np.cos(phase), -np.sin(phase)], axis=1) * w[:n, None]
-        acc = np.zeros((m + 1, c.shape[1]))
-        tmp = np.empty_like(acc)
-        for q in range(n):
-            acc += np.multiply.outer(powers[q], c[q], out=tmp)
-        s[: m + 1, g0:g1] = acc[:, : g1 - g0] + 1j * acc[:, g1 - g0 :]
+        phase = ((x - k * p1) - k * p2) - k * p3 + a * lo[:n]
+        c = np.empty(phase.shape + (2,))
+        np.multiply(np.cos(phase), w[:n], out=c[..., 0])
+        np.multiply(np.sin(phase), -w[:n], out=c[..., 1])
+        sm = np.matmul(powers, c)
+        s.real[: m + 1, g0:g1] = sm[..., 0].T
+        s.imag[: m + 1, g0:g1] = sm[..., 1].T
 
     # Horner in -ih, in place; the rows above a group's own order are zero,
     # so its points take exactly the steps they would alone

@@ -48,9 +48,11 @@ class TestCheckpointFile:
         # kernel's t_switch and rs_terms; 1ec07b3dd89ac4cf that of kernel zk2,
         # whose Euler-Maclaurin branch summed a fixed 160 terms; ddd102d5a58bab53
         # that of panels one mesh cell wide; d530efdc928fae25 and
-        # 17673b449790639f those of panels two cells wide under kernels zk3 and zk4
+        # 17673b449790639f those of panels two cells wide under kernels zk3 and zk4;
+        # bd47d267227b65fe that of four-cell panels under kernel zk4, whose anchor
+        # sum accumulated its Taylor moments elementwise, one n at a time
         for old in ("b4d5fb7713ea0486", "3a5ddcb906fa6a3b", "1ec07b3dd89ac4cf", "ddd102d5a58bab53",
-                    "d530efdc928fae25", "17673b449790639f"):
+                    "d530efdc928fae25", "17673b449790639f", "bd47d267227b65fe"):
             path = tmp_path / ("cp-%s.txt" % old)
             extend_checkpoint(str(path), 1, 200.0, cfg)
             path.write_text(path.read_text().replace(cfg.digest(), old))

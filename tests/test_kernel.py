@@ -161,20 +161,46 @@ class TestKernelAccuracy:
 
     def test_rs_point_independent_of_the_call(self, rng):
         # two blocks of dense points across t = 2 pi 40^2 (N 39 | 40) and
-        # several anchor edges, the direct/anchor switch, t in [400, 2e5],
-        # and points either side of anchor edges and of N's steps
+        # several anchor edges, dense points near 1e6 and 9e6 (N ~ 400 and
+        # 1200), the direct/anchor switch, t in [400, 2e5], and points
+        # either side of anchor edges and of N's steps; then a block that
+        # holds a single anchor group
         switch = 2 * np.pi * zkernel.RS_TAYLOR_N**2
         edges = [2 * np.pi * 40**2, switch, 2 * np.pi * 100**2] + list(
             zkernel.RS_DELTA * (np.array([3000, 5025, 61234]) + 0.5))
         ts = np.concatenate([rng.uniform(10040.0, 10070.0, 2 * zkernel.RS_BLOCK + 37),
+                             rng.uniform(1.0e6, 1.0e6 + 30.0, 300),
+                             rng.uniform(9.0e6, 9.0e6 + 30.0, 300),
                              np.exp(rng.uniform(np.log(400.0), np.log(2e5), 64)),
                              np.nextafter(np.repeat(edges, 2), np.tile([0.0, 1e9], len(edges))),
                              [450.0, 2.0e3, 7.5e4]])
         rng.shuffle(ts)
-        z, err = zkernel.z_rs_block(ts)
-        for j, t in enumerate(ts):
-            zj, ej = zkernel.z_rs_block(ts[j : j + 1])
-            assert (zj[0], ej[0]) == (z[j], err[j]), t
+        one_group = rng.uniform(5.0e5 - 0.99, 5.0e5 + 0.99, 97)
+        for block in (ts, one_group):
+            z, err = zkernel.z_rs_block(block)
+            for j, t in enumerate(block):
+                zj, ej = zkernel.z_rs_block(block[j : j + 1])
+                assert (zj[0], ej[0]) == (z[j], err[j]), t
+
+    @pytest.mark.parametrize("n", [18, 400, 1300])
+    def test_stacked_matmul_independent_of_the_stack(self, rng, n):
+        # the anchor sum rests on this: np.matmul of the (M+1) x N Taylor
+        # powers by a stack of N x 2 matrices runs one gemm per matrix, so
+        # a group's product has the same bits at any stack size, position
+        # in the stack and offset of the array in memory.  (One 2-D product
+        # over all the groups' columns has no such property.)
+        powers = zkernel._taylor_powers(n)
+        assert powers.flags.c_contiguous and not powers.flags.writeable
+        x = rng.standard_normal((n, 2))
+        want = np.matmul(powers, x[None])[0]
+        for size in (1, 2, 7, 64, 299):
+            for at in sorted({0, size // 2, size - 1}):
+                for offset in (0, 1, 2):
+                    buf = rng.standard_normal(offset + size * n * 2)
+                    stack = buf[offset:].reshape(size, n, 2)
+                    stack[at] = x
+                    got = np.matmul(powers, stack)[at]
+                    assert got.tobytes() == want.tobytes(), (size, at, offset)
 
     def test_em_point_independent_of_the_call(self, rng):
         # two blocks in each of the bands [75, 100) and [100, 125), t in every

@@ -1,5 +1,7 @@
 """The panel rule, its integration matrices and the accumulator's queries."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -58,13 +60,39 @@ class TestCumulativeAt:
         assert v[1] > v[0] > 0.0
 
 
+def scalar_mesh(t0, t1, cfg, cap=math.inf):
+    """The cell recurrence one step at a time in Python floats: a width of
+    cfg.gap_fraction of the mean zero gap 2 pi / max(log(t/2pi), 1), clamped
+    to [w_min, w_max], then capped."""
+    out = [t0]
+    while out[-1] < t1:
+        t = out[-1]
+        gap = 2.0 * math.pi / max(math.log(t / (2.0 * math.pi)) if t > 0 else 0.0, 1.0)
+        out.append(t + min(min(max(cfg.gap_fraction * gap, cfg.w_min), cfg.w_max), cap))
+    return out
+
+
 class TestMesh:
     def test_scalar_recurrence_with_cap(self, cfg):
         b = quadrature.mesh(3.0, 40.0, cfg, cap=0.7)
         assert b[0] == 3.0 and b[-2] < 40.0 <= b[-1]
-        for x, y in zip(b[:-1].tolist(), b[1:].tolist()):
-            assert y == x + min(quadrature.panel_width(x, cfg), 0.7)
         assert quadrature.mesh(5.0, 5.0, cfg).tolist() == [5.0]
+        interior = float(quadrature.panel_mesh(0.0, 5000.0, cfg)[777])
+        narrow = QuadConfig(w_max=0.3)  # the w_max clamp holds below t ~ 2.3e5
+        wide = QuadConfig(w_max=10.0)   # no clamp from t ~ 15 on
+        for t0, t1, c, cap in [
+            (3.0, 40.0, cfg, 0.7),
+            (0.0, 3.0e4, cfg, math.inf),          # several fixed-point chunks from 0
+            (interior, interior + 400.0, cfg, math.inf),
+            (1234.5, 1234.51, cfg, math.inf),     # less than one cell
+            (100.0, 150.0, cfg, 0.5 * cfg.w_min),  # the cap below w_min
+            (10.0, 2000.0, narrow, math.inf),
+            # numpy's log(t0/2pi) rounds apart from math.log's here (numpy
+            # 2.4, AVX-512), and so does the first cell
+            (17.61777736730145, 80.0, wide, math.inf),
+        ]:
+            b = quadrature.mesh(t0, t1, c, cap)
+            assert b.tolist() == scalar_mesh(t0, t1, c, cap), (t0, t1, cap)
 
     def test_panel_mesh_takes_every_fourth_cell(self, cfg):
         residues = set()
