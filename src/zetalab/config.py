@@ -15,8 +15,9 @@ from dataclasses import dataclass, field, fields, replace
 from .errors import DataParseError, DomainError
 
 KERNEL_VERSION = "zk5"
-# the (2 nodes + 1)-point rule of quadrature.kronrod_rule on panels four mesh cells wide
-PANEL_RULE = "gauss-kronrod/4-cell"
+# the (2 nodes + 1)-point rule of quadrature.kronrod_rule, once per panel of four
+# mesh cells, the cells graded toward t = 0 (quadrature._widths)
+PANEL_RULE = "gauss-kronrod/4-cell/graded"
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,8 @@ class QuadConfig:
 
     Every field enters the digest.  The float64 kernel (zetalab.zkernel) has
     no fields here: its branch switch, RS corrections and error model are
-    constants of KERNEL_VERSION.
+    constants of KERNEL_VERSION.  Each panel takes one rule, so a coarser
+    mesh (larger gap_fraction or w_max) shows in err_bound, not in more rules.
     """
 
     nodes: int = 16              # Gauss nodes per panel; with their Kronrod nodes 2n+1 points
@@ -33,9 +35,6 @@ class QuadConfig:
                                  # a quadrature panel spans four cells
     w_min: float = 0.05
     w_max: float = 2.0
-    max_depth: int = 12
-    panel_rel: float = 1e-10     # refine when |G_n - K_2n+1| exceeds these
-    panel_abs: float = 1e-9
     window_w: float = 6.0        # Gaussian truncation in units of delta
     laplace_cmaj: float = 10.0   # disclosed majorant constant for Laplace tails
     laplace_tail_abs: float = 1e-8
@@ -49,8 +48,6 @@ class QuadConfig:
                 raise DomainError("quad.%s must be finite and > 0, got %r" % (f.name, v))
         if self.nodes < 1:
             raise DomainError("quad.nodes must be >= 1, got %r" % self.nodes)
-        if self.max_depth < 0:
-            raise DomainError("quad.max_depth must be >= 0, got %r" % self.max_depth)
         if self.w_min > self.w_max:
             raise DomainError("quad.w_min must be <= quad.w_max, got %r > %r" % (self.w_min, self.w_max))
 

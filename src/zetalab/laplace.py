@@ -90,7 +90,7 @@ def laplace_moment_grid(k: int, s_values, cfg: QuadConfig = QuadConfig()):
             sl = slice(0, hi - c0)
             decay = np.exp(-s.real * t[sl])
             weight = decay if s.imag == 0.0 else np.exp(-s * t[sl])
-            val, _, charge = kronrod_sums(half[sl], f[sl] * weight, n)
+            val, charge = kronrod_sums(half[sl], f[sl] * weight, n)
             pt = half[sl] * np.sum(wk * df[sl] * decay, axis=1)
             total[i] += complex(np.sum(val))
             err[i] += float(np.sum(charge + pt))

@@ -99,16 +99,16 @@ def main_term(k: int, t_upper: float, poly: MomentPolynomial) -> float:
 
 
 def integrate_moment(k: int, a: float, b: float, cfg: QuadConfig = QuadConfig()) -> IntegralResult:
-    """Adaptive panel quadrature of |Z(t)|^{2k} over [a, b].
+    """Panel quadrature of |Z(t)|^{2k} over [a, b], one rule per panel.
 
     For a = 0 the value and bound are the accumulator's cumulative ones at b
     (the same numbers error_term reads).  Otherwise only the mesh panels
     inside [a, b] and the two partial panels at a and b are summed
     (MomentAccumulator.between).  err_bound covers, on those panels, the
-    Gauss-Kronrod disagreement |G_n - K_2n+1| of every accepted sub-panel
-    above the rounding bound of its two sums, the rounding bound of K, and
-    the integrated pointwise kernel error model, plus one ulp of the result
-    for the final summation; no panel outside [a, b] is charged.
+    Gauss-Kronrod disagreement |G_n - K_2n+1| of every panel above the
+    rounding bound of its two sums, the rounding bound of K, and the
+    integrated pointwise kernel error model, plus one ulp of the result for
+    the final summation; no panel outside [a, b] is charged.
     """
     if k not in (1, 2):
         raise DomainError("k must be in {1, 2}")

@@ -1,15 +1,15 @@
 """Panel Gauss-Kronrod quadrature on one mesh tuned to the zero-gap scale of Z(t).
 
 mesh is the one cell mesh: boundaries from t0 with width a configured
-fraction of the local mean zero gap 2 pi / log(t/2pi), optionally capped.
-A quadrature panel spans CELLS = 4 consecutive cells (panel_mesh).  Each panel is
-integrated with the n Gauss-Legendre nodes plus their n+1 Kronrod nodes
-(kronrod_rule, 2n+1 kernel points); Gauss-Kronrod disagreement triggers
-bisection up to a depth cap, and the final disagreement above the
+fraction of the local mean zero gap 2 pi / log(t/2pi), optionally capped,
+graded toward t = 0 (_widths).  A quadrature panel spans CELLS = 4 cells
+(panel_mesh), so panels depend on the range and config, not on Z.  Each
+panel takes one rule, the n Gauss-Legendre nodes plus their n+1 Kronrod
+nodes (kronrod_rule, 2n+1 kernel points); their disagreement above the
 rounding floor (kronrod_sums) plus the integrated pointwise kernel error
 model (kernel_model) enters the reported error bound.  On panels of the
 kernel's Euler-Maclaurin branch, whose model is certified, the floor also
-takes in the model's integral, so the bound does not grow under refinement.
+takes in the model's integral, so the bound does not grow as panels narrow.
 All reductions run in a fixed order so reruns and checkpoint resumes are
 bit-identical.
 
@@ -18,11 +18,11 @@ the cells of the mesh from 0 and Z with its error model at the Kronrod
 nodes of its panels.  The accumulators (ensure, front, sweep), the mean
 square of E2 and the Laplace grid take their panels and samples from it,
 so a process evaluates each node of the mesh once whichever functionals it
-computes; refinement sub-panels, partial panels and the smoothed windows
-evaluate the kernel themselves.  Z at a point depends on that t alone, so
-every value is the same from a cold or a warm store.  The store keeps
-nothing past STORE_PANELS panels: it costs 528 B per panel, 13 times the
-accumulator's 40, so an uncapped store would hold 36 MB on [0, 10^5] and
+computes; partial panels and the smoothed windows evaluate the kernel
+themselves.  Z at a point depends on that t alone, so every value is the
+same from a cold or a warm store.  The store keeps
+nothing past STORE_PANELS panels: it costs 528 B per panel, 7 times the
+accumulator's 72, so an uncapped store would hold 36 MB on [0, 10^5] and
 raise the peak memory of a checkpointed run.  The scans read every value
 inside a panel -- the cell boundaries, the nodes, the probes -- from the
 panel's own samples (MomentAccumulator.read).
@@ -194,10 +194,11 @@ def panel_nodes(a, b, n: int):
 
 
 def kronrod_sums(half, f, n: int, floor=0.0):
-    """(K, G, charge) per panel for samples f at panel_nodes: the Kronrod
-    value, the Gauss value of f[:, 1::2], and the discretisation charge.
+    """(K, charge) per panel for samples f at panel_nodes: the Kronrod value
+    and the discretisation charge.
 
-    The charge is the part of |G - K| above the rounding bound rho =
+    The charge is the part of |G - K|, with G the Gauss value of f[:, 1::2],
+    above the rounding bound rho =
     gamma_{n+2} G(|f|) + gamma_{2n+3} K(|f|) of the two sums and the given
     floor (at that level |G - K| is summation and kernel noise, growing with
     the panel count), plus K's own share of rho.  The subscripts count the
@@ -208,7 +209,7 @@ def kronrod_sums(half, f, n: int, floor=0.0):
     g = half * np.sum(wg * f[:, 1::2], axis=1)
     rho_k = _gamma(2 * n + 3) * half * np.sum(wk * af, axis=1)
     rho = _gamma(n + 2) * half * np.sum(wg * af[:, 1::2], axis=1) + rho_k
-    return k, g, np.maximum(np.abs(g - k) - rho - floor, 0.0) + rho_k
+    return k, np.maximum(np.abs(g - k) - rho - floor, 0.0) + rho_k
 
 
 def kernel_model(half, df, n: int, certified):
@@ -224,17 +225,17 @@ def kernel_model(half, df, n: int, certified):
     return np.where(certified, pk + np.abs(pg - pk), pk), np.where(certified, pg + pk, 0.0)
 
 
-def _accepts(cfg: QuadConfig, k, diff, depth: int = 0):
-    """Whether PanelBatch accepts a rule at the given depth whose Kronrod
-    value is k and whose Gauss-Kronrod disagreement is diff."""
-    return (diff <= np.maximum(cfg.panel_abs, cfg.panel_rel * np.abs(k))) | (depth >= cfg.max_depth)
-
-
-def _widths(b, cfg: QuadConfig, cap: float, log=np.log):
-    """min(w(t), cap) at each t of b (see mesh); with log = _exact_log the
-    floats of the scalar formula, one t at a time."""
+def _widths(b, cfg: QuadConfig, cap: float, log=np.log, at=None):
+    """min(w(t), cap, d(t)) at each t of b (see mesh), d(at) if at is given;
+    with log = _exact_log the floats of the scalar formula, one t at a time.
+    d(t) = 2^floor(log2 max(t, 1)) / 4 grades the mesh toward 0: Z is singular
+    at t = +-i/2, and one rule converges on a panel only as fast as its
+    Bernstein ellipse is wide of them (Trefethen, SIAM Rev. 50, 2008, Thm
+    4.5); four cells of d(t) span at most max(t, 1).  d follows from Z, not
+    from a choice: it is part of PANEL_RULE, not a QuadConfig field."""
     gap = _TWO_PI / np.maximum(log(np.maximum(b / _TWO_PI, 1.0)), 1.0)
-    return np.minimum(np.minimum(np.maximum(cfg.gap_fraction * gap, cfg.w_min), cfg.w_max), cap)
+    w = np.minimum(np.minimum(np.maximum(cfg.gap_fraction * gap, cfg.w_min), cfg.w_max), cap)
+    return np.minimum(w, np.ldexp(0.25, np.frexp(np.maximum(b if at is None else at, 1.0))[1] - 1))
 
 
 def _exact_log(x):
@@ -266,8 +267,8 @@ def _cell_mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf, mul
         raise DomainError("integration range [%s, %s] is not finite" % (t0, t1))
     parts, t = [np.array([t0])], t0
     while t < t1:
-        # widths only shrink, so this undercounts the cells left to t1
-        n = min(int((t1 - t) / _widths(np.array([t]), cfg, cap)[0] * 1.01) + 4, MESH_CHUNK)
+        # w shrinks, d grows: no cell on [t, t1] is wider than w(t) graded at t1
+        n = min(int((t1 - t) / _widths(np.array([t]), cfg, cap, at=t1)[0] * 1.01) + 4, MESH_CHUNK)
         parts.append(_fold(t, n + (-n) % multiple, cfg, cap)[1:])
         t = float(parts[-1][-1])
     b = np.concatenate(parts)
@@ -277,9 +278,9 @@ def _cell_mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf, mul
 
 def mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf):
     """Cell boundaries t0 = b_0 < ... < b_m, the first b_m >= t1, of the
-    recurrence b_{i+1} = fl(b_i + min(w(b_i), cap)) in float64: w(t) is
-    cfg.gap_fraction of the mean zero gap 2 pi / max(log(t/2pi), 1), with
-    math.log, clamped to [w_min, w_max].
+    recurrence b_{i+1} = fl(b_i + min(w(b_i), cap, d(b_i))) in float64: w(t)
+    is cfg.gap_fraction of the mean zero gap 2 pi / max(log(t/2pi), 1), with
+    math.log, clamped to [w_min, w_max]; d is the grade toward 0 (_widths).
 
     The recurrence is laid as a fixed point, a chunk at a time (_fold):
     from a guess b_0 = t, ..., b_n, take the widths at b_0, ..., b_{n-1}
@@ -305,11 +306,12 @@ def panel_mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf):
 
 
 class PanelBatch:
-    """Adaptive integration of a list of panels against one integrand.
+    """One Gauss-Kronrod rule on each of a list of panels against one integrand.
 
-    integrand(t_array) -> (f, df) with df the pointwise error model.  Per
-    original panel the accepted sub-panels accumulate in left-to-right order,
-    independently of batching, so results are reproducible bit-for-bit.
+    integrand(t_array) -> (f, df) with df the pointwise error model.  A
+    panel's result depends on that panel alone, not on its batch, so results
+    are reproducible bit for bit.  The panels are the caller's: a coarse
+    mesh shows in err_bound, not in extra rules.
     """
 
     def __init__(self, integrand, cfg: QuadConfig):
@@ -319,35 +321,12 @@ class PanelBatch:
     def run(self, lefts, rights, samples=None):
         """Per panel (value, value_u, err, err_u).  samples, if given, are
         the integrand's (f, df) at panel_nodes(lefts, rights) as rows, which
-        the first rule uses instead of evaluating the integrand."""
-        cfg = self.cfg
-        m = len(lefts)
-        idx = np.arange(m)
-        a, b = np.asarray(lefts, dtype=float), np.asarray(rights, dtype=float)
-        totals = None
-        depth = 0
-        while idx.size:
-            k, ku, diff, e, eu = self._panel_pair(a, b, samples)
-            samples = None  # for the first rule alone, and not held while rejected panels refine
-            if totals is None:
-                totals = [np.zeros(m, np.result_type(q)) for q in (k, ku, e, eu)]
-            accept = _accepts(cfg, k, diff, depth)
-            # np.add.at adds in array order, so the sub-panels of one panel
-            # accumulate left to right as a per-item loop would
-            for total, q in zip(totals, (k, ku, e, eu)):
-                np.add.at(total, idx[accept], q[accept])
-            rej = ~accept
-            mid = 0.5 * (a[rej] + b[rej])
-            idx = np.repeat(idx[rej], 2)
-            a = np.stack([a[rej], mid], axis=1).ravel()
-            b = np.stack([mid, b[rej]], axis=1).ravel()
-            depth += 1
-        return tuple(totals) if totals else (np.zeros(0),) * 4
+        the rule uses instead of evaluating the integrand."""
+        return self._panel_pair(np.asarray(lefts, dtype=float), np.asarray(rights, dtype=float), samples)
 
     def _panel_pair(self, a, b, samples=None):
-        """Kronrod values of f and u*f on the panels [a, b], the raw |G - K|
-        of f that decides acceptance, and the error charges of f and u*f:
-        the kronrod_sums charge plus the integrated pointwise error model.
+        """Kronrod values of f and u*f on the panels [a, b] and their error
+        charges: the kronrod_sums charge plus the integrated pointwise error model.
         Panels wholly at or below T_SWITCH lie on the kernel's Euler-Maclaurin
         branch, whose model is certified (kernel_model).  samples are (f, df)
         at the nodes if already evaluated."""
@@ -359,9 +338,9 @@ class PanelBatch:
         em = b <= T_SWITCH
         pt, floor = kernel_model(half, df, n, em)
         ptu, floor_u = kernel_model(half, df * t, n, em)
-        k, g, charge = kronrod_sums(half, f, n, floor)
-        ku, _, charge_u = kronrod_sums(half, f * t, n, floor_u)
-        return k, ku, np.abs(g - k), charge + pt, charge_u + ptu
+        k, charge = kronrod_sums(half, f, n, floor)
+        ku, charge_u = kronrod_sums(half, f * t, n, floor_u)
+        return k, ku, charge + pt, charge_u + ptu
 
 
 ORIGIN = (0.0, 0.0, 0.0, 0, 0.0, 0.0)  # the row (T, v, e, n, vu, eu) at t = 0
@@ -370,24 +349,16 @@ ORIGIN = (0.0, 0.0, 0.0, 0, 0.0, 0.0)  # the row (T, v, e, n, vu, eu) at t = 0
 class PanelSamples(NamedTuple):
     """The integrand at the panel_nodes of some mesh panels: their indices
     ps into an accumulator's bounds, their half-widths, and the nodes t, the
-    samples f and the error model df as rows; ok tells whether PanelBatch
-    accepts each panel's first rule (MomentAccumulator.sweep)."""
+    samples f and the error model df as rows (MomentAccumulator.sweep)."""
 
     ps: np.ndarray
     half: np.ndarray
     t: np.ndarray
     f: np.ndarray
     df: np.ndarray
-    ok: np.ndarray
 
     def take(self, rows):
         return PanelSamples(*(q[rows] for q in self))
-
-
-def _split(row):
-    """(T, n, (v, vu, e, eu)) of a row (T, v, e, n, vu, eu)."""
-    t, v, e, n, vu, eu = row
-    return float(t), int(n), (float(v), float(vu), float(e), float(eu))
 
 
 class MomentAccumulator:
@@ -397,14 +368,14 @@ class MomentAccumulator:
     eu) at a panel boundary T0 of the mesh from 0 (panel_mesh), with n the
     panel count on [0, T0] and the four prefix sums there (rows); from 0 it
     is ORIGIN.  Above T0 the panel boundaries (bounds, every CELLS-th cell
-    boundary of mesh, from T0) and the per-panel values, errors and their
-    u-weighted twins are numpy arrays, grown by ensure and sweep from the
-    panels and samples of the store (ZStore), which PanelBatch.run's first
-    rule reads instead of evaluating the integrand.  The prefix
-    sums are a plain left fold seeded with the origin's sums, so at every
-    panel boundary they are bit-identical to those of an accumulator from 0,
-    however far earlier runs integrated -- the property checkpoint resume
-    relies on.  Indices into bounds and prefix() count from T0;
+    boundary of mesh, from T0), the prefix sums there and the per-panel
+    values, errors and their u-weighted twins are rows of one array, grown
+    by ensure and sweep from the panels and samples of the store (ZStore),
+    which PanelBatch.run reads instead of evaluating the integrand.  The
+    prefix sums are a plain left fold seeded with the origin's sums, so at
+    every panel boundary they are bit-identical to those of an accumulator
+    from 0, however far earlier runs integrated -- the property checkpoint
+    resume relies on.  Indices into bounds and prefix() count from T0;
     n_panels_to and panels_meeting count panels from 0.
 
     A query that needs panels below T0 (cover) first integrates [0, T0] in
@@ -420,10 +391,15 @@ class MomentAccumulator:
     def __init__(self, k: int, cfg: QuadConfig, origin=ORIGIN):
         self.k = k
         self.cfg = cfg
-        t0, self.base, self._seed = _split(origin)
-        self.bounds = np.array([t0])
-        self._val = self._val_u = self._err = self._err_u = np.zeros(0)
-        self._prefix = None
+        t0, v, e, n, vu, eu = origin
+        # the rows of _rows: bounds, the prefix sums (v, vu, e, eu) and the
+        # per-panel (value, value_u, err, err_u); columns past _m are unfilled
+        self.base, self._rows, self._m = int(n), np.empty((9, 1)), 0
+        self._rows[:5, 0] = t0, v, vu, e, eu
+
+    @property
+    def bounds(self):
+        return self._rows[0, : self._m + 1]
 
     def _integrand(self, ts, samples=None):
         return moment_integrand(ts, self.k, samples)
@@ -435,34 +411,44 @@ class MomentAccumulator:
         # for the cyclic garbage collector and could outlive it into the next.
         return PanelBatch(self._integrand, self.cfg)
 
-    def _run(self, new):
-        """Per-panel (value, value_u, err, err_u) of the panels between the
-        boundaries new, CHUNK panels per PanelBatch.run on the store's samples."""
-        lefts, rights = new[:-1], new[1:]
-        blocks = get_store(self.cfg).samples(new, self.CHUNK)
-        # next(fs) as the argument: a block is freed once its integrand is
-        # formed, and the integrand once PanelBatch.run's first rule used it
-        fs = map(lambda b: self._integrand(b[0], b[2:]), blocks)
-        parts = [self._batch.run(lefts[i : i + self.CHUNK], rights[i : i + self.CHUNK], next(fs))
-                 for i in range(0, len(lefts), self.CHUNK)]
-        return [np.concatenate([p[j] for p in parts]) for j in range(4)]
-
     def _sums(self):
-        return self._val, self._val_u, self._err, self._err_u
+        return tuple(self._rows[5:, : self._m])
+
+    def _reserve(self, n: int):
+        """Room in _rows for n more panels, at least doubled when it grows (so
+        a sweep in many chunks takes linear time); filled columns are copied."""
+        m, cap = self._m, self._rows.shape[1]
+        if m + n >= cap:
+            rows, self._rows = self._rows, np.empty((9, cap + max(n + 1, cap)))
+            self._rows[:, : m + 1] = rows[:, : m + 1]
 
     def _append(self, rights, sums):
         """Hold the panels from bounds[-1] to each of rights in turn, with
-        their per-panel (value, value_u, err, err_u)."""
-        self._val, self._val_u, self._err, self._err_u = (
-            np.concatenate([old, q]) for old, q in zip(self._sums(), sums))
-        self.bounds = np.concatenate([self.bounds, rights])
-        self._prefix = None
+        their per-panel (value, value_u, err, err_u), folded into the prefix
+        sums from the last entry on: np.cumsum is a left fold, so the bits are
+        those of one fold over every panel."""
+        m, n = self._m, len(rights)
+        self._reserve(n)
+        self._rows[0, m + 1 : m + n + 1] = rights
+        for r, q in enumerate(sums, 1):
+            self._rows[r + 4, m : m + n] = self._rows[r, m + 1 : m + n + 1] = q
+            np.cumsum(self._rows[r, m : m + n + 1], out=self._rows[r, m : m + n + 1])
+        self._m = m + n
 
     def ensure(self, t_target: float):
+        """Hold the panels up to the first boundary >= t_target, in CHUNKs."""
         if t_target <= self.bounds[-1]:
             return
         new = get_store(self.cfg).panels(float(self.bounds[-1]), t_target)
-        self._append(new[1:], self._run(new))
+        lefts, rights = new[:-1], new[1:]
+        blocks = get_store(self.cfg).samples(new, self.CHUNK)
+        # next(fs) as the argument: a block is freed once its integrand is
+        # formed, and the integrand once PanelBatch.run used it
+        fs = map(lambda b: self._integrand(b[0], b[2:]), blocks)
+        self._reserve(len(rights))
+        for i in range(0, len(rights), self.CHUNK):
+            self._append(rights[i : i + self.CHUNK],
+                         self._batch.run(lefts[i : i + self.CHUNK], rights[i : i + self.CHUNK], next(fs)))
 
     def front(self, origin=ORIGIN):
         """Integrate [T, T0] in front from an origin row (T, ...) below T0,
@@ -470,20 +456,14 @@ class MomentAccumulator:
         sums must reproduce the current origin row bit for bit; the
         accumulator then starts at the given row."""
         (want,) = self.rows([0])
-        t, n, sums = _split(origin)
-        new = get_store(self.cfg).panels(t, want[0])
-        parts = self._run(new)
-        # cumsum: the same left fold as prefix()
-        v, vu, e, eu = (float(np.cumsum(np.concatenate([[s], q]))[-1]) for s, q in zip(sums, parts))
-        got = (float(new[-1]), v, e, n + len(new) - 1, vu, eu)
+        below = MomentAccumulator(self.k, self.cfg, origin)
+        below.ensure(want[0])
+        (got,) = below.rows([len(below.bounds) - 1])
         if got != want:
             raise CheckpointMismatch("origin row %r does not reproduce: the panels on [%r, %r] "
-                                     "from the row %r give %r" % (want, t, want[0], tuple(origin), got))
-        self._val, self._val_u, self._err, self._err_u = (
-            np.concatenate([q, old]) for q, old in zip(parts, self._sums()))
-        self.bounds = np.concatenate([new[:-1], self.bounds])
-        self.base, self._seed = n, sums
-        self._prefix = None
+                                     "from the row %r give %r" % (want, origin[0], want[0], tuple(origin), got))
+        below._append(self.bounds[1:], self._sums())
+        self.base, self._rows, self._m = below.base, below._rows, below._m
 
     def pins_origin(self, i: int) -> bool:
         """Whether the row at bounds[i] determines the origin row: one ulp
@@ -495,8 +475,8 @@ class MomentAccumulator:
         for d in (-math.inf, math.inf):
             if panel_mesh(math.nextafter(t0, d), t, self.cfg)[-1] == t:
                 return False
-            for s, q, p in zip(self._seed, self._sums(), self.prefix()):
-                if np.cumsum(np.concatenate([[math.nextafter(s, d)], q[:i]]))[-1] == p[i]:
+            for q, p in zip(self._sums(), self.prefix()):
+                if np.cumsum(np.concatenate([[math.nextafter(p[0], d)], q[:i]]))[-1] == p[i]:
                     return False
         return True
 
@@ -509,10 +489,7 @@ class MomentAccumulator:
 
     def prefix(self):
         """The four prefix sums at every boundary of bounds."""
-        if self._prefix is None:
-            self._prefix = tuple(np.cumsum(np.concatenate([[s], q]))
-                                 for s, q in zip(self._seed, self._sums()))
-        return self._prefix
+        return tuple(self._rows[1:5, : self._m + 1])
 
     def rows(self, i):
         """Rows (T, v, e, n, vu, eu) at the indices i into bounds, as plain
@@ -578,8 +555,9 @@ class MomentAccumulator:
         left, right = self.bounds[i:j], self.bounds[i + 1 : j + 1]
         cut = (a > left) | (b < right)
         v, _, e, _ = self._batch.run(np.maximum(left[cut], a), np.minimum(right[cut], b))
-        vals = np.concatenate([self._val[i:j][~cut], v])
-        errs = np.concatenate([self._err[i:j][~cut], e])
+        val, _, err, _ = self._sums()
+        vals = np.concatenate([val[i:j][~cut], v])
+        errs = np.concatenate([err[i:j][~cut], e])
         value = math.fsum(vals)
         return value, math.fsum(errs) + math.ulp(value)
 
@@ -589,10 +567,10 @@ class MomentAccumulator:
 
         The samples are the store's (ZStore.samples).  Panels not yet held,
         from bounds[-1] on (so also any below t0, which are not yielded), are
-        integrated from the same samples, as PanelBatch.run's depth-0
-        samples, and held before their chunk is yielded: each panel's
-        integrand is evaluated once, and its per-panel sums are those ensure
-        gives, since a panel's result does not depend on its batch.
+        integrated from the same samples by PanelBatch.run and held before
+        their chunk is yielded: each panel's integrand is evaluated once, and
+        its per-panel sums are those ensure gives, since a panel's result does
+        not depend on its batch.
         """
         if t0 < self.bounds[0]:
             self.front()
@@ -600,7 +578,7 @@ class MomentAccumulator:
         bs, store = self.bounds, get_store(self.cfg)
         if t1 > bs[-1]:
             bs = np.concatenate([bs, store.panels(float(bs[-1]), t1)[1:]])
-        n, start, end = self.cfg.nodes, self.index(t0), int(np.searchsorted(bs, t1))
+        start, end = self.index(t0), int(np.searchsorted(bs, t1))
         blocks = store.samples(bs[start : end + 1], self.GRID_CHUNK)
         for c, (t, half, *zs) in zip(range(start, end, self.GRID_CHUNK), blocks):
             ps = np.arange(c, min(c + self.GRID_CHUNK, end))
@@ -609,10 +587,9 @@ class MomentAccumulator:
             new = ps >= held
             if new.any():
                 self._append(b[new], self._batch.run(a[new], b[new], (f[new], df[new])))
-            k, g, _ = kronrod_sums(half, f, n)
             meet = np.nonzero(b > t0)[0]
             if meet.size:
-                yield PanelSamples(ps, half, t, f, df, _accepts(self.cfg, k, np.abs(g - k))).take(meet)
+                yield PanelSamples(ps, half, t, f, df).take(meet)
 
     def read(self, s: PanelSamples, r, ts):
         """(value, value_u, err) of the cumulative integrals at the targets
@@ -623,9 +600,8 @@ class MomentAccumulator:
         of the Kronrod nodes (Greengard 1991).  The error bound adds to the
         prefix bound |h r(x) . f - h r_G(x) . f_G|, where r_G interpolates
         at the Gauss nodes alone, the kernel model h |r(x)| . df, and the
-        rounding of the dot product.  In a panel whose first rule PanelBatch
-        rejects, the values are cumulative_at's.  Each value depends on its
-        own panel and target alone.
+        rounding of the dot product.  Each value depends on its own panel and
+        target alone.
         """
         n = self.cfg.nodes
         x = kronrod_rule(n)[0]
@@ -639,9 +615,6 @@ class MomentAccumulator:
         vu = vu + h * np.sum(sk * (s.t * s.f)[r], axis=1)
         e = e + (np.abs(piece - h * np.sum(sg * fr[:, 1::2], axis=1)) + h * np.sum(ask * s.df[r], axis=1)
                  + _gamma(2 * n + 3) * h * np.sum(ask * np.abs(fr), axis=1))
-        bad = np.nonzero(~s.ok[r])[0]
-        if bad.size:
-            v[bad], vu[bad], e[bad], _ = self.cumulative_at(ts[bad])
         return v, vu, e
 
     def read_nodes(self, s: PanelSamples):
@@ -654,10 +627,6 @@ class MomentAccumulator:
         h = s.half[:, None]
         v = v + h * np.sum(s.f[:, None, :] * smat, axis=2)
         vu = vu + h * np.sum((s.t * s.f)[:, None, :] * smat, axis=2)
-        bad = np.nonzero(~s.ok)[0]
-        if bad.size:
-            redo = self.cumulative_at(s.t[bad].ravel())
-            v[bad], vu[bad] = (q.reshape(-1, s.t.shape[1]) for q in redo[:2])
         return v, vu
 
     def boundary_grid(self, t0: float, t1: float, visit=None):

@@ -9,8 +9,7 @@ target that error_term or integral_of_e2 uses.  Sign changes are sought
 between neighbouring nodes and panel ends, which lie closer than the
 cells.  Each is refined on the panel's interpolant of its own samples,
 the prefix sum at the panel's left end plus its integral to the probe
-(MomentAccumulator.read); only in a panel whose first Gauss-Kronrod rule
-is rejected are the values integrated afresh (cumulative_at).  All of a
+(MomentAccumulator.read), so the refinement evaluates no Z.  All of a
 scan's brackets are refined together by Anderson-Bjorck regula falsi with
 bisection as the fallback, one batched read per round.  A crossing is the
 midpoint of a sign-change bracket of width at most 1e-10 max(1, t), or an
@@ -123,7 +122,7 @@ def _refine_zeros(points, a, b, fa, fb, rel_tol=1e-10, max_rounds=80):
     exact zero, where lo = hi; after max_rounds the open brackets are
     returned as they are.  In a scan, points reads each probe from the
     kept samples of its bracket's panel (_target_values), so the rounds
-    evaluate Z only inside panels whose first rule is rejected.
+    evaluate no Z.
     """
     # (x1, f1) is the retained end, (x2, f2) the latest probe; f1 f2 < 0.
     x1, x2 = np.array(a, dtype=float), np.array(b, dtype=float)

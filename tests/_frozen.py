@@ -5,7 +5,7 @@ moment fixtures are tied to the default QuadConfig digest below, and
 all values are bit-identical only under the numeric fingerprint below.
 """
 
-QUAD_DIGEST = '4b58e21ac53a1c97'
+QUAD_DIGEST = '8d3d6628496ae167'
 FINGERPRINT = 'python 3.11.7; numpy 2.4.6; scipy 1.17.1; mpmath 1.3.0; simd X86_V2,X86_V3,X86_V4,AVX512_ICL,AVX512_SPR; machine x86_64; libc glibc-2.36; blas scipy-openblas 0.3.31.188.0'
 
 # oracle: mpmath tanh-sinh quadrature of siegelz^2 (30 dps), piecewise
@@ -30,12 +30,12 @@ SMOOTHED_200_20 = 78.99697923833698
 SMOOTHED_200_20_ORACLE = 78.99697923833702
 
 # oracle: doubled nodes and tightened tail tolerance
-LAPLACE2_01 = 40.87589024877213
+LAPLACE2_01 = 40.87589024439721
 LAPLACE2_01_ORACLE = 40.87589024440926
 
 # g(sigma) = L1(2 sigma) - kober_main(sigma) on sigma = 0.2/0.1/0.05/0.02
-KOBER_DIFFS = (2.8275494526198535, 2.994598053341062, 3.0713247396936865, 3.1143503178687766)
-KOBER_C0 = 3.1143503178687766
+KOBER_DIFFS = (2.8275494522590865, 2.99459805296104, 3.0713247393054512, 3.114350317476081)
+KOBER_C0 = 3.114350317476081
 
 # oracle: bisection on mpmath.siegeltheta (30 dps)
 THETA_POSITIVE_ZERO = 17.84559954041086
@@ -45,5 +45,5 @@ INT_E2_1000 = 1107.0454243794084
 INT_E2_1000_ORACLE = 1107.0453915847559
 
 # oracle: composite 16-node Gauss-Legendre on 0.25-wide windows of pointwise E2^2
-MEANSQ_E2_1000 = 709544311.896791
+MEANSQ_E2_1000 = 709544311.8967794
 MEANSQ_E2_1000_ORACLE = 709544311.8967723

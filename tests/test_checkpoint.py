@@ -50,9 +50,11 @@ class TestCheckpointFile:
         # that of panels one mesh cell wide; d530efdc928fae25 and
         # 17673b449790639f those of panels two cells wide under kernels zk3 and zk4;
         # bd47d267227b65fe that of four-cell panels under kernel zk4, whose anchor
-        # sum accumulated its Taylor moments elementwise, one n at a time
+        # sum accumulated its Taylor moments elementwise, one n at a time;
+        # 4b58e21ac53a1c97 that of four-cell panels under zk5 with adaptive
+        # bisection, whose mesh from 0 had three panels fewer
         for old in ("b4d5fb7713ea0486", "3a5ddcb906fa6a3b", "1ec07b3dd89ac4cf", "ddd102d5a58bab53",
-                    "d530efdc928fae25", "17673b449790639f", "bd47d267227b65fe"):
+                    "d530efdc928fae25", "17673b449790639f", "bd47d267227b65fe", "4b58e21ac53a1c97"):
             path = tmp_path / ("cp-%s.txt" % old)
             extend_checkpoint(str(path), 1, 200.0, cfg)
             path.write_text(path.read_text().replace(cfg.digest(), old))

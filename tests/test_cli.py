@@ -243,14 +243,13 @@ class TestConfig:
 
     @pytest.mark.parametrize("text,code,reason", [
         ("quad.nodes=abc", cli.EXIT_DATA, "line 2: bad value for quad.nodes"),
-        ("quad.max_depth=1.5", cli.EXIT_DATA, "line 2: bad value for quad.max_depth"),
+        ("quad.max_depth=12", cli.EXIT_DATA, "line 2: unknown config key 'quad.max_depth'"),
         ("output_format=xml", cli.EXIT_USAGE, "output_format must be csv or jsonl"),
         ("quad.checkpoint_step=0", cli.EXIT_USAGE, "quad.checkpoint_step must be finite and > 0"),
-        ("quad.panel_rel=inf", cli.EXIT_USAGE, "quad.panel_rel must be finite and > 0"),
+        ("quad.laplace_cmaj=inf", cli.EXIT_USAGE, "quad.laplace_cmaj must be finite and > 0"),
         ("quad.gap_fraction=nan", cli.EXIT_USAGE, "quad.gap_fraction must be finite and > 0"),
         ("quad.gap_fraction=0\nquad.w_min=0", cli.EXIT_USAGE, "quad.gap_fraction must be finite and > 0"),
         ("quad.nodes=0", cli.EXIT_USAGE, "quad.nodes must be >= 1"),
-        ("quad.max_depth=-1", cli.EXIT_USAGE, "quad.max_depth must be >= 0"),
         ("quad.w_min=3.0", cli.EXIT_USAGE, "quad.w_min must be <= quad.w_max"),
     ])
     def test_bad_values_are_refused_with_the_field(self, tmp_path, capsys, text, code, reason):

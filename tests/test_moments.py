@@ -138,10 +138,11 @@ class TestIntegrateMoment:
         acc.ensure(20.0)
         b2, b5 = float(acc.bounds[2]), float(acc.bounds[5])
         inside = 0.5 * float(acc.bounds[5] + acc.bounds[6])
+        mid = 0.5 * float(acc.bounds[3] + acc.bounds[4])
         assert integrate_moment(2, 0.0, b5, cfg).panels == 5
         assert integrate_moment(2, b2, b5, cfg).panels == 3
         assert integrate_moment(2, b2, inside, cfg).panels == 4
-        assert integrate_moment(2, 0.5 * (b2 + b5), inside, cfg).panels == 3
+        assert integrate_moment(2, mid, inside, cfg).panels == 3
         assert integrate_moment(2, b5, inside, cfg).panels == 1
         assert integral_of_e2(b5, cfg).panels == 5
         assert integral_of_e2(inside, cfg).panels == 6
@@ -158,6 +159,14 @@ class TestIntegrateMoment:
             for rc, rf in zip(levels, levels[1:]):
                 assert rf.err_bound <= rc.err_bound * (1 + 1e-9), (a, b)
                 assert abs(rf.value - rc.value) <= rf.err_bound + rc.err_bound, (a, b)
+
+    def test_a_coarse_mesh_shows_in_the_bound(self, cfg):
+        # one rule per panel: panels four times as wide as the default ones
+        # take no extra rule, so the value moves within the larger bound
+        coarse = integrate_moment(2, 1000.0, 1100.0, QuadConfig(gap_fraction=2.0))
+        fine = integrate_moment(2, 1000.0, 1100.0, cfg)
+        assert coarse.err_bound > 1e3 * fine.err_bound
+        assert abs(coarse.value - fine.value) <= coarse.err_bound + fine.err_bound
 
 
 class TestErrorTerm:
