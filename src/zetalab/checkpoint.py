@@ -19,13 +19,16 @@ the second-to-last stored row (quadrature.MomentAccumulator's origin),
 integrates from there, and requires the last stored row back bit for bit:
 T, n, v, vu, e and eu.  The prefix sums are a plain left fold, so a fold
 seeded at a panel boundary continues the fold from 0 bit for bit, and Z is
-evaluated only above the seed row.  Where the fold could absorb an ulp of
-the seed (an ulp of T, v, vu, e or eu, one way or the other, would give the
-same row above it: MomentAccumulator.pins_origin), the seed moves down one
-stored row at a time, and the panels below the old seed must reproduce it
-bit for bit (MomentAccumulator.front), until the row above the seed
-determines it.  If the process's accumulator already reaches the seed row,
-it is extended instead, and its prefix at the seed must equal the row.
+evaluated only above the seed row.  The seed's T must be panel n of the
+mesh from 0 (quadrature.panel_bounds_at, laid without evaluating Z).
+Where the fold could absorb an ulp of the seed's sums (an ulp of v, vu, e
+or eu, one way or the other, would give the same row above it:
+MomentAccumulator.pins_origin), the seed moves down one stored row at a
+time, each new seed's T checked the same way, and the panels below the old
+seed must reproduce it bit for bit (MomentAccumulator.front), until the row
+above the seed determines it.  If the process's accumulator already reaches
+the seed row, it is extended instead, and its prefix at the seed must equal
+the row.
 
 A resume starts at the origin row (0, 0, 0, 0, 0, 0) instead when the file
 has one row of k, or when its fingerprint is missing or differs from
@@ -47,7 +50,7 @@ import numpy as np
 from .config import QuadConfig
 from .errors import CheckpointMismatch, DataParseError, DataValidationError
 from .quadrature import (
-    ORIGIN, MomentAccumulator, drop_accumulator, get_accumulator, numeric_fingerprint)
+    ORIGIN, MomentAccumulator, drop_accumulator, get_accumulator, numeric_fingerprint, panel_bounds_at)
 
 HEADER = "# zetalab-checkpoint v2"
 FINGERPRINT_PREFIX = "# fingerprint: "
@@ -186,28 +189,42 @@ def _verify(acc: MomentAccumulator, stored: MomentCheckpoint, seed, seeded: bool
 
     Returns the seed row.  A new accumulator seeded at a row (seeded) is
     moved down a row at a time (front) until the row above its origin
-    determines the origin (pins_origin): the fold can absorb an ulp of the
-    seed, and then the last row alone would not show that the seed is off.
+    determines the origin's sums (pins_origin): the fold can absorb an ulp
+    of the seed, and then the last row alone would not show that the seed
+    is off.  The T of each row it seeds at must be panel n of the mesh
+    from 0 (panel_bounds_at), which the mesh from T alone would not show.
     """
     here = numeric_fingerprint()
 
+    def refuse(t):
+        msg = "stored prefix at T=%r does not reproduce under digest %s" % (t, stored.config_digest)
+        if stored.fingerprint != here:
+            msg += "; written under numeric fingerprint %s, running under %s" % (
+                stored.fingerprint or "(not recorded)", here)
+        raise CheckpointMismatch(msg)
+
     def reproduce(want):
         if _row_at(acc, want[0]) != want:
-            msg = "stored prefix at T=%r does not reproduce under digest %s" % (want[0], stored.config_digest)
-            if stored.fingerprint != here:
-                msg += "; written under numeric fingerprint %s, running under %s" % (
-                    stored.fingerprint or "(not recorded)", here)
-            raise CheckpointMismatch(msg)
+            refuse(want[0])
+
+    def on_mesh(j):
+        if mesh_t[j] != rows[j][0]:
+            refuse(rows[j][0])
 
     rows = stored.rows
+    j = len(rows) - 2
+    if seeded:
+        mesh_t = panel_bounds_at([row[3] for row in rows[: j + 1]], acc.cfg)
+        on_mesh(j)
     reproduce(seed)
     acc.ensure(rows[-1][0])
     for want in rows if seed is ORIGIN else rows[-1:]:
         reproduce(want)
-    j = len(rows) - 2
     while seeded and acc.base > 0 and not acc.pins_origin(acc.index(rows[j + 1][0])):
         j -= 1
         seed = rows[j] if j >= 0 else ORIGIN
+        if j >= 0:
+            on_mesh(j)
         acc.front(seed)
     return seed
 

@@ -259,19 +259,24 @@ def _fold(t: float, n: int, cfg: QuadConfig, cap: float):
     return b
 
 
-def _cell_mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf, multiple: int = CELLS):
-    """The cell boundaries b_0 = t0, ..., b_m of mesh with m the least
-    multiple of `multiple` such that b_m >= t1, laid in _fold chunks of at
-    most MESH_CHUNK cells, each from the exact end of the last."""
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise DomainError("integration range [%s, %s] is not finite" % (t0, t1))
-    parts, t = [np.array([t0])], t0
+def _chunks(t: float, t1: float, cfg: QuadConfig, cap: float, multiple: int):
+    """The cells of mesh from t in _fold chunks of a multiple of `multiple`
+    cells, at most MESH_CHUNK, each from the exact end of the last (its
+    first boundary dropped), until one reaches t1 (never, for t1 = inf)."""
     while t < t1:
         # w shrinks, d grows: no cell on [t, t1] is wider than w(t) graded at t1
-        n = min(int((t1 - t) / _widths(np.array([t]), cfg, cap, at=t1)[0] * 1.01) + 4, MESH_CHUNK)
-        parts.append(_fold(t, n + (-n) % multiple, cfg, cap)[1:])
-        t = float(parts[-1][-1])
-    b = np.concatenate(parts)
+        n = int(min((t1 - t) / _widths(np.array([t]), cfg, cap, at=t1)[0] * 1.01 + 4, MESH_CHUNK))
+        b = _fold(t, n + (-n) % multiple, cfg, cap)[1:]
+        yield b
+        t = float(b[-1])
+
+
+def _cell_mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf, multiple: int = CELLS):
+    """The cell boundaries b_0 = t0, ..., b_m of mesh with m the least
+    multiple of `multiple` such that b_m >= t1, laid in _chunks."""
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise DomainError("integration range [%s, %s] is not finite" % (t0, t1))
+    b = np.concatenate([[t0], *_chunks(t0, t1, cfg, cap, multiple)])
     i = int(np.searchsorted(b, t1))
     return b[: i + (-i) % multiple + 1]
 
@@ -303,6 +308,19 @@ def panel_mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf):
     not a multiple of CELLS.  So the last boundary is >= t1, and panels laid
     from a panel boundary continue the same four-cell grid."""
     return _cell_mesh(t0, t1, cfg, cap)[::CELLS]
+
+
+def panel_bounds_at(ns, cfg: QuadConfig):
+    """The boundaries of the panels ns (ascending counts) of the mesh from 0,
+    panel_mesh(0, ., cfg)[ns], laid in _chunks that are dropped once passed,
+    so memory stays flat in the ns."""
+    out, first, b = [], 0, np.zeros(1)  # b: the cells first, first + 1, ...
+    chunks = _chunks(0.0, math.inf, cfg, math.inf, 1)
+    for cell in CELLS * np.asarray(ns, dtype=np.int64):
+        while cell >= first + len(b):
+            first, b = first + len(b), next(chunks)
+        out.append(float(b[cell - first]))
+    return out
 
 
 class PanelBatch:
@@ -382,7 +400,8 @@ class MomentAccumulator:
     front, the front pass (front).  Its fold must reproduce the origin row
     bit for bit, or it raises CheckpointMismatch with the reason; after it
     the accumulator starts at ORIGIN.  A checkpoint resume uses the same
-    step to move its seed down to a lower stored row (pins_origin).
+    step to move its seed down to a lower stored row (pins_origin), and
+    checks each seed's T against the mesh from 0 (panel_bounds_at).
     """
 
     CHUNK = 512       # panels per PanelBatch.run and per kernel call of the store
@@ -466,15 +485,13 @@ class MomentAccumulator:
         self.base, self._rows, self._m = below.base, below._rows, below._m
 
     def pins_origin(self, i: int) -> bool:
-        """Whether the row at bounds[i] determines the origin row: one ulp
-        more or less in the origin's T or in any of its sums changes that
-        row.  The mesh step and the fold x -> fl(x + q) are monotone, so
-        then no other origin gives the same row; across a binade the fold
-        can absorb an ulp."""
-        t0, t = float(self.bounds[0]), float(self.bounds[i])
+        """Whether the row at bounds[i] determines the origin's sums: one ulp
+        more or less in any of them changes that row.  The fold x -> fl(x +
+        q) is monotone, so then no other sums give the same row; across a
+        binade the fold can absorb an ulp.  The origin's T is not checked
+        here: the mesh can absorb an ulp of it too, so a resume checks it
+        against the mesh from 0 (panel_bounds_at)."""
         for d in (-math.inf, math.inf):
-            if panel_mesh(math.nextafter(t0, d), t, self.cfg)[-1] == t:
-                return False
             for q, p in zip(self._sums(), self.prefix()):
                 if np.cumsum(np.concatenate([[math.nextafter(p[0], d)], q[:i]]))[-1] == p[i]:
                     return False

@@ -7,28 +7,40 @@ Two regimes, split at T_SWITCH:
   * t >= T_SWITCH: Riemann-Siegel main sum plus all the Chebyshev-tabulated
     corrections C0..C4 of _rs_cheb.
 Both return pointwise error-model arrays, smooth in t, that the quadrature
-layer folds into its bounds.  The theta phase uses scipy's complex log-gamma.
+layer folds into its bounds.  The EM branch takes theta from scipy's complex
+log-gamma (theta_fast), the RS branch from its Stirling series
+(theta_stirling), ten times cheaper and no less accurate there.
 
-The Riemann-Siegel main sum sum_{n <= N} n^(-1/2) cos(theta - t log n),
-N = floor(sqrt(t / 2 pi)), is summed directly (one cosine per point and
-term) for N < RS_TAYLOR_N, where that is the cheaper way.  From RS_TAYLOR_N
-on it is an anchor-Taylor multi-evaluation (the Taylor step of
-Odlyzko-Schoenhage, Trans. AMS 309, 1988):
+The RS branch runs its whole path per block of RS_BLOCK points: theta, the
+main sum, the corrections and the error model, so its temporaries are
+bounded by the block, not by the call.  The corrections are one pass
+(_rs_cheb.corrections): the Chebyshev basis of each point is contracted
+with the table of all five by np.einsum, which runs no BLAS, so each point
+takes the same steps in a block of any size (a matmul takes another BLAS
+path for one point than for many), and Horner in 1/a combines them.
+
+The main sum sum_{n <= N} n^(-1/2) e^(i (theta - t log n)) (_main_sum; RS
+takes twice its real part with N = floor(sqrt(t / 2 pi)), EM its whole with
+theta = 0 and N = EM_TERMS[band] - 1: the Dirichlet sum of zeta) is summed
+directly, one exponential per point and term, for N < RS_TAYLOR_N, where
+that is the cheaper way.  From RS_TAYLOR_N on it is an anchor-Taylor
+multi-evaluation (the Taylor step of Odlyzko-Schoenhage, Trans. AMS 309,
+1988):
   * each point has an anchor a = j Delta, j = rint(t / Delta), with Delta =
     RS_DELTA a power of two, so h = t - a is exact and |h| <= Delta/2;
-  * the points of a block of RS_BLOCK sharing (N, j) form a group, with
+  * the points of a block sharing (N, j) form a group, with
     C_n = n^(-1/2) e^(-i a log n) and, about the centre c = log(N)/2 of the
     logs, S_m = sum_n C_n (log n - c)^m / m! for m <= M(N): the product of
     the (M+1) x N matrix of the powers (_taylor_powers) by the N x 2 matrix
     of Re C_n and Im C_n, one np.matmul over the stack of a block's groups
     of equal N;
-  * a point's sum is Re(e^(i (theta - h c)) P(-ih)), with P(x) = sum_m S_m
-    x^m by one Horner pass: one cosine per anchor and term instead of one
+  * a point's sum is e^(i (theta - h c)) P(-ih), with P(x) = sum_m S_m x^m
+    by one Horner pass: one exponential per anchor and term instead of one
     per point and term;
   * M(N) (taylor_order) is the least order whose remainder bound
     2 sqrt(N) x^(M+1)/(M+1)! e^x, x = (Delta/4) log N (|h| |log n - c| <= x),
-    is at most RS_TAYLOR_TOL; twice that bound (the sum is doubled) is
-    added to err;
+    is at most RS_TAYLOR_TOL; twice that bound (the RS sum is doubled) is
+    added to the RS err, and the EM err's 1e-12 floor covers it;
   * a log n is reduced mod 2 pi exactly, once per anchor and term: log n =
     log_hi + log_lo from 40 digits with log_hi of PHASE_BITS bits, so a
     log_hi is exact for a < 2^(53 - PHASE_BITS), and 2 pi = P1 + P2 + P3
@@ -48,10 +60,10 @@ moment products, at most about eps M 2 sqrt(N) e^x with e^x = sqrt(N) at
 Delta = 2, is not charged apart from the per-point rounding term of the
 model.
 
-The branch policy (T_SWITCH, EM_TERMS, the corrections, RS_REMAINDER_COEF,
-EM_ROUNDING_COEF, RS_TAYLOR_N, RS_DELTA, RS_TAYLOR_TOL) is fixed, not
-configured; changing it means a new config.KERNEL_VERSION.  The oracle of
-both branches is mpmath.siegelz.
+The branch policy (T_SWITCH, EM_TERMS, theta, the corrections,
+RS_REMAINDER_COEF, EM_ROUNDING_COEF, RS_TAYLOR_N, RS_DELTA, RS_TAYLOR_TOL)
+is fixed, not configured; changing it means a new config.KERNEL_VERSION.
+The oracle of both branches is mpmath.siegelz.
 """
 
 from __future__ import annotations
@@ -75,14 +87,14 @@ EM_BAND = 25.0
 # Re-derived at 30 digits by test_em_terms_from_backlund_bound.
 EM_TERMS = (11, 16, 22, 28, 34, 41, 47, 54, 60, 67, 73, 80, 86, 93, 100, 106)
 EM_TRUNCATION = 1e-14
-EM_BLOCK = 512  # points per block of zeta_half_em
+EM_BLOCK = 2048  # points per block of zeta_half_em
 
 EM_ROUNDING_COEF = 8.0
 # Riemann-Siegel remainder after C4: |R| <= RS_REMAINDER_COEF (t/2pi)^(-11/4).
 # Validated against mpmath.siegelz by test_rs_branch_vs_mpmath (t <= 6000)
-# and test_rs_anchor_path_vs_mpmath (t <= 1.2e4); from t ~ 1.4e4 on the
-# bound under-reports, because the float64 rounding of theta is not charged
-# (ROADMAP item 1).
+# and test_rs_anchor_path_vs_mpmath (t <= 1.2e4); from t ~ 2e4 on the bound
+# under-reports, because the float64 rounding of theta (about eps t log t)
+# is not charged (ROADMAP item 1).
 RS_REMAINDER_COEF = 0.2
 # The main sum is anchor-Taylor from N = RS_TAYLOR_N on, direct below it
 # (see the module docstring), with anchors RS_DELTA apart and Taylor orders
@@ -99,11 +111,10 @@ _EPS = float(np.finfo(float).eps)
 _LOG_PI = math.log(math.pi)
 _TWO_PI = 2.0 * math.pi
 
-# log n and n^(-1/2) for n = 1 .. max(EM_TERMS) - 1; each band reads a prefix.
-_LOG_N = np.log(np.arange(1.0, EM_TERMS[-1]))
-_INV_SQRT_N = 1.0 / np.sqrt(np.arange(1.0, EM_TERMS[-1]))
+_INV_TWO_PI_E = 1.0 / (_TWO_PI * math.e)
 # N and log N (math.log) per band, for the Euler-Maclaurin tail.
 _EM_N = np.array(EM_TERMS, dtype=float)
+_EM_NMAIN = np.array(EM_TERMS, dtype=np.int64) - 1
 _EM_LOG_N = np.array([math.log(n) for n in EM_TERMS])
 
 
@@ -123,16 +134,30 @@ def theta_fast(t: np.ndarray) -> np.ndarray:
     return loggamma(0.25 + 0.5j * t).imag - 0.5 * t * _LOG_PI
 
 
+def theta_stirling(t: np.ndarray) -> np.ndarray:
+    """Riemann-Siegel theta by its Stirling series, for the RS branch:
+    (t/2) log(t/(2 pi e)) - pi/8 + 1/(48t) + 7/(5760t^3) + 31/(80640t^5).
+    The coefficients are (1 - 2^(1-2k)) |B_2k| / (4k (2k-1)) (Gabcke 1979,
+    sec. 4.2); the remainder is of the size of the first omitted term
+    127/(430080 t^7) (cf. DLMF 5.11(ii)), below 1e-20 from t = 400 on, far
+    under the float64 rounding of the leading term (about eps t log t)."""
+    x = 1.0 / t
+    x2 = x * x
+    return 0.5 * t * np.log(t * _INV_TWO_PI_E) - math.pi / 8 + x * (1 / 48 + x2 * (7 / 5760 + x2 * (31 / 80640)))
+
+
 def zeta_half_em(t: np.ndarray) -> np.ndarray:
     """zeta(1/2 + it) by Euler-Maclaurin with EM_TERMS[band of t] terms, for
     t < T_SWITCH (t below 0 takes the first band's terms).
 
-    The Dirichlet sums run per band, in blocks of EM_BLOCK points; the
-    Bernoulli tail runs once per EM_BLOCK points of the call, each point
-    with its own band's N and coefficients.  The blocks bound the temporaries
-    and keep each point's value independent of the call: numpy computes a
-    product of temporaries over 256 KiB in place, which can round
-    differently from the out-of-place product.
+    The Dirichlet sum sum_{n < N} n^(-1/2 - it) is the main sum of the RS
+    branch with nmain = N - 1 and theta = 0 (_main_sum); a Taylor remainder
+    of at most RS_TAYLOR_TOL is far under z_em_block's 1e-12 floor.  It and
+    the Bernoulli tail run once per EM_BLOCK points of the call, each point
+    with its own band's N and coefficients.  The blocks bound the temporaries and keep each point's
+    value independent of the call: numpy computes a product of temporaries
+    over 256 KiB in place, which can round differently from the
+    out-of-place product.
     """
     t = np.asarray(t, dtype=float)
     if t.size and not t.max() < T_SWITCH:
@@ -142,22 +167,11 @@ def zeta_half_em(t: np.ndarray) -> np.ndarray:
             " (1.1e-11 at t = 450)" % (T_SWITCH, EM_TERMS[-1]))
     out = np.empty(t.shape, dtype=complex)
     band = np.maximum(t // EM_BAND, 0).astype(np.intp)
-    for j in np.unique(band):
-        idx = np.flatnonzero(band == j)
-        for i in range(0, idx.size, EM_BLOCK):
-            sel = idx[i : i + EM_BLOCK]
-            out[sel] = _dirichlet_block(t[sel], EM_TERMS[j])
     for i in range(0, t.size, EM_BLOCK):
         sel = slice(i, i + EM_BLOCK)
+        out[sel] = _main_sum(t[sel], np.zeros_like(t[sel]), _EM_NMAIN[band[sel]], True)
         out[sel] += _em_tail(t[sel], band[sel])
     return out
-
-
-def _dirichlet_block(t: np.ndarray, n_terms: int) -> np.ndarray:
-    """sum_{n < N} n^(-1/2 - it) as two real sums."""
-    phases = np.multiply.outer(t, _LOG_N[: n_terms - 1])
-    w = _INV_SQRT_N[: n_terms - 1]
-    return (np.cos(phases) * w).sum(axis=1) - 1j * (np.sin(phases) * w).sum(axis=1)
 
 
 def _em_tail(t: np.ndarray, band: np.ndarray) -> np.ndarray:
@@ -285,21 +299,23 @@ def _groups(j, nmain):
     return nmain[first], j[first], inv
 
 
-def _direct_sum(t, th, nmain):
-    """sum_{n <= nmain} n^(-1/2) cos(theta - t log n), one cosine per term."""
-    out = np.zeros_like(t)
+def _direct_sum(t, th, nmain, full):
+    """sum_{n <= nmain} n^(-1/2) e^(i (theta - t log n)), one exponential
+    per term; only its real part, one cosine per term, unless full."""
+    f = (lambda x: np.exp(1j * x)) if full else np.cos
+    out = np.zeros(t.shape, dtype=complex if full else float)
     for n in range(1, int(nmain.max()) + 1 if t.size else 1):
         mask = nmain >= n
         if not mask.all():
-            out[mask] += np.cos(th[mask] - t[mask] * math.log(n)) / math.sqrt(n)
+            out[mask] += f(th[mask] - t[mask] * math.log(n)) / math.sqrt(n)
         else:
-            out += np.cos(th - t * math.log(n)) / math.sqrt(n)
+            out += f(th - t * math.log(n)) / math.sqrt(n)
     return out
 
 
 def _anchor_sum(t, th, nmain):
-    """The same sum by Taylor expansion about each point's anchor (see the
-    module docstring); every nmain at least RS_TAYLOR_N."""
+    """The same sum, complex, by Taylor expansion about each point's anchor
+    (see the module docstring); every nmain at least RS_TAYLOR_N."""
     j = np.rint(t * (1.0 / RS_DELTA))
     h = t - j * RS_DELTA                    # exact: |h| <= RS_DELTA / 2
     gn, gj, inv = _groups(j, nmain)
@@ -336,45 +352,51 @@ def _anchor_sum(t, th, nmain):
         np.multiply(acc, step, out=acc)
         np.add(acc, np.take(s[m], inv, out=coef), out=acc)
     phi = th - h * (0.5 * lg[nmain - 1])
-    return np.cos(phi) * acc.real - np.sin(phi) * acc.imag
+    rot = np.empty_like(acc)
+    np.cos(phi, out=rot.real)
+    np.sin(phi, out=rot.imag)
+    return acc * rot  # not in place: that rounds one point apart differently
+
+
+def _main_sum(t, th, nmain, full):
+    """sum_{n <= nmain} n^(-1/2) e^(i (theta - t log n)) by the direct sum
+    where nmain < RS_TAYLOR_N, the cheaper way there, and by the anchor sum
+    elsewhere; only its real part unless full."""
+    direct = nmain < RS_TAYLOR_N
+    if direct.all():
+        return _direct_sum(t, th, nmain, full)
+    if not direct.any():
+        s = _anchor_sum(t, th, nmain)
+        return s if full else s.real
+    out = np.empty(t.shape, dtype=complex if full else float)
+    for part in (direct, ~direct):
+        out[part] = _main_sum(t[part], th[part], nmain[part], full)
+    return out
 
 
 def z_rs_block(t: np.ndarray):
-    """(Z, err) on the Riemann-Siegel branch; requires 2 pi < t < RS_T_MAX
-    elementwise."""
+    """(Z, err) on the Riemann-Siegel branch, t 1-d with 2 pi < t < RS_T_MAX,
+    the whole path per block of RS_BLOCK points."""
     t = np.asarray(t, dtype=float)
     if t.size and not t.max() < RS_T_MAX:
         raise DomainError(
             "the Riemann-Siegel branch reduces its anchor phases exactly only for"
             " t < RS_T_MAX = %g: beyond it a log_hi or k P1 needs more than 53 bits"
             % RS_T_MAX)
+    z, err = np.empty_like(t), np.empty_like(t)
+    for i in range(0, t.size, RS_BLOCK):
+        sel = slice(i, i + RS_BLOCK)
+        z[sel], err[sel] = _rs_points(t[sel])
+    return z, err
+
+
+def _rs_points(t):
+    """(Z, err) of z_rs_block on one block."""
     a = np.sqrt(t / _TWO_PI)
     nmain = np.floor(a).astype(np.int64)
-    p = a - nmain
-    th = theta_fast(t)
-
-    # the direct sum below RS_TAYLOR_N, where it is the cheaper one; the
-    # anchor sum in blocks of RS_BLOCK points, which bound its temporaries
-    direct = nmain < RS_TAYLOR_N
-    if direct.all():
-        out = _direct_sum(t, th, nmain)
-    else:
-        out = np.empty_like(t)
-        d, q = np.flatnonzero(direct), np.flatnonzero(~direct)
-        if d.size:
-            out[d] = _direct_sum(t[d], th[d], nmain[d])
-        for i in range(0, q.size, RS_BLOCK):
-            sel = q[i : i + RS_BLOCK] if d.size else slice(i, i + RS_BLOCK)
-            out[sel] = _anchor_sum(t[sel], th[sel], nmain[sel])
-    out *= 2.0
-
-    corr = _rs_cheb.eval_correction(0, p)
-    apow = np.ones_like(a)
-    for j in range(1, _rs_cheb.N_CORRECTIONS):
-        apow *= a
-        corr = corr + _rs_cheb.eval_correction(j, p) / apow
-    sign = np.where(nmain % 2 == 1, 1.0, -1.0)
-    z = out + sign * corr / np.sqrt(a)
+    z = 2.0 * _main_sum(t, theta_stirling(t), nmain, False)
+    corr = _rs_cheb.corrections(a - nmain, 1.0 / a)
+    z += np.where(nmain % 2 == 1, 1.0, -1.0) * corr / np.sqrt(a)
 
     a2 = t / _TWO_PI
     err = RS_REMAINDER_COEF * a2 ** (-11 / 4.0)

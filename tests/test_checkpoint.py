@@ -52,9 +52,12 @@ class TestCheckpointFile:
         # bd47d267227b65fe that of four-cell panels under kernel zk4, whose anchor
         # sum accumulated its Taylor moments elementwise, one n at a time;
         # 4b58e21ac53a1c97 that of four-cell panels under zk5 with adaptive
-        # bisection, whose mesh from 0 had three panels fewer
+        # bisection, whose mesh from 0 had three panels fewer; 8d3d6628496ae167
+        # that of one rule per graded panel under zk5, whose theta was scipy's
+        # log-gamma on both branches
         for old in ("b4d5fb7713ea0486", "3a5ddcb906fa6a3b", "1ec07b3dd89ac4cf", "ddd102d5a58bab53",
-                    "d530efdc928fae25", "17673b449790639f", "bd47d267227b65fe", "4b58e21ac53a1c97"):
+                    "d530efdc928fae25", "17673b449790639f", "bd47d267227b65fe", "4b58e21ac53a1c97",
+                    "8d3d6628496ae167"):
             path = tmp_path / ("cp-%s.txt" % old)
             extend_checkpoint(str(path), 1, 200.0, cfg)
             path.write_text(path.read_text().replace(cfg.digest(), old))
@@ -176,18 +179,27 @@ class TestSeededResume:
         assert (tmp_path / "cp.txt").read_text() == (tmp_path / "fresh.txt").read_text()
 
     def test_seed_moves_down_until_the_row_above_determines_it(self, tmp_path, cfg, fresh):
-        _, cp, _ = _write_and_reseed(str(tmp_path / "cp.txt"), 1, 2400.0, 2900.0, cfg, fresh)
-        rows = cp.rows
+        path = tmp_path / "cp.txt"
+        stored, _ = extend_checkpoint(str(path), 1, 2400.0, cfg)
+        rows = stored.rows
         ts = [r[0] for r in rows]
-        j, last = ts.index(cp.resume.seed_t), ts.index(cp.resume.verified_t)
-        assert get_accumulator(1, cfg).bounds[0] == cp.resume.seed_t
 
         def pinned(i):
             acc = quadrature.MomentAccumulator(1, cfg, rows[i])
             acc.ensure(ts[i + 1])
             return acc.pins_origin(acc.index(ts[i + 1]))
 
-        # at this T the row above the second-to-last one does not determine it
+        # cut the file after the highest row pair in which the row above does
+        # not determine the row below, with a row that is determined below it
+        pins = [pinned(i) for i in range(len(rows) - 1)]
+        top = max(i for i, p in enumerate(pins) if not p and any(pins[:i]))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[: len(lines) - len(rows) + top + 2]) + "\n")
+        fresh()
+        cp, _ = extend_checkpoint(str(path), 1, 2900.0, cfg, resume=True)
+        j, last = ts.index(cp.resume.seed_t), ts.index(cp.resume.verified_t)
+        assert get_accumulator(1, cfg).bounds[0] == cp.resume.seed_t
+        assert last == top + 1 and cp.rows[: last + 1] == rows[: last + 1]
         assert j < last - 1
         assert pinned(j) and not any(pinned(i) for i in range(j + 1, last))
 
@@ -214,6 +226,28 @@ class TestSeededResume:
         assert "does not reproduce" in str(ei.value)
         assert path.read_bytes() == before
         assert get_accumulator(1, cfg).bounds[0] == 0.0  # no seed left from the refused row
+
+    @pytest.mark.parametrize("to", [-math.inf, math.inf])
+    @pytest.mark.parametrize("t_first", [1000.0, 2500.0])
+    def test_seed_row_off_the_mesh_from_0_refused(self, tmp_path, cfg, fresh, to, t_first):
+        # the seed's T an ulp off and the last row folded from it: the last
+        # row reproduces from the seed, so only the mesh from 0 shows it
+        path = tmp_path / "cp.txt"
+        stored, _ = extend_checkpoint(str(path), 1, t_first, cfg)
+        t, v, e, n, vu, eu = stored.rows[-2]
+        off = (math.nextafter(t, to), v, e, n, vu, eu)
+        acc = quadrature.MomentAccumulator(1, cfg, off)
+        acc.ensure(stored.rows[-1][0])
+        top = acc.rows([len(acc.bounds) - 1])[0]
+        lines = path.read_text().splitlines()
+        lines[-2:] = ["1,%r,%r,%r,%s;%d;%r;%r" % (r[:3] + (cfg.digest(),) + r[3:]) for r in (off, top)]
+        path.write_text("\n".join(lines) + "\n")
+        before = path.read_bytes()
+        fresh()
+        with pytest.raises(CheckpointMismatch, match="T=%r does not reproduce" % off[0]):
+            extend_checkpoint(str(path), 1, t_first + 100.0, cfg, resume=True)
+        assert path.read_bytes() == before
+        assert get_accumulator(1, cfg).bounds[0] == 0.0
 
     @pytest.mark.parametrize("query", ["integrate_moment", "mean_square_e2", "boundary_grid",
                                        "integral_of_e2", "cumulative_at"])

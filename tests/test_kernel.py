@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from zetalab import zkernel
+from zetalab import _rs_cheb, zkernel
 from zetalab.errors import DomainError
 
 from _frozen import THETA_POSITIVE_ZERO
@@ -54,7 +54,7 @@ class TestKernelAccuracy:
             assert abs(zi - ref) <= ei
 
     def test_rs_anchor_path_vs_mpmath(self, rng):
-        # where the present model holds (from t ~ 1.4e4 on the float64 theta
+        # where the present model holds (from t ~ 2e4 on the float64 theta
         # outgrows it, on either main-sum path: ROADMAP item 1): random t, the
         # points either side of t = 2 pi n^2 (where N steps) and of anchor
         # edges (j + 1/2) Delta
@@ -202,9 +202,36 @@ class TestKernelAccuracy:
                     got = np.matmul(powers, stack)[at]
                     assert got.tobytes() == want.tobytes(), (size, at, offset)
 
+    @pytest.mark.parametrize("n", [1, 16, 500])
+    def test_corrections_independent_of_the_block(self, rng, n):
+        # the five corrections are one einsum contraction of the Chebyshev
+        # basis (no BLAS), so a point has the same bits at any block size,
+        # position in the block and offset of the arrays in memory
+        p, x = rng.uniform(0.0, 1.0, n), rng.uniform(1e-4, 0.3, n)
+        want = _rs_cheb.corrections(p, x)
+        for size in (n, n + 1, n + 7, n + 64, n + zkernel.RS_BLOCK):
+            for at in sorted({0, (size - n) // 2, size - n}):
+                for offset in (0, 1, 2):
+                    buf = rng.uniform(0.0, 1.0, (2, offset + size))
+                    bp, bx = buf[0, offset:], buf[1, offset:]
+                    bp[at : at + n], bx[at : at + n] = p, x
+                    got = _rs_cheb.corrections(bp, bx)[at : at + n]
+                    assert got.tobytes() == want.tobytes(), (size, at, offset)
+        for j in range(n):
+            one = _rs_cheb.corrections(p[j : j + 1], x[j : j + 1])
+            assert one.tobytes() == want[j : j + 1].tobytes()
+        # against the Chebyshev series of each C_k, one at a time
+        u = 2.0 * p - 1.0
+        v = 2.0 * u * u - 1.0
+        terms = [np.polynomial.chebyshev.chebval(v, _rs_cheb.COEFFS[:, k]) * (u if k % 2 else 1.0) * x**k
+                 for k in range(_rs_cheb.COEFFS.shape[1])]
+        assert np.max(np.abs(want - sum(terms))) <= 4 * np.finfo(float).eps
+
     def test_em_point_independent_of_the_call(self, rng):
         # two blocks in each of the bands [75, 100) and [100, 125), t in every
-        # band, and t on both sides of a band edge
+        # band (the Dirichlet sum is direct where N - 1 < RS_TAYLOR_N, the
+        # anchor sum elsewhere), and t on both sides of a band edge
+        assert zkernel.EM_TERMS[0] - 1 < zkernel.RS_TAYLOR_N <= zkernel.EM_TERMS[-1] - 1
         ts = np.concatenate([rng.uniform(75.0, 125.0, 2 * zkernel.EM_BLOCK + 37),
                              rng.uniform(0.0, 400.0, 64), np.nextafter(100.0, [0.0, 200.0])])
         rng.shuffle(ts)
@@ -221,6 +248,20 @@ class TestKernelAccuracy:
             f, df = zkernel.moment_integrand(ts, k)
             assert np.allclose(f, z ** (2 * k), rtol=1e-12)
             assert np.all(df >= 0)
+
+    def test_theta_stirling_vs_siegeltheta(self, rng):
+        # the RS branch's theta, from t = 400 to 1e7, random t and the points
+        # either side of t = 2 pi n^2 (where N steps): within a few roundings
+        # of its leading term, so the series' remainder does not show
+        n = np.array([8, 18, 40, 126, 400, 1261])
+        near = np.repeat(2 * np.pi * n**2.0, 2)
+        ts = np.concatenate([np.exp(rng.uniform(np.log(400.0), np.log(1e7), 60)),
+                             np.nextafter(near, np.tile([0.0, 1e9], n.size)), [400.0]])
+        th = zkernel.theta_stirling(ts)
+        with mpmath.workdps(30):
+            for t, v in zip(ts, th):
+                ref = mpmath.siegeltheta(t)
+                assert abs(v - ref) <= 4 * np.finfo(float).eps * abs(ref), t
 
     def test_theta_fast_matches_scalar(self):
         ts = np.array([5.0, 60.0, 1234.5])

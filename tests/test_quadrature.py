@@ -123,6 +123,15 @@ class TestMesh:
         assert residues == {0, 1, 2, 3}
         assert quadrature.panel_mesh(5.0, 5.0, cfg).tolist() == [5.0]
 
+    @pytest.mark.parametrize("chunk, t1", [(7, 500.0), (quadrature.MESH_CHUNK, 3.0e4)])
+    def test_panel_bounds_at_read_the_mesh_from_0(self, cfg, monkeypatch, chunk, t1):
+        # chunks of 7 cells put the panel boundaries at every offset in a chunk
+        b = quadrature.panel_mesh(0.0, t1, cfg)
+        ns = [0, 0, 1, 2, 3, 57, 58, len(b) // 2, len(b) - 2, len(b) - 1]
+        monkeypatch.setattr(quadrature, "MESH_CHUNK", chunk)
+        assert quadrature.panel_bounds_at(ns, cfg) == b[ns].tolist()
+        assert quadrature.panel_bounds_at([], cfg) == []
+
     def test_accumulator_bounds_are_one_mesh(self, cfg):
         # panels four cells wide, independent of how far earlier calls integrated
         acc = MomentAccumulator(1, cfg)

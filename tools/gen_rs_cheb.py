@@ -6,9 +6,10 @@ C_k(p) are combinations of derivatives of
 on p in [0, 1].  Derivatives are taken symbolically with sympy and evaluated
 with mpmath at 60 digits on a Chebyshev grid in u = 2p - 1.  C_k has parity
 (-1)^k in u, so every other coefficient is zero; the series is rewritten in
-v = 2u^2 - 1 (times u for odd k), which halves its length, and the resulting
-coefficients are written to src/zetalab/_rs_cheb.py.  Run from the repository
-root:
+v = 2u^2 - 1 (times u for odd k), which halves its length.  The resulting
+coefficients, as one table with a column per C_k, and the evaluator of all
+five corrections at once (corrections) are written to
+src/zetalab/_rs_cheb.py.  Run from the repository root:
 
     python3 tools/gen_rs_cheb.py
 """
@@ -37,6 +38,44 @@ C_EXPRS = [
     + 11 * sp.diff(PSI, P, 8) / (5898240 * PI**6)
     + sp.diff(PSI, P, 12) / (2038431744 * PI**8),
 ]
+
+HEAD = '''"""Chebyshev coefficients for the Riemann-Siegel correction terms
+C0..C4 on p in [0, 1], in v = 2u^2 - 1 with u = 2p - 1: C_k is the
+series in v for even k and u times it for odd k.  COEFFS[i, k] is the
+coefficient of T_i(v) in C_k, 0 past the end of its series (%d x %d).
+Generated by tools/gen_rs_cheb.py; do not edit by hand."""
+
+import numpy as np
+
+'''
+
+EVALUATOR = '''
+
+def corrections(p, x):
+    """C_0(p) + C_1(p) x + ... + C_4(p) x^4 at each p of the 1-d array p, p in
+    [0, 1], and the x of the same shape.
+
+    The basis T_0(v), ..., T_15(v) is built once per point and contracted
+    with COEFFS by np.einsum; Horner in x combines the five results, with u
+    on the odd ones.  einsum runs no BLAS, so each point takes the same
+    steps at any size and memory offset of the array: a matmul takes
+    another BLAS path for one point than for many.
+    """
+    u = 2.0 * p - 1.0
+    v = 2.0 * u * u - 1.0
+    basis = np.empty((len(COEFFS),) + v.shape)
+    basis[0] = 1.0
+    basis[1] = v
+    v *= 2.0
+    for i in range(2, len(COEFFS)):
+        np.multiply(v, basis[i - 1], out=basis[i])
+        basis[i] -= basis[i - 2]
+    c = np.einsum("ip,ik->kp", basis, COEFFS)
+    out = c[-1]
+    for k in range(COEFFS.shape[1] - 2, -1, -1):
+        out = out * x + (u * c[k] if k % 2 else c[k])
+    return out
+'''
 
 M_NODES = 192
 DEGREE = 88
@@ -91,32 +130,16 @@ def main():
         print("C%d: %d coefficients, tail %.2e" % (k, cut, abs(coeffs[cut - 1])))
 
     out = pathlib.Path(__file__).resolve().parents[1] / "src" / "zetalab" / "_rs_cheb.py"
+    size = max(len(tab) for tab in tables)
     with open(out, "w") as f:
-        f.write('"""Chebyshev coefficients for the Riemann-Siegel correction terms\n')
-        f.write("C0..C4 on p in [0, 1], in v = 2u^2 - 1 with u = 2p - 1: C_k is the\n")
-        f.write("series in v for even k and u times it for odd k.  Generated by\n")
-        f.write('tools/gen_rs_cheb.py; do not edit by hand."""\n\n')
-        f.write("import numpy as np\n")
-        f.write("from numpy.polynomial import chebyshev as _cheb\n\n")
-        f.write("N_CORRECTIONS = %d\n\n" % len(tables))
-        f.write("COEFFS = (\n")
-        for tab in tables:
-            f.write("    np.array([\n")
-            for c in tab:
-                f.write("        %r,\n" % c)
-            f.write("    ]),\n")
-        f.write(")\n\n\n")
-        f.write("def eval_correction(k, p):\n")
-        f.write('    """C_k at p (scalar or ndarray), p in [0, 1]."""\n')
-        f.write("    p = np.asarray(p, dtype=float)\n")
-        f.write("    v = 2.0 * p - 1.0\n")
-        f.write("    v *= v\n")
-        f.write("    v *= 2.0\n")
-        f.write("    v -= 1.0\n")
-        f.write("    out = _cheb.chebval(v, COEFFS[k])\n")
-        f.write("    if k % 2:\n")
-        f.write("        out *= 2.0 * p - 1.0\n")
-        f.write("    return out if out.ndim else float(out)\n")
+        f.write(HEAD % (size, len(tables)))
+        f.write("COEFFS = np.array([\n")
+        for i in range(size):
+            row = [tab[i] if i < len(tab) else 0.0 for tab in tables]
+            f.write("    [%s],\n" % ", ".join(map(repr, row)))
+        f.write("])\n")
+        f.write("COEFFS.flags.writeable = False\n")
+        f.write(EVALUATOR)
     print("wrote", out)
 
 

@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Time the Riemann-Siegel kernel on quadrature panel nodes, per t.
+"""Time the kernel on quadrature panel nodes, per t.
 
 For each starting t, lays PANELS consecutive panels of the default mesh
 from that t (quadrature.panel_mesh), takes the Gauss-Kronrod nodes of each
-(quadrature.panel_nodes), and times zkernel.z_rs_block on all of them in
-one call, as a fill evaluates a chunk of panels.  Prints one JSON object:
-per t, the points, the median and the spread of microseconds per point over
-REPEATS calls after one warm-up call.  Every caller in the package
-evaluates panel nodes, so this is the kernel's cost as the functionals see
-it; isolated points, one per anchor, cost several times more.
+(quadrature.panel_nodes), and times zkernel.z_block on all of them in one
+call, as a fill evaluates a chunk of panels: a t below zkernel.T_SWITCH
+times the Euler-Maclaurin branch on the panels below T_SWITCH, any other
+the Riemann-Siegel branch.  Prints one JSON object: per t, the points, the
+median and the spread of microseconds per point over REPEATS calls after
+one warm-up call.  Every caller in the package evaluates panel nodes, so
+this is the kernel's cost as the functionals see it; isolated points, one
+per anchor, cost several times more.
 
     PYTHONPATH=src python3 tools/kernel_sweep.py [t ...]
 
@@ -26,18 +28,21 @@ import numpy as np
 
 PANELS = 512
 REPEATS = 7
-DEFAULT_TS = (1e3, 3e4, 1e5, 1e6, 1e7)
+DEFAULT_TS = (100.0, 300.0, 1e3, 3e4, 1e5, 1e6, 1e7)
 
 
 def panel_points(t0: float):
-    """The Gauss-Kronrod nodes of the first PANELS panels of the mesh from t0."""
-    from zetalab import quadrature
+    """The Gauss-Kronrod nodes of the first PANELS panels of the mesh from
+    t0, or of those below zkernel.T_SWITCH if t0 is."""
+    from zetalab import quadrature, zkernel
     from zetalab.config import QuadConfig
 
     cfg = QuadConfig()
     span = 2.0 * PANELS * quadrature.CELLS * cfg.w_max  # at least PANELS panels
     b = quadrature.panel_mesh(t0, t0 + span, cfg)[: PANELS + 1]
     assert len(b) == PANELS + 1
+    if t0 < zkernel.T_SWITCH:  # the row times the Euler-Maclaurin branch alone
+        b = b[b <= zkernel.T_SWITCH]
     return quadrature.panel_nodes(b[:-1], b[1:], cfg.nodes)[0].ravel()
 
 
@@ -45,11 +50,11 @@ def time_kernel(t0: float) -> dict:
     from zetalab import zkernel
 
     ts = panel_points(t0)
-    zkernel.z_rs_block(ts)  # builds the tables of this t
+    zkernel.z_block(ts)  # builds the tables of this t
     us = []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        zkernel.z_rs_block(ts)
+        zkernel.z_block(ts)
         us.append(1e6 * (time.perf_counter() - start) / ts.size)
     q1, _, q3 = statistics.quantiles(us, n=4, method="inclusive")
     return {"t": t0, "pts": int(ts.size), "us_per_pt": statistics.median(us), "q1": q1, "q3": q3}
