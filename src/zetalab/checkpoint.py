@@ -20,15 +20,15 @@ integrates from there, and requires the last stored row back bit for bit:
 T, n, v, vu, e and eu.  The prefix sums are a plain left fold, so a fold
 seeded at a panel boundary continues the fold from 0 bit for bit, and Z is
 evaluated only above the seed row.  The seed's T must be panel n of the
-mesh from 0 (quadrature.panel_bounds_at, laid without evaluating Z).
-Where the fold could absorb an ulp of the seed's sums (an ulp of v, vu, e
-or eu, one way or the other, would give the same row above it:
-MomentAccumulator.pins_origin), the seed moves down one stored row at a
-time, each new seed's T checked the same way, and the panels below the old
-seed must reproduce it bit for bit (MomentAccumulator.front), until the row
-above the seed determines it.  If the process's accumulator already reaches
-the seed row, it is extended instead, and its prefix at the seed must equal
-the row.
+mesh from 0, which the accumulator checks as it is seeded, on the store's
+mesh (quadrature.ZStore, laid without evaluating Z).  Where the fold could
+absorb an ulp of the seed's sums (an ulp of v, vu, e or eu, one way or the
+other, would give the same row above it: MomentAccumulator.pins_origin),
+the seed moves down one stored row at a time, each new seed's T checked
+the same way, and the panels below the old seed must reproduce it bit for
+bit (MomentAccumulator.front), until the row above the seed determines it.
+If the process's accumulator already reaches the seed row, it is extended
+instead, and its prefix at the seed must equal the row.
 
 A resume starts at the origin row (0, 0, 0, 0, 0, 0) instead when the file
 has one row of k, or when its fingerprint is missing or differs from
@@ -50,7 +50,7 @@ import numpy as np
 from .config import QuadConfig
 from .errors import CheckpointMismatch, DataParseError, DataValidationError
 from .quadrature import (
-    ORIGIN, MomentAccumulator, drop_accumulator, get_accumulator, numeric_fingerprint, panel_bounds_at)
+    ORIGIN, MomentAccumulator, drop_accumulator, get_accumulator, numeric_fingerprint)
 
 HEADER = "# zetalab-checkpoint v2"
 FINGERPRINT_PREFIX = "# fingerprint: "
@@ -191,8 +191,9 @@ def _verify(acc: MomentAccumulator, stored: MomentCheckpoint, seed, seeded: bool
     moved down a row at a time (front) until the row above its origin
     determines the origin's sums (pins_origin): the fold can absorb an ulp
     of the seed, and then the last row alone would not show that the seed
-    is off.  The T of each row it seeds at must be panel n of the mesh
-    from 0 (panel_bounds_at), which the mesh from T alone would not show.
+    is off.  Each row it seeds at goes through MomentAccumulator, which
+    requires its T to be panel n of the mesh from 0: the mesh from T alone
+    would not show an ulp off.
     """
     here = numeric_fingerprint()
 
@@ -207,15 +208,8 @@ def _verify(acc: MomentAccumulator, stored: MomentCheckpoint, seed, seeded: bool
         if _row_at(acc, want[0]) != want:
             refuse(want[0])
 
-    def on_mesh(j):
-        if mesh_t[j] != rows[j][0]:
-            refuse(rows[j][0])
-
     rows = stored.rows
     j = len(rows) - 2
-    if seeded:
-        mesh_t = panel_bounds_at([row[3] for row in rows[: j + 1]], acc.cfg)
-        on_mesh(j)
     reproduce(seed)
     acc.ensure(rows[-1][0])
     for want in rows if seed is ORIGIN else rows[-1:]:
@@ -223,8 +217,6 @@ def _verify(acc: MomentAccumulator, stored: MomentCheckpoint, seed, seeded: bool
     while seeded and acc.base > 0 and not acc.pins_origin(acc.index(rows[j + 1][0])):
         j -= 1
         seed = rows[j] if j >= 0 else ORIGIN
-        if j >= 0:
-            on_mesh(j)
         acc.front(seed)
     return seed
 

@@ -3,10 +3,12 @@ small-sigma expansions they are compared against (Kober for k=1, the
 quartic-log main term for k=2, the Laplace transform of d(T P4(log T))).
 
 Evaluation streams over the panels of the mesh from 0 in fixed-size chunks
-and reads Z at their nodes from the process's store (quadrature.get_store),
-so a whole sigma grid evaluates no node that an accumulator or another grid
-has evaluated; per-sigma totals only use panels inside that sigma's own
-truncation range, making each value independent of how calls are batched.
+and reads Z at their nodes from the process's store (quadrature.get_store).
+Within quadrature.STORE_PANELS panels the store keeps them, so a sigma grid
+evaluates no node there that an accumulator or another grid evaluated; a
+grid truncated past that evaluates every node of its range again.  Per-sigma
+totals only use panels inside that sigma's own truncation range, making each
+value independent of how calls are batched.
 """
 
 from __future__ import annotations
@@ -64,14 +66,15 @@ def laplace_moment_grid(k: int, s_values, cfg: QuadConfig = QuadConfig()):
         if abs(cmath.phase(s)) >= math.pi / 2:
             raise DomainError("invalid-argument: |arg s| must be < pi/2")
 
+    if not ss:
+        return []
+
     # Deterministic panels from 0; per-s panel counts, then global bound.
     x_needed = [_truncation_x(k, s.real, cfg) for s in ss]
     store = get_store(cfg)
-    bounds = store.panels(0.0, max(x_needed))
-    n_use = [
-        min(max(int(np.searchsorted(bounds, x, side="left")), 1), len(bounds) - 1)
-        for x in x_needed
-    ]
+    last = store.reach(max(x_needed))
+    bounds = store.bounds
+    n_use = [min(max(int(np.searchsorted(bounds, x, side="left")), 1), last) for x in x_needed]
 
     n = cfg.nodes
     wk = kronrod_rule(n)[1]
@@ -79,7 +82,7 @@ def laplace_moment_grid(k: int, s_values, cfg: QuadConfig = QuadConfig()):
     total = [0.0 + 0.0j] * m
     err = [0.0] * m
     n_max = max(n_use)
-    blocks = store.samples(bounds[: n_max + 1], CHUNK)
+    blocks = store.samples(0, n_max, CHUNK)
     for c0, (t, half, *zs) in zip(range(0, n_max, CHUNK), blocks):
         c1 = min(c0 + CHUNK, n_max)
         f, df = moment_integrand(t, k, zs)

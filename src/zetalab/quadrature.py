@@ -1,12 +1,12 @@
 """Panel Gauss-Kronrod quadrature on one mesh tuned to the zero-gap scale of Z(t).
 
-mesh is the one cell mesh: boundaries from t0 with width a configured
-fraction of the local mean zero gap 2 pi / log(t/2pi), optionally capped,
-graded toward t = 0 (_widths).  A quadrature panel spans CELLS = 4 cells
-(panel_mesh), so panels depend on the range and config, not on Z.  Each
-panel takes one rule, the n Gauss-Legendre nodes plus their n+1 Kronrod
-nodes (kronrod_rule, 2n+1 kernel points); their disagreement above the
-rounding floor (kronrod_sums) plus the integrated pointwise kernel error
+panel_mesh lays the one mesh: cell boundaries from t0 with width a
+configured fraction of the local mean zero gap 2 pi / log(t/2pi),
+optionally capped, graded toward t = 0 (_widths), and a quadrature panel
+every CELLS = 4 cells, so panels depend on the range and config, not on Z.
+Each panel takes one rule, the n Gauss-Legendre nodes plus their n+1
+Kronrod nodes (kronrod_rule, 2n+1 kernel points); their disagreement above
+the rounding floor (kronrod_sums) plus the integrated pointwise kernel error
 model (kernel_model) enters the reported error bound.  On panels of the
 kernel's Euler-Maclaurin branch, whose model is certified, the floor also
 takes in the model's integral, so the bound does not grow as panels narrow.
@@ -14,18 +14,21 @@ All reductions run in a fixed order so reruns and checkpoint resumes are
 bit-identical.
 
 One mesh and one store of Z samples per QuadConfig (ZStore, get_store):
-the cells of the mesh from 0 and Z with its error model at the Kronrod
-nodes of its panels.  The accumulators (ensure, front, sweep), the mean
-square of E2 and the Laplace grid take their panels and samples from it,
-so a process evaluates each node of the mesh once whichever functionals it
-computes; partial panels and the smoothed windows evaluate the kernel
-themselves.  Z at a point depends on that t alone, so every value is the
-same from a cold or a warm store.  The store keeps
-nothing past STORE_PANELS panels: it costs 528 B per panel, 7 times the
-accumulator's 72, so an uncapped store would hold 36 MB on [0, 10^5] and
-raise the peak memory of a checkpointed run.  The scans read every value
-inside a panel -- the cell boundaries, the nodes, the probes -- from the
-panel's own samples (MomentAccumulator.read).
+the panel boundaries of the mesh from 0, as far as any request reached,
+and Z with its error model at the Kronrod nodes of its first panels.  The
+accumulators (ensure, front, sweep), the mean square of E2 and the Laplace
+grid index its panels and read their samples from it, so within
+STORE_PANELS panels a process evaluates each node of the mesh once
+whichever functionals it computes; partial panels and the smoothed windows
+evaluate the kernel themselves.  Z at a point depends on that t alone, so
+every value is the same from a cold or a warm store.  The store keeps the
+boundaries, 8 B per panel, and an accumulator its sums, 64 B per panel;
+samples cost 528 B per panel, so the store keeps none for a request that
+ends past STORE_PANELS panels: uncapped they would hold 36 MB on [0, 10^5]
+and raise the peak memory of a checkpointed run.  The scans read every
+value inside a panel -- the cell boundaries, stepped from the panel's left
+end by the mesh's recurrence, the nodes, the probes -- from the panel's
+own samples (MomentAccumulator.read).
 
 Bit-identity holds per numeric fingerprint (numeric_fingerprint): the same
 numpy, scipy, mpmath and Python versions, the same SIMD features numpy
@@ -52,11 +55,12 @@ from .zkernel import T_SWITCH, moment_integrand
 
 _TWO_PI = 2.0 * math.pi
 CELLS = 4  # mesh cells per quadrature panel
-# Panels of the mesh from 0 whose cells and samples a ZStore keeps: at most
-# 4096 * 33 * 2 * 8 B = 2.2 MB of samples at 16 nodes.  The functionals over
-# [0, 6e3] fit (2.8e3 panels); a checkpointed fill of 8e3 panels keeps nothing.
+# Panels of the mesh from 0 whose samples a ZStore keeps: at most
+# 4096 * 33 * 2 * 8 B = 2.2 MB at 16 nodes.  The functionals over [0, 6e3]
+# fit (2.8e3 panels); a checkpointed fill of 8e3 panels keeps nothing.
 STORE_PANELS = 4096
 MESH_CHUNK = 16384  # cells per fixed-point chunk of the mesh
+KERNEL_CHUNK = 512  # panels per PanelBatch.run of ensure and per kernel call of the store
 
 
 def numeric_fingerprint() -> str:
@@ -226,8 +230,8 @@ def kernel_model(half, df, n: int, certified):
 
 
 def _widths(b, cfg: QuadConfig, cap: float, log=np.log, at=None):
-    """min(w(t), cap, d(t)) at each t of b (see mesh), d(at) if at is given;
-    with log = _exact_log the floats of the scalar formula, one t at a time.
+    """min(w(t), cap, d(t)) at each t of b (see panel_mesh), d(at) if at is
+    given; with log = _exact_log the floats of the scalar formula, one t at a time.
     d(t) = 2^floor(log2 max(t, 1)) / 4 grades the mesh toward 0: Z is singular
     at t = +-i/2, and one rule converges on a panel only as fast as its
     Bernstein ellipse is wide of them (Trefethen, SIAM Rev. 50, 2008, Thm
@@ -244,7 +248,7 @@ def _exact_log(x):
 
 
 def _fold(t: float, n: int, cfg: QuadConfig, cap: float):
-    """b_0 = t, ..., b_n of the recurrence as the fixed point of mesh's
+    """b_0 = t, ..., b_n of the recurrence as the fixed point of panel_mesh's
     docstring: passes with numpy's log until stationary, which only brings
     the guess near, then with math.log until stationary."""
     w = np.empty(n + 1)
@@ -260,9 +264,9 @@ def _fold(t: float, n: int, cfg: QuadConfig, cap: float):
 
 
 def _chunks(t: float, t1: float, cfg: QuadConfig, cap: float, multiple: int):
-    """The cells of mesh from t in _fold chunks of a multiple of `multiple`
-    cells, at most MESH_CHUNK, each from the exact end of the last (its
-    first boundary dropped), until one reaches t1 (never, for t1 = inf)."""
+    """The cells of the mesh from t in _fold chunks of a multiple of
+    `multiple` cells, at most MESH_CHUNK, each from the exact end of the
+    last (its first boundary dropped), until one reaches t1."""
     while t < t1:
         # w shrinks, d grows: no cell on [t, t1] is wider than w(t) graded at t1
         n = int(min((t1 - t) / _widths(np.array([t]), cfg, cap, at=t1)[0] * 1.01 + 4, MESH_CHUNK))
@@ -272,8 +276,10 @@ def _chunks(t: float, t1: float, cfg: QuadConfig, cap: float, multiple: int):
 
 
 def _cell_mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf, multiple: int = CELLS):
-    """The cell boundaries b_0 = t0, ..., b_m of mesh with m the least
-    multiple of `multiple` such that b_m >= t1, laid in _chunks."""
+    """The cell boundaries b_0 = t0, ..., b_m of the recurrence (panel_mesh)
+    with m the least multiple of `multiple` such that b_m >= t1, laid in
+    _chunks.  A non-finite t0 or t1 is refused: the recurrence would not
+    end at an infinite t1."""
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise DomainError("integration range [%s, %s] is not finite" % (t0, t1))
     b = np.concatenate([[t0], *_chunks(t0, t1, cfg, cap, multiple)])
@@ -281,11 +287,14 @@ def _cell_mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf, mul
     return b[: i + (-i) % multiple + 1]
 
 
-def mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf):
-    """Cell boundaries t0 = b_0 < ... < b_m, the first b_m >= t1, of the
-    recurrence b_{i+1} = fl(b_i + min(w(b_i), cap, d(b_i))) in float64: w(t)
-    is cfg.gap_fraction of the mean zero gap 2 pi / max(log(t/2pi), 1), with
-    math.log, clamped to [w_min, w_max]; d is the grade toward 0 (_widths).
+def panel_mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf):
+    """Panel boundaries t0 = p_0 < ... < p_m, the first p_m >= t1: every
+    CELLS-th boundary of the cell recurrence b_0 = t0, b_{i+1} = fl(b_i +
+    min(w(b_i), cap, d(b_i))) in float64, with cells appended while the
+    cell count is not a multiple of CELLS, so panels laid from a panel
+    boundary continue the same four-cell grid.  w(t) is cfg.gap_fraction of
+    the mean zero gap 2 pi / max(log(t/2pi), 1), with math.log, clamped to
+    [w_min, w_max]; d is the grade toward 0 (_widths).
 
     The recurrence is laid as a fixed point, a chunk at a time (_fold):
     from a guess b_0 = t, ..., b_n, take the widths at b_0, ..., b_{n-1}
@@ -296,31 +305,18 @@ def mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf):
     exact ones, so a chunk of n cells is stationary within n + 1 passes.
 
     A cell is cfg.gap_fraction of the local mean zero gap wide; the scans
-    sample every cell boundary, and a quadrature panel spans CELLS cells
-    (panel_mesh).  A non-finite t0 or t1 is refused: the recurrence would
-    not end at an infinite t1."""
-    return _cell_mesh(t0, t1, cfg, cap, 1)
-
-
-def panel_mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf):
-    """Panel boundaries: every CELLS-th boundary of mesh(t0, t1, cfg, cap),
-    with cells appended by the same recurrence step while the cell count is
-    not a multiple of CELLS.  So the last boundary is >= t1, and panels laid
-    from a panel boundary continue the same four-cell grid."""
+    sample every cell boundary (_cell_lefts).  A non-finite t0 or t1 is
+    refused (_cell_mesh)."""
     return _cell_mesh(t0, t1, cfg, cap)[::CELLS]
 
 
-def panel_bounds_at(ns, cfg: QuadConfig):
-    """The boundaries of the panels ns (ascending counts) of the mesh from 0,
-    panel_mesh(0, ., cfg)[ns], laid in _chunks that are dropped once passed,
-    so memory stays flat in the ns."""
-    out, first, b = [], 0, np.zeros(1)  # b: the cells first, first + 1, ...
-    chunks = _chunks(0.0, math.inf, cfg, math.inf, 1)
-    for cell in CELLS * np.asarray(ns, dtype=np.int64):
-        while cell >= first + len(b):
-            first, b = first + len(b), next(chunks)
-        out.append(float(b[cell - first]))
-    return out
+def _cell_lefts(lefts, cfg: QuadConfig):
+    """The CELLS cell boundaries from each panel's left end as rows, by the
+    recurrence's own step with math.log, so bit for bit the mesh's cells."""
+    b = [np.asarray(lefts, dtype=float)]
+    for _ in range(CELLS - 1):
+        b.append(b[-1] + _widths(b[-1], cfg, math.inf, _exact_log))
+    return np.column_stack(b)
 
 
 class PanelBatch:
@@ -380,16 +376,16 @@ class PanelSamples(NamedTuple):
 
 
 class MomentAccumulator:
-    """Cumulative integrals of |Z(t)|^{2k} (and t |Z|^{2k}) over a shared mesh.
+    """Cumulative integrals of |Z(t)|^{2k} (and t |Z|^{2k}) over the store's mesh.
 
     An accumulator starts at an origin: a checkpoint row (T0, v, e, n, vu,
-    eu) at a panel boundary T0 of the mesh from 0 (panel_mesh), with n the
-    panel count on [0, T0] and the four prefix sums there (rows); from 0 it
-    is ORIGIN.  Above T0 the panel boundaries (bounds, every CELLS-th cell
-    boundary of mesh, from T0), the prefix sums there and the per-panel
-    values, errors and their u-weighted twins are rows of one array, grown
-    by ensure and sweep from the panels and samples of the store (ZStore),
-    which PanelBatch.run reads instead of evaluating the integrand.  The
+    eu) with T0 panel n of the mesh from 0 (ZStore.bounds), which the
+    constructor checks, and the four prefix sums there (rows); from 0 it
+    is ORIGIN.  Above T0 it holds the prefix sums at the panel boundaries
+    and the per-panel values, errors and their u-weighted twins, as rows of
+    one array, grown by ensure and sweep from the samples of the store
+    (ZStore.samples), which PanelBatch.run reads instead of evaluating the
+    integrand; its bounds are the store's boundaries from panel n on.  The
     prefix sums are a plain left fold seeded with the origin's sums, so at
     every panel boundary they are bit-identical to those of an accumulator
     from 0, however far earlier runs integrated -- the property checkpoint
@@ -400,25 +396,27 @@ class MomentAccumulator:
     front, the front pass (front).  Its fold must reproduce the origin row
     bit for bit, or it raises CheckpointMismatch with the reason; after it
     the accumulator starts at ORIGIN.  A checkpoint resume uses the same
-    step to move its seed down to a lower stored row (pins_origin), and
-    checks each seed's T against the mesh from 0 (panel_bounds_at).
+    step to move its seed down to a lower stored row (pins_origin).
     """
 
-    CHUNK = 512       # panels per PanelBatch.run and per kernel call of the store
     GRID_CHUNK = 128  # panels per chunk of samples in sweep
 
     def __init__(self, k: int, cfg: QuadConfig, origin=ORIGIN):
         self.k = k
         self.cfg = cfg
+        self.store = get_store(cfg)
         t0, v, e, n, vu, eu = origin
-        # the rows of _rows: bounds, the prefix sums (v, vu, e, eu) and the
-        # per-panel (value, value_u, err, err_u); columns past _m are unfilled
-        self.base, self._rows, self._m = int(n), np.empty((9, 1)), 0
-        self._rows[:5, 0] = t0, v, vu, e, eu
+        if not (math.isfinite(t0) and self.store.reach(t0) == n and self.store.bounds[n] == t0):
+            raise CheckpointMismatch("origin T=%r does not reproduce: it is not panel %d of the "
+                                     "mesh from 0" % (t0, n))
+        # the rows of _rows: the prefix sums (v, vu, e, eu) and the per-panel
+        # (value, value_u, err, err_u); columns past _m are unfilled
+        self.base, self._rows, self._m = int(n), np.empty((8, 1)), 0
+        self._rows[:4, 0] = v, vu, e, eu
 
     @property
     def bounds(self):
-        return self._rows[0, : self._m + 1]
+        return self.store.bounds[self.base : self.base + self._m + 1]
 
     def _integrand(self, ts, samples=None):
         return moment_integrand(ts, self.k, samples)
@@ -431,43 +429,41 @@ class MomentAccumulator:
         return PanelBatch(self._integrand, self.cfg)
 
     def _sums(self):
-        return tuple(self._rows[5:, : self._m])
+        return tuple(self._rows[4:, : self._m])
 
     def _reserve(self, n: int):
         """Room in _rows for n more panels, at least doubled when it grows (so
         a sweep in many chunks takes linear time); filled columns are copied."""
         m, cap = self._m, self._rows.shape[1]
         if m + n >= cap:
-            rows, self._rows = self._rows, np.empty((9, cap + max(n + 1, cap)))
+            rows, self._rows = self._rows, np.empty((8, cap + max(n + 1, cap)))
             self._rows[:, : m + 1] = rows[:, : m + 1]
 
-    def _append(self, rights, sums):
-        """Hold the panels from bounds[-1] to each of rights in turn, with
-        their per-panel (value, value_u, err, err_u), folded into the prefix
-        sums from the last entry on: np.cumsum is a left fold, so the bits are
-        those of one fold over every panel."""
-        m, n = self._m, len(rights)
+    def _append(self, sums):
+        """Hold the next panels of the mesh with their per-panel (value,
+        value_u, err, err_u), folded into the prefix sums from the last entry
+        on: np.cumsum is a left fold, so the bits are those of one fold over
+        every panel."""
+        m, n = self._m, len(sums[0])
         self._reserve(n)
-        self._rows[0, m + 1 : m + n + 1] = rights
-        for r, q in enumerate(sums, 1):
+        for r, q in enumerate(sums):
             self._rows[r + 4, m : m + n] = self._rows[r, m + 1 : m + n + 1] = q
             np.cumsum(self._rows[r, m : m + n + 1], out=self._rows[r, m : m + n + 1])
         self._m = m + n
 
     def ensure(self, t_target: float):
-        """Hold the panels up to the first boundary >= t_target, in CHUNKs."""
+        """Hold the panels up to the first boundary >= t_target, KERNEL_CHUNK at a time."""
         if t_target <= self.bounds[-1]:
             return
-        new = get_store(self.cfg).panels(float(self.bounds[-1]), t_target)
-        lefts, rights = new[:-1], new[1:]
-        blocks = get_store(self.cfg).samples(new, self.CHUNK)
+        i, j = self.base + self._m, self.store.reach(t_target)
+        bs = self.store.bounds
         # next(fs) as the argument: a block is freed once its integrand is
         # formed, and the integrand once PanelBatch.run used it
-        fs = map(lambda b: self._integrand(b[0], b[2:]), blocks)
-        self._reserve(len(rights))
-        for i in range(0, len(rights), self.CHUNK):
-            self._append(rights[i : i + self.CHUNK],
-                         self._batch.run(lefts[i : i + self.CHUNK], rights[i : i + self.CHUNK], next(fs)))
+        fs = map(lambda b: self._integrand(b[0], b[2:]), self.store.samples(i, j, KERNEL_CHUNK))
+        self._reserve(j - i)
+        for c in range(i, j, KERNEL_CHUNK):
+            e = min(c + KERNEL_CHUNK, j)
+            self._append(self._batch.run(bs[c:e], bs[c + 1 : e + 1], next(fs)))
 
     def front(self, origin=ORIGIN):
         """Integrate [T, T0] in front from an origin row (T, ...) below T0,
@@ -477,11 +473,11 @@ class MomentAccumulator:
         (want,) = self.rows([0])
         below = MomentAccumulator(self.k, self.cfg, origin)
         below.ensure(want[0])
-        (got,) = below.rows([len(below.bounds) - 1])
+        (got,) = below.rows([below._m])
         if got != want:
             raise CheckpointMismatch("origin row %r does not reproduce: the panels on [%r, %r] "
                                      "from the row %r give %r" % (want, origin[0], want[0], tuple(origin), got))
-        below._append(self.bounds[1:], self._sums())
+        below._append(self._sums())
         self.base, self._rows, self._m = below.base, below._rows, below._m
 
     def pins_origin(self, i: int) -> bool:
@@ -489,8 +485,8 @@ class MomentAccumulator:
         more or less in any of them changes that row.  The fold x -> fl(x +
         q) is monotone, so then no other sums give the same row; across a
         binade the fold can absorb an ulp.  The origin's T is not checked
-        here: the mesh can absorb an ulp of it too, so a resume checks it
-        against the mesh from 0 (panel_bounds_at)."""
+        here: the mesh can absorb an ulp of it too, so the constructor
+        checks it against the mesh from 0."""
         for d in (-math.inf, math.inf):
             for q, p in zip(self._sums(), self.prefix()):
                 if np.cumsum(np.concatenate([[math.nextafter(p[0], d)], q[:i]]))[-1] == p[i]:
@@ -506,7 +502,7 @@ class MomentAccumulator:
 
     def prefix(self):
         """The four prefix sums at every boundary of bounds."""
-        return tuple(self._rows[1:5, : self._m + 1])
+        return tuple(self._rows[:4, : self._m + 1])
 
     def rows(self, i):
         """Rows (T, v, e, n, vu, eu) at the indices i into bounds, as plain
@@ -591,19 +587,16 @@ class MomentAccumulator:
         """
         if t0 < self.bounds[0]:
             self.front()
-        held = len(self.bounds) - 1
-        bs, store = self.bounds, get_store(self.cfg)
-        if t1 > bs[-1]:
-            bs = np.concatenate([bs, store.panels(float(bs[-1]), t1)[1:]])
-        start, end = self.index(t0), int(np.searchsorted(bs, t1))
-        blocks = store.samples(bs[start : end + 1], self.GRID_CHUNK)
+        held, start, end = self._m, self.index(t0), self.store.reach(t1) - self.base
+        bs = self.store.bounds[self.base :]
+        blocks = self.store.samples(self.base + start, self.base + end, self.GRID_CHUNK)
         for c, (t, half, *zs) in zip(range(start, end, self.GRID_CHUNK), blocks):
             ps = np.arange(c, min(c + self.GRID_CHUNK, end))
             a, b = bs[ps], bs[ps + 1]
             f, df = self._integrand(t, zs)
             new = ps >= held
             if new.any():
-                self._append(b[new], self._batch.run(a[new], b[new], (f[new], df[new])))
+                self._append(self._batch.run(a[new], b[new], (f[new], df[new])))
             meet = np.nonzero(b > t0)[0]
             if meet.size:
                 yield PanelSamples(ps, half, t, f, df).take(meet)
@@ -651,15 +644,14 @@ class MomentAccumulator:
 
         At a panel boundary the values are the prefix sums, so they are the
         ones cumulative_to returns there.  The cell boundaries inside a panel
-        are read from the panel's own samples (read), in one sweep(t0, t1);
-        visit, if given, is called with each chunk of the sweep after its
-        cells are read.  Each value depends on its own panel alone, not on
+        (_cell_lefts) are read from the panel's own samples (read), in one
+        sweep(t0, t1); visit, if given, is called with each chunk of the
+        sweep after its cells are read.  Each value depends on its own panel alone, not on
         t0, t1 or the chunks.
         """
         parts = [(np.zeros(0),) * 4]
-        store = get_store(self.cfg)
         for s in self.sweep(t0, t1):
-            cells = store.cells_in(float(self.bounds[s.ps[0]]), float(self.bounds[s.ps[-1] + 1]))
+            cells = _cell_lefts(self.bounds[s.ps], self.cfg).ravel()
             at = np.nonzero((cells >= t0) & (cells <= t1))[0]
             v, vu, e, _ = (q[s.ps[0] + at // CELLS] for q in self.prefix())
             inner = np.nonzero(at % CELLS)[0]
@@ -674,83 +666,59 @@ class MomentAccumulator:
 
 
 class ZStore:
-    """Z and its error model at the panel_nodes of the first panels of the
-    mesh from 0, and the cells of that mesh: one store per QuadConfig
-    (get_store).  The cells and the sample rows grow from 0, and a request
-    keeps what it lays or evaluates only if the mesh it reaches ends within
-    STORE_PANELS panels; past that it reads what is held and keeps nothing.
+    """The mesh from 0 and Z at its first panels: one store per QuadConfig
+    (get_store).  bounds are the panel boundaries of the mesh from 0, laid
+    as far as any request reached (reach); z and zerr are Z and its error
+    model at the panel_nodes of the panels [0, held).  A request for
+    samples keeps those it evaluates only if it ends within STORE_PANELS
+    panels; past that it reads what is held and keeps nothing.
     """
 
     def __init__(self, cfg: QuadConfig):
         self.cfg = cfg
-        self.cells = np.zeros(1)  # a whole number of panels: CELLS cells each
+        self.bounds = np.zeros(1)
         self.z = self.zerr = np.zeros((0, 2 * cfg.nodes + 1))  # rows [0, held) are filled
         self.held = 0
 
-    def panels(self, t0: float, t1: float):
-        """panel_mesh(t0, t1, cfg) for t0 a panel boundary of the mesh from 0:
-        read from the held cells and laid on past them, the cells laid kept
-        if the mesh then ends within STORE_PANELS panels.  From a t0 beyond
-        the held cells (or off the mesh), panel_mesh itself."""
-        p = self.cells[::CELLS]
-        i = int(np.searchsorted(p, t0))
-        if i == len(p) or p[i] != t0:
-            return panel_mesh(t0, t1, self.cfg)
-        if not t1 <= p[-1]:  # so mesh refuses a non-finite t1
-            more = _cell_mesh(float(p[-1]), t1, self.cfg)
-            if (len(self.cells) + len(more) - 2) // CELLS <= STORE_PANELS:
-                self.cells = np.concatenate([self.cells, more[1:]])
-                p = self.cells[::CELLS]
-            else:
-                p = np.concatenate([p, more[CELLS::CELLS]])
-        return p[i : int(np.searchsorted(p, t1)) + 1]
+    def reach(self, t: float) -> int:
+        """The index into bounds of the first boundary >= t, the mesh laid
+        to there from the last boundary (panel_mesh).  bounds is replaced
+        when it grows, so read it after reach."""
+        if not t <= self.bounds[-1]:  # so panel_mesh refuses a non-finite t
+            self.bounds = np.concatenate([self.bounds, panel_mesh(float(self.bounds[-1]), t, self.cfg)[1:]])
+        return int(np.searchsorted(self.bounds, t))
 
-    def cells_in(self, a: float, b: float):
-        """The cell boundaries in [a, b) of the mesh through the panel
-        boundaries a < b: read from the held cells, or laid by mesh."""
-        i, j = np.searchsorted(self.cells, (a, b))
-        if j < len(self.cells) and self.cells[i] == a and self.cells[j] == b:
-            return self.cells[i:j]
-        return mesh(a, b, self.cfg)[:-1]
+    def samples(self, i: int, j: int, chunk: int):
+        """Yield (t, half, z, zerr) at the panel_nodes of the panels i to j - 1
+        (j <= the index of the last boundary), chunk panels at a time: t and
+        half as panel_nodes gives them, Z and its error model at t as rows.
 
-    def samples(self, bs, chunk: int):
-        """Yield (t, half, z, zerr) at the panel_nodes of the panels between
-        the boundaries bs, consecutive panels of a mesh, chunk panels at a
-        time: t and half as panel_nodes gives them, Z and its error model at
-        t as rows.
-
-        Rows held of panels on the held cells are read.  The others are
-        evaluated once, at most MomentAccumulator.CHUNK panels per
-        zkernel.z_block call, and kept if the whole request lies on the held
-        cells (so within STORE_PANELS) and they continue the held rows.
+        Held rows are read.  The others are evaluated once, at most
+        KERNEL_CHUNK panels per zkernel.z_block call, and kept if j <=
+        STORE_PANELS and they continue the held rows.
         """
-        m, p = len(bs) - 1, self.cells[::CELLS]
-        first = int(np.searchsorted(p, bs[0]))
-        on = min(len(p) - 1 - first, m)  # leading panels of the request on the held cells
-        if on < 0 or not np.array_equal(bs[: on + 1], p[first : first + on + 1]):
-            on = 0
-        for i in range(0, m, chunk):
+        keep = j if j <= STORE_PANELS else 0  # the rows kept reach at most panel keep
+        for c in range(i, j, chunk):
             # built by a call, so that this frame holds no block while the caller works on it
-            yield self._block(first + i, bs[i : i + chunk + 1], first + on, on == m)
+            yield self._block(c, min(c + chunk, j), keep)
 
-    def _block(self, first: int, bs, lim: int, keep: bool):
-        """One block of samples: the rows held below panel lim read, the
-        others evaluated, and kept if keep and they continue the held rows."""
-        t, half = panel_nodes(bs[:-1], bs[1:], self.cfg.nodes)
-        m = len(bs) - 1
-        r = min(max(min(self.held, lim) - first, 0), m)
-        parts = [(self.z[first : first + r], self.zerr[first : first + r])] if r else []
-        for c in range(r, m, MomentAccumulator.CHUNK):
-            tc = t[c : c + MomentAccumulator.CHUNK]
+    def _block(self, i: int, j: int, keep: int):
+        """The samples of the panels i to j - 1: the rows held read, the
+        others evaluated, and kept if they continue the held rows and j <= keep."""
+        t, half = panel_nodes(self.bounds[i:j], self.bounds[i + 1 : j + 1], self.cfg.nodes)
+        r = min(max(self.held - i, 0), j - i)
+        parts = [(self.z[i : i + r], self.zerr[i : i + r])] if r else []
+        for c in range(r, j - i, KERNEL_CHUNK):
+            tc = t[c : c + KERNEL_CHUNK]
             parts.append([q.reshape(tc.shape) for q in zkernel.z_block(tc.ravel())])
         z, zerr = parts[0] if len(parts) == 1 else (np.concatenate(q) for q in zip(*parts))
-        if keep and r < m and first + r == self.held:
-            if len(self.z) < first + m:  # rows for every panel of the held cells
-                grown = [np.empty(((len(self.cells) - 1) // CELLS,) + t.shape[1:]) for _ in range(2)]
+        if self.held == i + r < j <= keep:
+            if len(self.z) < keep:  # rows for every panel of the request
+                grown = [np.empty((keep,) + t.shape[1:]) for _ in range(2)]
                 grown[0][: self.held], grown[1][: self.held] = self.z[: self.held], self.zerr[: self.held]
                 self.z, self.zerr = grown
-            self.held = first + m
-            self.z[first + r : self.held], self.zerr[first + r : self.held] = z[r:], zerr[r:]
+            self.z[self.held : j], self.zerr[self.held : j] = z[r:], zerr[r:]
+            self.held = j
         return t, half, z, zerr
 
 

@@ -236,9 +236,13 @@ class TestSeededResume:
         stored, _ = extend_checkpoint(str(path), 1, t_first, cfg)
         t, v, e, n, vu, eu = stored.rows[-2]
         off = (math.nextafter(t, to), v, e, n, vu, eu)
-        acc = quadrature.MomentAccumulator(1, cfg, off)
-        acc.ensure(stored.rows[-1][0])
-        top = acc.rows([len(acc.bounds) - 1])[0]
+        # the row an accumulator seeded at off would fold: panels from off,
+        # each integrated alone, summed by a left fold from the seed's sums
+        bs = quadrature.panel_mesh(off[0], stored.rows[-1][0], cfg)
+        sums = quadrature.PanelBatch(lambda u: zkernel.moment_integrand(u, 1), cfg).run(bs[:-1], bs[1:])
+        tv, tvu, te, teu = (float(np.cumsum(np.concatenate([[s0], q]))[-1])
+                            for s0, q in zip((v, vu, e, eu), sums))
+        top = (float(bs[-1]), tv, te, n + len(bs) - 1, tvu, teu)
         lines = path.read_text().splitlines()
         lines[-2:] = ["1,%r,%r,%r,%s;%d;%r;%r" % (r[:3] + (cfg.digest(),) + r[3:]) for r in (off, top)]
         path.write_text("\n".join(lines) + "\n")

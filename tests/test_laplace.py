@@ -43,6 +43,12 @@ class TestLaplaceMoment:
         with pytest.raises(DomainError):
             laplace_moment(3, 0.5, cfg)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_empty_grid(self, cfg, k):
+        assert laplace_moment_grid(k, [], cfg) == []
+        with pytest.raises(DomainError):
+            laplace_moment_grid(3, [], cfg)
+
     def test_complex_s_conjugate_symmetry(self, cfg):
         r1 = laplace_moment(1, complex(0.5, 0.2), cfg)
         r2 = laplace_moment(1, complex(0.5, -0.2), cfg)

@@ -106,6 +106,12 @@ class TestIntegrateMoment:
         with pytest.raises(DomainError):
             integrate_moment(3, 0.0, 5.0, cfg)
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 100.0), (0.0, math.nan), (10.0, math.inf),
+                                      (math.inf, math.inf), (-math.inf, 5.0)])
+    def test_non_finite_limits_refused(self, cfg, a, b):
+        with pytest.raises(DomainError, match="invalid range"):
+            integrate_moment(2, a, b, cfg)
+
     def test_second_moment_fixture(self, cfg):
         r = integrate_moment(1, 0.0, 100.0, cfg)
         assert r.value == F.MOMENT1_0_100, frozen_mismatch("MOMENT1_0_100")
@@ -276,6 +282,11 @@ class TestMeanSquareE2:
     def test_zero_limit(self, cfg):
         r, table = mean_square_e2(0.0, cfg)
         assert r.value == 0.0 and table == []
+
+    @pytest.mark.parametrize("snaps", [[math.nan], [100.0, math.nan], [math.inf], [0.0], [301.0]])
+    def test_snapshot_outside_the_range_refused(self, cfg, snaps):
+        with pytest.raises(DomainError, match="snapshots must be finite"):
+            mean_square_e2(300.0, cfg, snapshots=snaps)
 
     def test_fixture_and_ratio_table(self, cfg):
         r, table = mean_square_e2(1000.0, cfg, snapshots=[250.0, 500.0, 1000.0])

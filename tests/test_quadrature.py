@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from zetalab import zkernel
-from zetalab.errors import DomainError
+from zetalab.errors import CheckpointMismatch, DomainError
 import zetalab.quadrature as quadrature
 from zetalab.config import QuadConfig
 from zetalab.moments import error_term, main_term, p1_exact, smoothed_fourth
@@ -79,9 +79,9 @@ def scalar_mesh(t0, t1, cfg, cap=math.inf, graded=True):
 
 class TestMesh:
     def test_scalar_recurrence_with_cap(self, cfg):
-        b = quadrature.mesh(3.0, 40.0, cfg, cap=0.7)
+        b = quadrature._cell_mesh(3.0, 40.0, cfg, 0.7, 1)
         assert b[0] == 3.0 and b[-2] < 40.0 <= b[-1]
-        assert quadrature.mesh(5.0, 5.0, cfg).tolist() == [5.0]
+        assert quadrature._cell_mesh(5.0, 5.0, cfg, math.inf, 1).tolist() == [5.0]
         interior = float(quadrature.panel_mesh(0.0, 5000.0, cfg)[777])
         narrow = QuadConfig(w_max=0.3)  # the w_max clamp holds below t ~ 2.3e5
         wide = QuadConfig(w_max=10.0)   # no clamp from t ~ 15 on
@@ -98,39 +98,59 @@ class TestMesh:
             # 2.4, AVX-512), and so does the first cell
             (17.61777736730145, 80.0, wide, math.inf),
         ]:
-            b = quadrature.mesh(t0, t1, c, cap)
+            b = quadrature._cell_mesh(t0, t1, c, cap, 1)
             assert b.tolist() == scalar_mesh(t0, t1, c, cap), (t0, t1, cap)
 
     def test_graded_panels_from_0_then_the_ungraded_recurrence(self, cfg):
         b = quadrature.panel_mesh(0.0, 3.0e4, cfg)
         assert b[:5].tolist() == [0.0, 1.0, 2.0, 4.0, 8.0]
-        assert quadrature.mesh(0.0, 1.0, cfg).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert quadrature._cell_mesh(0.0, 1.0, cfg, math.inf, 1).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
         # from 8 on the grade does not bind: every boundary is the
         # recurrence without it, started at 8, bit for bit
-        cells = quadrature.mesh(0.0, 3.0e4, cfg)
+        cells = quadrature._cell_mesh(0.0, 3.0e4, cfg, math.inf, 1)
         assert cells[cells >= 8.0].tolist() == scalar_mesh(8.0, 3.0e4, cfg, graded=False)
 
     def test_panel_mesh_takes_every_fourth_cell(self, cfg):
         residues = set()
         for t1 in (40.0, 41.0, 42.0, 44.0):
-            cells = quadrature.mesh(3.0, t1, cfg, cap=0.7)
+            cells = quadrature._cell_mesh(3.0, t1, cfg, 0.7, 1)
             residues.add((len(cells) - 1) % 4)
             b = quadrature.panel_mesh(3.0, t1, cfg, cap=0.7)
             assert b[-2] < t1 <= b[-1]
             # cells are appended by the same recurrence up to a multiple of four
-            assert b.tolist() == quadrature.mesh(3.0, b[-1], cfg, cap=0.7)[::4].tolist()
+            assert b.tolist() == quadrature._cell_mesh(3.0, b[-1], cfg, 0.7, 1)[::4].tolist()
             assert b.tolist() == cells[::4].tolist() or (len(cells) - 1) % 4
         assert residues == {0, 1, 2, 3}
         assert quadrature.panel_mesh(5.0, 5.0, cfg).tolist() == [5.0]
 
     @pytest.mark.parametrize("chunk, t1", [(7, 500.0), (quadrature.MESH_CHUNK, 3.0e4)])
-    def test_panel_bounds_at_read_the_mesh_from_0(self, cfg, monkeypatch, chunk, t1):
-        # chunks of 7 cells put the panel boundaries at every offset in a chunk
+    def test_the_store_lays_the_mesh_from_0(self, cfg, monkeypatch, chunk, t1):
+        # chunks of 7 cells put the panel boundaries at every offset in a
+        # chunk; the store lays on from its last boundary, one reach at a time
         b = quadrature.panel_mesh(0.0, t1, cfg)
-        ns = [0, 0, 1, 2, 3, 57, 58, len(b) // 2, len(b) - 2, len(b) - 1]
         monkeypatch.setattr(quadrature, "MESH_CHUNK", chunk)
-        assert quadrature.panel_bounds_at(ns, cfg) == b[ns].tolist()
-        assert quadrature.panel_bounds_at([], cfg) == []
+        store = quadrature.ZStore(cfg)
+        for i in (0, 1, 2, 3, 57, 58, len(b) // 2, len(b) - 2, 3, len(b) - 1):
+            assert store.reach(float(b[i])) == i
+            assert store.reach(math.nextafter(float(b[i]), -math.inf)) == i
+        assert store.reach(t1) == len(b) - 1
+        assert store.bounds.tolist() == b.tolist()
+        with pytest.raises(DomainError):
+            store.reach(math.nan)
+
+    @pytest.mark.parametrize("to", [-math.inf, math.inf])
+    def test_an_origin_off_the_mesh_from_0_is_refused(self, cfg, to):
+        acc = MomentAccumulator(1, cfg)
+        acc.ensure(1000.0)
+        t, v, e, n, vu, eu = acc.rows([acc.index(700.0)])[0]
+        off = math.nextafter(t, to)
+        with pytest.raises(CheckpointMismatch, match="T=%r does not reproduce" % off):
+            MomentAccumulator(1, cfg, (off, v, e, n, vu, eu))
+        for m in (n - 1, n + 1):
+            with pytest.raises(CheckpointMismatch, match="not panel %d " % m):
+                MomentAccumulator(1, cfg, (t, v, e, m, vu, eu))
+        seeded = MomentAccumulator(1, cfg, (t, v, e, n, vu, eu))
+        assert seeded.bounds.tolist() == [t] and seeded.base == n
 
     def test_accumulator_bounds_are_one_mesh(self, cfg):
         # panels four cells wide, independent of how far earlier calls integrated
@@ -140,10 +160,30 @@ class TestMesh:
         whole = MomentAccumulator(1, cfg)
         whole.ensure(2100.0)
         assert acc.bounds.tolist() == whole.bounds.tolist()
-        assert acc.bounds.tolist() == quadrature.mesh(0.0, acc.bounds[-1], cfg)[::4].tolist()
+        assert acc.bounds.tolist() == quadrature._cell_mesh(0.0, acc.bounds[-1], cfg, math.inf, 1)[::4].tolist()
         for p, q in zip(acc.prefix(), whole.prefix()):
             assert p.tolist() == q.tolist()
         assert len(acc.bounds) == len(acc.prefix()[0])
+
+    def test_accumulators_and_the_laplace_grid_read_one_bounds_array(self, cfg):
+        from zetalab.laplace import laplace_moment_grid
+
+        quadrature.clear_accumulators()
+        store = quadrature.get_store(cfg)
+        (lap,) = laplace_moment_grid(2, [0.05], cfg)  # truncated near 662
+        one, two = get_accumulator(1, cfg), get_accumulator(2, cfg)
+        one.ensure(300.0)
+        two.ensure(900.0)
+        seeded = MomentAccumulator(1, cfg, one.rows([one.index(200.0)])[0])
+        seeded.ensure(1200.0)
+        assert seeded.base > 0
+        bs = store.bounds
+        assert bs[-2] < 1200.0 <= bs[-1]  # laid as far as the furthest request, once
+        assert lap.t_range[1] == bs[lap.panels]
+        for acc in (one, two, seeded):
+            assert acc.store is store and np.shares_memory(acc.bounds, bs)
+            assert acc.bounds.tolist() == bs[acc.base : acc.base + len(acc.bounds)].tolist()
+        quadrature.clear_accumulators()
 
 
 class TestZStore:
@@ -174,15 +214,18 @@ class TestZStore:
         acc = get_accumulator(1, cfg)
         acc.ensure(100.0)
         held = len(acc.bounds) - 1
-        assert 0 < held <= 64 and store.held == held and len(store.cells) == 4 * held + 1
+        assert 0 < held <= 64 and store.held == held and len(store.z) == held
+        assert store.bounds.tolist() == acc.bounds.tolist()
         z, zerr = zkernel.z_block(quadrature.panel_nodes(acc.bounds[:-1], acc.bounds[1:], cfg.nodes)[0])
         assert store.z[:held].tolist() == z.tolist() and store.zerr[:held].tolist() == zerr.tolist()
         get_accumulator(2, cfg).ensure(self.T)  # reads the rows held, keeps none past the cap
-        assert store.held == held and len(store.cells) == 4 * held + 1
+        assert store.held == held and len(store.z) == held
+        assert len(store.bounds) - 1 > 64  # the boundaries are kept past the cap
         quadrature.clear_accumulators()
         store = quadrature.get_store(cfg)
-        get_accumulator(2, cfg).ensure(self.T)
-        assert store.held == 0 and store.z.size == 0 and len(store.cells) == 1
+        acc = get_accumulator(2, cfg)
+        acc.ensure(self.T)
+        assert store.held == 0 and store.z.size == 0 and store.bounds.tolist() == acc.bounds.tolist()
 
     def test_every_value_is_the_same_from_a_cold_a_warm_and_no_store(self, cfg, monkeypatch):
         def drop():
@@ -218,7 +261,7 @@ class TestBoundaryGrid:
     def test_every_cell_boundary_with_the_error_term_there(self, t0, t1, cfg):
         acc = get_accumulator(1, cfg)
         bs, cv, cu, ce = acc.boundary_grid(t0, t1)
-        cells = quadrature.mesh(0.0, t1, cfg)
+        cells = quadrature._cell_mesh(0.0, t1, cfg, math.inf, 1)
         assert bs.tolist() == cells[(cells >= t0) & (cells <= t1)].tolist()
         poly = p1_exact()
         on_panel = np.isin(bs, acc.bounds)
@@ -253,8 +296,11 @@ class TestBoundaryGrid:
             assert abs((v - cv[0]) - want) <= e - ce[0], x
 
     def test_z_is_evaluated_once_per_panel_met(self, cfg, monkeypatch):
-        acc = MomentAccumulator(1, cfg)
-        acc.ensure(1500.0)
+        quadrature.clear_accumulators()
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "STORE_PANELS", 0)
+            acc = MomentAccumulator(1, cfg)
+            acc.ensure(1500.0)
         quadrature.clear_accumulators()  # the panels held, their samples not
         i, j = acc.index(500.0), acc.index(1500.0)
         points = [0]
@@ -274,6 +320,25 @@ class TestBoundaryGrid:
         points[0] = 0
         assert filled.boundary_grid(float(acc.bounds[i]), float(acc.bounds[j]))[0].tolist() == bs.tolist()
         assert points[0] == 0
+
+    def test_past_the_cap_the_cells_of_the_mesh_laid_once(self, cfg, monkeypatch):
+        monkeypatch.setattr(quadrature, "STORE_PANELS", 16)
+        quadrature.clear_accumulators()
+        laid = []
+        real = quadrature._cell_mesh
+
+        def counted(*args):
+            laid.append(args[:2])
+            return real(*args)
+
+        monkeypatch.setattr(quadrature, "_cell_mesh", counted)
+        acc = get_accumulator(1, cfg)
+        bs, *_ = acc.boundary_grid(300.0, 900.0)
+        assert laid == [(0.0, 900.0)] and quadrature.get_store(cfg).held == 0
+        monkeypatch.undo()
+        cells = quadrature._cell_mesh(0.0, 900.0, cfg, math.inf, 1)
+        assert len(bs) > 4 * 16 and bs.tolist() == cells[(cells >= 300.0) & (cells <= 900.0)].tolist()
+        quadrature.clear_accumulators()
 
 
 class TestSampleReads:
