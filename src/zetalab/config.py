@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .errors import DataParseError, DomainError
 
-KERNEL_VERSION = "zk6"
+KERNEL_VERSION = "zk7"
 # the (2 nodes + 1)-point rule of quadrature.kronrod_rule, once per panel of four
 # mesh cells, the cells graded toward t = 0 (quadrature._widths)
 PANEL_RULE = "gauss-kronrod/4-cell/graded"

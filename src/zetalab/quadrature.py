@@ -31,7 +31,7 @@ end by the mesh's recurrence, the nodes, the probes -- from the panel's
 own samples (MomentAccumulator.read).
 
 Bit-identity holds per numeric fingerprint (numeric_fingerprint): the same
-numpy, scipy, mpmath and Python versions, the same SIMD features numpy
+numpy, mpmath and Python versions, the same SIMD features numpy
 dispatches to, and the same machine and C library.  numpy's vectorised
 exp/log/sin loops and the libraries' own routines may round the last bits
 differently under another fingerprint, so values frozen under one (the test
@@ -71,7 +71,6 @@ def numeric_fingerprint() -> str:
     for several cores picks its kernels at run time; that choice is covered
     only through the SIMD list."""
     import mpmath
-    import scipy
 
     try:
         from numpy._core._multiarray_umath import (
@@ -86,8 +85,8 @@ def numeric_fingerprint() -> str:
         blas = "%s %s" % (blas.get("name", "unknown"), blas.get("version", "unknown"))
     except (TypeError, KeyError):  # numpy < 1.26: show_config has no mode
         blas = "unknown"
-    return "python %s; numpy %s; scipy %s; mpmath %s; simd %s; machine %s; libc %s; blas %s" % (
-        platform.python_version(), np.__version__, scipy.__version__, mpmath.__version__,
+    return "python %s; numpy %s; mpmath %s; simd %s; machine %s; libc %s; blas %s" % (
+        platform.python_version(), np.__version__, mpmath.__version__,
         ",".join(simd) or "none", platform.machine(), libc, blas)
 
 

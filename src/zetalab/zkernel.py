@@ -7,9 +7,10 @@ Two regimes, split at T_SWITCH:
   * t >= T_SWITCH: Riemann-Siegel main sum plus all the Chebyshev-tabulated
     corrections C0..C4 of _rs_cheb.
 Both return pointwise error-model arrays, smooth in t, that the quadrature
-layer folds into its bounds.  The EM branch takes theta from scipy's complex
-log-gamma (theta_fast), the RS branch from its Stirling series
-(theta_stirling), ten times cheaper and no less accurate there.
+layer folds into its bounds.  The EM branch takes theta from Stirling's
+series of the complex log Gamma(1/4 + it/2) (theta_log_gamma), the RS
+branch from the Stirling series of theta itself in 1/t (theta_stirling),
+which is cheaper and no less accurate from t = 400 on.
 
 The RS branch runs its whole path per block of RS_BLOCK points: theta, the
 main sum, the corrections and the error model, so its temporaries are
@@ -72,7 +73,6 @@ import math
 from functools import cache, lru_cache
 
 import numpy as np
-from scipy.special import loggamma
 
 from . import _rs_cheb
 from .errors import DomainError
@@ -108,10 +108,18 @@ PHASE_BITS = 26
 RS_T_MAX = 1e8
 
 _EPS = float(np.finfo(float).eps)
-_LOG_PI = math.log(math.pi)
 _TWO_PI = 2.0 * math.pi
 
 _INV_TWO_PI_E = 1.0 / (_TWO_PI * math.e)
+_ONE_PLUS_LOG_PI = 1.0 + math.log(math.pi)
+# B_2k / (2k (2k-1)) for k = 1..8: the coefficients of Stirling's series for
+# log Gamma (DLMF 5.11.1), exact rationals.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
+# Below |t| = THETA_SHIFT_T, theta_log_gamma evaluates the series at
+# w + THETA_SHIFT, so |w| >= 10 wherever the series is summed.
+THETA_SHIFT_T = 20.0
+THETA_SHIFT = 10
+
 # N and log N (math.log) per band, for the Euler-Maclaurin tail.
 _EM_N = np.array(EM_TERMS, dtype=float)
 _EM_NMAIN = np.array(EM_TERMS, dtype=np.int64) - 1
@@ -128,10 +136,38 @@ def _em_coeffs():
     return np.ascontiguousarray(c.T)
 
 
-def theta_fast(t: np.ndarray) -> np.ndarray:
-    """Riemann-Siegel theta via scipy complex log-gamma (vectorized)."""
+def theta_log_gamma(t: np.ndarray) -> np.ndarray:
+    """Riemann-Siegel theta, Im log Gamma(w) - (t/2) log pi with w = 1/4 + it/2,
+    for the EM branch, in numpy alone.
+
+    Im log Gamma(w) is Stirling's series, Im of (w - 1/2) log w - w +
+    sum_{k=1..8} c_k w^(1-2k) with c_k = B_2k/(2k (2k-1)) (_STIRLING), so
+    theta = (x - 1/2) arg w + y (log |w| - 1 - log pi) + Im(sum) with
+    w = x + iy.  For |t| < THETA_SHIFT_T the series runs at w + m,
+    m = THETA_SHIFT, and Im log Gamma(w) = Im log Gamma(w + m) -
+    sum_{j<m} arg(w + j), each arg subtracted in turn from (x - 1/2)
+    arg(w + m) so that the partial sums stay small.  |w| >= 10
+    wherever the series runs, so its remainder, about the first omitted term
+    B_18/(306 w^17) (DLMF 5.11(ii)), is below 2e-18: the error is the
+    rounding of the leading terms, of order eps max(|t| log |t|, |theta|)
+    (test_theta_log_gamma_vs_siegeltheta states the bound)."""
     t = np.asarray(t, dtype=float)
-    return loggamma(0.25 + 0.5j * t).imag - 0.5 * t * _LOG_PI
+    y = 0.5 * t
+    small = np.abs(t) < THETA_SHIFT_T
+    x = np.where(small, 0.25 + THETA_SHIFT, 0.25)
+    w = x + 1j * y
+    u = 1.0 / w
+    u2 = u * u
+    series = _STIRLING[-1]
+    for c in _STIRLING[-2::-1]:
+        series = c + series * u2
+    th = (x - 0.5) * np.arctan2(y, x)
+    if small.any():
+        ys, part = y[small], th[small]
+        for j in range(THETA_SHIFT):
+            part -= np.arctan2(ys, 0.25 + j)
+        th[small] = part
+    return th + y * (np.log(np.abs(w)) - _ONE_PLUS_LOG_PI) + (series * u).imag
 
 
 def theta_stirling(t: np.ndarray) -> np.ndarray:
@@ -193,7 +229,7 @@ def z_em_block(t: np.ndarray):
     """(Z, err) on the Euler-Maclaurin branch; DomainError for t >= T_SWITCH."""
     t = np.asarray(t, dtype=float)
     z = zeta_half_em(t)
-    w = np.exp(1j * theta_fast(t)) * z
+    w = np.exp(1j * theta_log_gamma(t)) * z
     zv = w.real
     # Truncation is at most EM_TRUNCATION below T_SWITCH (Backlund's bound,
     # see EM_TERMS).  The float64 phases theta(t) and t log n carry absolute

@@ -5,8 +5,8 @@ moment fixtures are tied to the default QuadConfig digest below, and
 all values are bit-identical only under the numeric fingerprint below.
 """
 
-QUAD_DIGEST = 'ccef8502108d5763'
-FINGERPRINT = 'python 3.11.7; numpy 2.4.6; scipy 1.17.1; mpmath 1.3.0; simd X86_V2,X86_V3,X86_V4,AVX512_ICL,AVX512_SPR; machine x86_64; libc glibc-2.36; blas scipy-openblas 0.3.31.188.0'
+QUAD_DIGEST = 'cb37e032272adb0e'
+FINGERPRINT = 'python 3.11.7; numpy 2.4.6; mpmath 1.3.0; simd X86_V2,X86_V3,X86_V4,AVX512_ICL,AVX512_SPR; machine x86_64; libc glibc-2.36; blas scipy-openblas 0.3.31.188.0'
 
 # oracle: mpmath tanh-sinh quadrature of siegelz^2 (30 dps), piecewise
 MOMENT1_0_100 = 295.63509905471903
@@ -26,15 +26,15 @@ E2_AT_2000 = -1011.3358704608399
 E2_RATIO_MAX_500_5000 = 63.531621740321675
 
 # oracle: trapezoid on a 0.002-step grid over |t| <= 8 delta
-SMOOTHED_200_20 = 78.99697923833718
+SMOOTHED_200_20 = 78.99697923833719
 SMOOTHED_200_20_ORACLE = 78.99697923833725
 
 # oracle: doubled nodes and tightened tail tolerance
-LAPLACE2_01 = 40.87589024439721
+LAPLACE2_01 = 40.87589024439722
 LAPLACE2_01_ORACLE = 40.87589024440926
 
 # g(sigma) = L1(2 sigma) - kober_main(sigma) on sigma = 0.2/0.1/0.05/0.02
-KOBER_DIFFS = (2.8275494522590865, 2.994598052961039, 3.0713247393054512, 3.114350317476088)
+KOBER_DIFFS = (2.827549452259087, 2.994598052961039, 3.071324739305453, 3.114350317476088)
 KOBER_C0 = 3.114350317476088
 
 # oracle: bisection on mpmath.siegeltheta (30 dps)

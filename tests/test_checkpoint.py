@@ -54,10 +54,11 @@ class TestCheckpointFile:
         # 4b58e21ac53a1c97 that of four-cell panels under zk5 with adaptive
         # bisection, whose mesh from 0 had three panels fewer; 8d3d6628496ae167
         # that of one rule per graded panel under zk5, whose theta was scipy's
-        # log-gamma on both branches
+        # log-gamma on both branches; ccef8502108d5763 that of zk6, whose EM
+        # branch still took theta from scipy's log-gamma
         for old in ("b4d5fb7713ea0486", "3a5ddcb906fa6a3b", "1ec07b3dd89ac4cf", "ddd102d5a58bab53",
                     "d530efdc928fae25", "17673b449790639f", "bd47d267227b65fe", "4b58e21ac53a1c97",
-                    "8d3d6628496ae167"):
+                    "8d3d6628496ae167", "ccef8502108d5763"):
             path = tmp_path / ("cp-%s.txt" % old)
             extend_checkpoint(str(path), 1, 200.0, cfg)
             path.write_text(path.read_text().replace(cfg.digest(), old))

@@ -1,7 +1,8 @@
 """No module of src/, tests/ or tools/ imports a name it never uses, no
 top-level name of src/ goes unreferenced, none lives for tests alone unless
-it is allowed with a reason, and every name that tools/ and perfbench/
-import from zetalab exists (tier-1 runs neither of them whole).
+it is allowed with a reason, every name that tools/ and perfbench/ import
+from zetalab exists (tier-1 runs neither of them whole), and zetalab runs
+without loading SciPy.
 
 __future__ imports and package __init__ files (whose imports are
 re-exports) are exempt from the first scan, dunder names from the second.
@@ -10,6 +11,9 @@ re-exports) are exempt from the first scan, dunder names from the second.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -141,3 +145,20 @@ def test_scanner_finds_a_missing_zetalab_name():
     ids=lambda p: str(p.relative_to(ROOT)))
 def test_tool_imports_from_zetalab_exist(path):
     assert missing_zetalab_names(path.read_text()) == []
+
+
+def test_zetalab_runs_without_scipy():
+    # a fresh process: importing every command's modules, evaluating Z on
+    # both branches and taking the numeric fingerprint loads no scipy module
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from zetalab import cli, laplace, moments, quadrature, scans, spectral, zkernel\n"
+        "zkernel.z_block(np.array([50.0, 1000.0]))\n"
+        "quadrature.numeric_fingerprint()\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -140,7 +140,7 @@ class TestKernelAccuracy:
     def test_em_error_model_dominates_imaginary_witness(self):
         # Z is real: |Im(e^(i theta) zeta)| witnesses the rounding the model charges
         ts = np.linspace(0.5, 399.5, 20001)
-        w = np.exp(1j * zkernel.theta_fast(ts)) * zkernel.zeta_half_em(ts)
+        w = np.exp(1j * zkernel.theta_log_gamma(ts)) * zkernel.zeta_half_em(ts)
         _, err = zkernel.z_em_block(ts)
         assert np.all(np.abs(w.imag) <= err)
 
@@ -263,18 +263,29 @@ class TestKernelAccuracy:
                 ref = mpmath.siegeltheta(t)
                 assert abs(v - ref) <= 4 * np.finfo(float).eps * abs(ref), t
 
-    def test_theta_fast_matches_scalar(self):
-        ts = np.array([5.0, 60.0, 1234.5])
-        th = zkernel.theta_fast(ts)
+    def test_theta_log_gamma_vs_siegeltheta(self, rng):
+        # the EM branch's theta on [0, 400): random t, t = 0 and tiny t, the
+        # points either side of |t| = THETA_SHIFT_T, where the shift of the
+        # series stops, and either side of each band edge.  In units of
+        # eps max(1, |theta|) the error is about 3 from t = 40 on and up to
+        # about 30 near theta's zero at t = 17.85, where the terms summed are
+        # near 20 (scipy's loggamma errs as much there); 48 leaves a margin
+        edges = zkernel.EM_BAND * np.arange(1, len(zkernel.EM_TERMS) + 1)
+        cut = zkernel.THETA_SHIFT_T
+        ts = np.concatenate([rng.uniform(0.0, 400.0, 200), [0.0, 5e-324, 1e-300, 1e-8, 1e-3],
+                             [np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf)],
+                             np.nextafter(edges, 0.0), edges[:-1]])
+        th = zkernel.theta_log_gamma(ts)
         with mpmath.workdps(30):
             for t, v in zip(ts, th):
-                assert abs(v - float(mpmath.siegeltheta(t))) < 1e-10
+                ref = mpmath.siegeltheta(t)
+                assert abs(v - ref) <= 48 * np.finfo(float).eps * max(1.0, abs(ref)), t
 
     def test_positive_zero_bracketed(self):
         z = THETA_POSITIVE_ZERO
         ts = np.array([z - 1e-6, z + 1e-6])
         with mpmath.workdps(30):
             assert mpmath.siegeltheta(ts[0]) < 0 < mpmath.siegeltheta(ts[1])
-        lo, hi = zkernel.theta_fast(ts)
+        lo, hi = zkernel.theta_log_gamma(ts)
         assert lo < 0 < hi
         assert abs(z - 17.8455995) < 1e-6
