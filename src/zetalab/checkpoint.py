@@ -5,7 +5,7 @@ File format (line-delimited text, floats as repr(float)):
     # fingerprint: <numeric fingerprint of the writing environment>
     k,T,v,e,digest;n;vu;eu
 Rows are boundary-aligned: every stored T is a panel boundary of the mesh
-from 0 (quadrature.panel_mesh), n is the panel count on [0, T], and v =
+from 0, F^-1(4n) (quadrature.panel_bounds), n is the panel count on [0, T], and v =
 int_0^T |Z|^{2k}, vu = int_0^T t |Z|^{2k} and their error bounds e and eu
 are the accumulator's four prefix sums there; digest is the QuadConfig
 digest.  MomentCheckpoint.rows holds a file's rows of one k in this order,
@@ -21,7 +21,8 @@ T, n, v, vu, e and eu.  The prefix sums are a plain left fold, so a fold
 seeded at a panel boundary continues the fold from 0 bit for bit, and Z is
 evaluated only above the seed row.  The seed's T must be panel n of the
 mesh from 0, which the accumulator checks as it is seeded, on the store's
-mesh (quadrature.ZStore, laid without evaluating Z).  Where the fold could
+mesh (quadrature.ZStore, each boundary F^-1 of its index, laid without
+evaluating Z).  Where the fold could
 absorb an ulp of the seed's sums (an ulp of v, vu, e or eu, one way or the
 other, would give the same row above it: MomentAccumulator.pins_origin),
 the seed moves down one stored row at a time, each new seed's T checked
@@ -192,8 +193,7 @@ def _verify(acc: MomentAccumulator, stored: MomentCheckpoint, seed, seeded: bool
     determines the origin's sums (pins_origin): the fold can absorb an ulp
     of the seed, and then the last row alone would not show that the seed
     is off.  Each row it seeds at goes through MomentAccumulator, which
-    requires its T to be panel n of the mesh from 0: the mesh from T alone
-    would not show an ulp off.
+    requires its T to be panel n of the mesh from 0 bit for bit.
     """
     here = numeric_fingerprint()
 

@@ -16,8 +16,8 @@ from .errors import DataParseError, DomainError
 
 KERNEL_VERSION = "zk7"
 # the (2 nodes + 1)-point rule of quadrature.kronrod_rule, once per panel of four
-# mesh cells, the cells graded toward t = 0 (quadrature._widths)
-PANEL_RULE = "gauss-kronrod/4-cell/graded"
+# mesh cells, cell i ending at F^-1(i), graded toward t = 0 (quadrature.cell_ends)
+PANEL_RULE = "gauss-kronrod/4-cell/graded-F-inverse"
 
 
 @dataclass(frozen=True)
@@ -27,14 +27,13 @@ class QuadConfig:
     Every field enters the digest.  The float64 kernel (zetalab.zkernel) has
     no fields here: its branch switch, RS corrections and error model are
     constants of KERNEL_VERSION.  Each panel takes one rule, so a coarser
-    mesh (larger gap_fraction or w_max) shows in err_bound, not in more rules.
+    mesh (larger gap_fraction) shows in err_bound, not in more rules.
     """
 
     nodes: int = 16              # Gauss nodes per panel; with their Kronrod nodes 2n+1 points
-    gap_fraction: float = 0.5    # cell width as a fraction of the local mean zero gap;
+    gap_fraction: float = 0.5    # cell width as a fraction of the local mean zero gap
+                                 # (cell i ends at F^-1(i), quadrature.cell_ends);
                                  # a quadrature panel spans four cells
-    w_min: float = 0.05
-    w_max: float = 2.0
     window_w: float = 6.0        # Gaussian truncation in units of delta
     laplace_cmaj: float = 10.0   # disclosed majorant constant for Laplace tails
     laplace_tail_abs: float = 1e-8
@@ -48,8 +47,6 @@ class QuadConfig:
                 raise DomainError("quad.%s must be finite and > 0, got %r" % (f.name, v))
         if self.nodes < 1:
             raise DomainError("quad.nodes must be >= 1, got %r" % self.nodes)
-        if self.w_min > self.w_max:
-            raise DomainError("quad.w_min must be <= quad.w_max, got %r > %r" % (self.w_min, self.w_max))
 
     def digest(self) -> str:
         parts = ["kernel=%s" % KERNEL_VERSION, "rule=%s" % PANEL_RULE]

@@ -24,13 +24,13 @@ from .config import QuadConfig
 from .constants import P4_LOWER, fourth_moment_a3, fourth_moment_a4, second_moment_constant
 from .errors import DomainError
 from .quadrature import (
-    CELLS,
     IntegralResult,
     PanelBatch,
+    first_panel,
     get_accumulator,
     integration_matrix,
     kronrod_rule,
-    panel_mesh,
+    panel_bounds,
     panel_nodes,
 )
 from .zkernel import moment_integrand
@@ -160,8 +160,12 @@ def smoothed_fourth(
     """Gaussian-smoothed local fourth moment
     (1/(delta sqrt(pi))) int |zeta(1/2 + i(T+t))|^4 exp(-t^2/delta^2) dt,
     truncated at |t| <= W delta with the tail folded into the error bound.
-    One panel run on quadrature.panel_mesh over [max(T - W delta, 0), T + W delta];
-    a window part below 0 is folded onto [0, W delta - T] (|zeta| is even)."""
+    The window [T - W delta, T + W delta] is integrated on the panels of
+    the mesh from 0 that reach it (quadrature.panel_bounds); where one of
+    them is wider than delta/3, the window is also cut into equal steps of
+    at most delta/3, about 6 W more pieces than mesh panels whatever delta.
+    Each piece takes one rule, all in one PanelBatch.run.  A window
+    part below 0 is folded onto [0, W delta - T] (|zeta| is even)."""
     if not (math.isfinite(t_center) and t_center > 1.0):
         raise DomainError("invalid-argument: T must be finite and > 1, got %r" % t_center)
     if not (0 < delta <= t_center / math.log(t_center)):
@@ -181,14 +185,20 @@ def smoothed_fourth(
             g = g + np.where(u <= -lo, np.exp(-((u + t_center) / delta) ** 2), 0.0)
         return f * g * inv, df * g * inv
 
-    # cap bounds the cells, so a panel of CELLS cells is up to delta/3 wide
-    bounds = panel_mesh(max(lo, 0.0), hi, cfg, cap=delta / (3.0 * CELLS))
-    val, _, err, _ = PanelBatch(weighted, cfg).run(bounds[:-1], bounds[1:])
+    lo0 = max(lo, 0.0)
+    e = panel_bounds(np.arange(max(first_panel(lo0, cfg) - 1, 0), first_panel(hi, cfg) + 1), cfg)
+    if np.max(np.diff(e)) > delta / 3.0:
+        # steps of a whole number of ulps of hi: the steps are translates on
+        # the float grid, so their nodes round alike and the rounding of the
+        # nodes, large against a small delta, cancels across the window
+        h = np.spacing(hi) * max(math.floor(delta / 3.0 / np.spacing(hi)), 1)
+        e = np.union1d(e, np.append(lo0 + h * np.arange(math.ceil((hi - lo0) / h)), hi))
+    val, _, err, _ = PanelBatch(weighted, cfg).run(e[:-1], e[1:])
 
     # Truncation: |zeta|^4 majorized by cmaj (1 + log^4) near the window.
     majorant = cfg.laplace_cmaj * (1.0 + max(math.log(hi), 1.0) ** 4)
     tail = majorant * math.erfc(w_win)
-    return IntegralResult(float(np.sum(val)), float(np.sum(err)) + tail, len(bounds) - 1, (lo, hi))
+    return IntegralResult(float(np.sum(val)), float(np.sum(err)) + tail, len(val), (lo, hi))
 
 
 def integral_of_t_poly(t_upper: float, poly: MomentPolynomial) -> float:

@@ -1,13 +1,15 @@
 """Panel Gauss-Kronrod quadrature on one mesh tuned to the zero-gap scale of Z(t).
 
-panel_mesh lays the one mesh: cell boundaries from t0 with width a
-configured fraction of the local mean zero gap 2 pi / log(t/2pi),
-optionally capped, graded toward t = 0 (_widths), and a quadrature panel
-every CELLS = 4 cells, so panels depend on the range and config, not on Z.
-Each panel takes one rule, the n Gauss-Legendre nodes plus their n+1
-Kronrod nodes (kronrod_rule, 2n+1 kernel points); their disagreement above
-the rounding floor (kronrod_sums) plus the integrated pointwise kernel error
-model (kernel_model) enters the reported error bound.  On panels of the
+cell_ends gives the one mesh in closed form: cell i of the mesh from 0
+ends at F^-1(i), F(t) = int_0^t ds/w(s), with w a configured fraction of
+the local mean zero gap 2 pi / log(t/2pi), graded toward t = 0, and a
+quadrature panel spans CELLS = 4 cells (panel_bounds), so a boundary
+depends on its index and the config alone, not on Z or on the range asked
+for; no panel reaches zkernel.RS_T_MAX (first_panel).  Each panel takes
+one rule, the n Gauss-Legendre nodes plus their n+1 Kronrod nodes
+(kronrod_rule, 2n+1 kernel points); their disagreement above the rounding
+floor (kronrod_sums) plus the integrated pointwise kernel error model
+(kernel_model) enters the reported error bound.  On panels of the
 kernel's Euler-Maclaurin branch, whose model is certified, the floor also
 takes in the model's integral, so the bound does not grow as panels narrow.
 All reductions run in a fixed order so reruns and checkpoint resumes are
@@ -26,9 +28,8 @@ boundaries, 8 B per panel, and an accumulator its sums, 64 B per panel;
 samples cost 528 B per panel, so the store keeps none for a request that
 ends past STORE_PANELS panels: uncapped they would hold 36 MB on [0, 10^5]
 and raise the peak memory of a checkpointed run.  The scans read every
-value inside a panel -- the cell boundaries, stepped from the panel's left
-end by the mesh's recurrence, the nodes, the probes -- from the panel's
-own samples (MomentAccumulator.read).
+value inside a panel -- the cell boundaries (_cell_lefts), the nodes, the
+probes -- from the panel's own samples (MomentAccumulator.read).
 
 Bit-identity holds per numeric fingerprint (numeric_fingerprint): the same
 numpy, mpmath and Python versions, the same SIMD features numpy
@@ -54,12 +55,13 @@ from .errors import CheckpointMismatch, DomainError
 from .zkernel import T_SWITCH, moment_integrand
 
 _TWO_PI = 2.0 * math.pi
+_TWO_PI_E = _TWO_PI * math.e  # below it the mesh takes the mean zero gap as 2 pi
 CELLS = 4  # mesh cells per quadrature panel
 # Panels of the mesh from 0 whose samples a ZStore keeps: at most
 # 4096 * 33 * 2 * 8 B = 2.2 MB at 16 nodes.  The functionals over [0, 6e3]
 # fit (2.8e3 panels); a checkpointed fill of 8e3 panels keeps nothing.
 STORE_PANELS = 4096
-MESH_CHUNK = 16384  # cells per fixed-point chunk of the mesh
+NEWTON_STEPS = 3  # of cell_ends on the log term: the second leaves 1e-8 relative, the third the last ulps
 KERNEL_CHUNK = 512  # panels per PanelBatch.run of ensure and per kernel call of the store
 
 
@@ -228,94 +230,107 @@ def kernel_model(half, df, n: int, certified):
     return np.where(certified, pk + np.abs(pg - pk), pk), np.where(certified, pg + pk, 0.0)
 
 
-def _widths(b, cfg: QuadConfig, cap: float, log=np.log, at=None):
-    """min(w(t), cap, d(t)) at each t of b (see panel_mesh), d(at) if at is
-    given; with log = _exact_log the floats of the scalar formula, one t at a time.
-    d(t) = 2^floor(log2 max(t, 1)) / 4 grades the mesh toward 0: Z is singular
-    at t = +-i/2, and one rule converges on a panel only as fast as its
-    Bernstein ellipse is wide of them (Trefethen, SIAM Rev. 50, 2008, Thm
-    4.5); four cells of d(t) span at most max(t, 1).  d follows from Z, not
-    from a choice: it is part of PANEL_RULE, not a QuadConfig field."""
-    gap = _TWO_PI / np.maximum(log(np.maximum(b / _TWO_PI, 1.0)), 1.0)
-    w = np.minimum(np.minimum(np.maximum(cfg.gap_fraction * gap, cfg.w_min), cfg.w_max), cap)
-    return np.minimum(w, np.ldexp(0.25, np.frexp(np.maximum(b if at is None else at, 1.0))[1] - 1))
+def _grade(t):
+    """d(t) = min(2^floor(log2 max(t, 1)) / 4, 2), the grade of the mesh
+    toward 0: Z is singular at t = +-i/2, and one rule converges on a panel
+    only as fast as its Bernstein ellipse is wide of them (Trefethen, SIAM
+    Rev. 50, 2008, Thm 4.5); four cells of d(t) span at most max(t, 1).  It
+    stops at 2, the cells of [8, 16): on [16, 30] the log term's wider cells
+    (pi at 16) leave the panel [16, 26.4] with a Gauss-Kronrod disagreement
+    of 2e-10 of |Z|^4's integral, where every other panel of four cells
+    keeps within 1e-10.  d follows from Z, not from a choice: it is part of
+    PANEL_RULE, not a QuadConfig field."""
+    return min(math.ldexp(0.25, math.frexp(max(t, 1.0))[1] - 1), 2.0)
 
 
-def _exact_log(x):
-    """math.log of each element: numpy's vectorised log may round differently."""
-    return np.fromiter(map(math.log, x.tolist()), float, x.size)
+def _big_g(t):
+    """G(t) = t (log(t/2pi) - 1), whose derivative is log(t/2pi)."""
+    return t * (math.log(t / _TWO_PI) - 1.0)
 
 
-def _fold(t: float, n: int, cfg: QuadConfig, cap: float):
-    """b_0 = t, ..., b_n of the recurrence as the fixed point of panel_mesh's
-    docstring: passes with numpy's log until stationary, which only brings
-    the guess near, then with math.log until stationary."""
-    w = np.empty(n + 1)
-    w[0] = t
-    b = t + _widths(np.array([t]), cfg, cap)[0] * np.arange(n + 1.0)
-    for log in (np.log, _exact_log):
-        while True:
-            w[1:] = _widths(b[:-1], cfg, cap, log)
-            b, old = np.cumsum(w), b
-            if np.array_equal(b, old):
-                break
-    return b
+@functools.cache
+def _pieces(gap_fraction: float):
+    """(s, f, w, g) of the pieces [s_j, s_j+1) of the cell width w(t) =
+    min(gap_fraction 2pi / max(log(t/2pi), 1), d(t)): their starts, F(s_j),
+    the width where it is constant (nan where it is the log term) and
+    G(s_j).  w changes form only where d steps and where the log term
+    crosses 2pi e or a value of d."""
+    g0 = gap_fraction * _TWO_PI
+    cuts = sorted({2.0, 4.0, 8.0, _TWO_PI_E} | {_TWO_PI * math.exp(g0 / d) for d in (0.25, 0.5, 1.0, 2.0)
+                                                 if g0 / d < 700.0})
+    s, w = [], []
+    for a, b in zip([0.0] + cuts, cuts + [math.inf]):
+        mid = 0.5 * (a + b) if b < math.inf else 2.0 * a
+        d = _grade(mid)
+        wj = min(g0, d) if mid < _TWO_PI_E else d if d <= g0 / math.log(mid / _TWO_PI) else math.nan
+        if not s or not (wj == w[-1] or math.isnan(wj) and math.isnan(w[-1])):
+            s.append(a)
+            w.append(wj)
+    f = [0.0]
+    for a, b, wj in zip(s, s[1:], w):
+        f.append(f[-1] + ((_big_g(b) - _big_g(a)) / g0 if math.isnan(wj) else (b - a) / wj))
+    g = [_big_g(a) if math.isnan(wj) else 0.0 for a, wj in zip(s, w)]
+    return tuple(np.array(q) for q in (s, f, w, g))
 
 
-def _chunks(t: float, t1: float, cfg: QuadConfig, cap: float, multiple: int):
-    """The cells of the mesh from t in _fold chunks of a multiple of
-    `multiple` cells, at most MESH_CHUNK, each from the exact end of the
-    last (its first boundary dropped), until one reaches t1."""
-    while t < t1:
-        # w shrinks, d grows: no cell on [t, t1] is wider than w(t) graded at t1
-        n = int(min((t1 - t) / _widths(np.array([t]), cfg, cap, at=t1)[0] * 1.01 + 4, MESH_CHUNK))
-        b = _fold(t, n + (-n) % multiple, cfg, cap)[1:]
-        yield b
-        t = float(b[-1])
+def cell_ends(i, cfg: QuadConfig):
+    """The mesh from 0: F^-1 at the cell indices i, F(t) = int_0^t ds/w(s).
+
+    w(t) = min(cfg.gap_fraction 2pi / max(log(t/2pi), 1), d(t)) is a
+    fraction of the local mean zero gap, graded toward 0 (_grade).  Where w
+    is the log term (from t = 30.2 on by default) each cell holds
+    cfg.gap_fraction of a zero: F there is the smooth zero count
+    (t/2pi)(log(t/2pi) - 1), the main term of Riemann-von Mangoldt, over
+    cfg.gap_fraction, plus a constant.  Where w is constant F^-1 is one
+    product and sum; on the log term it solves G(t) = c (_big_g) by
+    NEWTON_STEPS Newton steps from an approximation of Lambert's W, t = 2pi
+    e exp(W(c / 2pi e)).  So each value depends on its index alone, not on
+    the others of the call: any part of the mesh is laid without the rest,
+    and the same cells from any call are the same floats."""
+    s, f, w, g = _pieces(cfg.gap_fraction)
+    i = np.asarray(i, dtype=float)
+    j = np.searchsorted(f, i, side="right") - 1
+    x = i - f[j]
+    t = s[j] + x * w[j]
+    on_log = np.nonzero(np.isnan(t))[0]
+    if on_log.size:
+        c = g[j[on_log]] + x[on_log] * (cfg.gap_fraction * _TWO_PI)
+        z = np.log1p(c / _TWO_PI_E)  # W(y) ~ log(1 + y)(1 - log(1 + log(1 + y))/(2 + log(1 + y)))
+        u = _TWO_PI_E * np.exp(z * (1.0 - np.log1p(z) / (2.0 + z)))
+        for _ in range(NEWTON_STEPS):  # u - (G(u) - c) / G'(u)
+            u = (u + c) / np.log(u / _TWO_PI)
+        t[on_log] = u
+    return t
 
 
-def _cell_mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf, multiple: int = CELLS):
-    """The cell boundaries b_0 = t0, ..., b_m of the recurrence (panel_mesh)
-    with m the least multiple of `multiple` such that b_m >= t1, laid in
-    _chunks.  A non-finite t0 or t1 is refused: the recurrence would not
-    end at an infinite t1."""
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise DomainError("integration range [%s, %s] is not finite" % (t0, t1))
-    b = np.concatenate([[t0], *_chunks(t0, t1, cfg, cap, multiple)])
-    i = int(np.searchsorted(b, t1))
-    return b[: i + (-i) % multiple + 1]
+def panel_bounds(p, cfg: QuadConfig):
+    """The boundaries of the panels p of the mesh from 0: every CELLS-th cell end."""
+    return cell_ends(CELLS * np.asarray(p, dtype=float), cfg)
 
 
-def panel_mesh(t0: float, t1: float, cfg: QuadConfig, cap: float = math.inf):
-    """Panel boundaries t0 = p_0 < ... < p_m, the first p_m >= t1: every
-    CELLS-th boundary of the cell recurrence b_0 = t0, b_{i+1} = fl(b_i +
-    min(w(b_i), cap, d(b_i))) in float64, with cells appended while the
-    cell count is not a multiple of CELLS, so panels laid from a panel
-    boundary continue the same four-cell grid.  w(t) is cfg.gap_fraction of
-    the mean zero gap 2 pi / max(log(t/2pi), 1), with math.log, clamped to
-    [w_min, w_max]; d is the grade toward 0 (_widths).
-
-    The recurrence is laid as a fixed point, a chunk at a time (_fold):
-    from a guess b_0 = t, ..., b_n, take the widths at b_0, ..., b_{n-1}
-    and fold them with np.cumsum from t, until b does not move.  np.cumsum
-    is a sequential left fold, so at the fixed point each b_{i+1} is
-    fl(b_i + w(b_i)), the recurrence's own step, bit for bit.  A pass with
-    math.log whose input is exact in its first k entries returns k + 1
-    exact ones, so a chunk of n cells is stationary within n + 1 passes.
-
-    A cell is cfg.gap_fraction of the local mean zero gap wide; the scans
-    sample every cell boundary (_cell_lefts).  A non-finite t0 or t1 is
-    refused (_cell_mesh)."""
-    return _cell_mesh(t0, t1, cfg, cap)[::CELLS]
+def first_panel(t: float, cfg: QuadConfig) -> int:
+    """The index of the first panel boundary >= t >= 0 of the mesh from 0,
+    from F(t) and then checked on the boundaries themselves.  A t that is
+    not finite, or whose panel ends at or past zkernel.RS_T_MAX, where the
+    kernel cannot evaluate Z, is refused."""
+    if not math.isfinite(t):
+        raise DomainError("integration limit %r is not finite" % t)
+    if t < zkernel.RS_T_MAX:
+        s, f, w, g = _pieces(cfg.gap_fraction)
+        j = max(int(np.searchsorted(s, t, side="right")) - 1, 0)
+        cells = f[j] + ((_big_g(t) - g[j]) / (cfg.gap_fraction * _TWO_PI) if math.isnan(w[j]) else (t - s[j]) / w[j])
+        p = max(math.ceil(cells / CELLS) - 2, 0)  # F(t) is off by far less than a cell
+        near = panel_bounds(np.arange(p, p + 5), cfg)
+        i = int(np.searchsorted(near, t))
+        if near[i] < zkernel.RS_T_MAX:
+            return p + i
+    raise DomainError("the panel of the mesh from 0 that reaches t = %r ends at or past RS_T_MAX: %s"
+                      % (float(t), zkernel.RS_T_MAX_REASON))
 
 
-def _cell_lefts(lefts, cfg: QuadConfig):
-    """The CELLS cell boundaries from each panel's left end as rows, by the
-    recurrence's own step with math.log, so bit for bit the mesh's cells."""
-    b = [np.asarray(lefts, dtype=float)]
-    for _ in range(CELLS - 1):
-        b.append(b[-1] + _widths(b[-1], cfg, math.inf, _exact_log))
-    return np.column_stack(b)
+def _cell_lefts(ps, cfg: QuadConfig):
+    """The cell boundaries inside each panel ps as rows: F^-1 at 4p + 1, 4p + 2, 4p + 3."""
+    return cell_ends(CELLS * np.asarray(ps, dtype=float)[:, None] + np.arange(1, CELLS), cfg)
 
 
 class PanelBatch:
@@ -484,8 +499,8 @@ class MomentAccumulator:
         more or less in any of them changes that row.  The fold x -> fl(x +
         q) is monotone, so then no other sums give the same row; across a
         binade the fold can absorb an ulp.  The origin's T is not checked
-        here: the mesh can absorb an ulp of it too, so the constructor
-        checks it against the mesh from 0."""
+        here: no boundary above it depends on it, so the constructor checks
+        it against the mesh from 0."""
         for d in (-math.inf, math.inf):
             for q, p in zip(self._sums(), self.prefix()):
                 if np.cumsum(np.concatenate([[math.nextafter(p[0], d)], q[:i]]))[-1] == p[i]:
@@ -650,7 +665,7 @@ class MomentAccumulator:
         """
         parts = [(np.zeros(0),) * 4]
         for s in self.sweep(t0, t1):
-            cells = _cell_lefts(self.bounds[s.ps], self.cfg).ravel()
+            cells = np.column_stack([self.bounds[s.ps], _cell_lefts(self.base + s.ps, self.cfg)]).ravel()
             at = np.nonzero((cells >= t0) & (cells <= t1))[0]
             v, vu, e, _ = (q[s.ps[0] + at // CELLS] for q in self.prefix())
             inner = np.nonzero(at % CELLS)[0]
@@ -680,11 +695,12 @@ class ZStore:
         self.held = 0
 
     def reach(self, t: float) -> int:
-        """The index into bounds of the first boundary >= t, the mesh laid
-        to there from the last boundary (panel_mesh).  bounds is replaced
-        when it grows, so read it after reach."""
-        if not t <= self.bounds[-1]:  # so panel_mesh refuses a non-finite t
-            self.bounds = np.concatenate([self.bounds, panel_mesh(float(self.bounds[-1]), t, self.cfg)[1:]])
+        """The index into bounds of the first boundary >= t, bounds filled
+        to there (first_panel, panel_bounds).  bounds is replaced when it
+        grows, so read it after reach."""
+        if not t <= self.bounds[-1]:  # so first_panel refuses a non-finite t
+            n = len(self.bounds)
+            self.bounds = np.concatenate([self.bounds, panel_bounds(np.arange(n, first_panel(t, self.cfg) + 1), self.cfg)])
         return int(np.searchsorted(self.bounds, t))
 
     def samples(self, i: int, j: int, chunk: int):

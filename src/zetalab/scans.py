@@ -3,8 +3,9 @@
 One sweep of the accumulator over the window (MomentAccumulator.sweep)
 evaluates Z once per panel, at its Gauss-Kronrod nodes; new panels are
 integrated from those samples.  Exceedances are read on the cell
-boundaries of quadrature.panel_mesh (spacing about half the local zero
-gap, four cells per panel; MomentAccumulator.boundary_grid), by the same
+boundaries of the mesh from 0 (quadrature.cell_ends: cell i ends at
+F^-1(i), spacing about half the local zero gap, four cells per panel;
+MomentAccumulator.boundary_grid), by the same
 formula per target that error_term or integral_of_e2 uses.  Sign changes
 are sought between neighbouring nodes and panel ends, which lie closer
 than the cells.  Each is refined on the panel's interpolant of its own samples,

@@ -29,8 +29,6 @@ class MaassFormRecord:
     kappa: float
     c: float                      # alpha_j * H_j(1/2)^3
     eps: int                      # parity: +1 even, -1 odd
-    alpha: float | None = None
-    h_half: float | None = None
 
     def validate(self):
         if self.j < 1:
@@ -45,13 +43,6 @@ class MaassFormRecord:
                 "functional-equation factor at the central point",
                 invariant="odd-form-zero-weight",
             )
-        if self.alpha is not None and self.h_half is not None:
-            expect = self.alpha * self.h_half**3
-            if abs(expect - self.c) > 1e-10 * max(1.0, abs(self.c)):
-                raise DataValidationError(
-                    "c != alpha * H_half^3 (%r vs %r)" % (self.c, expect),
-                    invariant="combined-weight-consistency",
-                )
 
 
 @dataclass(frozen=True)
@@ -79,7 +70,7 @@ class SpectralDataset:
 def load_spectral_dataset(path=None) -> SpectralDataset:
     """Parse and validate a spectral data file; None loads the bundled starter.
 
-    Format: '#' comment/provenance lines, a header 'j,kappa,c,eps[,alpha,H_half]',
+    Format: '#' comment/provenance lines, a header 'j,kappa,c,eps',
     then one record per line in decimal text, kappa strictly increasing.
     """
     if path is None:
@@ -94,7 +85,6 @@ def load_spectral_dataset(path=None) -> SpectralDataset:
     provenance = []
     records = []
     header_seen = False
-    n_cols = 4
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -103,32 +93,18 @@ def load_spectral_dataset(path=None) -> SpectralDataset:
             provenance.append(line[1:].strip())
             continue
         if not header_seen:
-            cols = [c.strip() for c in line.split(",")]
-            if cols not in (
-                ["j", "kappa", "c", "eps"],
-                ["j", "kappa", "c", "eps", "alpha", "H_half"],
-            ):
+            if [c.strip() for c in line.split(",")] != ["j", "kappa", "c", "eps"]:
                 raise DataParseError("bad header %r" % line, line=lineno)
-            n_cols = len(cols)
             header_seen = True
             continue
         parts = [p.strip() for p in line.split(",")]
-        if len(parts) != n_cols:
-            raise DataParseError(
-                "expected %d fields, got %d" % (n_cols, len(parts)), line=lineno
-            )
+        if len(parts) != 4:
+            raise DataParseError("expected 4 fields, got %d" % len(parts), line=lineno)
         try:
-            j = int(parts[0])
-            kappa = float(parts[1])
-            c = float(parts[2])
-            eps = int(parts[3])
-            alpha = float(parts[4]) if n_cols == 6 and parts[4] else None
-            h_half = float(parts[5]) if n_cols == 6 and parts[5] else None
+            records.append(MaassFormRecord(j=int(parts[0]), kappa=float(parts[1]),
+                                           c=float(parts[2]), eps=int(parts[3])))
         except ValueError as exc:
             raise DataParseError(str(exc), line=lineno) from exc
-        records.append(
-            MaassFormRecord(j=j, kappa=kappa, c=c, eps=eps, alpha=alpha, h_half=h_half)
-        )
     if not header_seen:
         raise DataParseError("missing header line", line=1)
     ds = SpectralDataset(records=tuple(records), source="\n".join([name] + provenance), checksum=checksum)

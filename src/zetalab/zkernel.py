@@ -106,6 +106,8 @@ RS_BLOCK = 4096
 # Bits of log_hi and of P1, P2; the reduction is exact for t < RS_T_MAX.
 PHASE_BITS = 26
 RS_T_MAX = 1e8
+RS_T_MAX_REASON = ("the Riemann-Siegel branch reduces its anchor phases exactly only for t <"
+                   " RS_T_MAX = %g: beyond it a log_hi or k P1 needs more than 53 bits" % RS_T_MAX)
 
 _EPS = float(np.finfo(float).eps)
 _TWO_PI = 2.0 * math.pi
@@ -415,10 +417,7 @@ def z_rs_block(t: np.ndarray):
     the whole path per block of RS_BLOCK points."""
     t = np.asarray(t, dtype=float)
     if t.size and not t.max() < RS_T_MAX:
-        raise DomainError(
-            "the Riemann-Siegel branch reduces its anchor phases exactly only for"
-            " t < RS_T_MAX = %g: beyond it a log_hi or k P1 needs more than 53 bits"
-            % RS_T_MAX)
+        raise DomainError(RS_T_MAX_REASON)
     z, err = np.empty_like(t), np.empty_like(t)
     for i in range(0, t.size, RS_BLOCK):
         sel = slice(i, i + RS_BLOCK)

@@ -13,6 +13,26 @@ def _restore_mp_prec():
     mpmath.mp.prec = prec
 
 
+@pytest.fixture
+def no_mesh_no_z(monkeypatch):
+    """Make laying any cell of the mesh or evaluating Z fail the test at
+    once; yields the list of the refused calls, which a refusal made before
+    any work leaves empty."""
+    from zetalab import quadrature, zkernel
+
+    calls = []
+
+    def refuse(name):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError("%s called" % name)
+        return spy
+
+    monkeypatch.setattr(quadrature, "cell_ends", refuse("quadrature.cell_ends"))
+    monkeypatch.setattr(zkernel, "z_block", refuse("zkernel.z_block"))
+    yield calls
+
+
 @pytest.fixture(scope="session")
 def cfg():
     return QuadConfig()

@@ -237,9 +237,11 @@ class TestSeededResume:
         stored, _ = extend_checkpoint(str(path), 1, t_first, cfg)
         t, v, e, n, vu, eu = stored.rows[-2]
         off = (math.nextafter(t, to), v, e, n, vu, eu)
-        # the row an accumulator seeded at off would fold: panels from off,
-        # each integrated alone, summed by a left fold from the seed's sums
-        bs = quadrature.panel_mesh(off[0], stored.rows[-1][0], cfg)
+        # the row folded from off: the panels of the mesh from 0 above panel
+        # n, the first from off, each integrated alone, summed by a left fold
+        # from the seed's sums
+        bs = quadrature.panel_bounds(np.arange(n, stored.rows[-1][3] + 1), cfg)
+        bs[0] = off[0]
         sums = quadrature.PanelBatch(lambda u: zkernel.moment_integrand(u, 1), cfg).run(bs[:-1], bs[1:])
         tv, tvu, te, teu = (float(np.cumsum(np.concatenate([[s0], q]))[-1])
                             for s0, q in zip((v, vu, e, eu), sums))

@@ -248,9 +248,10 @@ class TestConfig:
         ("quad.checkpoint_step=0", cli.EXIT_USAGE, "quad.checkpoint_step must be finite and > 0"),
         ("quad.laplace_cmaj=inf", cli.EXIT_USAGE, "quad.laplace_cmaj must be finite and > 0"),
         ("quad.gap_fraction=nan", cli.EXIT_USAGE, "quad.gap_fraction must be finite and > 0"),
-        ("quad.gap_fraction=0\nquad.w_min=0", cli.EXIT_USAGE, "quad.gap_fraction must be finite and > 0"),
         ("quad.nodes=0", cli.EXIT_USAGE, "quad.nodes must be >= 1"),
-        ("quad.w_min=3.0", cli.EXIT_USAGE, "quad.w_min must be <= quad.w_max"),
+        # the mesh's width clamps are gone: cell i ends at F^-1(i)
+        ("quad.gap_fraction=0.5\nquad.w_min=0.05", cli.EXIT_DATA, "line 3: unknown config key 'quad.w_min'"),
+        ("quad.w_max=2.0", cli.EXIT_DATA, "line 2: unknown config key 'quad.w_max'"),
     ])
     def test_bad_values_are_refused_with_the_field(self, tmp_path, capsys, text, code, reason):
         conf = tmp_path / "run.conf"
@@ -304,6 +305,24 @@ class TestNonFiniteInput:
         assert cli.main(argv) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert "argument --s-grid: " in err and "is not finite" in err
+
+
+class TestRsTMax:
+    """A request whose panels would reach zkernel.RS_T_MAX is refused with
+    the kernel's reason before any cell of the mesh is laid or Z evaluated."""
+
+    @pytest.mark.parametrize("argv", [
+        ["laplace", "--k", "2", "--s-grid", "1e-9"],  # truncated near 6e10
+        ["explore", "--table", "meansq-e2", "--T-list", "1e9"],
+        ["moment", "--k", "2", "--T", "1e9", "--checkpoint", "{tmp}/c.txt"],
+    ], ids=["laplace", "meansq-e2", "moment"])
+    def test_refused_at_once(self, tmp_path, capsys, no_mesh_no_z, argv):
+        argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert no_mesh_no_z == []
+        err = capsys.readouterr().err
+        assert "RS_T_MAX = 1e+08" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []  # no checkpoint, lock or output
 
 
 class TestExitCodes:

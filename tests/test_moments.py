@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetalab import moments
+from zetalab import moments, zkernel
 from zetalab.config import QuadConfig
 from zetalab.constants import P4_LOWER, fourth_moment_a3, fourth_moment_a4, second_moment_constant
 from zetalab.errors import DomainError
@@ -97,6 +97,11 @@ class TestIntegrateMoment:
     def test_empty_range(self, cfg):
         r = integrate_moment(1, 0.0, 0.0, cfg)
         assert r.value == 0.0 and r.err_bound == 0.0
+
+    def test_a_range_past_rs_t_max_is_refused_at_once(self, cfg, no_mesh_no_z):
+        with pytest.raises(DomainError, match="RS_T_MAX = 1e[+]08"):
+            integrate_moment(2, 1e9, 1e9 + 1, cfg)
+        assert no_mesh_no_z == []
 
     def test_invalid_ranges(self, cfg):
         with pytest.raises(DomainError):
@@ -244,6 +249,15 @@ class TestSmoothedFourth:
         r = smoothed_fourth(200.0, 20.0, cfg)
         assert r.value == F.SMOOTHED_200_20, frozen_mismatch("SMOOTHED_200_20")
         assert abs(r.value - F.SMOOTHED_200_20_ORACLE) < 1e-5
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-9])
+    def test_a_narrow_window_is_cut_into_steps_not_the_mesh(self, cfg, delta):
+        # the mesh's panels near 1e4 are about 1.7 wide: only the window,
+        # 12 delta wide, is cut into steps of at most delta/3
+        r = smoothed_fourth(1e4, delta, cfg)
+        assert 6 * cfg.window_w <= r.panels <= 6 * cfg.window_w + 3
+        z, _ = zkernel.z_block(np.array([1e4]))
+        assert abs(r.value - z[0] ** 4) <= r.err_bound
 
     def test_window_truncation_consistency(self):
         r6 = smoothed_fourth(300.0, 20.0, QuadConfig(window_w=6.0))

@@ -1,5 +1,6 @@
 """The panel rule, its integration matrices and the accumulator's queries."""
 
+import functools
 import math
 
 import mpmath
@@ -60,76 +61,114 @@ class TestCumulativeAt:
         assert v[1] > v[0] > 0.0
 
 
-def scalar_mesh(t0, t1, cfg, cap=math.inf, graded=True):
-    """The cell recurrence one step at a time in Python floats: a width of
-    cfg.gap_fraction of the mean zero gap 2 pi / max(log(t/2pi), 1), clamped
-    to [w_min, w_max], then capped, and (graded) at most a quarter of the
-    largest power of 2 <= max(t, 1)."""
-    out = [t0]
-    while out[-1] < t1:
-        t = out[-1]
-        gap = 2.0 * math.pi / max(math.log(t / (2.0 * math.pi)) if t > 0 else 0.0, 1.0)
-        w = min(min(max(cfg.gap_fraction * gap, cfg.w_min), cfg.w_max), cap)
-        power = 1.0
-        while 2.0 * power <= t:
-            power *= 2.0
-        out.append(t + (min(w, power / 4.0) if graded else w))
-    return out
+@functools.cache
+def mp_cell_end_oracle(gap_fraction):
+    """Independent oracle of the mesh from 0 at 30 digits: i -> F^-1(i), F(t)
+    = int_0^t ds/w(s) with w(t) = min(gap_fraction 2pi / max(log(t/2pi), 1),
+    2^floor(log2 max(t, 1)) / 4, 2), by mpmath quadrature between the kinks
+    of w (the powers of 2, 2pi e and where the terms meet), its root by
+    findroot from a guess."""
+    with mpmath.workdps(30):
+        two_pi = 2 * mpmath.pi
+        g0 = two_pi * mpmath.mpf(gap_fraction)
+
+        def inv_w(s):
+            grade = mpmath.ldexp(mpmath.mpf(0.25), int(mpmath.floor(mpmath.log(max(s, 1), 2))))
+            return 1 / min(g0 / max(mpmath.log(s / two_pi), 1), grade, 2)
+
+        kinks = sorted({mpmath.mpf(2) ** k for k in range(1, 30)} | {two_pi * mpmath.e}
+                       | {two_pi * mpmath.exp(g0 / mpmath.ldexp(mpmath.mpf(0.25), k)) for k in range(4)})
+        starts = [mpmath.mpf(0)] + [x for x in kinks if x < 2**29]
+        at_starts = [mpmath.mpf(0)]
+        for a, b in zip(starts, starts[1:]):
+            at_starts.append(at_starts[-1] + mpmath.quad(inv_w, [a, b]))
+
+    def cell_end(i, guess):
+        with mpmath.workdps(30):
+            def f(t):
+                j = max(k for k, a in enumerate(starts) if a <= t)
+                return at_starts[j] + mpmath.quad(inv_w, [starts[j], t]) - i
+            return mpmath.findroot(f, mpmath.mpf(guess))
+
+    return cell_end
+
+
+def last_panel_below_rs_t_max(cfg):
+    """The index of the last panel boundary below RS_T_MAX."""
+    p = quadrature.first_panel(zkernel.RS_T_MAX - 1000.0, cfg)
+    while quadrature.panel_bounds([p + 1], cfg)[0] < zkernel.RS_T_MAX:
+        p += 1
+    return p
 
 
 class TestMesh:
-    def test_scalar_recurrence_with_cap(self, cfg):
-        b = quadrature._cell_mesh(3.0, 40.0, cfg, 0.7, 1)
-        assert b[0] == 3.0 and b[-2] < 40.0 <= b[-1]
-        assert quadrature._cell_mesh(5.0, 5.0, cfg, math.inf, 1).tolist() == [5.0]
-        interior = float(quadrature.panel_mesh(0.0, 5000.0, cfg)[777])
-        narrow = QuadConfig(w_max=0.3)  # the w_max clamp holds below t ~ 2.3e5
-        wide = QuadConfig(w_max=10.0)   # no clamp from t ~ 15 on
-        for t0, t1, c, cap in [
-            (3.0, 40.0, cfg, 0.7),
-            (0.0, 3.0e4, cfg, math.inf),          # several fixed-point chunks from 0
-            (0.0, 40.0, cfg, math.inf),           # graded toward 0
-            (0.0, 40.0, wide, math.inf),
-            (interior, interior + 400.0, cfg, math.inf),
-            (1234.5, 1234.51, cfg, math.inf),     # less than one cell
-            (100.0, 150.0, cfg, 0.5 * cfg.w_min),  # the cap below w_min
-            (10.0, 2000.0, narrow, math.inf),
-            # numpy's log(t0/2pi) rounds apart from math.log's here (numpy
-            # 2.4, AVX-512), and so does the first cell
-            (17.61777736730145, 80.0, wide, math.inf),
-        ]:
-            b = quadrature._cell_mesh(t0, t1, c, cap, 1)
-            assert b.tolist() == scalar_mesh(t0, t1, c, cap), (t0, t1, cap)
+    @pytest.mark.parametrize("gap_fraction", [0.5, 0.05, 2.0])
+    def test_cell_ends_match_the_mpmath_oracle(self, gap_fraction):
+        # every piece start of w, the cells either side of it, and indices
+        # up to the last cell below RS_T_MAX (about 4.96e8 at the default)
+        c = QuadConfig(gap_fraction=gap_fraction)
+        starts = quadrature._pieces(gap_fraction)[1]
+        last = last_panel_below_rs_t_max(c) * quadrature.CELLS
+        rng = np.random.default_rng(11)
+        idx = np.unique(np.concatenate([
+            np.ceil(starts), np.ceil(starts) + 1, np.floor(starts[1:]) - 1, [1, 3, last],
+            10.0 ** np.arange(2, 9), np.floor(np.exp(rng.uniform(0, math.log(last), 12)))]))
+        idx = idx[(idx >= 0) & (idx <= last)]
+        oracle = mp_cell_end_oracle(gap_fraction)
+        for i, t in zip(idx.tolist(), quadrature.cell_ends(idx, c).tolist()):
+            want = oracle(i, t) if i else 0.0
+            assert abs(t - want) <= 4 * math.ulp(t), (i, t, float(want))
 
-    def test_graded_panels_from_0_then_the_ungraded_recurrence(self, cfg):
-        b = quadrature.panel_mesh(0.0, 3.0e4, cfg)
-        assert b[:5].tolist() == [0.0, 1.0, 2.0, 4.0, 8.0]
-        assert quadrature._cell_mesh(0.0, 1.0, cfg, math.inf, 1).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
-        # from 8 on the grade does not bind: every boundary is the
-        # recurrence without it, started at 8, bit for bit
-        cells = quadrature._cell_mesh(0.0, 3.0e4, cfg, math.inf, 1)
-        assert cells[cells >= 8.0].tolist() == scalar_mesh(8.0, 3.0e4, cfg, graded=False)
+    def test_each_cell_end_depends_on_its_index_alone(self, cfg):
+        rng = np.random.default_rng(3)
+        for lo in (0.0, 5.0e5, 4.9e8):  # graded, constant and log pieces; the log term at 1e5 and 1e8
+            idx = np.arange(lo, lo + 20000.0)
+            whole = quadrature.cell_ends(idx, cfg)
+            for _ in range(200):
+                a, n = int(rng.integers(0, idx.size - 70)), int(rng.integers(1, 70))
+                assert quadrature.cell_ends(idx[a : a + n], cfg).tolist() == whole[a : a + n].tolist()
+                assert quadrature.cell_ends(idx[a : a + n][::-1], cfg).tolist() == whole[a : a + n][::-1].tolist()
+                pick = np.sort(rng.choice(idx.size, n, replace=False))
+                assert quadrature.cell_ends(idx[pick], cfg).tolist() == whole[pick].tolist()
+                assert quadrature.cell_ends([idx[a]], cfg)[0] == whole[a]
+
+    def test_cell_ends_strictly_increase_up_to_rs_t_max(self, cfg):
+        # dense windows at every piece start, every decade and the last
+        # panel below RS_T_MAX; the oracle's few ulps are far below a cell
+        last = last_panel_below_rs_t_max(cfg) * quadrature.CELLS
+        for lo in np.concatenate([np.floor(quadrature._pieces(cfg.gap_fraction)[1]),
+                                  10.0 ** np.arange(2, 9), [last - 2.0e5]]):
+            b = quadrature.cell_ends(np.arange(max(lo - 100.0, 0.0), min(lo + 2.0e5, last + 1)), cfg)
+            assert np.all(np.diff(b) > 0), lo
+        assert b[-1] < zkernel.RS_T_MAX
+
+    def test_graded_panels_from_0_then_the_log_term(self, cfg):
+        assert quadrature.panel_bounds(np.arange(6), cfg).tolist() == [0.0, 1.0, 2.0, 4.0, 8.0, 16.0]
+        assert quadrature.cell_ends(np.arange(5), cfg).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        # cells of 2 up to where the log term drops below 2, then each holds
+        # gap_fraction of the smooth zero count
+        assert quadrature.cell_ends(np.arange(16.0, 28.0), cfg).tolist() == list(range(8, 32, 2))
+        b = quadrature.cell_ends(np.arange(28.0, 5000.0), cfg)
+        count = b / (2 * math.pi) * (np.log(b / (2 * math.pi)) - 1.0)
+        assert np.allclose(np.diff(count), cfg.gap_fraction, rtol=0, atol=1e-9)
 
     def test_panel_mesh_takes_every_fourth_cell(self, cfg):
-        residues = set()
-        for t1 in (40.0, 41.0, 42.0, 44.0):
-            cells = quadrature._cell_mesh(3.0, t1, cfg, 0.7, 1)
-            residues.add((len(cells) - 1) % 4)
-            b = quadrature.panel_mesh(3.0, t1, cfg, cap=0.7)
-            assert b[-2] < t1 <= b[-1]
-            # cells are appended by the same recurrence up to a multiple of four
-            assert b.tolist() == quadrature._cell_mesh(3.0, b[-1], cfg, 0.7, 1)[::4].tolist()
-            assert b.tolist() == cells[::4].tolist() or (len(cells) - 1) % 4
-        assert residues == {0, 1, 2, 3}
-        assert quadrature.panel_mesh(5.0, 5.0, cfg).tolist() == [5.0]
+        # panel_bounds and the inner cell boundaries (_cell_lefts) are every
+        # fourth cell end and the three between
+        ps = np.arange(0.0, 3000.0)
+        cells = quadrature.cell_ends(np.arange(0.0, 4 * 3000.0), cfg)
+        assert quadrature.panel_bounds(ps, cfg).tolist() == cells[::4].tolist()
+        inner = quadrature._cell_lefts(ps, cfg)
+        assert np.column_stack([cells[::4], inner]).ravel().tolist() == cells.tolist()
 
-    @pytest.mark.parametrize("chunk, t1", [(7, 500.0), (quadrature.MESH_CHUNK, 3.0e4)])
-    def test_the_store_lays_the_mesh_from_0(self, cfg, monkeypatch, chunk, t1):
-        # chunks of 7 cells put the panel boundaries at every offset in a
-        # chunk; the store lays on from its last boundary, one reach at a time
-        b = quadrature.panel_mesh(0.0, t1, cfg)
-        monkeypatch.setattr(quadrature, "MESH_CHUNK", chunk)
+    @pytest.mark.parametrize("stride, t1", [(7, 500.0), (16384, 3.0e4)])
+    def test_the_store_lays_the_mesh_from_0(self, cfg, stride, t1):
+        # the store reached one boundary, or stride panels, at a time lays
+        # the boundaries one call from 0 gives
+        b = quadrature.panel_bounds(np.arange(quadrature.first_panel(t1, cfg) + 1), cfg)
         store = quadrature.ZStore(cfg)
+        for i in range(0, len(b), stride):
+            assert store.reach(float(b[i])) == i
         for i in (0, 1, 2, 3, 57, 58, len(b) // 2, len(b) - 2, 3, len(b) - 1):
             assert store.reach(float(b[i])) == i
             assert store.reach(math.nextafter(float(b[i]), -math.inf)) == i
@@ -137,6 +176,16 @@ class TestMesh:
         assert store.bounds.tolist() == b.tolist()
         with pytest.raises(DomainError):
             store.reach(math.nan)
+
+    def test_a_panel_reaching_rs_t_max_is_refused_before_any_is_laid(self, cfg):
+        p = last_panel_below_rs_t_max(cfg)
+        last = float(quadrature.panel_bounds([p], cfg)[0])
+        assert quadrature.first_panel(last, cfg) == p
+        for t in (math.nextafter(last, math.inf), zkernel.RS_T_MAX, 6.0e10, 1.0e300, math.inf):
+            store = quadrature.ZStore(cfg)
+            with pytest.raises(DomainError, match="RS_T_MAX = 1e[+]08" if math.isfinite(t) else "not finite"):
+                store.reach(t)
+            assert store.bounds.tolist() == [0.0]
 
     @pytest.mark.parametrize("to", [-math.inf, math.inf])
     def test_an_origin_off_the_mesh_from_0_is_refused(self, cfg, to):
@@ -160,7 +209,7 @@ class TestMesh:
         whole = MomentAccumulator(1, cfg)
         whole.ensure(2100.0)
         assert acc.bounds.tolist() == whole.bounds.tolist()
-        assert acc.bounds.tolist() == quadrature._cell_mesh(0.0, acc.bounds[-1], cfg, math.inf, 1)[::4].tolist()
+        assert acc.bounds.tolist() == quadrature.panel_bounds(np.arange(len(acc.bounds)), cfg).tolist()
         for p, q in zip(acc.prefix(), whole.prefix()):
             assert p.tolist() == q.tolist()
         assert len(acc.bounds) == len(acc.prefix()[0])
@@ -261,7 +310,7 @@ class TestBoundaryGrid:
     def test_every_cell_boundary_with_the_error_term_there(self, t0, t1, cfg):
         acc = get_accumulator(1, cfg)
         bs, cv, cu, ce = acc.boundary_grid(t0, t1)
-        cells = quadrature._cell_mesh(0.0, t1, cfg, math.inf, 1)
+        cells = quadrature.cell_ends(np.arange(4 * quadrature.first_panel(t1, cfg) + 1), cfg)
         assert bs.tolist() == cells[(cells >= t0) & (cells <= t1)].tolist()
         poly = p1_exact()
         on_panel = np.isin(bs, acc.bounds)
@@ -324,19 +373,32 @@ class TestBoundaryGrid:
     def test_past_the_cap_the_cells_of_the_mesh_laid_once(self, cfg, monkeypatch):
         monkeypatch.setattr(quadrature, "STORE_PANELS", 16)
         quadrature.clear_accumulators()
-        laid = []
-        real = quadrature._cell_mesh
+        laid, probing = [], []
+        real_cells, real_first = quadrature.cell_ends, quadrature.first_panel
 
-        def counted(*args):
-            laid.append(args[:2])
-            return real(*args)
+        def counted(i, c):
+            if not probing:
+                laid.append(np.array(i, dtype=float).ravel())
+            return real_cells(i, c)
 
-        monkeypatch.setattr(quadrature, "_cell_mesh", counted)
+        def first(t, c):  # its probes of a few boundaries are not counted
+            probing.append(t)
+            try:
+                return real_first(t, c)
+            finally:
+                probing.pop()
+
+        monkeypatch.setattr(quadrature, "cell_ends", counted)
+        monkeypatch.setattr(quadrature, "first_panel", first)
         acc = get_accumulator(1, cfg)
         bs, *_ = acc.boundary_grid(300.0, 900.0)
-        assert laid == [(0.0, 900.0)] and quadrature.get_store(cfg).held == 0
+        assert quadrature.get_store(cfg).held == 0
         monkeypatch.undo()
-        cells = quadrature._cell_mesh(0.0, 900.0, cfg, math.inf, 1)
+        cells = np.concatenate(laid)  # each cell end in one call only
+        assert np.unique(cells).size == cells.size
+        last = quadrature.first_panel(900.0, cfg)
+        assert set(cells[cells % 4 == 0].tolist()) == set(range(4, 4 * last + 1, 4))
+        cells = quadrature.cell_ends(np.arange(4 * last + 1), cfg)
         assert len(bs) > 4 * 16 and bs.tolist() == cells[(cells >= 300.0) & (cells <= 900.0)].tolist()
         quadrature.clear_accumulators()
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from zetalab import cli
 from zetalab.errors import DataParseError, DataValidationError
 from zetalab.spectral import (
     MaassFormRecord,
@@ -76,11 +77,16 @@ class TestDatasetLoading:
         with pytest.raises(DataParseError):
             load_spectral_dataset(str(p))
 
-    def test_alpha_h_cross_check(self):
-        with pytest.raises(DataValidationError) as ei:
-            MaassFormRecord(j=1, kappa=13.78, c=3.0, eps=1, alpha=1.0, h_half=1.0).validate()
-        assert ei.value.invariant == "combined-weight-consistency"
-        MaassFormRecord(j=1, kappa=13.78, c=8.0, eps=1, alpha=1.0, h_half=2.0).validate()
+    def test_six_column_header_refused(self, tmp_path, capsys):
+        # the optional alpha and H_half columns are no longer read
+        p = tmp_path / "six.txt"
+        p.write_text("# comment\nj,kappa,c,eps,alpha,H_half\n1,13.78,8.0,1,1.0,2.0\n")
+        with pytest.raises(DataParseError, match="bad header") as ei:
+            load_spectral_dataset(str(p))
+        assert ei.value.line == 2
+        argv = ["motohashi", "--T", "200", "--delta", "20", "--spectral", str(p)]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert "bad header" in capsys.readouterr().err
 
 
 class TestMotohashiSum:

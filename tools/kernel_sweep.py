@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Time the kernel on quadrature panel nodes, per t.
 
-For each starting t, lays PANELS consecutive panels of the default mesh
-from that t (quadrature.panel_mesh), takes the Gauss-Kronrod nodes of each
+For each starting t, takes PANELS consecutive panels of the default mesh
+from 0, the first one ending at or above t (quadrature.first_panel,
+quadrature.panel_bounds), takes the Gauss-Kronrod nodes of each
 (quadrature.panel_nodes), and times zkernel.z_block on all of them in one
 call, as a fill evaluates a chunk of panels: a t below zkernel.T_SWITCH
 times the Euler-Maclaurin branch on the panels below T_SWITCH, any other
@@ -32,15 +33,14 @@ DEFAULT_TS = (100.0, 300.0, 1e3, 3e4, 1e5, 1e6, 1e7)
 
 
 def panel_points(t0: float):
-    """The Gauss-Kronrod nodes of the first PANELS panels of the mesh from
-    t0, or of those below zkernel.T_SWITCH if t0 is."""
+    """The Gauss-Kronrod nodes of PANELS panels of the mesh from 0, the
+    first ending at or above t0, or of those below zkernel.T_SWITCH if t0 is."""
     from zetalab import quadrature, zkernel
     from zetalab.config import QuadConfig
 
     cfg = QuadConfig()
-    span = 2.0 * PANELS * quadrature.CELLS * cfg.w_max  # at least PANELS panels
-    b = quadrature.panel_mesh(t0, t0 + span, cfg)[: PANELS + 1]
-    assert len(b) == PANELS + 1
+    p = quadrature.first_panel(t0, cfg)
+    b = quadrature.panel_bounds(np.arange(p, p + PANELS + 1), cfg)
     if t0 < zkernel.T_SWITCH:  # the row times the Euler-Maclaurin branch alone
         b = b[b <= zkernel.T_SWITCH]
     return quadrature.panel_nodes(b[:-1], b[1:], cfg.nodes)[0].ravel()

@@ -8,9 +8,9 @@ moment runs `zetalab moment --k 2 --T <T>` in a child process, with a fresh
 checkpoint in a temporary directory, and prints one JSON object: T, the
 wall time, the child's peak resident memory and the row the command wrote
 (its integral, E and err_bound).  rules integrates |Z|^4 and t |Z|^4 over the
-default-mesh panels of [t, t + width] in one PanelBatch.run and prints the
-panels, the Gauss-Kronrod rules they took (counted at
-PanelBatch._panel_pair), the summed value and the summed charge.  Run it
+panels of the default mesh from 0 that meet [t, t + width] in one
+PanelBatch.run and prints the panels, the Gauss-Kronrod rules they took
+(counted at PanelBatch._panel_pair), the summed value and the summed charge.  Run it
 with PYTHONPATH pointing at another checkout's src to measure that code;
 the benchmark (perfbench/) runs no workload above T = 3e4.  Limit the BLAS
 threads (OPENBLAS_NUM_THREADS=1) to measure one core.
@@ -44,7 +44,7 @@ def rules(t: float, width: float):
     import numpy as np
 
     from zetalab.config import QuadConfig
-    from zetalab.quadrature import PanelBatch, panel_mesh
+    from zetalab.quadrature import PanelBatch, first_panel, panel_bounds
     from zetalab.zkernel import moment_integrand
 
     cfg = QuadConfig()
@@ -56,7 +56,7 @@ def rules(t: float, width: float):
         return real(self, a, b, *samples)
 
     PanelBatch._panel_pair = counted
-    b = panel_mesh(t, t + width, cfg)
+    b = panel_bounds(np.arange(max(first_panel(t, cfg) - 1, 0), first_panel(t + width, cfg) + 1), cfg)
     start = time.perf_counter()
     value, _, err, _ = PanelBatch(lambda u: moment_integrand(u, 2), cfg).run(b[:-1], b[1:])
     return {"t": t, "width": width, "panels": len(b) - 1, "rules": count[0],
