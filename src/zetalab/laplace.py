@@ -31,22 +31,17 @@ from .zkernel import moment_integrand
 CHUNK = 1024
 
 
+def _majorant(k: int, sigma: float, x: float, cfg: QuadConfig) -> float:
+    """cmaj log^{k^2+1}(x) (1 + 1/sigma), the tail bound before e^{-sigma x}."""
+    return cfg.laplace_cmaj * max(math.log(x), 1.0) ** (k * k + 1) * (1.0 + 1.0 / sigma)
+
+
 def _truncation_x(k: int, sigma: float, cfg: QuadConfig) -> float:
-    """Smallest X with cmaj log^{k^2+1}(X) (1 + 1/sigma) e^{-sigma X} <= laplace_tail_abs."""
+    """Smallest X with _majorant(X) e^{-sigma X} <= laplace_tail_abs."""
     x = 10.0 / sigma
     for _ in range(5):
-        poly = cfg.laplace_cmaj * max(math.log(x), 1.0) ** (k * k + 1) * (1.0 + 1.0 / sigma)
-        x = math.log(max(poly / cfg.laplace_tail_abs, 2.0)) / sigma
+        x = math.log(max(_majorant(k, sigma, x, cfg) / cfg.laplace_tail_abs, 2.0)) / sigma
     return x
-
-
-def _tail_bound(k: int, sigma: float, x: float, cfg: QuadConfig) -> float:
-    return (
-        cfg.laplace_cmaj
-        * max(math.log(x), 1.0) ** (k * k + 1)
-        * (1.0 + 1.0 / sigma)
-        * math.exp(-sigma * x)
-    )
 
 
 def laplace_moment_grid(k: int, s_values, cfg: QuadConfig = QuadConfig()):
@@ -102,7 +97,7 @@ def laplace_moment_grid(k: int, s_values, cfg: QuadConfig = QuadConfig()):
     for i, s in enumerate(ss):
         x_cut = float(bounds[n_use[i]])
         value = total[i].real if s.imag == 0.0 else total[i]
-        bound = err[i] + _tail_bound(k, s.real, x_cut, cfg)
+        bound = err[i] + _majorant(k, s.real, x_cut, cfg) * math.exp(-s.real * x_cut)
         out.append(IntegralResult(value, bound, n_use[i], (0.0, x_cut)))
     return out
 

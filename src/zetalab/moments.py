@@ -5,11 +5,11 @@ fourth moment, the closed-form integral of t*P4(log t), and the integrated and
 mean-squared E2.  P4's two leading coefficients are the displayed closed forms;
 its lower three (constants.P4_LOWER) are derived from the CFKRS residue formula.
 
-The mean square of E2 takes E2 inside a panel from the spectral integral of
-the panel's |Z|^4 interpolant at the accumulator's own nodes, 33 per panel,
-read from the process's store of Z samples where it holds them: for the
-panels within quadrature.STORE_PANELS, and only if a request that ended
-there filled them.
+Every functional reads Z at the mesh nodes from the process's store of Z
+samples (quadrature.get_store), the mean square of E2 through a sweep of the
+k = 2 accumulator; the store keeps them within quadrature.STORE_PANELS
+panels.  Elsewhere Z is evaluated only on partial panels, on the steps of a
+narrow smoothed window and on a smoothed window past STORE_PANELS panels.
 """
 
 from __future__ import annotations
@@ -24,10 +24,13 @@ from .config import QuadConfig
 from .constants import P4_LOWER, fourth_moment_a3, fourth_moment_a4, second_moment_constant
 from .errors import DomainError
 from .quadrature import (
+    STORE_PANELS,
     IntegralResult,
     PanelBatch,
+    PanelSamples,
     first_panel,
     get_accumulator,
+    get_store,
     integration_matrix,
     kronrod_rule,
     panel_bounds,
@@ -161,11 +164,15 @@ def smoothed_fourth(
     (1/(delta sqrt(pi))) int |zeta(1/2 + i(T+t))|^4 exp(-t^2/delta^2) dt,
     truncated at |t| <= W delta with the tail folded into the error bound.
     The window [T - W delta, T + W delta] is integrated on the panels of
-    the mesh from 0 that reach it (quadrature.panel_bounds); where one of
-    them is wider than delta/3, the window is also cut into equal steps of
-    at most delta/3, about 6 W more pieces than mesh panels whatever delta.
-    Each piece takes one rule, all in one PanelBatch.run.  A window
-    part below 0 is folded onto [0, W delta - T] (|zeta| is even)."""
+    the mesh from 0 that reach it (quadrature.panel_bounds), Z at their
+    nodes read from the store (ZStore.samples) within STORE_PANELS panels.
+    Where one of them is wider than delta/3, the window is instead cut
+    into equal steps of at most delta/3, about 6 W more pieces than mesh
+    panels whatever delta, which evaluate Z themselves.  Each piece takes
+    one rule, all in one PanelBatch.run.  A window part below 0 is folded
+    onto [0, W delta - T] (|zeta| is even).  A delta under 4 ulps of
+    T + W delta is refused: the nodes of one-ulp steps round onto their
+    ends, an error the bound cannot see."""
     if not (math.isfinite(t_center) and t_center > 1.0):
         raise DomainError("invalid-argument: T must be finite and > 1, got %r" % t_center)
     if not (0 < delta <= t_center / math.log(t_center)):
@@ -175,10 +182,12 @@ def smoothed_fourth(
     w_win = cfg.window_w
     lo = t_center - w_win * delta
     hi = t_center + w_win * delta
+    if delta < 4.0 * np.spacing(hi):
+        raise DomainError("invalid-delta: need delta >= 4 ulps of T + W delta = %.6g" % (4.0 * np.spacing(hi)))
     inv = 1.0 / (delta * math.sqrt(math.pi))
 
-    def weighted(u):
-        f, df = moment_integrand(u, 2)
+    def weighted(u, zs=None):
+        f, df = moment_integrand(u, 2, zs)
         g = np.exp(-((u - t_center) / delta) ** 2)
         if lo < 0.0:
             # The window's part u < 0 folded onto [0, -lo]: |zeta(1/2+iu)| is even.
@@ -186,14 +195,20 @@ def smoothed_fourth(
         return f * g * inv, df * g * inv
 
     lo0 = max(lo, 0.0)
-    e = panel_bounds(np.arange(max(first_panel(lo0, cfg) - 1, 0), first_panel(hi, cfg) + 1), cfg)
+    i, j = max(first_panel(lo0, cfg) - 1, 0), first_panel(hi, cfg)
+    e, samples = panel_bounds(np.arange(i, j + 1), cfg), None
     if np.max(np.diff(e)) > delta / 3.0:
         # steps of a whole number of ulps of hi: the steps are translates on
         # the float grid, so their nodes round alike and the rounding of the
         # nodes, large against a small delta, cancels across the window
         h = np.spacing(hi) * max(math.floor(delta / 3.0 / np.spacing(hi)), 1)
         e = np.union1d(e, np.append(lo0 + h * np.arange(math.ceil((hi - lo0) / h)), hi))
-    val, _, err, _ = PanelBatch(weighted, cfg).run(e[:-1], e[1:])
+    elif j <= STORE_PANELS:
+        store = get_store(cfg)
+        store.reach(hi)
+        t, _, *zs = next(store.samples(i, j, j - i))
+        samples = weighted(t, zs)
+    val, _, err, _ = PanelBatch(weighted, cfg).run(e[:-1], e[1:], samples)
 
     # Truncation: |zeta|^4 majorized by cmaj (1 + log^4) near the window.
     majorant = cfg.laplace_cmaj * (1.0 + max(math.log(hi), 1.0) ** 4)
@@ -228,9 +243,6 @@ def integral_of_e2(
     return IntegralResult(value, t_upper * e + eu, acc.panels_meeting(0.0, t_upper), (0.0, t_upper))
 
 
-_MEANSQ_CHUNK = 256  # pieces per chunk of samples in mean_square_e2
-
-
 def mean_square_e2(
     t_upper: float,
     cfg: QuadConfig = QuadConfig(),
@@ -241,19 +253,21 @@ def mean_square_e2(
 
     Every piece [a, b] -- a mesh panel, or [left, s] for a snapshot s (or T)
     inside a panel -- takes |Z|^4 at the accumulator's own nodes, the
-    2 cfg.nodes + 1 Gauss-Kronrod points (33 by default): a mesh panel reads
-    Z there from the store (ZStore.samples), so where the store holds its
-    samples only the pieces of snapshots inside panels evaluate the kernel.
-    It holds them only for a mesh from 0 within quadrature.STORE_PANELS
-    panels that a request ending there filled: past that, every node is
-    evaluated again (267 168 of them for T = 1.5e4).  E2 at each
-    node, and separately at each Gauss node, is the cumulative value at a,
-    plus the integral from a to the node of the polynomial interpolating
-    |Z|^4 at all nodes (at the Gauss nodes; integration_matrix), less
-    t P4(log t).  The value is the Kronrod rule applied to E2^2.  err_bound
-    charges, per piece, |Kronrod - Gauss| of E2^2, which covers both the
-    outer rule and the coarser inner interpolant, plus 2 int |E2| times the
-    cumulative quadrature bound at T for the error of the cumulative values.
+    2 cfg.nodes + 1 Gauss-Kronrod points (33 by default).  The mesh panels
+    are one sweep of the accumulator over [0, T] (MomentAccumulator.sweep),
+    which reads Z from the store and fills the panels not yet held from the
+    same samples, so a cold call evaluates each node once; only the pieces
+    of snapshots inside panels evaluate the kernel.  A call after a fill
+    past quadrature.STORE_PANELS panels, which kept no samples, evaluates
+    every node again (267 168 of them for T = 1.5e4).  E2 at each node is
+    the cumulative value there (MomentAccumulator.read_nodes), and at each
+    Gauss node the cumulative value at a plus the integral from a of the
+    polynomial interpolating |Z|^4 at the Gauss nodes alone
+    (integration_matrix), less t P4(log t).  The value is the Kronrod rule
+    applied to E2^2.  err_bound charges, per piece, |Kronrod - Gauss| of
+    E2^2, which covers both the outer rule and the coarser inner
+    interpolant, plus 2 int |E2| times the cumulative quadrature bound at T
+    for the error of the cumulative values.
 
     Returns (IntegralResult, ratio_table) where ratio_table has one row
     (T, integral, integral/T^2) per requested snapshot (always including T).
@@ -267,54 +281,38 @@ def mean_square_e2(
     if not (np.all(np.isfinite(snaps)) and 0 < snaps[0] and snaps[-1] <= t_upper):
         raise DomainError("snapshots must be finite and lie in (0, T]")
     acc = get_accumulator(2, cfg)
-    acc.cover(0.0, t_upper)
-    n_panels = acc.n_panels_to(t_upper)
-    bs = acc.bounds[: n_panels + 1]
-    pv, _, pe, _ = (q[: n_panels + 1] for q in acc.prefix())
-    at = np.searchsorted(bs, snaps, side="right") - 1
-    inside = np.nonzero(snaps > bs[at])[0]
-
-    def pieces():
-        blocks = acc.store.samples(0, n_panels, _MEANSQ_CHUNK)
-        for i, (t, half, *zs) in zip(range(0, n_panels, _MEANSQ_CHUNK), blocks):
-            yield t, half, moment_integrand(t, 2, zs)[0], pv[i : i + len(half)]
-        if inside.size:
-            t, half = panel_nodes(bs[at[inside]], snaps[inside], cfg.nodes)
-            yield t, half, moment_integrand(t.ravel(), 2)[0].reshape(t.shape), pv[at[inside]]
-
-    val, err = _e2_squared(pieces(), float(pe[-1]), poly, cfg)
-    snap_vals = np.concatenate([[0.0], np.cumsum(val[:n_panels])])[at]
-    snap_vals[inside] += val[n_panels:]
-    err_total = float(np.sum(err[:n_panels]))
-    if t_upper > bs[-1]:
-        err_total += float(err[-1])
-    pieces = n_panels + int(t_upper > bs[-1])
-    result = IntegralResult(float(snap_vals[-1]), err_total, pieces, (0.0, t_upper))
-    table = [(s, v, v / (s * s)) for s, v in zip(snaps.tolist(), snap_vals.tolist())]
-    return result, table
-
-
-def _e2_squared(pieces, cum_err, poly, cfg):
-    """(value, err) of int E2^2 over each piece, from chunks (t, half, f,
-    base) of pieces: the nodes, the half-widths, |Z|^4 at the nodes and the
-    cumulative |Z|^4 integral at each left end (see mean_square_e2)."""
     x, wk, wg = kronrod_rule(cfg.nodes)
-    sk, sg = integration_matrix(x), integration_matrix(x[1::2])
+    sg = integration_matrix(x[1::2])
     coeffs = np.array(poly.coeffs)
 
-    def e2_at(t, f, b, half, smat):
-        # a row-wise sum rather than a BLAS product: a piece's value must not
-        # depend on the other pieces of its chunk (snapshots are bit-identical)
-        inner = half * np.sum(f[:, None, :] * smat, axis=2)
-        return b + inner - t * np.polyval(coeffs, np.log(t))
+    def e2_squared(s):
+        # (Kronrod value, |Kronrod - Gauss|, half, sum wk |E2|) of E2^2 per
+        # piece; a row-wise sum rather than a BLAS product, so that a piece's
+        # value does not depend on the other pieces (snapshots are bit-identical)
+        h, tg = s.half[:, None], s.t[:, 1::2]
+        e_k = acc.read_nodes(s) - s.t * np.polyval(coeffs, np.log(s.t))
+        inner = h * np.sum(s.f[:, 1::2][:, None, :] * sg, axis=2)
+        e_g = acc.prefix()[0][s.ps, None] + inner - tg * np.polyval(coeffs, np.log(tg))
+        fine = s.half * np.sum(wk * e_k * e_k, axis=1)
+        coarse = s.half * np.sum(wg * e_g * e_g, axis=1)
+        return fine, np.abs(fine - coarse), s.half, np.sum(wk * np.abs(e_k), axis=1)
 
-    val, err = [], []
-    for t, half, f, base in pieces:
-        b, h = base[:, None], half[:, None]
-        e_k = e2_at(t, f, b, h, sk)
-        e_g = e2_at(t[:, 1::2], f[:, 1::2], b, h, sg)
-        fine = half * np.sum(wk * e_k * e_k, axis=1)
-        coarse = half * np.sum(wg * e_g * e_g, axis=1)
-        val.append(fine)
-        err.append(np.abs(fine - coarse) + 2.0 * cum_err * half * np.sum(wk * np.abs(e_k), axis=1))
-    return np.concatenate(val), np.concatenate(err)
+    j = acc.store.reach(t_upper)
+    n_panels = j - int(acc.store.bounds[j] > t_upper)  # the mesh panels on [0, T]
+    parts = [e2_squared(s) for s in acc.sweep(0.0, acc.store.bounds[n_panels])]
+    bs = acc.bounds[: n_panels + 1]
+    at = np.searchsorted(bs, snaps, side="right") - 1
+    inside = np.nonzero(snaps > bs[at])[0]
+    if inside.size:
+        t, half = panel_nodes(bs[at[inside]], snaps[inside], cfg.nodes)
+        f = moment_integrand(t.ravel(), 2)[0].reshape(t.shape)
+        parts.append(e2_squared(PanelSamples(at[inside], half, t, f, None)))
+    val, dev, halves, mag = (np.concatenate(q) for q in zip(*parts))
+    err = dev + 2.0 * float(acc.prefix()[2][n_panels]) * halves * mag
+    snap_vals = np.concatenate([[0.0], np.cumsum(val[:n_panels])])[at]
+    snap_vals[inside] += val[n_panels:]
+    last = int(t_upper > bs[-1])  # T's own piece inside a panel
+    err_total = float(np.sum(err[:n_panels])) + (float(err[-1]) if last else 0.0)
+    result = IntegralResult(float(snap_vals[-1]), err_total, n_panels + last, (0.0, t_upper))
+    table = [(s, v, v / (s * s)) for s, v in zip(snaps.tolist(), snap_vals.tolist())]
+    return result, table

@@ -18,18 +18,21 @@ bit-identical.
 One mesh and one store of Z samples per QuadConfig (ZStore, get_store):
 the panel boundaries of the mesh from 0, as far as any request reached,
 and Z with its error model at the Kronrod nodes of its first panels.  The
-accumulators (ensure, front, sweep), the mean square of E2 and the Laplace
-grid index its panels and read their samples from it, so within
-STORE_PANELS panels a process evaluates each node of the mesh once
-whichever functionals it computes; partial panels and the smoothed windows
-evaluate the kernel themselves.  Z at a point depends on that t alone, so
-every value is the same from a cold or a warm store.  The store keeps the
-boundaries, 8 B per panel, and an accumulator its sums, 64 B per panel;
-samples cost 528 B per panel, so the store keeps none for a request that
-ends past STORE_PANELS panels: uncapped they would hold 36 MB on [0, 10^5]
-and raise the peak memory of a checkpointed run.  The scans read every
-value inside a panel -- the cell boundaries (_cell_lefts), the nodes, the
-probes -- from the panel's own samples (MomentAccumulator.read).
+accumulators (ensure, front, sweep), the Laplace grid and the smoothed
+windows read their samples from it, the mean square of E2 and the scans
+through sweep, so within STORE_PANELS panels a process evaluates each node
+of the mesh once whichever functionals it computes.  Only three kinds of
+piece evaluate Z themselves: the partial panel [left, t] of a query that
+ends inside a panel, the steps of a smoothed window narrower than its
+panels, and a smoothed window past STORE_PANELS panels (from the store it
+would lay the mesh from 0 to there).  Z at a point depends on that t alone,
+so every value is the same from a cold or a warm store.  The store keeps
+the boundaries, 8 B per panel, and an accumulator its sums, 64 B per
+panel; samples cost 528 B per panel, so the store keeps none for a request
+that ends past STORE_PANELS panels: uncapped they would hold 36 MB on
+[0, 10^5] and raise the peak memory of a checkpointed run.  The scans read
+every value inside a panel -- the cell boundaries (_cell_lefts), the nodes,
+the probes -- from the panel's own samples (MomentAccumulator.read).
 
 Bit-identity holds per numeric fingerprint (numeric_fingerprint): the same
 numpy, mpmath and Python versions, the same SIMD features numpy
@@ -641,17 +644,16 @@ class MomentAccumulator:
                  + _gamma(2 * n + 3) * h * np.sum(ask * np.abs(fr), axis=1))
         return v, vu, e
 
-    def read_nodes(self, s: PanelSamples):
-        """(value, value_u) of the cumulative integrals at the nodes s.t, as
-        read gives them but with the integration_matrix of the nodes
-        themselves, summed row by row so that each panel's values do not
-        depend on the other panels of s."""
-        smat = _node_matrix(self.cfg.nodes)
-        v, vu = (q[s.ps, None] for q in self.prefix()[:2])
-        h = s.half[:, None]
-        v = v + h * np.sum(s.f[:, None, :] * smat, axis=2)
-        vu = vu + h * np.sum((s.t * s.f)[:, None, :] * smat, axis=2)
-        return v, vu
+    def read_nodes(self, s: PanelSamples, u=False):
+        """The cumulative integral at the nodes s.t, of f, or of u f
+        (value_u) if u, as read gives it but with the integration_matrix of
+        the nodes themselves, summed row by row so that each panel's values
+        do not depend on the other panels of s: the store's samples from
+        sweep, or a piece [left, x] inside the panel s.ps that its caller
+        evaluated (mean_square_e2)."""
+        f = s.t * s.f if u else s.f
+        return self.prefix()[int(u)][s.ps, None] + s.half[:, None] * np.sum(
+            f[:, None, :] * _node_matrix(self.cfg.nodes), axis=2)
 
     def boundary_grid(self, t0: float, t1: float, visit=None):
         """Cell boundaries in [t0, t1] with cumulative values and error bounds.

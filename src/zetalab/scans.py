@@ -1,12 +1,13 @@
 """Sign-change and exceedance scans for E1, E2 and the integral of E2.
 
 One sweep of the accumulator over the window (MomentAccumulator.sweep)
-evaluates Z once per panel, at its Gauss-Kronrod nodes; new panels are
-integrated from those samples.  Exceedances are read on the cell
-boundaries of the mesh from 0 (quadrature.cell_ends: cell i ends at
-F^-1(i), spacing about half the local zero gap, four cells per panel;
-MomentAccumulator.boundary_grid), by the same
-formula per target that error_term or integral_of_e2 uses.  Sign changes
+reads Z at the Gauss-Kronrod nodes from the store, which keeps them within
+quadrature.STORE_PANELS panels; new panels are integrated from those
+samples, and a scan evaluates no Z of its own.  Exceedances are read on
+the cell boundaries of the mesh from 0 (quadrature.cell_ends: cell i ends
+at F^-1(i), spacing about half the local zero gap, four cells per panel;
+MomentAccumulator.boundary_grid), by the same formula per target that
+error_term or integral_of_e2 uses.  Sign changes
 are sought between neighbouring nodes and panel ends, which lie closer
 than the cells.  Each is refined on the panel's interpolant of its own samples,
 the prefix sum at the panel's left end plus its integral to the probe
@@ -61,7 +62,7 @@ def _target_values(target: str, cfg: QuadConfig, t0, t1, poly):
     values is the function at the cell-boundary grid.  brackets (a, b, fa,
     fb) are the sign changes between neighbours of the sequence of every
     panel's left end and its Gauss-Kronrod nodes (and the last right end)
-    in [t0, t1], the nodes read as MomentAccumulator.read_nodes reads them;
+    in [t0, t1], the nodes read by MomentAccumulator.read_nodes (u f for intE2);
     each lies inside one panel, whose samples are kept.  points maps t
     inside those panels to the function's values there, read from the
     kept samples (MomentAccumulator.read).  Each value is cumulative value
@@ -90,7 +91,8 @@ def _target_values(target: str, cfg: QuadConfig, t0, t1, poly):
         vb = at(tb, pv[ends], pu[ends])
         width = s.t.shape[1] + 1
         ts = np.append(np.column_stack([tb[:-1], s.t]).ravel(), tb[-1])
-        vs = np.append(np.column_stack([vb[:-1], at(s.t, *acc.read_nodes(s))]).ravel(), vb[-1])
+        vn = at(s.t, acc.read_nodes(s), acc.read_nodes(s, u=True) if target == "intE2" else None)
+        vs = np.append(np.column_stack([vb[:-1], vn]).ravel(), vb[-1])
         inside = np.nonzero((ts >= t0) & (ts <= t1))[0]
         sign = np.sign(vs[inside])
         flips = inside[:-1][sign[:-1] * sign[1:] < 0]

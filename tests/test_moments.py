@@ -216,7 +216,7 @@ class TestSmoothedFourth:
     WINDOWS = [(200.0, 20.0), (50.0, 12.0)]
 
     def test_gaussian_normalization_hook(self, cfg, monkeypatch):
-        monkeypatch.setattr(moments, "moment_integrand", lambda u, k: (np.ones_like(u), np.zeros_like(u)))
+        monkeypatch.setattr(moments, "moment_integrand", lambda u, k, samples: (np.ones_like(u), np.zeros_like(u)))
         for t_center, delta in self.WINDOWS:
             r = smoothed_fourth(t_center, delta, cfg)
             assert abs(r.value - math.erf(cfg.window_w)) < 1e-12, (t_center, delta)
@@ -228,7 +228,7 @@ class TestSmoothedFourth:
         w = cfg.window_w
         want = t_center**2 * math.erf(w) + 0.5 * delta**2 * (
             math.erf(w) - 2.0 * w * math.exp(-w * w) / math.sqrt(math.pi))
-        monkeypatch.setattr(moments, "moment_integrand", lambda u, k: (u * u, np.zeros_like(u)))
+        monkeypatch.setattr(moments, "moment_integrand", lambda u, k, samples: (u * u, np.zeros_like(u)))
         r = smoothed_fourth(t_center, delta, cfg)
         assert abs(r.value - want) <= 1e-12 * want
 
@@ -237,9 +237,9 @@ class TestSmoothedFourth:
         runs = []
         real = PanelBatch.run
 
-        def counted(self, lefts, rights):
+        def counted(self, lefts, rights, samples=None):
             runs.append(len(lefts))
-            return real(self, lefts, rights)
+            return real(self, lefts, rights, samples)
 
         monkeypatch.setattr(PanelBatch, "run", counted)
         r = smoothed_fourth(t_center, delta, cfg)
@@ -257,6 +257,22 @@ class TestSmoothedFourth:
         r = smoothed_fourth(1e4, delta, cfg)
         assert 6 * cfg.window_w <= r.panels <= 6 * cfg.window_w + 3
         z, _ = zkernel.z_block(np.array([1e4]))
+        assert abs(r.value - z[0] ** 4) <= r.err_bound
+
+    @pytest.mark.parametrize("t_center", [1e3, 1e4])
+    @pytest.mark.parametrize("ulps", [1, 2, 3])
+    def test_a_window_narrower_than_4_ulps_is_refused(self, cfg, t_center, ulps):
+        # steps of one ulp put every Kronrod node on a step end: the value is
+        # off by far more than its bound, so such a delta is refused
+        with pytest.raises(DomainError, match="4 ulps"):
+            smoothed_fourth(t_center, ulps * float(np.spacing(t_center)), cfg)
+
+    @pytest.mark.parametrize("t_center, ulps", [(1e3, 4), (1e3, 5), (1e4, 4), (1e4, 5), (1e4, 5.5)])
+    def test_a_window_of_4_ulps_or_more_is_within_its_bound(self, cfg, t_center, ulps):
+        # 5.5 ulps at 1e4: delta = 1e-11
+        delta = 1e-11 if ulps == 5.5 else ulps * float(np.spacing(t_center))
+        r = smoothed_fourth(t_center, delta, cfg)
+        z, _ = zkernel.z_block(np.array([t_center]))
         assert abs(r.value - z[0] ** 4) <= r.err_bound
 
     def test_window_truncation_consistency(self):

@@ -237,10 +237,11 @@ class TestMesh:
 
 class TestZStore:
     T, SNAPS, SIGMAS = 600.0, [250.0, 400.0], [0.05, 0.08]  # 173 panels; L2 truncated at 404 and 662
+    WINDOWS = [(400.0, 20.0), (30.0, 8.0)]  # on the mesh panels; in steps, reaching below 0
 
     def results(self, cfg, before):
-        """Accumulator rows, E1, E2, the mean square and an L2 grid to T,
-        each computed after before()."""
+        """Accumulator rows, E1, E2, the mean square, an L2 grid to T and
+        the smoothed windows, each computed after before()."""
         from zetalab.laplace import laplace_moment_grid
         from zetalab.moments import mean_square_e2
 
@@ -254,6 +255,9 @@ class TestZStore:
         out.append(mean_square_e2(self.T, cfg, snapshots=self.SNAPS))
         before()
         out.append(laplace_moment_grid(2, self.SIGMAS, cfg))
+        for t_center, delta in self.WINDOWS:
+            before()
+            out.append(smoothed_fourth(t_center, delta, cfg))
         return out
 
     def test_a_fill_keeps_its_samples_within_the_cap_only(self, cfg, monkeypatch):
@@ -294,6 +298,39 @@ class TestZStore:
         assert held > 0
         assert self.results(cfg, drop) == cold
         assert quadrature.get_store(cfg).held == held
+        quadrature.clear_accumulators()
+
+    def test_a_functionals_sequence_evaluates_no_node_twice(self, cfg, monkeypatch):
+        # within STORE_PANELS only the partial panel of a query that ends
+        # inside a panel evaluates Z at nodes some other query evaluated
+        from zetalab.laplace import laplace_moment_grid
+        from zetalab.moments import integral_of_e2, integrate_moment, mean_square_e2
+
+        quadrature.clear_accumulators()
+        seen = []
+        real = zkernel.z_block
+
+        def spy(t):
+            seen.append(np.array(t, dtype=float).ravel())
+            return real(t)
+
+        monkeypatch.setattr(zkernel, "z_block", spy)
+        t_upper, snaps = 1500.0, [400.0, 1000.0]
+        for k in (1, 2):
+            error_term(k, t_upper, cfg)
+        integrate_moment(2, 0.0, 500.0, cfg)
+        integral_of_e2(t_upper, cfg)
+        mean_square_e2(t_upper, cfg, snapshots=snaps)
+        for k in (1, 2):
+            laplace_moment_grid(k, [0.03, 0.05], cfg)
+        for t_center, delta in ((600.0, 30.0), (1000.0, 50.0)):
+            smoothed_fourth(t_center, delta, cfg)
+        store = quadrature.get_store(cfg)
+        assert len(store.bounds) - 1 <= quadrature.STORE_PANELS and store.held == len(store.bounds) - 1
+        ends = [t_upper, t_upper, 500.0, t_upper, t_upper] + snaps
+        inside = int(np.count_nonzero(~np.isin(ends, store.bounds)))
+        ts = np.concatenate(seen)
+        assert ts.size - np.unique(ts).size <= (2 * cfg.nodes + 1) * inside
         quadrature.clear_accumulators()
 
 
@@ -424,7 +461,7 @@ class TestSampleReads:
     def test_node_reads_agree_with_read(self, cfg):
         acc = get_accumulator(1, cfg)
         s = next(acc.sweep(200.0, 260.0))
-        v, vu = acc.read_nodes(s)
+        v, vu = acc.read_nodes(s), acc.read_nodes(s, u=True)
         r = np.repeat(np.arange(len(s.ps)), s.t.shape[1])
         rv, ru, _ = acc.read(s, r, s.t.ravel())
         assert np.allclose(v.ravel(), rv, rtol=1e-14, atol=0.0)
