@@ -1,37 +1,37 @@
 """Persisted running moment integrals, resumable by T.
 
 File format (line-delimited text, floats as repr(float)):
-    # zetalab-checkpoint v2
+    # zetalab-checkpoint v3
     # fingerprint: <numeric fingerprint of the writing environment>
-    k,T,v,e,digest;n;vu;eu
+    k,T,v,e,digest;n;vu;eu;cv;ce;cvu;ceu
 Rows are boundary-aligned: every stored T is a panel boundary of the mesh
-from 0, F^-1(4n) (quadrature.panel_bounds), n is the panel count on [0, T], and v =
-int_0^T |Z|^{2k}, vu = int_0^T t |Z|^{2k} and their error bounds e and eu
-are the accumulator's four prefix sums there; digest is the QuadConfig
-digest.  MomentCheckpoint.rows holds a file's rows of one k in this order,
-(T, v, e, n, vu, eu), the order of MomentAccumulator's rows.  Files without
-the fingerprint line still load.  A v1 file (rows k,T,v,e,digest) is
-refused: its writer hashed kernel zk3 and two-cell panels into every
-digest, so no configuration of this version could resume it.
+from 0, F^-1(4n) (quadrature.panel_bounds), the last at or below each
+multiple of CHECKPOINT_STEP and the target.  n is the panel count on
+[0, T]; v = int_0^T |Z|^{2k}, vu = int_0^T t |Z|^{2k} and their error
+bounds e and eu are the accumulator's four prefix sums there, and cv, ce,
+cvu and ceu their compensations (MomentAccumulator.compensation): p + C is
+the exact sum of the per-panel values on [0, T] to within C's own rounding.
+digest is the QuadConfig digest.  MomentCheckpoint.rows holds a file's rows
+of one k in the order of MomentAccumulator's rows, (T, v, e, n, vu, eu, cv,
+ce, cvu, ceu).  Files without the fingerprint line still load.  Older
+formats are refused with the reason (OLD_FORMATS).
 
 A resume (extend_checkpoint with resume=True) seeds the accumulator with
 the second-to-last stored row (quadrature.MomentAccumulator's origin),
-integrates from there, and requires the last stored row back bit for bit:
-T, n, v, vu, e and eu.  The prefix sums are a plain left fold, so a fold
-seeded at a panel boundary continues the fold from 0 bit for bit, and Z is
-evaluated only above the seed row.  The seed's T must be panel n of the
-mesh from 0, which the accumulator checks as it is seeded, on the store's
-mesh (quadrature.ZStore, each boundary F^-1 of its index, laid without
-evaluating Z).  Where the fold could
-absorb an ulp of the seed's sums (an ulp of v, vu, e or eu, one way or the
-other, would give the same row above it: MomentAccumulator.pins_origin),
-the seed moves down one stored row at a time, each new seed's T checked
-the same way, and the panels below the old seed must reproduce it bit for
-bit (MomentAccumulator.front), until the row above the seed determines it.
-If the process's accumulator already reaches the seed row, it is extended
-instead, and its prefix at the seed must equal the row.
+integrates from there, and requires the last stored row back bit for bit,
+all ten fields.  The prefix sums are a plain left fold, so a fold seeded at
+a panel boundary continues the fold from 0 bit for bit, and Z is evaluated
+only above the seed row.  The fold can absorb an ulp of the seed's v, vu, e
+or eu, but the two-sum error of each of its steps is exact, so that ulp
+changes C at the last row: the last row determines the seed's sums, and one
+step checks the seed.  (An ulp of the seed's own C can be absorbed; no row
+above the last one depends on it, and a front pass compares it.)  The
+seed's T must be panel n of the mesh from 0, which the accumulator checks
+as it is seeded, on the store's mesh (quadrature.ZStore).  If the process's
+accumulator already reaches the seed row, it is extended instead, and its
+row at the seed must equal the stored one.
 
-A resume starts at the origin row (0, 0, 0, 0, 0, 0) instead when the file
+A resume starts at the origin row (quadrature.ORIGIN) instead when the file
 has one row of k, or when its fingerprint is missing or differs from
 numeric_fingerprint().  It integrates through every stored row of k then,
 and requires every one of them back.  A file of another fingerprint or
@@ -43,6 +43,7 @@ another k keeps its fingerprint line, and each of its k resumes from 0.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -53,8 +54,18 @@ from .errors import CheckpointMismatch, DataParseError, DataValidationError
 from .quadrature import (
     ORIGIN, MomentAccumulator, drop_accumulator, get_accumulator, numeric_fingerprint)
 
-HEADER = "# zetalab-checkpoint v2"
+HEADER = "# zetalab-checkpoint v3"
 FINGERPRINT_PREFIX = "# fingerprint: "
+OLD_FORMATS = {
+    "# zetalab-checkpoint v1": "checkpoint format v1 is no longer read: its digests name kernel zk3 "
+                               "and two-cell panels, which no configuration reproduces",
+    "# zetalab-checkpoint v2": "checkpoint format v2 is no longer read: its rows lack the compensations "
+                               "of the prefix sums, by which a resume checks its seed",
+}
+FIELDS = ("T", "v", "e", "n", "vu", "eu", "cv", "ce", "cvu", "ceu")  # of a MomentCheckpoint row
+# A row at the last boundary at or below every multiple of CHECKPOINT_STEP in
+# T: the step picks which boundaries get rows and changes no value.
+CHECKPOINT_STEP = 100.0
 
 
 @dataclass(frozen=True)
@@ -70,7 +81,7 @@ class Resume:
 @dataclass
 class MomentCheckpoint:
     k: int
-    rows: list  # [(T, v, e, n, vu, eu), ...] strictly increasing T, as stored
+    rows: list  # [(T, v, e, n, vu, eu, cv, ce, cvu, ceu), ...] strictly increasing T, as stored
     config_digest: str
     fingerprint: str | None = None  # None if the file records none, or extend_checkpoint read no rows of k
     other_rows: int | None = None  # rows of other k in the file, as read_checkpoint counted them
@@ -83,7 +94,11 @@ class MomentCheckpoint:
 
     def validate(self):
         prev = (-1.0, -1.0, -1, -1.0)  # T, v, n, vu of the row before
-        for t, v, e, n, vu, eu in self.rows:
+        for row in self.rows:
+            t, v, e, n, vu, eu = row[:6]
+            for name, x in zip(FIELDS, row):
+                if not math.isfinite(x):
+                    raise DataValidationError("non-finite %s=%r at T=%r" % (name, x, t), invariant="finite")
             for broken, what, invariant in (
                 (t <= prev[0], "checkpoint T not strictly increasing", "strictly-increasing-T"),
                 (v < prev[1], "cumulative value decreased", "non-decreasing-value"),
@@ -105,9 +120,8 @@ def read_checkpoint(path: str, k: int) -> MomentCheckpoint | None:
     other_rows = 0
     with open(path) as fh:
         first = fh.readline().rstrip("\n")
-        if first == "# zetalab-checkpoint v1":
-            raise DataParseError("checkpoint format v1 is no longer read: its digests name kernel zk3 "
-                                 "and two-cell panels, which no configuration reproduces", line=1)
+        if first in OLD_FORMATS:
+            raise DataParseError(OLD_FORMATS[first], line=1)
         if first != HEADER:
             raise DataParseError("bad checkpoint header %r" % first, line=1)
         for lineno, raw in enumerate(fh, 2):
@@ -120,12 +134,11 @@ def read_checkpoint(path: str, k: int) -> MomentCheckpoint | None:
             if len(parts) != 5:
                 raise DataParseError("expected 5 fields", line=lineno)
             d, *extra = parts[4].split(";")
-            if len(extra) != 3:
-                raise DataParseError("expected 3 ';' fields after the digest", line=lineno)
+            if len(extra) != 7:
+                raise DataParseError("expected 7 ';' fields after the digest", line=lineno)
             try:
                 rk = int(parts[0])
-                row = (float(parts[1]), float(parts[2]), float(parts[3]),
-                       int(extra[0]), float(extra[1]), float(extra[2]))
+                row = (*map(float, parts[1:4]), int(extra[0]), *map(float, extra[1:]))
             except ValueError as exc:
                 raise DataParseError(str(exc), line=lineno) from exc
             if rk != k:
@@ -146,12 +159,12 @@ def read_checkpoint(path: str, k: int) -> MomentCheckpoint | None:
 def _write(fh, k: int, rows, digest: str, header: bool):
     if header:
         fh.write(HEADER + "\n" + FINGERPRINT_PREFIX + numeric_fingerprint() + "\n")
-    for t, v, e, n, vu, eu in rows:
-        fh.write("%d,%r,%r,%r,%s;%d;%r;%r\n" % (k, t, v, e, digest, n, vu, eu))
+    for t, v, e, n, *sums in rows:
+        fh.write("%d,%r,%r,%r,%s;%d;%r;%r;%r;%r;%r;%r\n" % (k, t, v, e, digest, n, *sums))
 
 
 def _append_rows(path: str, k: int, rows, digest: str):
-    """Append rows (T, v, e, n, vu, eu), writing the header to a new file."""
+    """Append rows (T, v, e, n, vu, eu, cv, ce, cvu, ceu), writing the header to a new file."""
     new_file = not os.path.exists(path)
     with open(path, "a") as fh:
         _write(fh, k, rows, digest, new_file)
@@ -168,57 +181,15 @@ def _rewrite(path: str, k: int, rows, digest: str):
     os.replace(tmp, path)
 
 
-def _row_at(acc: MomentAccumulator, t: float):
-    """The row at the boundary t of acc, or None if t is not one."""
-    i = acc.index(t)
-    return acc.rows([i])[0] if i >= 0 and acc.bounds[i] == t else None
-
-
-def _row_indices(acc: MomentAccumulator, t_from: float, t_target: float, step: float):
-    """Indices into acc.bounds of the last boundary <= each multiple of step
-    below t_target and <= t_target itself, without repeats, above t_from."""
+def _row_indices(acc: MomentAccumulator, t_from: float, t_target: float):
+    """Indices into acc.bounds of the last boundary <= each multiple of
+    CHECKPOINT_STEP below t_target and <= t_target itself, without repeats,
+    above t_from."""
     acc.cover(t_from, t_target)
-    targets = step * np.arange(1, int(t_target // step) + 2)
+    targets = CHECKPOINT_STEP * np.arange(1, int(t_target // CHECKPOINT_STEP) + 2)
     targets = np.append(targets[targets < t_target], t_target)
     i = np.unique(np.searchsorted(acc.bounds, targets[targets > t_from], side="right") - 1)
     return i[acc.bounds[i] > t_from]
-
-
-def _verify(acc: MomentAccumulator, stored: MomentCheckpoint, seed, seeded: bool):
-    """Require the stored rows back from acc, as the module docstring says:
-    every one of them if the resume starts at the origin, else the last.
-
-    Returns the seed row.  A new accumulator seeded at a row (seeded) is
-    moved down a row at a time (front) until the row above its origin
-    determines the origin's sums (pins_origin): the fold can absorb an ulp
-    of the seed, and then the last row alone would not show that the seed
-    is off.  Each row it seeds at goes through MomentAccumulator, which
-    requires its T to be panel n of the mesh from 0 bit for bit.
-    """
-    here = numeric_fingerprint()
-
-    def refuse(t):
-        msg = "stored prefix at T=%r does not reproduce under digest %s" % (t, stored.config_digest)
-        if stored.fingerprint != here:
-            msg += "; written under numeric fingerprint %s, running under %s" % (
-                stored.fingerprint or "(not recorded)", here)
-        raise CheckpointMismatch(msg)
-
-    def reproduce(want):
-        if _row_at(acc, want[0]) != want:
-            refuse(want[0])
-
-    rows = stored.rows
-    j = len(rows) - 2
-    reproduce(seed)
-    acc.ensure(rows[-1][0])
-    for want in rows if seed is ORIGIN else rows[-1:]:
-        reproduce(want)
-    while seeded and acc.base > 0 and not acc.pins_origin(acc.index(rows[j + 1][0])):
-        j -= 1
-        seed = rows[j] if j >= 0 else ORIGIN
-        acc.front(seed)
-    return seed
 
 
 def extend_checkpoint(path: str, k: int, t_target: float, cfg: QuadConfig, resume: bool = True):
@@ -251,14 +222,19 @@ def extend_checkpoint(path: str, k: int, t_target: float, cfg: QuadConfig, resum
     acc = get_accumulator(k, cfg, seed)
     held = max(acc.index(last_t), 0)
     seeded = acc.base > 0 and acc.bounds.size == 1  # a new accumulator at the seed row
-    if stored is not None:
-        try:
-            seed = _verify(acc, stored, seed, seeded)
-        except CheckpointMismatch:
+    acc.ensure(last_t)
+    # the seed row and the last stored row back, or every stored row from the origin
+    want = [seed] + (rows if seed is ORIGIN else rows[-1:]) if stored else []
+    for w, got in zip(want, acc.rows([acc.index(w[0]) for w in want])):
+        if got != w:
             if seeded:  # no later query may start from an unverified row
                 drop_accumulator(k, cfg)
-            raise
-    new_rows = acc.rows(_row_indices(acc, last_t, t_target, cfg.checkpoint_step))
+            msg = "stored prefix at T=%r does not reproduce under digest %s" % (w[0], digest)
+            if foreign:
+                msg += "; written under numeric fingerprint %s, running under %s" % (
+                    stored.fingerprint or "(not recorded)", here)
+            raise CheckpointMismatch(msg)
+    new_rows = acc.rows(_row_indices(acc, last_t, t_target))
     v, _, e, _ = acc.cumulative_to(t_target)
 
     if rewrite:

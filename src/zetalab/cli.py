@@ -314,7 +314,7 @@ def _cmd_motohashi(args, run_cfg, cfg) -> int:
         out.close()
         return 0
     ds = load_spectral_dataset(args.spectral)
-    spec = motohashi_spectral_sum(args.T, args.delta, ds, cfg=cfg)
+    spec = motohashi_spectral_sum(args.T, args.delta, ds)
     out = _open_out(args, run_cfg, cols)
     out.comment("spectral source checksum=%s" % ds.checksum)
     out.comment("delta admissible (A=1 window): %s" % spec.metadata["delta_admissible_A1"])

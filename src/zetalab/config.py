@@ -37,8 +37,6 @@ class QuadConfig:
     window_w: float = 6.0        # Gaussian truncation in units of delta
     laplace_cmaj: float = 10.0   # disclosed majorant constant for Laplace tails
     laplace_tail_abs: float = 1e-8
-    weight_cmaj: float = 10.0    # spectral weight growth majorant c_j <= C kappa^3
-    checkpoint_step: float = 100.0
 
     def __post_init__(self):
         for f in fields(self):

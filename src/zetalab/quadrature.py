@@ -374,7 +374,8 @@ class PanelBatch:
         return k, ku, charge + pt, charge_u + ptu
 
 
-ORIGIN = (0.0, 0.0, 0.0, 0, 0.0, 0.0)  # the row (T, v, e, n, vu, eu) at t = 0
+# the row (T, v, e, n, vu, eu, cv, ce, cvu, ceu) at t = 0
+ORIGIN = (0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class PanelSamples(NamedTuple):
@@ -396,24 +397,27 @@ class MomentAccumulator:
     """Cumulative integrals of |Z(t)|^{2k} (and t |Z|^{2k}) over the store's mesh.
 
     An accumulator starts at an origin: a checkpoint row (T0, v, e, n, vu,
-    eu) with T0 panel n of the mesh from 0 (ZStore.bounds), which the
-    constructor checks, and the four prefix sums there (rows); from 0 it
-    is ORIGIN.  Above T0 it holds the prefix sums at the panel boundaries
-    and the per-panel values, errors and their u-weighted twins, as rows of
-    one array, grown by ensure and sweep from the samples of the store
-    (ZStore.samples), which PanelBatch.run reads instead of evaluating the
-    integrand; its bounds are the store's boundaries from panel n on.  The
-    prefix sums are a plain left fold seeded with the origin's sums, so at
-    every panel boundary they are bit-identical to those of an accumulator
-    from 0, however far earlier runs integrated -- the property checkpoint
-    resume relies on.  Indices into bounds and prefix() count from T0;
-    n_panels_to and panels_meeting count panels from 0.
+    eu, cv, ce, cvu, ceu) with T0 panel n of the mesh from 0
+    (ZStore.bounds), which the constructor checks, the four prefix sums
+    there and their compensations (rows); from 0 it is ORIGIN.  Above T0 it
+    holds the prefix sums at the panel boundaries and the per-panel values,
+    errors and their u-weighted twins, as rows of one array, grown by ensure
+    and sweep from the samples of the store (ZStore.samples), which
+    PanelBatch.run reads instead of evaluating the integrand; its bounds are
+    the store's boundaries from panel n on.  The prefix sums are a plain
+    left fold seeded with the origin's sums, so at every panel boundary they
+    are bit-identical to those of an accumulator from 0, however far earlier
+    runs integrated -- the property checkpoint resume relies on.  Each sum's
+    compensation C (compensation) is formed from these rows when asked for,
+    so p + C is the exact sum of the per-panel values to within C's own
+    rounding, and a row (p, C) above the origin determines the origin's
+    sums.  Indices into bounds and prefix() count from T0; n_panels_to and
+    panels_meeting count panels from 0.
 
     A query that needs panels below T0 (cover) first integrates [0, T0] in
     front, the front pass (front).  Its fold must reproduce the origin row
-    bit for bit, or it raises CheckpointMismatch with the reason; after it
-    the accumulator starts at ORIGIN.  A checkpoint resume uses the same
-    step to move its seed down to a lower stored row (pins_origin).
+    bit for bit, compensations too, or it raises CheckpointMismatch with the
+    reason; after it the accumulator starts at ORIGIN.
     """
 
     GRID_CHUNK = 128  # panels per chunk of samples in sweep
@@ -422,7 +426,7 @@ class MomentAccumulator:
         self.k = k
         self.cfg = cfg
         self.store = get_store(cfg)
-        t0, v, e, n, vu, eu = origin
+        t0, v, e, n, vu, eu, cv, ce, cvu, ceu = origin
         if not (math.isfinite(t0) and self.store.reach(t0) == n and self.store.bounds[n] == t0):
             raise CheckpointMismatch("origin T=%r does not reproduce: it is not panel %d of the "
                                      "mesh from 0" % (t0, n))
@@ -430,6 +434,7 @@ class MomentAccumulator:
         # (value, value_u, err, err_u); columns past _m are unfilled
         self.base, self._rows, self._m = int(n), np.empty((8, 1)), 0
         self._rows[:4, 0] = v, vu, e, eu
+        self._c0 = np.array([[cv], [cvu], [ce], [ceu]])  # the origin's compensations
 
     @property
     def bounds(self):
@@ -482,33 +487,19 @@ class MomentAccumulator:
             e = min(c + KERNEL_CHUNK, j)
             self._append(self._batch.run(bs[c:e], bs[c + 1 : e + 1], next(fs)))
 
-    def front(self, origin=ORIGIN):
-        """Integrate [T, T0] in front from an origin row (T, ...) below T0,
-        by default ORIGIN: the front pass.  The fold seeded with the row's
-        sums must reproduce the current origin row bit for bit; the
-        accumulator then starts at the given row."""
+    def front(self):
+        """Integrate [0, T0] in front of the origin: the front pass.  The
+        fold from ORIGIN must reproduce the origin row bit for bit,
+        compensations too; the accumulator then starts at ORIGIN."""
         (want,) = self.rows([0])
-        below = MomentAccumulator(self.k, self.cfg, origin)
+        below = MomentAccumulator(self.k, self.cfg)
         below.ensure(want[0])
         (got,) = below.rows([below._m])
         if got != want:
-            raise CheckpointMismatch("origin row %r does not reproduce: the panels on [%r, %r] "
-                                     "from the row %r give %r" % (want, origin[0], want[0], tuple(origin), got))
+            raise CheckpointMismatch("origin row %r does not reproduce: the panels on [0, %r] give %r"
+                                     % (want, want[0], got))
         below._append(self._sums())
-        self.base, self._rows, self._m = below.base, below._rows, below._m
-
-    def pins_origin(self, i: int) -> bool:
-        """Whether the row at bounds[i] determines the origin's sums: one ulp
-        more or less in any of them changes that row.  The fold x -> fl(x +
-        q) is monotone, so then no other sums give the same row; across a
-        binade the fold can absorb an ulp.  The origin's T is not checked
-        here: no boundary above it depends on it, so the constructor checks
-        it against the mesh from 0."""
-        for d in (-math.inf, math.inf):
-            for q, p in zip(self._sums(), self.prefix()):
-                if np.cumsum(np.concatenate([[math.nextafter(p[0], d)], q[:i]]))[-1] == p[i]:
-                    return False
-        return True
+        self.base, self._rows, self._m, self._c0 = below.base, below._rows, below._m, below._c0
 
     def cover(self, a: float, b: float):
         """Hold every panel meeting [a, b]: the front pass if a lies below
@@ -521,12 +512,36 @@ class MomentAccumulator:
         """The four prefix sums at every boundary of bounds."""
         return tuple(self._rows[:4, : self._m + 1])
 
+    def compensation(self, i):
+        """The compensations (cv, cvu, ce, ceu) of the prefix sums at the
+        indices i into bounds (Neumaier, ZAMM 54, 1974): the origin's C,
+        folded by np.cumsum with the exact error of each step p' = fl(p + q)
+        of the prefix fold, Knuth's two-sum b = p' - p, err = (p - (p' -
+        b)) + (q - b), which gives p' + err = p + q exactly.  So p + C is the
+        exact sum of the per-panel values to within C's own rounding, about
+        n u |C| after n panels, and an ulp of the origin's p that the fold
+        absorbs changes C above it.  Formed KERNEL_CHUNK panels at a time,
+        so its memory does not grow with the accumulator."""
+        i = np.asarray(i, dtype=int)
+        c, out, top = self._c0, np.empty((4, i.size)), int(i.max(initial=0))
+        out[:, i == 0] = c
+        for j in range(0, top, KERNEL_CHUNK):
+            e = min(j + KERNEL_CHUNK, top)
+            p, q = self._rows[:4, j : e + 1], self._rows[4:, j:e]
+            b = p[:, 1:] - p[:, :-1]
+            c = np.cumsum(np.concatenate([c[:, -1:], (p[:, :-1] - (p[:, 1:] - b)) + (q - b)], axis=1), axis=1)
+            at = (i > j) & (i <= e)
+            out[:, at] = c[:, i[at] - j]
+        return tuple(out)
+
     def rows(self, i):
-        """Rows (T, v, e, n, vu, eu) at the indices i into bounds, as plain
-        Python numbers (so a checkpoint writes them as repr(float))."""
+        """Rows (T, v, e, n, vu, eu, cv, ce, cvu, ceu) at the indices i into
+        bounds, as plain Python numbers (so a checkpoint writes them as
+        repr(float)): the prefix sums, then their compensations."""
         i = np.asarray(i, dtype=int)
         v, vu, e, eu = (q[i].tolist() for q in self.prefix())
-        return list(zip(self.bounds[i].tolist(), v, e, (self.base + i).tolist(), vu, eu))
+        cv, cvu, ce, ceu = (q.tolist() for q in self.compensation(i))
+        return list(zip(self.bounds[i].tolist(), v, e, (self.base + i).tolist(), vu, eu, cv, ce, cvu, ceu))
 
     def index(self, t: float) -> int:
         """Index into bounds of the last boundary <= t (t >= the origin)."""

@@ -16,9 +16,10 @@ from importlib import resources
 
 from mpmath import mp, mpf
 
-from .config import QuadConfig
 from .errors import DataParseError, DataValidationError, DomainError
 from .precision import DEFAULT_CTX
+
+WEIGHT_CMAJ = 10.0  # the disclosed weight-growth majorant c_j <= C kappa^3 of the truncation bound
 
 
 @dataclass(frozen=True)
@@ -125,14 +126,14 @@ class SpectralSumResult:
 
 
 def motohashi_spectral_sum(
-    t_center: float, delta: float, ds: SpectralDataset, cfg: QuadConfig = QuadConfig()
+    t_center: float, delta: float, ds: SpectralDataset
 ) -> SpectralSumResult:
     """Spectral side of the smoothed-fourth-moment explicit formula:
     pi 2^{-1/2} T^{-1/2} sum_j c_j kappa_j^{-1/2}
         sin(kappa_j log(kappa_j/(4 e T))) exp(-(delta kappa_j / 2T)^2).
 
     The truncation bound integrates the Gaussian factor against the
-    configured weight-growth majorant c <= C kappa^3 beyond the last
+    weight-growth majorant c <= WEIGHT_CMAJ kappa^3 beyond the last
     ingested kappa.  The value is the correctly rounded sum of the terms.
     The admissible-delta window is flagged, not enforced.
     """
@@ -153,14 +154,14 @@ def motohashi_spectral_sum(
     with DEFAULT_CTX.workprec():
         # int_{kappa_last}^inf C kappa^3 kappa^{-1/2} e^{-beta kappa^2} dkappa
         tail_int = mp.gammainc(mpf(7) / 4, beta * mpf(kap_last) ** 2) / (2 * mpf(beta) ** mpf(1.75))
-        trunc = float(pref * cfg.weight_cmaj * tail_int)
+        trunc = float(pref * WEIGHT_CMAJ * tail_int)
 
     lo = math.sqrt(t_center) / math.log(t_center) if t_center > 1 else math.inf
     hi = t_center * math.exp(-math.sqrt(math.log(t_center))) if t_center > 1 else 0.0
     meta = {
         "delta_admissible_A1": bool(lo <= delta <= hi),
         "delta_window_A1": (lo, hi),
-        "weight_majorant": cfg.weight_cmaj,
+        "weight_majorant": WEIGHT_CMAJ,
     }
     return SpectralSumResult(
         value=math.fsum(terms),

@@ -5,7 +5,7 @@ moment fixtures are tied to the default QuadConfig digest below, and
 all values are bit-identical only under the numeric fingerprint below.
 """
 
-QUAD_DIGEST = '566eb50c0aa84c5c'
+QUAD_DIGEST = '4228152e48eb8e3f'
 FINGERPRINT = 'python 3.11.7; numpy 2.4.6; mpmath 1.3.0; simd X86_V2,X86_V3,X86_V4,AVX512_ICL,AVX512_SPR; machine x86_64; libc glibc-2.36; blas scipy-openblas 0.3.31.188.0'
 
 # oracle: mpmath tanh-sinh quadrature of siegelz^2 (30 dps), piecewise

@@ -55,10 +55,11 @@ class TestCheckpointFile:
         # bisection, whose mesh from 0 had three panels fewer; 8d3d6628496ae167
         # that of one rule per graded panel under zk5, whose theta was scipy's
         # log-gamma on both branches; ccef8502108d5763 that of zk6, whose EM
-        # branch still took theta from scipy's log-gamma
+        # branch still took theta from scipy's log-gamma; 566eb50c0aa84c5c that
+        # of a QuadConfig that still held checkpoint_step and weight_cmaj
         for old in ("b4d5fb7713ea0486", "3a5ddcb906fa6a3b", "1ec07b3dd89ac4cf", "ddd102d5a58bab53",
                     "d530efdc928fae25", "17673b449790639f", "bd47d267227b65fe", "4b58e21ac53a1c97",
-                    "8d3d6628496ae167", "ccef8502108d5763"):
+                    "8d3d6628496ae167", "ccef8502108d5763", "566eb50c0aa84c5c"):
             path = tmp_path / ("cp-%s.txt" % old)
             extend_checkpoint(str(path), 1, 200.0, cfg)
             path.write_text(path.read_text().replace(cfg.digest(), old))
@@ -112,20 +113,47 @@ class TestCheckpointFile:
             read_checkpoint(str(path), 1)
         assert ei.value.line == 2
 
-    def test_v1_header_refused(self, tmp_path, cfg, capsys):
-        path = tmp_path / "v1.txt"
-        path.write_text("# zetalab-checkpoint v1\n%s%s\n1,100.0,90.0,0.0,%s\n"
-                        % (FINGERPRINT_PREFIX, numeric_fingerprint(), cfg.digest()))
+    @pytest.mark.parametrize("version, row", [
+        ("v1", "1,100.0,90.0,0.0,%s"),
+        ("v2", "1,100.0,90.0,0.0,%s;4;9000.0;0.0"),
+    ], ids=["v1", "v2"])
+    def test_old_format_refused(self, tmp_path, cfg, capsys, version, row):
+        path = tmp_path / "old.txt"
+        path.write_text("# zetalab-checkpoint %s\n%s%s\n%s\n"
+                        % (version, FINGERPRINT_PREFIX, numeric_fingerprint(), row % cfg.digest()))
         before = path.read_bytes()
-        with pytest.raises(DataParseError, match="v1 is no longer read") as ei:
+        reason = "%s is no longer read" % version
+        with pytest.raises(DataParseError, match=reason) as ei:
             read_checkpoint(str(path), 1)
         assert ei.value.line == 1
         out = tmp_path / "out.csv"
         argv = ["moment", "--k", "1", "--T", "300", "--checkpoint", str(path), "--resume", "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_DATA
-        assert "v1 is no longer read" in capsys.readouterr().err
+        assert reason in capsys.readouterr().err
         assert path.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["v1.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
+
+    @pytest.mark.parametrize("to", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["T", "v", "e", "vu", "eu", "cv", "ce", "cvu", "ceu"])
+    def test_non_finite_field_refused(self, tmp_path, cfg, fresh, field, to):
+        path = tmp_path / "cp.txt"
+        extend_checkpoint(str(path), 1, 1000.0, cfg)
+        lines = path.read_text().splitlines()
+        k, t, v, e, rest = lines[6].split(",")  # the fifth row
+        d, n, *sums = rest.split(";")
+        row = dict(zip(["T", "v", "e", "vu", "eu", "cv", "ce", "cvu", "ceu"], [t, v, e] + sums))
+        row[field] = repr(to)
+        lines[6] = "%s,%s,%s,%s,%s;%s;%s" % (k, row.pop("T"), row.pop("v"), row.pop("e"), d, n, ";".join(row.values()))
+        path.write_text("\n".join(lines) + "\n")
+        before = path.read_bytes()
+        with pytest.raises(DataValidationError) as ei:
+            read_checkpoint(str(path), 1)
+        assert ei.value.invariant == "finite"
+        assert "non-finite %s=%r at T=%r" % (field, to, to if field == "T" else float(t)) in str(ei.value)
+        fresh()
+        with pytest.raises(DataValidationError):
+            extend_checkpoint(str(path), 1, 1100.0, cfg, resume=True)
+        assert path.read_bytes() == before
 
     def test_invariants_validated(self):
         with pytest.raises(DataValidationError):
@@ -154,10 +182,11 @@ def _write_and_reseed(path, k, t_first, t_resume, cfg, fresh):
 
 
 class TestSeededResume:
-    @pytest.mark.parametrize("t_first", [1300.0, 2500.0])
-    def test_z_is_evaluated_only_above_the_seed_row(self, tmp_path, cfg, fresh, monkeypatch, t_first):
+    @pytest.mark.parametrize("k, t_first", [pytest.param(1, 1300.0, id="1300.0"), pytest.param(1, 2500.0, id="2500.0"),
+                                            pytest.param(2, 1500.0, id="k2-1500.0")])
+    def test_z_is_evaluated_only_above_the_seed_row(self, tmp_path, cfg, fresh, monkeypatch, k, t_first):
         path = str(tmp_path / "cp.txt")
-        cp1, _ = extend_checkpoint(path, 1, t_first, cfg)
+        cp1, _ = extend_checkpoint(path, k, t_first, cfg)
         fresh()
         seen = []
         z_block = zkernel.z_block
@@ -167,66 +196,41 @@ class TestSeededResume:
             return z_block(ts)
 
         monkeypatch.setattr(zkernel, "z_block", spy)
-        cp2, value = extend_checkpoint(path, 1, t_first + 500.0, cfg, resume=True)
+        cp2, value = extend_checkpoint(path, k, t_first + 500.0, cfg, resume=True)
         monkeypatch.undo()
         seed_t = cp2.resume.seed_t
-        j = [t for t, _, _ in cp1.grid].index(seed_t)
-        assert 0 < seed_t <= cp1.grid[-2][0] and cp2.resume.verified_t == cp1.grid[-1][0]
+        assert seed_t == cp1.grid[-2][0] and cp2.resume.verified_t == cp1.grid[-1][0]
         assert min(seen) >= seed_t
-        assert cp2.resume.panels == cp1.rows[-1][3] - cp1.rows[j][3]
+        assert cp2.resume.panels == cp1.rows[-1][3] - cp1.rows[-2][3]
         fresh()
-        cp3, fresh_value = extend_checkpoint(str(tmp_path / "fresh.txt"), 1, t_first + 500.0, cfg)
+        cp3, fresh_value = extend_checkpoint(str(tmp_path / "fresh.txt"), k, t_first + 500.0, cfg)
         assert (cp2.rows, value) == (cp3.rows, fresh_value)
         assert (tmp_path / "cp.txt").read_text() == (tmp_path / "fresh.txt").read_text()
-
-    def test_seed_moves_down_until_the_row_above_determines_it(self, tmp_path, cfg, fresh):
-        path = tmp_path / "cp.txt"
-        stored, _ = extend_checkpoint(str(path), 1, 2400.0, cfg)
-        rows = stored.rows
-        ts = [r[0] for r in rows]
-
-        def pinned(i):
-            acc = quadrature.MomentAccumulator(1, cfg, rows[i])
-            acc.ensure(ts[i + 1])
-            return acc.pins_origin(acc.index(ts[i + 1]))
-
-        # cut the file after the highest row pair in which the row above does
-        # not determine the row below, with a row that is determined below it
-        pins = [pinned(i) for i in range(len(rows) - 1)]
-        top = max(i for i, p in enumerate(pins) if not p and any(pins[:i]))
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[: len(lines) - len(rows) + top + 2]) + "\n")
-        fresh()
-        cp, _ = extend_checkpoint(str(path), 1, 2900.0, cfg, resume=True)
-        j, last = ts.index(cp.resume.seed_t), ts.index(cp.resume.verified_t)
-        assert get_accumulator(1, cfg).bounds[0] == cp.resume.seed_t
-        assert last == top + 1 and cp.rows[: last + 1] == rows[: last + 1]
-        assert j < last - 1
-        assert pinned(j) and not any(pinned(i) for i in range(j + 1, last))
 
     @pytest.mark.parametrize("new_process", [True, False], ids=["seeded", "extended"])
     @pytest.mark.parametrize("field, to", [("v", math.inf), ("v", -math.inf), ("T", math.inf),
                                            ("vu", math.inf), ("e", -math.inf), ("eu", math.inf)])
-    @pytest.mark.parametrize("t_first", [500.0, 2500.0])
-    def test_seed_row_one_ulp_off_refused(self, tmp_path, cfg, fresh, new_process, field, to, t_first):
+    @pytest.mark.parametrize("k, t_first", [pytest.param(1, 500.0, id="500.0"), pytest.param(1, 2500.0, id="2500.0"),
+                                            pytest.param(2, 1500.0, id="k2-1500.0")])
+    def test_seed_row_one_ulp_off_refused(self, tmp_path, cfg, fresh, new_process, field, to, k, t_first):
         path = tmp_path / "cp.txt"
-        extend_checkpoint(str(path), 1, t_first, cfg)
+        extend_checkpoint(str(path), k, t_first, cfg)
         lines = path.read_text().splitlines()
-        k, t, v, e, rest = lines[-2].split(",")
-        d, n, vu, eu = rest.split(";")
+        _, t, v, e, rest = lines[-2].split(",")
+        d, n, vu, eu, *comp = rest.split(";")
         row = {"T": t, "v": v, "e": e, "vu": vu, "eu": eu}
         row[field] = repr(math.nextafter(float(row[field]), to))
-        lines[-2] = "%s,%s,%s,%s,%s;%s;%s;%s" % (
-            k, row["T"], row["v"], row["e"], d, n, row["vu"], row["eu"])
+        lines[-2] = "%d,%s,%s,%s,%s;%s;%s;%s;%s" % (
+            k, row["T"], row["v"], row["e"], d, n, row["vu"], row["eu"], ";".join(comp))
         path.write_text("\n".join(lines) + "\n")
         before = path.read_bytes()
         if new_process:
             fresh()
         with pytest.raises(CheckpointMismatch) as ei:
-            extend_checkpoint(str(path), 1, t_first + 100.0, cfg, resume=True)
+            extend_checkpoint(str(path), k, t_first + 100.0, cfg, resume=True)
         assert "does not reproduce" in str(ei.value)
         assert path.read_bytes() == before
-        assert get_accumulator(1, cfg).bounds[0] == 0.0  # no seed left from the refused row
+        assert get_accumulator(k, cfg).bounds[0] == 0.0  # no seed left from the refused row
 
     @pytest.mark.parametrize("to", [-math.inf, math.inf])
     @pytest.mark.parametrize("t_first", [1000.0, 2500.0])
@@ -235,19 +239,24 @@ class TestSeededResume:
         # row reproduces from the seed, so only the mesh from 0 shows it
         path = tmp_path / "cp.txt"
         stored, _ = extend_checkpoint(str(path), 1, t_first, cfg)
-        t, v, e, n, vu, eu = stored.rows[-2]
-        off = (math.nextafter(t, to), v, e, n, vu, eu)
+        t, v, e, n, vu, eu, cv, ce, cvu, ceu = stored.rows[-2]
+        off = (math.nextafter(t, to),) + stored.rows[-2][1:]
         # the row folded from off: the panels of the mesh from 0 above panel
         # n, the first from off, each integrated alone, summed by a left fold
-        # from the seed's sums
+        # from the seed's sums, with the fold of the two-sum errors of its
+        # steps from the seed's compensations
         bs = quadrature.panel_bounds(np.arange(n, stored.rows[-1][3] + 1), cfg)
         bs[0] = off[0]
         sums = quadrature.PanelBatch(lambda u: zkernel.moment_integrand(u, 1), cfg).run(bs[:-1], bs[1:])
-        tv, tvu, te, teu = (float(np.cumsum(np.concatenate([[s0], q]))[-1])
-                            for s0, q in zip((v, vu, e, eu), sums))
-        top = (float(bs[-1]), tv, te, n + len(bs) - 1, tvu, teu)
+        tops = []
+        for s0, c0, q in zip((v, vu, e, eu), (cv, cvu, ce, ceu), sums):
+            p = np.cumsum(np.concatenate([[s0], q]))
+            b = p[1:] - p[:-1]
+            tops += [float(p[-1]), float(np.cumsum(np.concatenate([[c0], (p[:-1] - (p[1:] - b)) + (q - b)]))[-1])]
+        tv, tcv, tvu, tcvu, te, tce, teu, tceu = tops
+        top = (float(bs[-1]), tv, te, n + len(bs) - 1, tvu, teu, tcv, tce, tcvu, tceu)
         lines = path.read_text().splitlines()
-        lines[-2:] = ["1,%r,%r,%r,%s;%d;%r;%r" % (r[:3] + (cfg.digest(),) + r[3:]) for r in (off, top)]
+        lines[-2:] = ["1,%r,%r,%r,%s;%d;%r;%r;%r;%r;%r;%r" % (r[:3] + (cfg.digest(),) + r[3:]) for r in (off, top)]
         path.write_text("\n".join(lines) + "\n")
         before = path.read_bytes()
         fresh()
@@ -287,9 +296,9 @@ class TestSeededResume:
 
     def test_front_pass_refuses_a_seed_that_does_not_reproduce(self, tmp_path, cfg, fresh):
         _, cp, _ = _write_and_reseed(str(tmp_path / "cp.txt"), 1, 500.0, 600.0, cfg, fresh)
-        t, v, e, n, vu, eu = cp.rows[-3]
+        t, v, *rest = cp.rows[-3]
         fresh()
-        acc = get_accumulator(1, cfg, (t, math.nextafter(v, math.inf), e, n, vu, eu))
+        acc = get_accumulator(1, cfg, (t, math.nextafter(v, math.inf), *rest))
         acc.ensure(700.0)
         with pytest.raises(CheckpointMismatch, match="does not reproduce"):
             acc.cumulative_to(100.0)

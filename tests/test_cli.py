@@ -245,7 +245,9 @@ class TestConfig:
         ("quad.nodes=abc", cli.EXIT_DATA, "line 2: bad value for quad.nodes"),
         ("quad.max_depth=12", cli.EXIT_DATA, "line 2: unknown config key 'quad.max_depth'"),
         ("output_format=xml", cli.EXIT_USAGE, "output_format must be csv or jsonl"),
-        ("quad.checkpoint_step=0", cli.EXIT_USAGE, "quad.checkpoint_step must be finite and > 0"),
+        # checkpoint_step and weight_cmaj change no integral: they are constants
+        ("quad.checkpoint_step=100.0", cli.EXIT_DATA, "line 2: unknown config key 'quad.checkpoint_step'"),
+        ("quad.weight_cmaj=10.0", cli.EXIT_DATA, "line 2: unknown config key 'quad.weight_cmaj'"),
         ("quad.laplace_cmaj=inf", cli.EXIT_USAGE, "quad.laplace_cmaj must be finite and > 0"),
         ("quad.gap_fraction=nan", cli.EXIT_USAGE, "quad.gap_fraction must be finite and > 0"),
         ("quad.nodes=0", cli.EXIT_USAGE, "quad.nodes must be >= 1"),
@@ -342,13 +344,16 @@ class TestExitCodes:
          "data-error: {tmp}/no/c.txt.lock: "),
         (["moment", "--k", "1", "--T", "300", "--checkpoint", "{tmp}/v1.txt", "--resume"],
          "v1 is no longer read"),
+        (["moment", "--k", "1", "--T", "300", "--checkpoint", "{tmp}/v2.txt", "--resume"],
+         "v2 is no longer read"),
         (["moment", "--k", "1", "--T", "nan", "--checkpoint", "{tmp}/c.txt"], "is not finite"),
         (["moment", "--k", "1", "--T", "300", "--checkpoint", "{tmp}/c.txt", "--out", "{tmp}/no/x.csv"],
          "data-error: {tmp}/no/x.csv: "),
     ], ids=["s-grid-word", "s-grid-empty", "T-list-word", "T-list-negative", "config", "spectral",
-            "out", "checkpoint-dir", "checkpoint-v1", "T-nan", "moment-out"])
+            "out", "checkpoint-dir", "checkpoint-v1", "checkpoint-v2", "T-nan", "moment-out"])
     def test_bad_input_exits_2_or_4_with_one_error_line(self, tmp_path, capsys, argv, named):
         (tmp_path / "v1.txt").write_text("# zetalab-checkpoint v1\n1,100.0,90.0,0.0,deadbeef\n")
+        (tmp_path / "v2.txt").write_text("# zetalab-checkpoint v2\n1,100.0,90.0,0.0,deadbeef;4;9000.0;0.0\n")
         code = cli.main([a.format(tmp=tmp_path) for a in argv])
         err = capsys.readouterr().err
         assert code in (cli.EXIT_USAGE, cli.EXIT_DATA)

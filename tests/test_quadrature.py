@@ -191,14 +191,14 @@ class TestMesh:
     def test_an_origin_off_the_mesh_from_0_is_refused(self, cfg, to):
         acc = MomentAccumulator(1, cfg)
         acc.ensure(1000.0)
-        t, v, e, n, vu, eu = acc.rows([acc.index(700.0)])[0]
+        t, v, e, n, *sums = acc.rows([acc.index(700.0)])[0]
         off = math.nextafter(t, to)
         with pytest.raises(CheckpointMismatch, match="T=%r does not reproduce" % off):
-            MomentAccumulator(1, cfg, (off, v, e, n, vu, eu))
+            MomentAccumulator(1, cfg, (off, v, e, n, *sums))
         for m in (n - 1, n + 1):
             with pytest.raises(CheckpointMismatch, match="not panel %d " % m):
-                MomentAccumulator(1, cfg, (t, v, e, m, vu, eu))
-        seeded = MomentAccumulator(1, cfg, (t, v, e, n, vu, eu))
+                MomentAccumulator(1, cfg, (t, v, e, m, *sums))
+        seeded = MomentAccumulator(1, cfg, (t, v, e, n, *sums))
         assert seeded.bounds.tolist() == [t] and seeded.base == n
 
     def test_accumulator_bounds_are_one_mesh(self, cfg):
@@ -530,6 +530,18 @@ class TestPrefix:
         assert whole.bounds.tolist() == acc.bounds.tolist()
         for p, q in zip(acc.prefix(), whole.prefix()):
             assert p.tolist() == q.tolist()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_prefix_plus_compensation_is_the_exact_sum(self, k, cfg):
+        # p + C against the correctly rounded sum of the per-panel values
+        # below the boundary, for each of the four sums
+        acc = MomentAccumulator(k, cfg)
+        acc.ensure(1.0e4)
+        rng = np.random.default_rng(2024 + k)
+        boundaries = rng.choice(np.arange(1, len(acc.bounds)), size=50, replace=False)
+        for p, c, q in zip(acc.prefix(), acc.compensation(boundaries), acc._sums()):
+            for i, ci in zip(boundaries, c):
+                assert p[i] + ci == math.fsum(q[:i].tolist())
 
 
 class TestKronrodRule:
