@@ -52,7 +52,7 @@ import numpy as np
 from .config import QuadConfig
 from .errors import CheckpointMismatch, DataParseError, DataValidationError
 from .quadrature import (
-    ORIGIN, MomentAccumulator, drop_accumulator, get_accumulator, numeric_fingerprint)
+    FIELDS, ORIGIN, MomentAccumulator, drop_accumulator, get_accumulator, numeric_fingerprint)
 
 HEADER = "# zetalab-checkpoint v3"
 FINGERPRINT_PREFIX = "# fingerprint: "
@@ -62,7 +62,6 @@ OLD_FORMATS = {
     "# zetalab-checkpoint v2": "checkpoint format v2 is no longer read: its rows lack the compensations "
                                "of the prefix sums, by which a resume checks its seed",
 }
-FIELDS = ("T", "v", "e", "n", "vu", "eu", "cv", "ce", "cvu", "ceu")  # of a MomentCheckpoint row
 # A row at the last boundary at or below every multiple of CHECKPOINT_STEP in
 # T: the step picks which boundaries get rows and changes no value.
 CHECKPOINT_STEP = 100.0

@@ -374,8 +374,8 @@ class PanelBatch:
         return k, ku, charge + pt, charge_u + ptu
 
 
-# the row (T, v, e, n, vu, eu, cv, ce, cvu, ceu) at t = 0
-ORIGIN = (0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+FIELDS = ("T", "v", "e", "n", "vu", "eu", "cv", "ce", "cvu", "ceu")  # of a row (rows, checkpoint)
+ORIGIN = (0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # the row at t = 0
 
 
 class PanelSamples(NamedTuple):
@@ -490,14 +490,18 @@ class MomentAccumulator:
     def front(self):
         """Integrate [0, T0] in front of the origin: the front pass.  The
         fold from ORIGIN must reproduce the origin row bit for bit,
-        compensations too; the accumulator then starts at ORIGIN."""
+        compensations too, or CheckpointMismatch names each field that
+        differs; the accumulator then starts at ORIGIN."""
         (want,) = self.rows([0])
         below = MomentAccumulator(self.k, self.cfg)
         below.ensure(want[0])
         (got,) = below.rows([below._m])
         if got != want:
-            raise CheckpointMismatch("origin row %r does not reproduce: the panels on [0, %r] give %r"
-                                     % (want, want[0], got))
+            diff = [(f, w, g) for f, w, g in zip(FIELDS, want, got) if w != g]
+            what = ("the seed row's compensation does not reproduce from the panels below it"
+                    if all(f[0] == "c" for f, _, _ in diff) else "origin row does not reproduce")
+            raise CheckpointMismatch("%s (T=%r): %s" % (what, want[0], "; ".join(
+                "%s stored %r, the panels on [0, %r] give %r" % (f, w, want[0], g) for f, w, g in diff)))
         below._append(self._sums())
         self.base, self._rows, self._m, self._c0 = below.base, below._rows, below._m, below._c0
 
@@ -707,17 +711,28 @@ class ZStore:
 
     def __init__(self, cfg: QuadConfig):
         self.cfg = cfg
-        self.bounds = np.zeros(1)
+        self._buf, self._n = np.zeros(1), 1  # the boundaries laid are _buf[:_n]
         self.z = self.zerr = np.zeros((0, 2 * cfg.nodes + 1))  # rows [0, held) are filled
         self.held = 0
 
+    @property
+    def bounds(self):
+        return self._buf[: self._n]
+
     def reach(self, t: float) -> int:
         """The index into bounds of the first boundary >= t, bounds filled
-        to there (first_panel, panel_bounds).  bounds is replaced when it
-        grows, so read it after reach."""
-        if not t <= self.bounds[-1]:  # so first_panel refuses a non-finite t
-            n = len(self.bounds)
-            self.bounds = np.concatenate([self.bounds, panel_bounds(np.arange(n, first_panel(t, self.cfg) + 1), self.cfg)])
+        to there (first_panel, panel_bounds).  The boundaries fill a buffer
+        replaced by one of max(needed, 2 x old) entries when they outgrow
+        it, so a mesh laid panel by panel takes linear time and a jump past
+        twice the buffer allocates only what it needs; read bounds after
+        reach."""
+        if not t <= self._buf[self._n - 1]:  # so first_panel refuses a non-finite t
+            n, p = self._n, first_panel(t, self.cfg) + 1
+            if p > len(self._buf):
+                buf, self._buf = self._buf, np.empty(max(p, 2 * len(self._buf)))
+                self._buf[:n] = buf[:n]
+            self._buf[n:p] = panel_bounds(np.arange(n, p), self.cfg)
+            self._n = p
         return int(np.searchsorted(self.bounds, t))
 
     def samples(self, i: int, j: int, chunk: int):

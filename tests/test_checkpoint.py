@@ -303,6 +303,35 @@ class TestSeededResume:
         with pytest.raises(CheckpointMismatch, match="does not reproduce"):
             acc.cumulative_to(100.0)
 
+    @pytest.mark.parametrize("field", ["cv", "ce", "cvu", "ceu"])
+    @pytest.mark.parametrize("to", [-math.inf, math.inf])
+    @pytest.mark.parametrize("k, t_first", [pytest.param(1, 500.0, id="500.0"),
+                                            pytest.param(2, 1500.0, id="k2-1500.0")])
+    def test_front_pass_names_a_seed_compensation_that_does_not_reproduce(
+            self, tmp_path, cfg, fresh, field, to, k, t_first):
+        # an ulp of the seed row's own compensation that the fold of C above
+        # it absorbs passes the resume's check; the front pass of a query
+        # below the seed then refuses it and names the field.  Where the
+        # resume refuses it at once, the seeded accumulator is made as an
+        # accepted resume makes it
+        path = tmp_path / "cp.txt"
+        extend_checkpoint(str(path), k, t_first, cfg)
+        lines = path.read_text().splitlines()
+        head, rest = lines[-2].split(";", 1)
+        d = dict(zip(["n", "vu", "eu", "cv", "ce", "cvu", "ceu"], rest.split(";")))
+        d[field] = repr(math.nextafter(float(d[field]), to))
+        lines[-2] = ";".join([head] + list(d.values()))
+        path.write_text("\n".join(lines) + "\n")
+        fresh()
+        try:
+            extend_checkpoint(str(path), k, t_first + 100.0, cfg, resume=True)
+        except CheckpointMismatch as refused:
+            assert "does not reproduce" in str(refused)
+            get_accumulator(k, cfg, read_checkpoint(str(path), k).rows[-2]).ensure(t_first + 100.0)
+        with pytest.raises(CheckpointMismatch, match="compensation does not reproduce.*: %s stored" % field) as ei:
+            get_accumulator(k, cfg).cumulative_to(100.0)
+        assert " stored " not in str(ei.value).replace("%s stored" % field, "", 1)
+
     @pytest.mark.parametrize("line", [FINGERPRINT_PREFIX + "forged host", None])
     def test_file_of_another_fingerprint_is_rewritten_so_the_next_resume_seeds(
             self, tmp_path, cfg, fresh, monkeypatch, line):

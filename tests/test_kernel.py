@@ -55,48 +55,121 @@ class TestKernelAccuracy:
 
     def test_rs_anchor_path_vs_mpmath(self, rng):
         # where the present model holds (from t ~ 2e4 on the float64 theta
-        # outgrows it, on either main-sum path: ROADMAP item 1): random t, the
-        # points either side of t = 2 pi n^2 (where N steps) and of anchor
-        # edges (j + 1/2) Delta
+        # outgrows it: ROADMAP item 1): random t, the points either side of
+        # t = 2 pi n^2 (where N steps) and of anchor edges (j + 1/2) Delta
         steps = 2 * np.pi * np.array([31, 36, 40, 43]) ** 2
-        edges = zkernel.RS_DELTA * (np.array([3000, 4321, 5025, 5999]) + 0.5)
+        edges = zkernel.RS_DELTA * (np.array([1500, 2160, 2512, 2999]) + 0.5)
         near = np.repeat(np.concatenate([steps, edges]), 2)
         ts = np.concatenate([rng.uniform(6.0e3, 1.2e4, 24),
                              np.nextafter(near, np.tile([0.0, 1e9], near.size // 2))])
-        assert np.all(np.floor(np.sqrt(ts / (2 * np.pi))) >= zkernel.RS_TAYLOR_N)
+        assert ts.min() > 6.0e3 and ts.max() < 1.2e4
         z, err = zkernel.z_rs_block(ts)
         with mpmath.workdps(30):
             for t, zi, ei in zip(ts, z, err):
                 assert abs(zi - float(mpmath.siegelz(t))) <= ei, t
 
     def test_rs_err_includes_the_taylor_remainder(self):
-        # err is the model of the direct sum plus twice the remainder bound
-        # of the anchor sum's Taylor expansion, on both sides of the switch
-        ts = np.array([1000.0, 2000.0, 2100.0, 9000.0, 3.0e4, 2.5e5])
+        # err is the model of the rest plus twice the anchor sum's remainder
+        # bound R and its rounding model u W_N, from N = 7 (t = 400) on
+        ts = np.array([400.0, 1000.0, 2000.0, 2100.0, 9000.0, 3.0e4, 2.5e5])
         z, err = zkernel.z_rs_block(ts)
         n = np.floor(np.sqrt(ts / (2 * np.pi))).astype(int)
         base = (zkernel.RS_REMAINDER_COEF * (ts / (2 * np.pi)) ** (-11 / 4.0)
                 + 1e-14 * (1.0 + np.sqrt(n)) * (1.0 + np.abs(z)))
         for t, nt, e, b in zip(ts, n, err, base):
-            m, rem = zkernel.taylor_order(int(nt))
-            want = 2.0 * rem if nt >= zkernel.RS_TAYLOR_N else 0.0
+            rem = zkernel.taylor_order(int(nt))[2]
+            r = zkernel._anchor_factor(int(nt))
+            mass = sum(k**-0.5 * sum(abs(r[m, k - 1]) * (zkernel.RS_DELTA / 2) ** m for m in range(r.shape[0]))
+                       for k in range(1, nt + 1))
+            want = 2.0 * (rem + 0.5 * np.finfo(float).eps * mass)
             assert 0.0 < rem <= zkernel.RS_TAYLOR_TOL
-            assert abs((e - b) - want) <= 4 * np.spacing(e), t
+            assert abs((e - b) - want) <= 4 * np.spacing(e) + 1e-12 * want, t
 
-    @pytest.mark.parametrize("n", [18, 56, 400])
+    def test_orders_grow_with_n(self):
+        # the anchor sum sizes a block's moments by its largest N, and the
+        # economized order is well below the Taylor order it economizes
+        orders = [zkernel.taylor_order(n)[:2] for n in range(1, 4000)]
+        assert all(a <= b for a, b in zip(orders, orders[1:]))
+        assert [zkernel.taylor_order(n)[0] for n in (8, 18, 69, 398, 1261)] == [18, 21, 25, 30, 33]
+
+    @pytest.mark.parametrize("n", [7, 18, 56, 69, 398, 400, 1261])
     def test_taylor_remainder_bounds_the_truncation(self, n):
-        # sum_{k<=n} k^(-1/2) e^(-i h (log k - log(n)/2)) against its Taylor
-        # polynomial of taylor_order(n), at the anchor interval's ends
-        m, rem = zkernel.taylor_order(n)
+        # E' from the exact Chebyshev truncation (Fractions: x T_d = (T_{d+1}
+        # + T_{d-1})/2 up, T_{d+1} = 2x T_d - T_{d-1} down), rounded once,
+        # against the kernel's; then sum_k k^(-1/2) e^(-ih u_k) against the
+        # economized polynomial of the exact E', at h = 0, +-Delta/4, +-Delta/2
+        from fractions import Fraction
+
+        m, k, rem = zkernel.taylor_order(n)
+        half = Fraction(zkernel.RS_DELTA) / 2
+        cheb = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+        while len(cheb) <= m:
+            nxt = [Fraction(0)] + [2 * c for c in cheb[-1]]
+            for i, c in enumerate(cheb[-2]):
+                nxt[i] -= c
+            cheb.append(nxt)
+        exact = [[Fraction(0)] * (k + 1) for _ in range(m + 1)]
+        coef = [Fraction(1)]  # Chebyshev coefficients of x^j
+        for j in range(k + 1):
+            for d, c in enumerate(coef[: m + 1]):
+                for i, ci in enumerate(cheb[d]):
+                    exact[i][j] += (-1) ** ((j - i) // 2) * half ** (j - i) * c * ci
+            up = [Fraction(0)] * (len(coef) + 1)
+            for d, c in enumerate(coef):
+                up[d + 1] += c / (1 if d == 0 else 2)
+                if d:
+                    up[d - 1] += c / 2
+            coef = up
+        e = zkernel._economized(m, k)
+        assert e.tolist() == [[float(x) for x in row] for row in exact]
         with mpmath.workdps(40):
-            for h in (-zkernel.RS_DELTA / 2, zkernel.RS_DELTA / 2):
-                mid = mpmath.log(n) / 2
-                d = [mpmath.log(k) - mid for k in range(1, n + 1)]
-                w = [1 / mpmath.sqrt(k) for k in range(1, n + 1)]
-                exact = sum(wk * mpmath.expj(-h * dk) for wk, dk in zip(w, d))
-                poly = sum(wk * sum((-1j * h * dk) ** q / mpmath.factorial(q) for q in range(m + 1))
-                           for wk, dk in zip(w, d))
-                assert abs(exact - poly) <= rem
+            mid = mpmath.log(n) / 2
+            u = [mpmath.log(q) - mid for q in range(1, n + 1)]
+            w = [1 / mpmath.sqrt(q) for q in range(1, n + 1)]
+            for h in (0.0, -zkernel.RS_DELTA / 4, zkernel.RS_DELTA / 4,
+                      -zkernel.RS_DELTA / 2, zkernel.RS_DELTA / 2):
+                x = mpmath.mpc(0, -h)
+                g = [sum(mpmath.mpf(exact[i][j].numerator) / exact[i][j].denominator * x**i
+                         for i in range(m + 1)) / mpmath.factorial(j) for j in range(k + 1)]
+                poly = 0
+                for wq, uq in zip(w, u):
+                    acc = g[k]
+                    for j in range(k - 1, -1, -1):
+                        acc = acc * uq + g[j]
+                    poly += wq * acc
+                direct = sum(wq * mpmath.expj(-h * uq) for wq, uq in zip(w, u))
+                assert abs(direct - poly) <= rem, h
+
+    def test_anchor_sum_vs_mpmath(self, rng):
+        # theta-free: the anchor sum alone, at the panel nodes of a panel in
+        # each band 1e3-1e4, ..., 1e6-1e7 and at the points either side of
+        # t = 2 pi n^2 (where N steps) and of (j + 1/2) Delta, within the
+        # remainder plus the rounding model, R + 2 u W_N
+        from zetalab import quadrature
+        from zetalab.config import QuadConfig
+
+        cfg = QuadConfig()
+        delta = zkernel.RS_DELTA
+        ts = []
+        for lo in (1e3, 1e4, 1e5, 1e6):
+            p = quadrature.first_panel(rng.uniform(lo, 10 * lo), cfg)
+            b = quadrature.panel_bounds(np.array([p, p + 1]), cfg)
+            ts.append(quadrature.panel_nodes(b[:1], b[1:], cfg.nodes)[0].ravel()[::4])
+            n = int(np.sqrt(3 * lo / (2 * np.pi)))
+            near = [2 * np.pi * n**2, delta * (np.rint(3 * lo / delta) + 0.5)]
+            ts.append(np.nextafter(np.repeat(near, 2), [0.0, 1e9] * 2))
+        ts = np.concatenate(ts)
+        nmain = np.floor(np.sqrt(ts / (2 * np.pi))).astype(np.int64)
+        s, bound = zkernel._anchor_sum(ts, np.zeros_like(ts), nmain)
+        with mpmath.workdps(40):
+            for t, nt, si, bi in zip(ts, nmain, s, bound):
+                mt = mpmath.mpf(t)
+                ref = sum(mpmath.expj(-mt * mpmath.log(q)) / mpmath.sqrt(q) for q in range(1, nt + 1))
+                rem = zkernel.taylor_order(int(nt))[2]
+                assert bi == zkernel._sum_bound(int(nt))
+                assert abs(si - complex(ref)) <= rem + 2 * (bi - rem), t
+        # the EM sum's N: both terms far under z_em_block's 1e-12 floor
+        assert max(zkernel._sum_bound(n - 1) for n in zkernel.EM_TERMS) < 2e-13
 
     def test_anchor_phase_split_is_exact(self):
         from fractions import Fraction
@@ -160,22 +233,21 @@ class TestKernelAccuracy:
         assert [z.tolist(), err.tolist()] == [q.tolist() for q in zkernel.z_rs_block(np.array([t]))]
 
     def test_rs_point_independent_of_the_call(self, rng):
-        # two blocks of dense points across t = 2 pi 40^2 (N 39 | 40) and
-        # several anchor edges, dense points near 1e6 and 9e6 (N ~ 400 and
-        # 1200), the direct/anchor switch, t in [400, 2e5], and points
-        # either side of anchor edges and of N's steps; then a block that
-        # holds a single anchor group
-        switch = 2 * np.pi * zkernel.RS_TAYLOR_N**2
-        edges = [2 * np.pi * 40**2, switch, 2 * np.pi * 100**2] + list(
+        # 2 RS_BLOCK + 1 points, so three blocks of equal size: dense points
+        # across t = 2 pi 40^2 (N 39 | 40) and several anchor edges, dense
+        # points near 1e6 and 9e6 (N ~ 400 and 1200), t in [400, 2e5], and
+        # points either side of anchor edges and of N's steps; then a block
+        # that holds a single anchor group
+        edges = [2 * np.pi * 40**2, 2 * np.pi * 18**2, 2 * np.pi * 100**2] + list(
             zkernel.RS_DELTA * (np.array([3000, 5025, 61234]) + 0.5))
-        ts = np.concatenate([rng.uniform(10040.0, 10070.0, 2 * zkernel.RS_BLOCK + 37),
-                             rng.uniform(1.0e6, 1.0e6 + 30.0, 300),
-                             rng.uniform(9.0e6, 9.0e6 + 30.0, 300),
-                             np.exp(rng.uniform(np.log(400.0), np.log(2e5), 64)),
-                             np.nextafter(np.repeat(edges, 2), np.tile([0.0, 1e9], len(edges))),
-                             [450.0, 2.0e3, 7.5e4]])
+        rest = np.concatenate([rng.uniform(1.0e6, 1.0e6 + 30.0, 300),
+                               rng.uniform(9.0e6, 9.0e6 + 30.0, 300),
+                               np.exp(rng.uniform(np.log(400.0), np.log(2e5), 64)),
+                               np.nextafter(np.repeat(edges, 2), np.tile([0.0, 1e9], len(edges))),
+                               [400.0, 450.0, 2.0e3, 7.5e4]])
+        ts = np.concatenate([rng.uniform(10040.0, 10070.0, 2 * zkernel.RS_BLOCK + 1 - rest.size), rest])
         rng.shuffle(ts)
-        one_group = rng.uniform(5.0e5 - 0.99, 5.0e5 + 0.99, 97)
+        one_group = rng.uniform(5.0e5 - 1.99, 5.0e5 + 1.99, 97)
         for block in (ts, one_group):
             z, err = zkernel.z_rs_block(block)
             for j, t in enumerate(block):
@@ -184,12 +256,12 @@ class TestKernelAccuracy:
 
     @pytest.mark.parametrize("n", [18, 400, 1300])
     def test_stacked_matmul_independent_of_the_stack(self, rng, n):
-        # the anchor sum rests on this: np.matmul of the (M+1) x N Taylor
-        # powers by a stack of N x 2 matrices runs one gemm per matrix, so
+        # the anchor sum rests on this: np.matmul of the (M+1) x N economized
+        # factor by a stack of N x 2 matrices runs one gemm per matrix, so
         # a group's product has the same bits at any stack size, position
         # in the stack and offset of the array in memory.  (One 2-D product
         # over all the groups' columns has no such property.)
-        powers = zkernel._taylor_powers(n)
+        powers = zkernel._anchor_factor(n)
         assert powers.flags.c_contiguous and not powers.flags.writeable
         x = rng.standard_normal((n, 2))
         want = np.matmul(powers, x[None])[0]
@@ -229,9 +301,8 @@ class TestKernelAccuracy:
 
     def test_em_point_independent_of_the_call(self, rng):
         # two blocks in each of the bands [75, 100) and [100, 125), t in every
-        # band (the Dirichlet sum is direct where N - 1 < RS_TAYLOR_N, the
-        # anchor sum elsewhere), and t on both sides of a band edge
-        assert zkernel.EM_TERMS[0] - 1 < zkernel.RS_TAYLOR_N <= zkernel.EM_TERMS[-1] - 1
+        # band (each with its own N of the anchor sum), and t on both sides
+        # of a band edge
         ts = np.concatenate([rng.uniform(75.0, 125.0, 2 * zkernel.EM_BLOCK + 37),
                              rng.uniform(0.0, 400.0, 64), np.nextafter(100.0, [0.0, 200.0])])
         rng.shuffle(ts)

@@ -177,6 +177,21 @@ class TestMesh:
         with pytest.raises(DomainError):
             store.reach(math.nan)
 
+    def test_a_store_grown_panel_by_panel_replaces_its_buffer_log_n_times(self, cfg):
+        # 2000 one-panel reaches lay the bits of one reach, and the buffer
+        # of the boundaries is replaced about log2(2000) times, not 2000
+        b = quadrature.panel_bounds(np.arange(2001), cfg)
+        store, buffers = quadrature.ZStore(cfg), []
+        for i in range(1, 2001):
+            assert store.reach(float(b[i])) == i
+            if not buffers or store._buf is not buffers[-1]:
+                buffers.append(store._buf)
+        assert store.bounds.tobytes() == b.tobytes()
+        assert len(buffers) <= 12
+        one = quadrature.ZStore(cfg)
+        one.reach(float(b[-1]))
+        assert one.bounds.tobytes() == b.tobytes() and len(one._buf) == len(b)
+
     def test_a_panel_reaching_rs_t_max_is_refused_before_any_is_laid(self, cfg):
         p = last_panel_below_rs_t_max(cfg)
         last = float(quadrature.panel_bounds([p], cfg)[0])
