@@ -15,8 +15,9 @@ from dataclasses import dataclass, field, fields, replace
 from .errors import DataParseError, DomainError
 
 KERNEL_VERSION = "zk8"
-# the (2 nodes + 1)-point rule of quadrature.kronrod_rule, once per panel of four
-# mesh cells, cell i ending at F^-1(i), graded toward t = 0 (quadrature.cell_ends)
+# the (2 nodes + 1)-point rule of quadrature.kronrod_rule with its charge
+# (quadrature.panel_rule), once per panel of four mesh cells, cell i ending at
+# F^-1(i), graded toward t = 0 (quadrature.cell_ends)
 PANEL_RULE = "gauss-kronrod/4-cell/graded-F-inverse"
 
 

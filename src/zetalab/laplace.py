@@ -6,9 +6,11 @@ Evaluation streams over the panels of the mesh from 0 in fixed-size chunks
 and reads Z at their nodes from the process's store (quadrature.get_store).
 Within quadrature.STORE_PANELS panels the store keeps them, so a sigma grid
 evaluates no node there that an accumulator or another grid evaluated; a
-grid truncated past that evaluates every node of its range again.  Per-sigma
-totals only use panels inside that sigma's own truncation range, making each
-value independent of how calls are batched.
+grid truncated past that evaluates every node of its range again.  Each
+panel is charged by quadrature.panel_rule on the weighted integrand
+e^{-sx} |Z|^{2k}, certified on the kernel's Euler-Maclaurin branch like the
+accumulator's.  Per-sigma totals only use panels inside that sigma's own
+truncation range, making each value independent of how calls are batched.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from .constants import constants_for
 from .errors import DomainError
 from .moments import default_p4
 from .precision import DEFAULT_CTX
-from .quadrature import IntegralResult, get_store, kronrod_rule, kronrod_sums
-from .zkernel import moment_integrand
+from .quadrature import IntegralResult, get_store, panel_rule
+from .zkernel import T_SWITCH, moment_integrand
 
 CHUNK = 1024
 
@@ -71,8 +73,6 @@ def laplace_moment_grid(k: int, s_values, cfg: QuadConfig = QuadConfig()):
     bounds = store.bounds
     n_use = [min(max(int(np.searchsorted(bounds, x, side="left")), 1), last) for x in x_needed]
 
-    n = cfg.nodes
-    wk = kronrod_rule(n)[1]
     m = len(ss)
     total = [0.0 + 0.0j] * m
     err = [0.0] * m
@@ -86,12 +86,10 @@ def laplace_moment_grid(k: int, s_values, cfg: QuadConfig = QuadConfig()):
             if hi <= c0:
                 continue
             sl = slice(0, hi - c0)
-            decay = np.exp(-s.real * t[sl])
-            weight = decay if s.imag == 0.0 else np.exp(-s * t[sl])
-            val, charge = kronrod_sums(half[sl], f[sl] * weight, n)
-            pt = half[sl] * np.sum(wk * df[sl] * decay, axis=1)
+            w = np.exp(-s.real * t[sl]) if s.imag == 0.0 else np.exp(-s * t[sl])
+            val, charge = panel_rule(half[sl], f[sl], df[sl], cfg.nodes, bounds[c0 + 1 : hi + 1] <= T_SWITCH, w)
             total[i] += complex(np.sum(val))
-            err[i] += float(np.sum(charge + pt))
+            err[i] += float(np.sum(charge))
 
     out = []
     for i, s in enumerate(ss):

@@ -8,8 +8,9 @@ its lower three (constants.P4_LOWER) are derived from the CFKRS residue formula.
 Every functional reads Z at the mesh nodes from the process's store of Z
 samples (quadrature.get_store), the mean square of E2 through a sweep of the
 k = 2 accumulator; the store keeps them within quadrature.STORE_PANELS
-panels.  Elsewhere Z is evaluated only on partial panels, on the steps of a
-narrow smoothed window and on a smoothed window past STORE_PANELS panels.
+panels.  Elsewhere Z is evaluated only on partial panels and on the steps
+of a narrow smoothed window.  Every panel, the accumulator's and the
+smoothed window's, is charged by the one rule, quadrature.panel_rule.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ from .config import QuadConfig
 from .constants import P4_LOWER, fourth_moment_a3, fourth_moment_a4, second_moment_constant
 from .errors import DomainError
 from .quadrature import (
-    STORE_PANELS,
     IntegralResult,
-    PanelBatch,
     PanelSamples,
     first_panel,
     get_accumulator,
@@ -35,8 +34,9 @@ from .quadrature import (
     kronrod_rule,
     panel_bounds,
     panel_nodes,
+    panel_rule,
 )
-from .zkernel import moment_integrand
+from .zkernel import T_SWITCH, moment_integrand
 
 PAPER_EXACT = "paper-exact"
 DERIVED = "derived"
@@ -165,11 +165,12 @@ def smoothed_fourth(
     truncated at |t| <= W delta with the tail folded into the error bound.
     The window [T - W delta, T + W delta] is integrated on the panels of
     the mesh from 0 that reach it (quadrature.panel_bounds), Z at their
-    nodes read from the store (ZStore.samples) within STORE_PANELS panels.
-    Where one of them is wider than delta/3, the window is instead cut
-    into equal steps of at most delta/3, about 6 W more pieces than mesh
-    panels whatever delta, which evaluate Z themselves.  Each piece takes
-    one rule, all in one PanelBatch.run.  A window part below 0 is folded
+    nodes read or evaluated through the store (ZStore.samples), which lays
+    no boundary for them.  Where one of them is wider than delta/3, the
+    window is instead cut into equal steps of at most delta/3, about 6 W
+    more pieces than mesh panels whatever delta, which evaluate Z
+    themselves.  Each piece takes one rule, all in one panel_rule on the
+    Gaussian-weighted samples.  A window part below 0 is folded
     onto [0, W delta - T] (|zeta| is even).  A delta under 4 ulps of
     T + W delta is refused: the nodes of one-ulp steps round onto their
     ends, an error the bound cannot see."""
@@ -185,30 +186,25 @@ def smoothed_fourth(
     if delta < 4.0 * np.spacing(hi):
         raise DomainError("invalid-delta: need delta >= 4 ulps of T + W delta = %.6g" % (4.0 * np.spacing(hi)))
     inv = 1.0 / (delta * math.sqrt(math.pi))
-
-    def weighted(u, zs=None):
-        f, df = moment_integrand(u, 2, zs)
-        g = np.exp(-((u - t_center) / delta) ** 2)
-        if lo < 0.0:
-            # The window's part u < 0 folded onto [0, -lo]: |zeta(1/2+iu)| is even.
-            g = g + np.where(u <= -lo, np.exp(-((u + t_center) / delta) ** 2), 0.0)
-        return f * g * inv, df * g * inv
-
     lo0 = max(lo, 0.0)
     i, j = max(first_panel(lo0, cfg) - 1, 0), first_panel(hi, cfg)
-    e, samples = panel_bounds(np.arange(i, j + 1), cfg), None
+    e = panel_bounds(np.arange(i, j + 1), cfg)
     if np.max(np.diff(e)) > delta / 3.0:
         # steps of a whole number of ulps of hi: the steps are translates on
         # the float grid, so their nodes round alike and the rounding of the
         # nodes, large against a small delta, cancels across the window
         h = np.spacing(hi) * max(math.floor(delta / 3.0 / np.spacing(hi)), 1)
         e = np.union1d(e, np.append(lo0 + h * np.arange(math.ceil((hi - lo0) / h)), hi))
-    elif j <= STORE_PANELS:
-        store = get_store(cfg)
-        store.reach(hi)
-        t, _, *zs = next(store.samples(i, j, j - i))
-        samples = weighted(t, zs)
-    val, _, err, _ = PanelBatch(weighted, cfg).run(e[:-1], e[1:], samples)
+        t, half = panel_nodes(e[:-1], e[1:], cfg.nodes)
+        zs = None
+    else:
+        t, half, *zs = next(get_store(cfg).samples(i, j, j - i))
+    f, df = (q.reshape(t.shape) for q in moment_integrand(t.ravel(), 2, zs))
+    g = np.exp(-((t - t_center) / delta) ** 2)
+    if lo < 0.0:
+        # The window's part u < 0 folded onto [0, -lo]: |zeta(1/2+iu)| is even.
+        g = g + np.where(t <= -lo, np.exp(-((t + t_center) / delta) ** 2), 0.0)
+    val, err = panel_rule(half, f * g * inv, df * g * inv, cfg.nodes, e[1:] <= T_SWITCH)
 
     # Truncation: |zeta|^4 majorized by cmaj (1 + log^4) near the window.
     majorant = cfg.laplace_cmaj * (1.0 + max(math.log(hi), 1.0) ** 4)

@@ -7,26 +7,27 @@ quadrature panel spans CELLS = 4 cells (panel_bounds), so a boundary
 depends on its index and the config alone, not on Z or on the range asked
 for; no panel reaches zkernel.RS_T_MAX (first_panel).  Each panel takes
 one rule, the n Gauss-Legendre nodes plus their n+1 Kronrod nodes
-(kronrod_rule, 2n+1 kernel points); their disagreement above the rounding
-floor (kronrod_sums) plus the integrated pointwise kernel error model
-(kernel_model) enters the reported error bound.  On panels of the
-kernel's Euler-Maclaurin branch, whose model is certified, the floor also
-takes in the model's integral, so the bound does not grow as panels narrow.
+(kronrod_rule, 2n+1 kernel points), through one function, panel_rule: a
+weighted integrand's Kronrod value, and as its charge the Gauss-Kronrod
+disagreement above the rounding floor plus the integrated pointwise
+kernel error model.  On panels of the kernel's Euler-Maclaurin branch,
+whose model is certified, the floor also takes in the model's integral,
+so the bound does not grow as panels narrow.  The accumulators, the
+Laplace grid and the smoothed windows charge their panels through it.
 All reductions run in a fixed order so reruns and checkpoint resumes are
 bit-identical.
 
 One mesh and one store of Z samples per QuadConfig (ZStore, get_store):
-the panel boundaries of the mesh from 0, as far as any request reached,
-and Z with its error model at the Kronrod nodes of its first panels.  The
+the panel boundaries of the mesh from 0, as far as any reach asked, and
+Z with its error model at the Kronrod nodes of its first panels.  The
 accumulators (ensure, front, sweep), the Laplace grid and the smoothed
 windows read their samples from it, the mean square of E2 and the scans
 through sweep, so within STORE_PANELS panels a process evaluates each node
-of the mesh once whichever functionals it computes.  Only three kinds of
+of the mesh once whichever functionals it computes.  Only two kinds of
 piece evaluate Z themselves: the partial panel [left, t] of a query that
-ends inside a panel, the steps of a smoothed window narrower than its
-panels, and a smoothed window past STORE_PANELS panels (from the store it
-would lay the mesh from 0 to there).  Z at a point depends on that t alone,
-so every value is the same from a cold or a warm store.  The store keeps
+ends inside a panel, and the steps of a smoothed window narrower than its
+panels.  Z at a point depends on that t alone, so every value is the same
+from a cold or a warm store.  The store keeps
 the boundaries, 8 B per panel, and an accumulator its sums, 64 B per
 panel; samples cost 528 B per panel, so the store keeps none for a request
 that ends past STORE_PANELS panels: uncapped they would hold 36 MB on
@@ -201,36 +202,34 @@ def panel_nodes(a, b, n: int):
     return 0.5 * (b + a)[:, None] + half[:, None] * kronrod_rule(n)[0], half
 
 
-def kronrod_sums(half, f, n: int, floor=0.0):
-    """(K, charge) per panel for samples f at panel_nodes: the Kronrod value
-    and the discretisation charge.
+def panel_rule(half, f, df, n: int, certified, w=None):
+    """(K, charge) per panel of the Gauss-Kronrod rule on w f, for samples f
+    at panel_nodes with the pointwise kernel error model df there and a
+    weight w at the nodes (1 if None; real or complex).
 
-    The charge is the part of |G - K|, with G the Gauss value of f[:, 1::2],
-    above the rounding bound rho =
-    gamma_{n+2} G(|f|) + gamma_{2n+3} K(|f|) of the two sums and the given
-    floor (at that level |G - K| is summation and kernel noise, growing with
-    the panel count), plus K's own share of rho.  The subscripts count the
-    dot product's terms, the half-width scaling and a factor t in f."""
+    The charge is the part of |G - K|, with G the Gauss value of (w f)[:,
+    1::2], above the rounding bound rho = gamma_{n+2} G(|w f|) + gamma_{2n+3}
+    K(|w f|) of the two sums (at that level |G - K| is summation and kernel
+    noise, growing with the panel count), plus K's own share of rho, plus
+    the model integral K(|w| df).  On certified panels (the kernel's
+    Euler-Maclaurin branch, where the model is proven, so |G - K| up to
+    G(|w| df) + K(|w| df) is kernel noise) that is a floor under |G - K| too,
+    and the charge adds the model integral's own |G(|w| df) - K(|w| df)|, so
+    the bound does not grow as panels narrow.  The subscripts of gamma count
+    the dot product's terms, the half-width scaling and a factor t in w."""
     _, wk, wg = kronrod_rule(n)
+    if w is not None:
+        f, df = w * f, np.abs(w) * df
     af = np.abs(f)
     k = half * np.sum(wk * f, axis=1)
     g = half * np.sum(wg * f[:, 1::2], axis=1)
     rho_k = _gamma(2 * n + 3) * half * np.sum(wk * af, axis=1)
     rho = _gamma(n + 2) * half * np.sum(wg * af[:, 1::2], axis=1) + rho_k
-    return k, np.maximum(np.abs(g - k) - rho - floor, 0.0) + rho_k
-
-
-def kernel_model(half, df, n: int, certified):
-    """(charge, floor) per panel for the pointwise kernel error model df at
-    panel_nodes: its Kronrod integral K(df), and 0 for kronrod_sums' floor.
-
-    On certified panels (where the model is proven, so |G - K| of f up to
-    G(df) + K(df) is kernel noise) the floor is G(df) + K(df), and the
-    charge adds the model integral's own |G(df) - K(df)|."""
-    _, wk, wg = kronrod_rule(n)
     pk = half * np.sum(wk * df, axis=1)
     pg = half * np.sum(wg * df[:, 1::2], axis=1)
-    return np.where(certified, pk + np.abs(pg - pk), pk), np.where(certified, pg + pk, 0.0)
+    floor = np.where(certified, pg + pk, 0.0)
+    model = np.where(certified, pk + np.abs(pg - pk), pk)
+    return k, np.maximum(np.abs(g - k) - rho - floor, 0.0) + rho_k + model
 
 
 def _grade(t):
@@ -337,16 +336,15 @@ def _cell_lefts(ps, cfg: QuadConfig):
 
 
 class PanelBatch:
-    """One Gauss-Kronrod rule on each of a list of panels against one integrand.
+    """One Gauss-Kronrod rule on each of a list of panels against |Z|^{2k}.
 
-    integrand(t_array) -> (f, df) with df the pointwise error model.  A
-    panel's result depends on that panel alone, not on its batch, so results
-    are reproducible bit for bit.  The panels are the caller's: a coarse
-    mesh shows in err_bound, not in extra rules.
+    A panel's result depends on that panel alone, not on its batch, so
+    results are reproducible bit for bit.  The panels are the caller's: a
+    coarse mesh shows in err_bound, not in extra rules.
     """
 
-    def __init__(self, integrand, cfg: QuadConfig):
-        self.integrand = integrand
+    def __init__(self, k: int, cfg: QuadConfig):
+        self.k = k
         self.cfg = cfg
 
     def run(self, lefts, rights, samples=None):
@@ -356,22 +354,19 @@ class PanelBatch:
         return self._panel_pair(np.asarray(lefts, dtype=float), np.asarray(rights, dtype=float), samples)
 
     def _panel_pair(self, a, b, samples=None):
-        """Kronrod values of f and u*f on the panels [a, b] and their error
-        charges: the kronrod_sums charge plus the integrated pointwise error model.
-        Panels wholly at or below T_SWITCH lie on the kernel's Euler-Maclaurin
-        branch, whose model is certified (kernel_model).  samples are (f, df)
-        at the nodes if already evaluated."""
+        """panel_rule on f and u*f on the panels [a, b]: their Kronrod values
+        and charges.  Panels wholly at or below T_SWITCH lie on the kernel's
+        Euler-Maclaurin branch, whose model is certified.  samples are (f,
+        df) at the nodes if already evaluated."""
         n = self.cfg.nodes
         t, half = panel_nodes(a, b, n)
         if samples is None:
-            samples = (q.reshape(t.shape) for q in self.integrand(t.ravel()))
+            samples = (q.reshape(t.shape) for q in moment_integrand(t.ravel(), self.k))
         f, df = samples
         em = b <= T_SWITCH
-        pt, floor = kernel_model(half, df, n, em)
-        ptu, floor_u = kernel_model(half, df * t, n, em)
-        k, charge = kronrod_sums(half, f, n, floor)
-        ku, charge_u = kronrod_sums(half, f * t, n, floor_u)
-        return k, ku, charge + pt, charge_u + ptu
+        k, charge = panel_rule(half, f, df, n, em)
+        ku, charge_u = panel_rule(half, f, df, n, em, t)
+        return k, ku, charge, charge_u
 
 
 FIELDS = ("T", "v", "e", "n", "vu", "eu", "cv", "ce", "cvu", "ceu")  # of a row (rows, checkpoint)
@@ -426,6 +421,7 @@ class MomentAccumulator:
         self.k = k
         self.cfg = cfg
         self.store = get_store(cfg)
+        self._batch = PanelBatch(k, cfg)
         t0, v, e, n, vu, eu, cv, ce, cvu, ceu = origin
         if not (math.isfinite(t0) and self.store.reach(t0) == n and self.store.bounds[n] == t0):
             raise CheckpointMismatch("origin T=%r does not reproduce: it is not panel %d of the "
@@ -439,16 +435,6 @@ class MomentAccumulator:
     @property
     def bounds(self):
         return self.store.bounds[self.base : self.base + self._m + 1]
-
-    def _integrand(self, ts, samples=None):
-        return moment_integrand(ts, self.k, samples)
-
-    @property
-    def _batch(self):
-        # Built per use: a batch kept on self would close a reference cycle
-        # (batch -> bound method -> self), so a cleared accumulator would wait
-        # for the cyclic garbage collector and could outlive it into the next.
-        return PanelBatch(self._integrand, self.cfg)
 
     def _sums(self):
         return tuple(self._rows[4:, : self._m])
@@ -481,7 +467,7 @@ class MomentAccumulator:
         bs = self.store.bounds
         # next(fs) as the argument: a block is freed once its integrand is
         # formed, and the integrand once PanelBatch.run used it
-        fs = map(lambda b: self._integrand(b[0], b[2:]), self.store.samples(i, j, KERNEL_CHUNK))
+        fs = map(lambda b: moment_integrand(b[0], self.k, b[2:]), self.store.samples(i, j, KERNEL_CHUNK))
         self._reserve(j - i)
         for c in range(i, j, KERNEL_CHUNK):
             e = min(c + KERNEL_CHUNK, j)
@@ -629,7 +615,7 @@ class MomentAccumulator:
         for c, (t, half, *zs) in zip(range(start, end, self.GRID_CHUNK), blocks):
             ps = np.arange(c, min(c + self.GRID_CHUNK, end))
             a, b = bs[ps], bs[ps + 1]
-            f, df = self._integrand(t, zs)
+            f, df = moment_integrand(t, self.k, zs)
             new = ps >= held
             if new.any():
                 self._append(self._batch.run(a[new], b[new], (f[new], df[new])))
@@ -703,10 +689,10 @@ class MomentAccumulator:
 class ZStore:
     """The mesh from 0 and Z at its first panels: one store per QuadConfig
     (get_store).  bounds are the panel boundaries of the mesh from 0, laid
-    as far as any request reached (reach); z and zerr are Z and its error
-    model at the panel_nodes of the panels [0, held).  A request for
-    samples keeps those it evaluates only if it ends within STORE_PANELS
-    panels; past that it reads what is held and keeps nothing.
+    as far as any reach asked; z and zerr are Z and its error model at the
+    panel_nodes of the panels [0, held).  A request for samples keeps those
+    it evaluates only if it ends within STORE_PANELS panels; past that it
+    reads what is held and keeps nothing.
     """
 
     def __init__(self, cfg: QuadConfig):
@@ -737,8 +723,10 @@ class ZStore:
 
     def samples(self, i: int, j: int, chunk: int):
         """Yield (t, half, z, zerr) at the panel_nodes of the panels i to j - 1
-        (j <= the index of the last boundary), chunk panels at a time: t and
-        half as panel_nodes gives them, Z and its error model at t as rows.
+        of the mesh from 0, chunk panels at a time: t and half as panel_nodes
+        gives them, Z and its error model at t as rows.  Boundaries past
+        those laid are taken from panel_bounds, the same floats, and not
+        laid.
 
         Held rows are read.  The others are evaluated once, at most
         KERNEL_CHUNK panels per zkernel.z_block call, and kept if j <=
@@ -752,7 +740,8 @@ class ZStore:
     def _block(self, i: int, j: int, keep: int):
         """The samples of the panels i to j - 1: the rows held read, the
         others evaluated, and kept if they continue the held rows and j <= keep."""
-        t, half = panel_nodes(self.bounds[i:j], self.bounds[i + 1 : j + 1], self.cfg.nodes)
+        bs = self.bounds[i : j + 1] if j < self._n else panel_bounds(np.arange(i, j + 1), self.cfg)
+        t, half = panel_nodes(bs[:-1], bs[1:], self.cfg.nodes)
         r = min(max(self.held - i, 0), j - i)
         parts = [(self.z[i : i + r], self.zerr[i : i + r])] if r else []
         for c in range(r, j - i, KERNEL_CHUNK):

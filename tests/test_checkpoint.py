@@ -247,7 +247,7 @@ class TestSeededResume:
         # steps from the seed's compensations
         bs = quadrature.panel_bounds(np.arange(n, stored.rows[-1][3] + 1), cfg)
         bs[0] = off[0]
-        sums = quadrature.PanelBatch(lambda u: zkernel.moment_integrand(u, 1), cfg).run(bs[:-1], bs[1:])
+        sums = quadrature.PanelBatch(1, cfg).run(bs[:-1], bs[1:])
         tops = []
         for s0, c0, q in zip((v, vu, e, eu), (cv, cvu, ce, ceu), sums):
             p = np.cumsum(np.concatenate([[s0], q]))

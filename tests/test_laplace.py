@@ -68,6 +68,29 @@ class TestLaplaceMoment:
         assert rt.t_range[1] > rl.t_range[1]
         assert abs(rt.value - rl.value) <= rl.err_bound + rt.err_bound
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_err_bound_is_the_tail_plus_the_panel_rule_charges(self, cfg, k):
+        # the one charge policy of every reduction: quadrature.panel_rule on
+        # e^{-s t} |Z|^{2k}, certified on the panels that end at or below
+        # T_SWITCH, summed chunk by chunk as the grid sums them; s = 0.2 is
+        # truncated below T_SWITCH, s = 0.05 above it
+        from zetalab import quadrature, zkernel
+
+        sigmas = [0.2, 0.05]
+        grid = laplace_moment_grid(k, sigmas, cfg)
+        assert grid[0].t_range[1] < zkernel.T_SWITCH < grid[1].t_range[1]
+        bs = quadrature.get_store(cfg).bounds
+        for s, r in zip(sigmas, grid):
+            err = 0.0
+            for c in range(0, r.panels, laplace.CHUNK):
+                e = min(c + laplace.CHUNK, r.panels)
+                t, half = quadrature.panel_nodes(bs[c:e], bs[c + 1 : e + 1], cfg.nodes)
+                f, df = (q.reshape(t.shape) for q in zkernel.moment_integrand(t.ravel(), k))
+                certified = bs[c + 1 : e + 1] <= zkernel.T_SWITCH
+                err += float(np.sum(quadrature.panel_rule(half, f, df, cfg.nodes, certified, np.exp(-s * t))[1]))
+            x = r.t_range[1]
+            assert r.err_bound == err + laplace._majorant(k, s, x, cfg) * math.exp(-s * x)
+
 
 class TestKober:
     def test_zero_of_main_term(self):

@@ -27,7 +27,7 @@ from zetalab.moments import (
     p4_polynomial,
     smoothed_fourth,
 )
-from zetalab.quadrature import PanelBatch, get_accumulator
+from zetalab.quadrature import get_accumulator
 
 import _frozen as F
 from _fingerprint import frozen_mismatch
@@ -234,16 +234,16 @@ class TestSmoothedFourth:
 
     @pytest.mark.parametrize("t_center, delta", WINDOWS)
     def test_one_panel_run_per_call(self, cfg, monkeypatch, t_center, delta):
-        runs = []
-        real = PanelBatch.run
+        rules = []
+        real = moments.panel_rule
 
-        def counted(self, lefts, rights, samples=None):
-            runs.append(len(lefts))
-            return real(self, lefts, rights, samples)
+        def counted(half, *args):
+            rules.append(len(half))
+            return real(half, *args)
 
-        monkeypatch.setattr(PanelBatch, "run", counted)
+        monkeypatch.setattr(moments, "panel_rule", counted)
         r = smoothed_fourth(t_center, delta, cfg)
-        assert runs == [r.panels]
+        assert rules == [r.panels]
 
     def test_fixture_and_fine_grid_oracle(self, cfg):
         r = smoothed_fourth(200.0, 20.0, cfg)

@@ -7,14 +7,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from zetalab import zkernel
+from zetalab import moments, zkernel
 from zetalab.errors import CheckpointMismatch, DomainError
 import zetalab.quadrature as quadrature
 from zetalab.config import QuadConfig
 from zetalab.moments import error_term, main_term, p1_exact, smoothed_fourth
 from zetalab.quadrature import (
     MomentAccumulator, PanelBatch, get_accumulator, gl_nodes, integration_matrix, kronrod_rule)
-from zetalab.zkernel import moment_integrand
 
 
 def scalar_query(acc, t, cfg):
@@ -23,8 +22,7 @@ def scalar_query(acc, t, cfg):
     out = [float(p[i]) for p in acc.prefix()]
     left = acc.bounds[i]
     if t > left:
-        batch = PanelBatch(lambda u: moment_integrand(u, acc.k), cfg)
-        out = [o + float(d[0]) for o, d in zip(out, batch.run([left], [t]))]
+        out = [o + float(d[0]) for o, d in zip(out, PanelBatch(acc.k, cfg).run([left], [t]))]
     return tuple(out)
 
 
@@ -315,6 +313,25 @@ class TestZStore:
         assert quadrature.get_store(cfg).held == held
         quadrature.clear_accumulators()
 
+    def test_a_cold_smoothed_window_touches_no_store_state(self, cfg, monkeypatch):
+        # one window within STORE_PANELS, one past it: neither lays the mesh
+        # from 0 nor keeps a row, and each gives the bits of the same window
+        # read from a store that holds its panels
+        windows = [(3000.0, 100.0), (2.0e4, 30.0)]
+        quadrature.clear_accumulators()
+        cold = [smoothed_fourth(t, delta, cfg) for t, delta in windows]
+        store = quadrature.get_store(cfg)
+        assert len(store.bounds) == 1 and store.held == 0
+        assert quadrature.first_panel(windows[1][0], cfg) > quadrature.STORE_PANELS
+        quadrature.clear_accumulators()
+        monkeypatch.setattr(quadrature, "STORE_PANELS", quadrature.first_panel(2.1e4, cfg))
+        error_term(2, 2.1e4, cfg)
+        store = quadrature.get_store(cfg)
+        assert store.held == len(store.bounds) - 1 and store.bounds[-1] >= 2.1e4
+        warm = [smoothed_fourth(t, delta, cfg) for t, delta in windows]
+        assert [(r.value, r.err_bound) for r in warm] == [(r.value, r.err_bound) for r in cold]
+        quadrature.clear_accumulators()
+
     def test_a_functionals_sequence_evaluates_no_node_twice(self, cfg, monkeypatch):
         # within STORE_PANELS only the partial panel of a query that ends
         # inside a panel evaluates Z at nodes some other query evaluated
@@ -493,26 +510,33 @@ class TestRefinement:
     def test_four_cell_panels_need_no_refinement(self, k, cfg, monkeypatch):
         # every panel of the graded default mesh on [0, 2e4], and for k = 2
         # of smoothed windows that reach below 0, meets the retired
-        # acceptance test with its one rule
-        worst = []
-        real = PanelBatch._panel_pair
+        # acceptance test with its one rule: the unweighted integrand of the
+        # accumulator and the Gaussian-weighted one of the windows, as
+        # panel_rule sees them
+        worst, rules, panels = [], [], []
+        real = quadrature.panel_rule
         _, wk, wg = kronrod_rule(cfg.nodes)
 
-        def checked(self, a, b, samples=None):
-            t, half = quadrature.panel_nodes(a, b, cfg.nodes)
-            f = samples[0] if samples is not None else self.integrand(t.ravel())[0].reshape(t.shape)
-            kv = half * np.sum(wk * f, axis=1)
-            gv = half * np.sum(wg * f[:, 1::2], axis=1)
-            worst.append(float(np.max(np.abs(gv - kv) / np.maximum(PANEL_ABS, PANEL_REL * np.abs(kv)),
-                                      initial=0.0)))
-            return real(self, a, b, samples)
+        def checked(half, f, df, n, certified, w=None):
+            if w is None:
+                kv = half * np.sum(wk * f, axis=1)
+                gv = half * np.sum(wg * f[:, 1::2], axis=1)
+                worst.append(float(np.max(np.abs(gv - kv) / np.maximum(PANEL_ABS, PANEL_REL * np.abs(kv)),
+                                          initial=0.0)))
+            return real(half, f, df, n, certified, w)
 
-        monkeypatch.setattr(PanelBatch, "_panel_pair", checked)
+        def window_rule(*args):
+            rules.append(len(args[0]))
+            return checked(*args)
+
+        monkeypatch.setattr(quadrature, "panel_rule", checked)
+        monkeypatch.setattr(moments, "panel_rule", window_rule)
         quadrature.clear_accumulators()
         MomentAccumulator(k, cfg).ensure(2.0e4)
         for t, delta in ((30.0, 8.0), (50.0, 12.0), (20.0, 5.0)) if k == 2 else ():
             assert t - cfg.window_w * delta < 0.0
-            smoothed_fourth(t, delta, cfg)
+            panels.append(smoothed_fourth(t, delta, cfg).panels)
+        assert rules == panels  # each window's panels in one rule call
         assert len(worst) > 10 and max(worst) <= 1.0
 
 
@@ -521,7 +545,7 @@ class TestPanelBatch:
         acc = MomentAccumulator(2, cfg)
         acc.ensure(1200.0)
         lefts, rights = acc.bounds[:-1], acc.bounds[1:]
-        batch = PanelBatch(acc._integrand, cfg)
+        batch = PanelBatch(2, cfg)
         got = batch.run(lefts, rights)
         assert len(got) == 4 and all(len(q) == len(lefts) for q in got)
         for i in range(0, len(lefts), 7):

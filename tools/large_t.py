@@ -45,7 +45,6 @@ def rules(t: float, width: float):
 
     from zetalab.config import QuadConfig
     from zetalab.quadrature import PanelBatch, first_panel, panel_bounds
-    from zetalab.zkernel import moment_integrand
 
     cfg = QuadConfig()
     count = [0]
@@ -58,7 +57,7 @@ def rules(t: float, width: float):
     PanelBatch._panel_pair = counted
     b = panel_bounds(np.arange(max(first_panel(t, cfg) - 1, 0), first_panel(t + width, cfg) + 1), cfg)
     start = time.perf_counter()
-    value, _, err, _ = PanelBatch(lambda u: moment_integrand(u, 2), cfg).run(b[:-1], b[1:])
+    value, _, err, _ = PanelBatch(2, cfg).run(b[:-1], b[1:])
     return {"t": t, "width": width, "panels": len(b) - 1, "rules": count[0],
             "rules_per_panel": count[0] / (len(b) - 1), "value": float(np.sum(value)),
             "charge": float(np.sum(err)), "s": time.perf_counter() - start}
